@@ -181,11 +181,11 @@ func TestLazyCrossbarMaterialisation(t *testing.T) {
 				sc.xbar(i)
 			}
 		}
-		fm, err := sc.InjectFaults(0.02)
+		faults, err := sc.InjectFaults(0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc, fm.Total()
+		return sc, faults
 	}
 	eagerSC, eagerFaults := mk(true)
 	lazySC, lazyFaults := mk(false)

@@ -228,64 +228,68 @@ func (s *SubChip) ApplyIRDrop(alpha float64) {
 }
 
 // InjectFaults pins a fraction of every crossbar's cells as stuck-at faults
-// (half SA0, half SA1). Call before MapDense: stuck cells ignore later
-// programming, and MapDense reads the array back so its per-layer scale
-// covers the faulted conductances. Requires a noise RNG.
+// (half SA0, half SA1) and returns the total number of stuck cells. Call
+// before MapDense: stuck cells ignore later programming, and MapDense reads
+// the array back so its per-layer scale covers the faulted conductances.
+// Requires a noise RNG.
 //
-// Crossbars not yet materialised only have their faults counted here — the
-// identical random sequence is consumed either way — and the physical
-// injection is replayed from an RNG snapshot if the crossbar is touched
-// later, so the returned fault map and all downstream results match an
-// eager injection exactly. The count/replay contract holds under every
-// sampling regime: the RNG snapshot carries its regime, and
-// reram.CountStuckFaults consumes exactly the stream InjectStuckFaults
-// replays — O(cells) per crossbar under v1, one binomial count draw plus
-// O(faults) position/polarity draws under v2/v3 (the sublinear
-// defect-sweep hot path).
+// Crossbars not yet materialised only have their faults counted here, and
+// the physical injection is replayed from an RNG snapshot if the crossbar
+// is touched later, so the returned total and all downstream results match
+// an eager injection exactly.
 //
 // The regimes differ in where the draws come from. Under v1/v2 every slot
 // consumes the shared serial noise stream in slot order, so the snapshot is
-// a point on that stream. Under the counter-based v3 regime each slot owns
-// the keyed substream (laneFaults, pass·slots+slot) of the study's
-// (seed, trial) coordinates: no slot's draws depend on any other slot's,
-// the main noise stream is not advanced at all, and the realised fault map
-// of any crossbar is computable independently — the property that makes
-// trial-parallel runs byte-stable at any worker count.
-func (s *SubChip) InjectFaults(rate float64) (reram.FaultMap, error) {
+// a point on that stream and reram.CountStuckFaults must advance it exactly
+// as the injection would — O(cells) per crossbar under v1, one binomial
+// count plus O(faults) position/polarity draws under v2. Under the
+// counter-based v3 regime each slot owns the keyed substream
+// (laneFaults, pass·slots+slot) of the study's (seed, trial) coordinates:
+// no slot's draws depend on any other slot's and the main noise stream is
+// not advanced at all — the property that makes trial-parallel runs
+// byte-stable at any worker count. Nothing reads a v3 slot stream after
+// its count, so an unmaterialised slot draws only the binomial count
+// (reram.StuckFaultCount, the first draw of the injection it defers).
+func (s *SubChip) InjectFaults(rate float64) (int, error) {
 	if s.noise == nil || s.noise.RNG == nil {
-		return reram.FaultMap{}, fmt.Errorf("core: fault injection needs Options.Noise with an RNG")
+		return 0, fmt.Errorf("core: fault injection needs Options.Noise with an RNG")
 	}
 	rng := s.noise.RNG
-	slotRNG := func(i int) *stats.RNG { return rng }
-	if rng.Sampler() == stats.SamplerV3 {
-		pass := s.faultPasses
-		slotRNG = func(i int) *stats.RNG {
-			return rng.Substream(laneFaults, uint32(pass*len(s.grid)+i))
-		}
-	}
-	var total reram.FaultMap
+	v3 := rng.Sampler() == stats.SamplerV3
+	pass := s.faultPasses
+	total := 0
 	cells := s.cfg.B * s.cfg.B
 	for i := range s.grid {
-		var fm reram.FaultMap
-		var err error
-		r := slotRNG(i)
-		if s.grid[i] != nil {
-			fm, err = s.grid[i].InjectStuckFaults(rate, r)
-		} else {
-			snap := r.Clone()
-			fm, err = reram.CountStuckFaults(cells, rate, r)
-			if err == nil {
-				if s.pending == nil {
-					s.pending = make([][]pendingInject, len(s.grid))
-				}
-				s.pending[i] = append(s.pending[i], pendingInject{rate: rate, rng: snap})
+		r := rng
+		if v3 {
+			r = rng.Substream(laneFaults, uint32(pass*len(s.grid)+i))
+		}
+		if x := s.grid[i]; x != nil {
+			fm, err := x.InjectStuckFaults(rate, r)
+			if err != nil {
+				return 0, err
 			}
+			total += fm.Total()
+			continue
+		}
+		snap := r.Clone()
+		var n int
+		var err error
+		if v3 {
+			n, err = reram.StuckFaultCount(cells, rate, r)
+		} else {
+			var fm reram.FaultMap
+			fm, err = reram.CountStuckFaults(cells, rate, r)
+			n = fm.Total()
 		}
 		if err != nil {
-			return reram.FaultMap{}, err
+			return 0, err
 		}
-		total.SA0 += fm.SA0
-		total.SA1 += fm.SA1
+		if s.pending == nil {
+			s.pending = make([][]pendingInject, len(s.grid))
+		}
+		s.pending[i] = append(s.pending[i], pendingInject{rate: rate, rng: snap})
+		total += n
 	}
 	s.faultPasses++
 	return total, nil

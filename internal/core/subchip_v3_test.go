@@ -122,3 +122,45 @@ func TestV3RepeatedPassesDrawFreshStreams(t *testing.T) {
 			after1, after2)
 	}
 }
+
+// TestV3EagerLazyFaultTotals: the stuck-cell total InjectFaults returns —
+// the count the defect ablation prints — must not depend on whether the
+// slots were materialised (full injection) or deferred (count-only draw),
+// and must equal the number of faulty cells once every slot is replayed.
+func TestV3EagerLazyFaultTotals(t *testing.T) {
+	for _, rate := range []float64{0.15, 0.30} {
+		inject := func(eager bool) (*SubChip, int) {
+			sc := v3SubChip(4)
+			if eager {
+				for i := range sc.grid {
+					sc.xbar(i)
+				}
+			}
+			n, err := sc.InjectFaults(rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sc, n
+		}
+		_, eager := inject(true)
+		lazy, lazyTotal := inject(false)
+		if eager != lazyTotal {
+			t.Fatalf("rate %v: eager total %d, lazy total %d", rate, eager, lazyTotal)
+		}
+		faulty := 0
+		for i := range lazy.grid {
+			x := lazy.xbar(i)
+			for r := 0; r < x.B; r++ {
+				for c := 0; c < x.B; c++ {
+					if x.IsFaulty(r, c) {
+						faulty++
+					}
+				}
+			}
+		}
+		if faulty != lazyTotal {
+			t.Fatalf("rate %v: InjectFaults returned %d, materialised grid has %d faulty cells",
+				rate, lazyTotal, faulty)
+		}
+	}
+}

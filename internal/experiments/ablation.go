@@ -67,12 +67,14 @@ type DefectPoint struct {
 // defect-aware retraining or remapping is applied, so this is the
 // unprotected floor the rescue literature improves on). The fault maps
 // draw under the given sampling regime: v1 spends one deviate per cell of
-// the 16×12 crossbar grid (~12.6M per draw), v2/v3 one binomial count per
-// crossbar plus O(faults) position draws — the sublinear hot path the
-// sweep's wall-clock floor collapsed onto. Under v3 each draw's generator
-// is keyed by its (seed, draw) coordinates and each crossbar by its grid
-// slot, so the sweep is byte-stable at any worker count by construction
-// rather than by careful stream ordering.
+// the 16×12 crossbar grid (~12.6M per draw), v2 one binomial count per
+// crossbar plus O(faults) position/polarity draws. Under v3 each draw's
+// generator is keyed by its (seed, draw) coordinates and each crossbar by
+// its grid slot, so the sweep is byte-stable at any worker count by
+// construction rather than by careful stream ordering; and because no
+// slot's draws feed another's, the crossbars the CNN never touches draw
+// only their binomial count, leaving O(faults) work on the few mapped
+// slots alone.
 func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stats.SamplerVersion) ([]DefectPoint, error) {
 	sampler = sampler.Resolve()
 	tc, err := defectCNN(seed)

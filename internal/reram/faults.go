@@ -134,12 +134,33 @@ func (x *Crossbar) injectStuckFaultsV2(rate float64, rng *stats.RNG) FaultMap {
 	return fm
 }
 
+// StuckFaultCount returns the stuck-cell total an injection over n cells
+// would realise under the v2/v3 regimes, drawing only the Binomial(n, rate)
+// count. The invariant that makes this exact: the count is the first draw of
+// the v2/v3 injection (injectStuckFaultsV2 takes the binomial before any
+// position or polarity draw), so the total is fixed before the O(faults)
+// draws begin. The generator is left mid-sequence — callers use it on a
+// substream they discard, and replay the injection from a clone taken
+// before the call. v1 interleaves the count with the cell walk, so it has
+// no such shortcut; use CountStuckFaults there.
+func StuckFaultCount(n int, rate float64, rng *stats.RNG) (int, error) {
+	if rate < 0 || rate > 1 {
+		return 0, fmt.Errorf("reram: fault rate %v outside [0,1]", rate)
+	}
+	if rng.Sampler() == stats.SamplerV1 {
+		return 0, fmt.Errorf("reram: count-only fault draw needs the v2/v3 regime, got %v", rng.Sampler())
+	}
+	return rng.Binomial(n, rate), nil
+}
+
 // CountStuckFaults draws the same random sequence InjectStuckFaults would
 // consume over n cells and returns the fault map it would realise, without
-// touching any array. Package core uses it to account faults on crossbars
-// that are never computed on, deferring the physical injection until a
-// crossbar is materialised (replayed from a generator clone snapshotted
-// before this call). Like the injection itself, the draw algorithm — and
+// touching any array. Package core uses it under the serial v1/v2 regimes
+// to account faults on crossbars that are never computed on, deferring the
+// physical injection until a crossbar is materialised (replayed from a
+// generator clone snapshotted before this call); the generator must end
+// where the injection would leave it, because the next crossbar draws from
+// the same stream. Like the injection itself, the draw algorithm — and
 // therefore the cost, O(cells) under v1 vs O(faults) under v2 — follows
 // the generator's sampling regime (v2 and v3 share the sublinear path).
 func CountStuckFaults(n int, rate float64, rng *stats.RNG) (FaultMap, error) {

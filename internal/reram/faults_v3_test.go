@@ -93,3 +93,41 @@ func TestFaultCountsV3BinomialMoments(t *testing.T) {
 		}
 	}
 }
+
+// TestStuckFaultCountMatchesInject: the count-only draw must return the
+// total an injection from the same generator state realises, under both
+// regimes that take the binomial count first, across the rate range.
+func TestStuckFaultCountMatchesInject(t *testing.T) {
+	streams := map[string]func() *stats.RNG{
+		"v2":            func() *stats.RNG { return stats.NewRNGSampler(23, stats.SamplerV2) },
+		"v3-substream":  func() *stats.RNG { return stats.NewTrialRNG(23, 6).Substream(1, 40) },
+		"v3-trial-main": func() *stats.RNG { return stats.NewTrialRNG(23, 6) },
+	}
+	for name, mk := range streams {
+		for _, rate := range []float64{0, 0.001, 0.05, 0.3, 1} {
+			orig := mk()
+			n, err := StuckFaultCount(128*128, rate, orig.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fm, err := New(128, 4).InjectStuckFaults(rate, orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != fm.Total() {
+				t.Fatalf("%s rate %v: count-only draw %d, injection realised %d", name, rate, n, fm.Total())
+			}
+		}
+	}
+}
+
+// TestStuckFaultCountRejects: out-of-range rates and the v1 regime, whose
+// count is interleaved with the cell walk, are errors.
+func TestStuckFaultCountRejects(t *testing.T) {
+	if _, err := StuckFaultCount(64, 1.5, stats.NewTrialRNG(1, 0)); err == nil {
+		t.Fatal("rate 1.5 accepted")
+	}
+	if _, err := StuckFaultCount(64, 0.1, stats.NewRNGSampler(1, stats.SamplerV1)); err == nil {
+		t.Fatal("v1 generator accepted")
+	}
+}

@@ -190,11 +190,10 @@ func (c *CNN) MapAnalog(opt core.Options, faultRate float64) (*AnalogCNN, error)
 	sc := core.NewSubChip(opt)
 	faults := 0
 	if faultRate > 0 {
-		fm, err := sc.InjectFaults(faultRate)
-		if err != nil {
+		var err error
+		if faults, err = sc.InjectFaults(faultRate); err != nil {
 			return nil, err
 		}
-		faults = fm.Total()
 	}
 	convMap, err := sc.MapDense(core.FlattenFilter(c.Filters))
 	if err != nil {
