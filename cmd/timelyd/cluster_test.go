@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,18 +131,29 @@ func batchKeyOf(t *testing.T, body string) string {
 }
 
 // bodyOwnedBy hunts for an analytic evaluate body whose batch key the
-// given replica owns (varying the chip count varies the key).
+// given replica owns.
 func bodyOwnedBy(t *testing.T, reps []*replica, owner int) string {
 	t.Helper()
+	return bodiesOwnedBy(t, reps, owner, `{"backend":"timely","network":"CNN-1","chips":%d}`, 1)[0]
+}
+
+// bodiesOwnedBy hunts for n distinct evaluate bodies whose batch keys the
+// given replica owns, filling format's one %d verb with a chip count
+// (varying the chip count varies the key).
+func bodiesOwnedBy(t *testing.T, reps []*replica, owner int, format string, n int) []string {
+	t.Helper()
 	clu := reps[0].srv.cfg.Cluster
-	for chips := 1; chips <= 512; chips++ {
-		body := fmt.Sprintf(`{"backend":"timely","network":"CNN-1","chips":%d}`, chips)
+	var out []string
+	for chips := 1; chips <= 512 && len(out) < n; chips++ {
+		body := fmt.Sprintf(format, chips)
 		if clu.Owner(batchKeyOf(t, body)) == reps[owner].addr {
-			return body
+			out = append(out, body)
 		}
 	}
-	t.Fatal("no body owned by the target replica in 512 tries")
-	return ""
+	if len(out) < n {
+		t.Fatalf("only %d of %d bodies owned by the target replica in 512 tries", len(out), n)
+	}
+	return out
 }
 
 // TestClusterByteIdenticalAcrossEntryReplicas is the acceptance gate:
@@ -307,6 +319,178 @@ func TestClusterShedPassThrough(t *testing.T) {
 	}
 }
 
+// TestClusterEntryCache pins the entry replica's hot cache: the owner's
+// answer to a registry-free request is kept where the request entered and
+// replayed byte for byte (elapsed_ms included) without another hop — even
+// once the owner is gone. Answers that depend on the process's network
+// registry, and answers other than 200, are never kept.
+func TestClusterEntryCache(t *testing.T) {
+	const ownerIdx = 2
+	reps := startCluster(t, 3, clusterOptions{})
+	entry, owner := reps[0], reps[ownerIdx]
+	clu := entry.srv.cfg.Cluster
+	body := bodyOwnedBy(t, reps, ownerIdx)
+
+	status, hdr, first := clusterPost(t, entry.addr, body, nil)
+	if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != owner.addr || hdr.Get("Cache-Status") != "miss" {
+		t.Fatalf("first: status %d served by %q cache %q", status,
+			hdr.Get(cluster.ServedByHeader), hdr.Get("Cache-Status"))
+	}
+	status, hdr, second := clusterPost(t, entry.addr, body, nil)
+	if status != http.StatusOK || second != first {
+		t.Fatalf("repeat: status %d, bytes differ from the owner's answer:\n%s\nvs\n%s", status, second, first)
+	}
+	if sb, cs := hdr.Get(cluster.ServedByHeader), hdr.Get("Cache-Status"); sb != entry.addr || cs != "hit" {
+		t.Errorf("repeat served by %q cache %q, want %s hit", sb, cs, entry.addr)
+	}
+	if fwd, _, _ := clu.Counters(); fwd != 1 {
+		t.Errorf("forwarded = %d after a replayed repeat, want 1", fwd)
+	}
+	if got := metricz(t, entry.addr)["cache_hits_peer_owned"]; got != 1 {
+		t.Errorf("cache_hits_peer_owned = %d, want 1", got)
+	}
+
+	// A registered name may bind to another spec on another process, so
+	// its answer is forwarded every time (the in-process fleet shares one
+	// registry, so the owner knows the name).
+	resp, err := http.Post("http://"+entry.addr+"/v1/networks", "application/json",
+		strings.NewReader(tinySpecJSON("entry-cache-net")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: status %d", resp.StatusCode)
+	}
+	byName := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"entry-cache-net","chips":%d}`, 1)[0]
+	// A 400 from the owner passes through and is never kept.
+	bad := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"CNN-1","chips":%d,"bits":7}`, 1)[0]
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{{byName, http.StatusOK}, {bad, http.StatusBadRequest}} {
+		for i := 0; i < 2; i++ {
+			before, _, _ := clu.Counters()
+			status, hdr, got := clusterPost(t, entry.addr, tc.body, nil)
+			if status != tc.status || hdr.Get(cluster.ServedByHeader) != reps[1].addr {
+				t.Errorf("%s #%d: status %d served by %q, want %d from the owner (%s)",
+					tc.body, i, status, hdr.Get(cluster.ServedByHeader), tc.status, got)
+			}
+			if after, _, _ := clu.Counters(); after != before+1 {
+				t.Errorf("%s #%d was not forwarded", tc.body, i)
+			}
+		}
+	}
+
+	// Concurrent first sightings of one body all get the owner's bytes,
+	// and the copy the entry keeps is those bytes.
+	burst := bodiesOwnedBy(t, reps, ownerIdx, `{"backend":"prime","network":"VGG-D","chips":%d}`, 1)[0]
+	answers := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post("http://"+entry.addr+"/v1/evaluate", "application/json", strings.NewReader(burst))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			answers[i] = string(raw)
+		}(i)
+	}
+	wg.Wait()
+	_, hdr, kept := clusterPost(t, entry.addr, burst, nil)
+	for i, a := range answers {
+		if a != kept || hdr.Get("Cache-Status") != "hit" {
+			t.Errorf("burst answer %d differs from the kept copy (cache %q)", i, hdr.Get("Cache-Status"))
+		}
+	}
+
+	// With the owner gone, the kept answer still serves — no dial, so no
+	// transport failure is booked. (Burst members that arrived after the
+	// first kept copy were entry hits too, so count from here.)
+	peerHits := metricz(t, entry.addr)["cache_hits_peer_owned"]
+	owner.hs.Close()
+	status, hdr, third := clusterPost(t, entry.addr, body, nil)
+	if status != http.StatusOK || third != first || hdr.Get("Cache-Status") != "hit" {
+		t.Errorf("after the owner died: status %d cache %q, bytes equal %t",
+			status, hdr.Get("Cache-Status"), third == first)
+	}
+	if _, ferr, fol := clu.Counters(); ferr != 0 || fol != 0 {
+		t.Errorf("forward_errors %d failover_local %d, want 0: the kept answer needs no dial", ferr, fol)
+	}
+	if got := metricz(t, entry.addr)["cache_hits_peer_owned"]; got != peerHits+1 {
+		t.Errorf("cache_hits_peer_owned = %d, want %d", got, peerHits+1)
+	}
+}
+
+// TestClusterEntryCacheSkipsShed: an owner's 429 passes through to the
+// client and is not kept, so the next request for the key is forwarded
+// again and answered by the owner.
+func TestClusterEntryCacheSkipsShed(t *testing.T) {
+	const ownerIdx = 2
+	reps := startCluster(t, 3, clusterOptions{
+		mutate: func(i int, cfg *serverConfig) {
+			cfg.MaxConcurrent = 1
+			cfg.QueueDepth = -1 // no queue: a busy slot sheds instantly
+			if i == ownerIdx {
+				chaos, err := serve.ParseChaos("route=/v1/evaluate,latency=500ms")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Chaos = chaos
+			}
+		},
+	})
+	victim := bodyOwnedBy(t, reps, ownerIdx)
+
+	// Occupy the owner's only slot with a hop-bounded local request.
+	occupied := make(chan struct{})
+	go func() {
+		defer close(occupied)
+		clusterPost(t, reps[ownerIdx].addr,
+			`{"backend":"timely","network":"SqueezeNet","chips":97}`,
+			map[string]string{cluster.HopHeader: fmt.Sprint(cluster.MaxHops)})
+	}()
+	time.Sleep(150 * time.Millisecond)
+	status, _, body := clusterPost(t, reps[0].addr, victim, nil)
+	<-occupied
+	if status != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429 (body %s)", status, body)
+	}
+
+	status, hdr, body := clusterPost(t, reps[0].addr, victim, nil)
+	if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != reps[ownerIdx].addr {
+		t.Fatalf("after the shed: status %d served by %q, want 200 from the owner (%s)",
+			status, hdr.Get(cluster.ServedByHeader), body)
+	}
+	if fwd, _, _ := reps[0].srv.cfg.Cluster.Counters(); fwd != 2 {
+		t.Errorf("forwarded = %d, want 2: the shed must not be replayed", fwd)
+	}
+}
+
+// metricz fetches a replica's /metricz counters.
+func metricz(t *testing.T, addr string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metricz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]int64
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("metricz %s: %v", raw, err)
+	}
+	return snap
+}
+
 // elapsedRe normalizes the one wall-clock field of an EvalResult body;
 // everything else must be byte-identical between a forwarded response
 // and a failover local recompute.
@@ -318,15 +502,26 @@ var elapsedRe = regexp.MustCompile(`"elapsed_ms": [0-9.e+-]+`)
 // opens after the failure threshold, and once open the doomed dial is
 // skipped entirely. A revived listener on the same address is re-found
 // through the half-open trial.
+//
+// An entry replica replays answers it already holds without dialling the
+// owner, so every request meant to reach the dead owner carries a body
+// the entry has never answered: the healthy answer is fetched through
+// another entry, and each request after the kill uses a fresh body.
 func TestClusterKillOneFailover(t *testing.T) {
 	const deadIdx = 2
 	reps := startCluster(t, 3, clusterOptions{cooldown: 300 * time.Millisecond})
-	body := bodyOwnedBy(t, reps, deadIdx)
+	bodies := bodiesOwnedBy(t, reps, deadIdx, `{"backend":"timely","network":"CNN-1","chips":%d}`, 6)
 	clu := reps[0].srv.cfg.Cluster
 
-	status, hdr, healthyBody := clusterPost(t, reps[0].addr, body, nil)
+	// The healthy answer to bodies[0] comes through entry 1, so entry 0's
+	// cache stays cold for it; bodies[4] warms entry 0's route to the owner.
+	status, hdr, healthyBody := clusterPost(t, reps[1].addr, bodies[0], nil)
 	if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != reps[deadIdx].addr {
 		t.Fatalf("healthy: status %d served by %q", status, hdr.Get(cluster.ServedByHeader))
+	}
+	status, hdr, _ = clusterPost(t, reps[0].addr, bodies[4], nil)
+	if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != reps[deadIdx].addr {
+		t.Fatalf("healthy via entry 0: status %d served by %q", status, hdr.Get(cluster.ServedByHeader))
 	}
 
 	reps[deadIdx].hs.Close()
@@ -335,12 +530,15 @@ func TestClusterKillOneFailover(t *testing.T) {
 	// corpse at transport level and fail over to local compute; request
 	// 4 finds the breaker open and never dials.
 	for i := 1; i <= 4; i++ {
-		status, hdr, got := clusterPost(t, reps[0].addr, body, nil)
+		status, hdr, got := clusterPost(t, reps[0].addr, bodies[i-1], nil)
 		if status != http.StatusOK {
 			t.Fatalf("failover request %d: status %d (%s)", i, status, got)
 		}
 		if sb := hdr.Get(cluster.ServedByHeader); sb != reps[0].addr {
 			t.Fatalf("failover request %d served by %q, want local %s", i, sb, reps[0].addr)
+		}
+		if cs := hdr.Get("Cache-Status"); cs != "miss" {
+			t.Fatalf("failover request %d: Cache-Status %q, want miss (a fresh body)", i, cs)
 		}
 		// The failover answer carries the identical result payload —
 		// only elapsed_ms (wall clock of whoever computed) may differ.
@@ -360,16 +558,7 @@ func TestClusterKillOneFailover(t *testing.T) {
 	}
 
 	// /metricz on the survivor tells the same story, stable-keyed.
-	resp, err := http.Get("http://" + reps[0].addr + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSnap, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var snap map[string]int64
-	if err := json.Unmarshal(rawSnap, &snap); err != nil {
-		t.Fatalf("metricz %s: %v", rawSnap, err)
-	}
+	snap := metricz(t, reps[0].addr)
 	if snap["forwarded"] != 1 || snap["forward_errors"] != 3 || snap["failover_local"] != 4 {
 		t.Errorf("metricz cluster counters = fwd %d err %d failover %d, want 1/3/4",
 			snap["forwarded"], snap["forward_errors"], snap["failover_local"])
@@ -382,8 +571,10 @@ func TestClusterKillOneFailover(t *testing.T) {
 	}
 
 	// Revive the replica on the SAME address; after the cooldown the
-	// entry's half-open trial re-discovers it and routing resumes.
+	// entry's half-open trial re-discovers it and routing resumes. The
+	// trial body is one entry 0 has not answered yet.
 	var ln net.Listener
+	var err error
 	for attempt := 0; attempt < 50; attempt++ {
 		ln, err = net.Listen("tcp", reps[deadIdx].addr)
 		if err == nil {
@@ -397,7 +588,7 @@ func TestClusterKillOneFailover(t *testing.T) {
 	revived := startReplica(t, ln, reps[deadIdx].srv.cfg)
 	time.Sleep(350 * time.Millisecond) // cooldown elapses
 
-	status2, hdr2, _ := clusterPost(t, reps[0].addr, body, nil)
+	status2, hdr2, _ := clusterPost(t, reps[0].addr, bodies[5], nil)
 	if status2 != http.StatusOK || hdr2.Get(cluster.ServedByHeader) != revived.addr {
 		t.Fatalf("after revival: status %d served by %q, want owner %s",
 			status2, hdr2.Get(cluster.ServedByHeader), revived.addr)

@@ -54,12 +54,14 @@
 // singleflight pay off fleet-wide. A request owned by a healthy peer is
 // proxied there (one hop at most — the X-Timely-Hop header bounds
 // forwarding, so routing cannot loop) and the owner's response passes
-// back verbatim, shed statuses and Retry-After included. Per-peer
+// back verbatim, shed statuses and Retry-After included; the entry
+// replica keeps a copy of a 200 that cannot depend on its network
+// registry and answers repeats of that body itself. Per-peer
 // circuit breakers — fed by forward failures and background /readyz
 // probes every -probe-interval — open after repeated failures, after
 // which owned-elsewhere requests are computed locally (failover) until
 // the peer recovers. /metricz exposes forwarded, forward_errors,
-// failover_local and per-peer breaker states.
+// failover_local, cache_hits_peer_owned and per-peer breaker states.
 //
 // Flags:
 //

@@ -377,7 +377,7 @@ func TestMetricz(t *testing.T) {
 	}
 	for _, key := range []string{"requests", "admitted", "shed_total", "shed_queue_full",
 		"queue_deadline", "compute_deadline", "client_gone", "panics", "in_flight", "queued",
-		"cache_hits", "cache_misses", "cache_evictions",
+		"cache_hits", "cache_misses", "cache_evictions", "cache_hits_peer_owned",
 		"batches", "batched_requests", "coalesced_requests",
 		"forwarded", "forward_errors", "failover_local"} {
 		if _, ok := m[key]; !ok {
@@ -386,7 +386,8 @@ func TestMetricz(t *testing.T) {
 	}
 	// Standalone server: the cluster counters exist (stable snapshot
 	// shape) and stay zero.
-	if m["forwarded"] != 0 || m["forward_errors"] != 0 || m["failover_local"] != 0 {
+	if m["forwarded"] != 0 || m["forward_errors"] != 0 || m["failover_local"] != 0 ||
+		m["cache_hits_peer_owned"] != 0 {
 		t.Errorf("standalone cluster counters nonzero: %v", m)
 	}
 	if m["admitted"] < 1 || m["requests"] < 2 {

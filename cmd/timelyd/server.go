@@ -11,6 +11,7 @@ import (
 	"mime"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batchq"
@@ -121,6 +122,9 @@ type server struct {
 	// key). See handleEvaluate.
 	evalCache *batchq.Cache[[]byte]
 	evalQueue *batchq.Queue[*evalJob, []byte]
+	// peerOwnedHits counts cache hits on keys another replica owns
+	// (/metricz cache_hits_peer_owned).
+	peerOwnedHits atomic.Int64
 }
 
 // evalJob is the unit the batching queue carries: the decoded request plus
@@ -346,6 +350,7 @@ func (s *server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	snap["cache_hits"] = hits
 	snap["cache_misses"] = misses
 	snap["cache_evictions"] = evictions
+	snap["cache_hits_peer_owned"] = s.peerOwnedHits.Load()
 	batches, batched, coalesced := s.evalQueue.Stats()
 	snap["batches"] = batches
 	snap["batched_requests"] = batched
@@ -419,15 +424,21 @@ func (s *server) decodeJSONRaw(w http.ResponseWriter, r *http.Request, v any) ([
 //
 //  1. derive the request's identity keys (a malformed request is a 400
 //     here, before it ever touches admission),
-//  2. in cluster mode, route on the batch key: a request owned by a
+//  2. consult the result cache — a hit answers without a compute slot or
+//     a hop, even when a peer owns the key: an entry replica keeps the
+//     owner's answer to a registry-free request (sim.RegistryFree) and
+//     replays it. In cluster mode a request naming a registered network
+//     consults the cache only after routing, so a peer-owned one is
+//     forwarded every time,
+//  3. in cluster mode, route on the batch key: a request owned by a
 //     healthy peer is proxied there with the raw body and an incremented
 //     hop header, and the owner's response — status, Retry-After,
-//     Cache-Status, body — streams back verbatim. Requests at the hop
-//     bound, owned by this replica, or owned by a peer whose breaker is
-//     open compute locally (the latter trades cache locality for
-//     availability); a forward that fails at transport level falls
-//     through to local compute the same way,
-//  3. consult the result cache — a hit answers without a compute slot,
+//     Cache-Status, body — streams back verbatim; a registry-free 200 is
+//     also kept in this replica's cache. Requests at the hop bound, owned
+//     by this replica, or owned by a peer whose breaker is open compute
+//     locally (the latter trades cache locality for availability); a
+//     forward that fails at transport level falls through to local
+//     compute the same way,
 //  4. join the coalescing queue: byte-identical in-flight requests share
 //     one computation (Cache-Status: coalesced), compatible requests that
 //     differ only in seed batch into one fused group evaluation.
@@ -448,9 +459,18 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, r, err)
 		return
 	}
-	if c := s.cfg.Cluster; c != nil {
+	c := s.cfg.Cluster
+	replayable := c == nil || req.RegistryFree()
+	if replayable && s.serveCached(w, cacheKey, batchKey) {
+		return
+	}
+	if c != nil {
 		if owner, forward := c.Route(batchKey, cluster.Hops(r)); forward {
-			if c.Forward(w, r, owner, raw) == nil {
+			body, err := c.Forward(w, r, owner, raw)
+			if err == nil {
+				if replayable && body != nil {
+					s.evalCache.Put(cacheKey, body)
+				}
 				serve.MarkOutcome(r.Context(), "forwarded")
 				return
 			}
@@ -460,10 +480,9 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			// an answer while the owner is down.
 		}
 		w.Header().Set(cluster.ServedByHeader, c.Self())
-	}
-	if body, ok := s.evalCache.Get(cacheKey); ok {
-		s.writeEvalBody(w, body, "hit")
-		return
+		if !replayable && s.serveCached(w, cacheKey, batchKey) {
+			return
+		}
 	}
 	body, outcome, err := s.evalQueue.Do(r.Context(), batchKey, cacheKey,
 		&evalJob{req: &req, cacheKey: cacheKey})
@@ -476,6 +495,25 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		status = "coalesced"
 	}
 	s.writeEvalBody(w, body, status)
+}
+
+// serveCached answers from the result cache when it holds cacheKey and
+// reports whether it did. In cluster mode the answer names this replica
+// as its server, and a hit on a key another replica owns is counted in
+// cache_hits_peer_owned.
+func (s *server) serveCached(w http.ResponseWriter, cacheKey, batchKey string) bool {
+	body, ok := s.evalCache.Get(cacheKey)
+	if !ok {
+		return false
+	}
+	if c := s.cfg.Cluster; c != nil {
+		w.Header().Set(cluster.ServedByHeader, c.Self())
+		if c.Owner(batchKey) != c.Self() {
+			s.peerOwnedHits.Add(1)
+		}
+	}
+	s.writeEvalBody(w, body, "hit")
+	return true
 }
 
 // writeEvalBody writes a finished evaluate response body with its

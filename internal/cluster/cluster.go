@@ -188,15 +188,22 @@ func (c *Cluster) Route(key string, hops int) (owner string, forward bool) {
 	return owner, true
 }
 
+// MaxKeptBody caps the owner's 200 body that Forward buffers and returns
+// to its caller for replay. Evaluate answers are a few KiB; a larger body
+// streams through unbuffered and is not returned.
+const MaxKeptBody = 256 << 10
+
 // Forward proxies the request — its exact raw body — to the owner and
 // streams the response back verbatim: status, headers (shed responses
 // keep their Retry-After, cache hits their Cache-Status) and body. Any
 // response from a live owner passes through, 5xx included; only a
 // transport-level failure (dial, timeout) returns an error, after
 // recording the breaker failure and counting forward_errors and
-// failover_local — the caller then computes locally. A nil return means
-// the response has been written.
-func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) error {
+// failover_local — the caller then computes locally. A nil error means
+// the response has been written. For a 200 whose body fits MaxKeptBody
+// and was read in full, Forward also returns those bytes, so the caller
+// may keep the owner's answer; every other response returns a nil body.
+func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) ([]byte, error) {
 	breaker := c.breakers[owner]
 	url := "http://" + owner + r.URL.RequestURI()
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
@@ -204,7 +211,7 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner string, 
 		breaker.Cancel()
 		c.forwardErrors.Add(1)
 		c.failoverLocal.Add(1)
-		return err
+		return nil, err
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
@@ -215,7 +222,7 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner string, 
 		if r.Context().Err() != nil {
 			// The CLIENT vanished mid-forward; the peer proved nothing.
 			breaker.Cancel()
-			return err
+			return nil, err
 		}
 		breaker.Failure()
 		c.forwardErrors.Add(1)
@@ -223,7 +230,7 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner string, 
 		if c.logger != nil {
 			c.logger.Printf("cluster: forward to %s failed, computing locally: %v", owner, err)
 		}
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
@@ -244,12 +251,29 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner string, 
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil && c.logger != nil {
+	var kept []byte
+	if resp.StatusCode == http.StatusOK {
+		// Buffer up to the cap; a body that read to EOF within it is
+		// complete and is returned even if the client write fails.
+		buf, rerr := io.ReadAll(io.LimitReader(resp.Body, MaxKeptBody+1))
+		if rerr == nil && len(buf) <= MaxKeptBody {
+			kept = buf
+		}
+		_, err = w.Write(buf)
+		if err == nil {
+			err = rerr
+		}
+	}
+	if err == nil {
+		// The rest of an over-cap 200, or all of any other status.
+		_, err = io.Copy(w, resp.Body)
+	}
+	if err != nil && c.logger != nil {
 		// Headers are committed; logging is the only honest response.
 		c.logger.Printf("cluster: streaming response from %s: %v", owner, err)
 	}
 	c.forwarded.Add(1)
-	return nil
+	return kept, nil
 }
 
 // Start launches one background /readyz prober per peer, feeding the

@@ -80,8 +80,12 @@ func TestForwardPassesResponseVerbatim(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/evaluate?x=1", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
-	if err := c.Forward(rec, req, peer, []byte(body)); err != nil {
+	kept, err := c.Forward(rec, req, peer, []byte(body))
+	if err != nil {
 		t.Fatalf("Forward: %v", err)
+	}
+	if kept != nil {
+		t.Errorf("Forward returned a body for a 429: %q", kept)
 	}
 	if gotHop != "1" || gotCT != "application/json" || gotBody != body {
 		t.Errorf("forwarded request: hop=%q ct=%q body=%q", gotHop, gotCT, gotBody)
@@ -105,6 +109,56 @@ func TestForwardPassesResponseVerbatim(t *testing.T) {
 	// A 429 is a live peer: the breaker stays closed.
 	if st := c.BreakerState(peer); st != StateClosed {
 		t.Errorf("breaker after 429 = %v, want closed", st)
+	}
+}
+
+// TestForwardKeepsOwnerBody: whatever the owner answers reaches the
+// client verbatim — status, headers, bytes — and Forward hands back the
+// body only for a 200 that fits MaxKeptBody.
+func TestForwardKeepsOwnerBody(t *testing.T) {
+	small := `{"backend": "timely", "elapsed_ms": 0.25}` + "\n"
+	big := strings.Repeat("x", MaxKeptBody+1)
+	for _, tc := range []struct {
+		name   string
+		status int
+		body   string
+		kept   bool
+	}{
+		{"200 within cap", http.StatusOK, small, true},
+		{"200 at cap", http.StatusOK, big[:MaxKeptBody], true},
+		{"200 past cap", http.StatusOK, big, false},
+		{"400", http.StatusBadRequest, `{"error":"unknown network"}` + "\n", false},
+		{"429", http.StatusTooManyRequests, `{"error":"admission queue full"}` + "\n", false},
+		{"500", http.StatusInternalServerError, `{"error":"boom"}` + "\n", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer, _ := testPeer(t, func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Cache-Status", "miss")
+				w.Header().Set(ServedByHeader, "owner:9")
+				w.WriteHeader(tc.status)
+				io.WriteString(w, tc.body)
+			})
+			c := testCluster(t, "self:1", peer)
+			req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader("{}"))
+			rec := httptest.NewRecorder()
+			kept, err := c.Forward(rec, req, peer, []byte("{}"))
+			if err != nil {
+				t.Fatalf("Forward: %v", err)
+			}
+			if rec.Code != tc.status || rec.Body.String() != tc.body {
+				t.Errorf("client got status %d, %d bytes; want %d, %d bytes verbatim",
+					rec.Code, rec.Body.Len(), tc.status, len(tc.body))
+			}
+			if rec.Header().Get("Cache-Status") != "miss" || rec.Header().Get(ServedByHeader) != "owner:9" {
+				t.Errorf("owner headers not passed through: %v", rec.Header())
+			}
+			switch {
+			case tc.kept && string(kept) != tc.body:
+				t.Errorf("kept %d bytes, want the owner's %d", len(kept), len(tc.body))
+			case !tc.kept && kept != nil:
+				t.Errorf("kept %d bytes of a response that must not be kept", len(kept))
+			}
+		})
 	}
 }
 
@@ -134,8 +188,8 @@ func TestForwardTransportFailureTripsBreaker(t *testing.T) {
 			t.Fatalf("attempt %d: Route = (%q, %t), want forward to peer", i, owner, fwd)
 		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader("{}"))
-		if err := c.Forward(httptest.NewRecorder(), req, owner, []byte("{}")); err == nil {
-			t.Fatalf("attempt %d: Forward to dead peer succeeded", i)
+		if kept, err := c.Forward(httptest.NewRecorder(), req, owner, []byte("{}")); err == nil || kept != nil {
+			t.Fatalf("attempt %d: Forward to dead peer = (%q, %v), want (nil, error)", i, kept, err)
 		}
 	}
 	if st := c.BreakerState(peer); st != StateOpen {

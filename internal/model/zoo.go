@@ -292,6 +292,13 @@ func ByName(name string) (*Network, error) {
 	return build(), nil
 }
 
+// IsBenchmark reports whether name is a Table III benchmark, without
+// building the network.
+func IsBenchmark(name string) bool {
+	_, ok := zoo[name]
+	return ok
+}
+
 // BenchmarkNames returns the Table III names in the paper's order.
 func BenchmarkNames() []string {
 	return append([]string(nil), zooOrder...)

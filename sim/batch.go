@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/model"
 )
 
 // Serving-side batch support: request identity keys for timelyd's
@@ -82,6 +83,27 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 		cacheKey = batchKey + "#-"
 	}
 	return cacheKey, batchKey, nil
+}
+
+// RegistryFree reports whether the request's answer cannot depend on the
+// network registry of the process that evaluates it: an inline spec, a
+// Table III zoo name on an analytic or timing backend, or "mlp"/"cnn" on
+// the functional backend. Every replica computes the same bytes for such a
+// request (elapsed_ms aside), so one replica may keep and replay another's
+// answer under the request's cache key. A registered name is not
+// registry-free: its key names the raw name, which two processes may bind
+// to different specs.
+func (r *EvalRequest) RegistryFree() bool {
+	if r.Spec != nil {
+		return true
+	}
+	switch r.Backend {
+	case "timely", "prime", "isaac", "timing":
+		return model.IsBenchmark(r.Network)
+	case "functional":
+		return r.Network == "mlp" || r.Network == "cnn"
+	}
+	return false
 }
 
 // EvaluateBatch evaluates a group of requests together, returning one

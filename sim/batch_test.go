@@ -121,6 +121,34 @@ func TestKeysEscapesClientStrings(t *testing.T) {
 	}
 }
 
+// TestRegistryFree pins which requests may be replayed by a replica
+// other than the one that computed them: those whose answer reads nothing
+// from the process's network registry.
+func TestRegistryFree(t *testing.T) {
+	spec := &NetworkSpec{Name: "tiny", Input: NetworkDims{C: 1, H: 4, W: 4},
+		Layers: []NetworkLayer{{Name: "out", Kind: "fc", Units: 2}}}
+	for _, tc := range []struct {
+		req  EvalRequest
+		want bool
+	}{
+		{EvalRequest{Backend: "timely", Spec: spec}, true},
+		{EvalRequest{Backend: "timely", Network: "VGG-D"}, true},
+		{EvalRequest{Backend: "prime", Network: "SqueezeNet"}, true},
+		{EvalRequest{Backend: "isaac", Network: "MLP-L"}, true},
+		{EvalRequest{Backend: "timing", Network: "CNN-1", Images: 4}, true},
+		{EvalRequest{Backend: "functional", Network: "mlp"}, true},
+		{EvalRequest{Backend: "functional", Network: "cnn", Seed: uintp(3)}, true},
+		{EvalRequest{Backend: "timely", Network: "my-registered-net"}, false},
+		{EvalRequest{Backend: "timing", Network: "my-registered-net"}, false},
+		{EvalRequest{Backend: "functional", Network: "VGG-D"}, false},
+		{EvalRequest{Backend: "sim-test-backend", Network: "VGG-D"}, false},
+	} {
+		if got := tc.req.RegistryFree(); got != tc.want {
+			t.Errorf("%+v: RegistryFree = %t, want %t", tc.req, got, tc.want)
+		}
+	}
+}
+
 // TestEvaluateBatchFusedIdentity: a multi-seed functional group returns,
 // member by member, exactly what Evaluate returns for each request alone
 // (ElapsedMS excepted — it is wall clock, zeroed before comparing).
