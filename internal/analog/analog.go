@@ -162,7 +162,7 @@ func (t TDC) Convert(delay float64, n *Noise) int {
 	if t.INL != 0 {
 		pos -= inlBow(t.INL, pos/float64(t.Levels()-1))
 	}
-	code := int(math.Round(pos))
+	code := RoundCode(pos)
 	if code < 0 {
 		return 0
 	}
@@ -170,6 +170,19 @@ func (t TDC) Convert(delay float64, n *Noise) int {
 		return t.Levels() - 1
 	}
 	return code
+}
+
+// RoundCode rounds a non-negative quantiser position to the nearest integer
+// code, halves away from zero: int(math.Round(x)) without the general
+// function's bit manipulation. For x ≥ 0 it is exact, because x − trunc(x)
+// is exactly representable. A negative x yields a code ≤ 0, which every
+// caller clamps to code 0 just as it clamps math.Round's result.
+func RoundCode(x float64) int {
+	c := int(x)
+	if x-float64(c) >= 0.5 {
+		c++
+	}
+	return c
 }
 
 // XSubBuf is the analog time latch between horizontally adjacent crossbars

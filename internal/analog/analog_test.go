@@ -293,3 +293,35 @@ func TestDefaultNoiseDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRoundCode checks RoundCode against int(math.Round(x)), the rounding
+// it replaces in the quantisers: equal for every x in [0, 2^62] (halves
+// round up, as math.Round rounds them away from zero), and for negative x
+// both clamp to code 0. Seeds cover k+0.5, its floating-point neighbours,
+// negatives and both zeros.
+func FuzzRoundCode(f *testing.F) {
+	for _, k := range []float64{0, 1, 2, 7, 254, 255, 1 << 20, 1 << 52} {
+		h := k + 0.5
+		f.Add(h)
+		f.Add(math.Nextafter(h, 0))
+		f.Add(math.Nextafter(h, math.Inf(1)))
+		f.Add(-h)
+		f.Add(k)
+	}
+	f.Add(math.Copysign(0, -1))
+	f.Add(0.49999999999999994)
+	f.Add(-0.49999999999999994)
+	f.Add(math.Float64frombits(1)) // smallest subnormal
+	f.Fuzz(func(t *testing.T, x float64) {
+		if math.IsNaN(x) || math.Abs(x) > 1<<62 {
+			return // int conversion is implementation-specific there
+		}
+		got, want := RoundCode(x), int(math.Round(x))
+		if x >= 0 && got != want {
+			t.Fatalf("RoundCode(%v) = %d, math.Round gives %d", x, got, want)
+		}
+		if x < 0 && (got > 0 || want > 0) {
+			t.Fatalf("RoundCode(%v) = %d, math.Round gives %d: a negative position must clamp to code 0", x, got, want)
+		}
+	})
+}

@@ -687,7 +687,7 @@ func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 						} else if t > full {
 							t = full
 						}
-						code := int(math.Round(t / cu.TDel))
+						code := analog.RoundCode(t / cu.TDel)
 						if code < 0 {
 							code = 0
 						} else if code > maxCode {

@@ -44,23 +44,25 @@ const (
 // philoxBlock applies the 10-round Philox4x32 bijection to one 128-bit
 // counter under a 64-bit key and returns the four 32-bit output words. It
 // matches the Random123 reference implementation bit for bit (the
-// known-answer tests pin the published vectors).
+// known-answer tests pin the published vectors), and it is the one-block
+// reference the interleaved refill is tested against.
 func philoxBlock(c [4]uint32, k [2]uint32) [4]uint32 {
 	for i := 0; i < philoxRounds; i++ {
 		if i > 0 {
 			k[0] += philoxW0
 			k[1] += philoxW1
 		}
-		p0 := philoxM0 * uint64(c[0])
-		p1 := philoxM1 * uint64(c[2])
-		c = [4]uint32{
-			uint32(p1>>32) ^ c[1] ^ k[0],
-			uint32(p1),
-			uint32(p0>>32) ^ c[3] ^ k[1],
-			uint32(p0),
-		}
+		c[0], c[1], c[2], c[3] = philoxRound(c[0], c[1], c[2], c[3], k[0], k[1])
 	}
 	return c
+}
+
+// philoxRound is one Philox4x32 round on counter words c0..c3 under round
+// key (k0, k1).
+func philoxRound(c0, c1, c2, c3, k0, k1 uint32) (uint32, uint32, uint32, uint32) {
+	p0 := philoxM0 * uint64(c0)
+	p1 := philoxM1 * uint64(c2)
+	return uint32(p1>>32) ^ c1 ^ k0, uint32(p1), uint32(p0>>32) ^ c3 ^ k1, uint32(p0)
 }
 
 // philoxInit resets the receiver to the v3 substream (seed, trial, stream):
@@ -73,24 +75,65 @@ func (r *RNG) philoxInit(seed uint64, trial, stream uint32) {
 	}
 }
 
+// philoxLanes is the number of consecutive blocks one buffer refill
+// computes. Their ten-round chains are independent, so running them side
+// by side lets the multiplies of one block overlap the latency of the
+// others instead of waiting on a single serial chain. philoxRefill is
+// written out for exactly four lanes.
+const philoxLanes = 4
+
 // philoxNext serves the next 64 bits of a v3 stream: each 128-bit block
 // yields two uint64s (words 0|1 then 2|3), and the block counter in counter
-// words 0-1 advances by one per block.
+// words 0-1 advances by one as each block starts being served. The buffer
+// holds the blocks at counters ctr, ctr+1, ... computed ahead by
+// philoxRefill, so the served sequence and the counter are exactly those
+// of one philoxBlock call per consumed block.
 func (r *RNG) philoxNext() uint64 {
 	if r.bufn == 0 {
-		o := philoxBlock(r.ctr, r.key)
+		r.philoxRefill()
+	}
+	i := len(r.buf) - int(r.bufn)
+	r.bufn--
+	if i&1 == 0 {
 		r.ctr[0]++
 		if r.ctr[0] == 0 {
 			r.ctr[1]++
 		}
-		r.buf[0] = uint64(o[0]) | uint64(o[1])<<32
-		r.buf[1] = uint64(o[2]) | uint64(o[3])<<32
-		r.bufn = 2
 	}
-	r.bufn--
-	out := r.buf[0]
-	r.buf[0] = r.buf[1]
-	return out
+	return r.buf[i]
+}
+
+// philoxRefill fills the buffer with the philoxLanes blocks starting at
+// the current counter, their round chains interleaved. It leaves the
+// counter alone: philoxNext advances it per consumed block.
+func (r *RNG) philoxRefill() {
+	n := uint64(r.ctr[0]) | uint64(r.ctr[1])<<32
+	s, t := r.ctr[2], r.ctr[3]
+	a0, a1, a2, a3 := uint32(n), uint32(n>>32), s, t
+	n++
+	b0, b1, b2, b3 := uint32(n), uint32(n>>32), s, t
+	n++
+	c0, c1, c2, c3 := uint32(n), uint32(n>>32), s, t
+	n++
+	d0, d1, d2, d3 := uint32(n), uint32(n>>32), s, t
+	k0, k1 := r.key[0], r.key[1]
+	for i := 0; i < philoxRounds; i++ {
+		if i > 0 {
+			k0 += philoxW0
+			k1 += philoxW1
+		}
+		a0, a1, a2, a3 = philoxRound(a0, a1, a2, a3, k0, k1)
+		b0, b1, b2, b3 = philoxRound(b0, b1, b2, b3, k0, k1)
+		c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+		d0, d1, d2, d3 = philoxRound(d0, d1, d2, d3, k0, k1)
+	}
+	r.buf = [2 * philoxLanes]uint64{
+		uint64(a0) | uint64(a1)<<32, uint64(a2) | uint64(a3)<<32,
+		uint64(b0) | uint64(b1)<<32, uint64(b2) | uint64(b3)<<32,
+		uint64(c0) | uint64(c1)<<32, uint64(c2) | uint64(c3)<<32,
+		uint64(d0) | uint64(d1)<<32, uint64(d2) | uint64(d3)<<32,
+	}
+	r.bufn = 2 * philoxLanes
 }
 
 // NewTrialRNG returns the trial-th substream of the v3 counter-based study

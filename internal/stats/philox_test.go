@@ -257,3 +257,48 @@ func TestV3DeviateAlgorithmsAreV2(t *testing.T) {
 		t.Fatal("SetSampler back to v2 did not restore the splitmix seed")
 	}
 }
+
+// TestPhiloxRefillMatchesBlocks: the interleaved refill serves exactly the
+// philoxBlock reference stream, block after block, across several refill
+// boundaries, with the 64-bit block counter carrying from word 0 into
+// word 1 at every position inside a refill. The counter advances once per
+// consumed block, never per refill.
+func TestPhiloxRefillMatchesBlocks(t *testing.T) {
+	seed := uint64(0x0123456789abcdef)
+	key := [2]uint32{uint32(seed), uint32(seed >> 32)}
+	for start := uint64(0xffffffff) - 3*philoxLanes; start <= 0xffffffff; start++ {
+		r := NewTrialRNG(seed, 5)
+		r.ctr[0], r.ctr[1] = uint32(start), uint32(start>>32)
+		for j := uint64(0); j < 3*philoxLanes; j++ {
+			n := start + j
+			o := philoxBlock([4]uint32{uint32(n), uint32(n >> 32), 0, 5}, key)
+			if got, want := r.Uint64(), uint64(o[0])|uint64(o[1])<<32; got != want {
+				t.Fatalf("start %#x block %d word 0|1: got %016x, want %016x", start, j, got, want)
+			}
+			if got := uint64(r.ctr[0]) | uint64(r.ctr[1])<<32; got != n+1 {
+				t.Fatalf("start %#x block %d: counter %#x, want %#x", start, j, got, n+1)
+			}
+			if got, want := r.Uint64(), uint64(o[2])|uint64(o[3])<<32; got != want {
+				t.Fatalf("start %#x block %d word 2|3: got %016x, want %016x", start, j, got, want)
+			}
+		}
+	}
+}
+
+// TestPhiloxCloneAtEveryOffset: a Clone taken at any position inside the
+// refill buffer replays the receiver's continuation exactly, so deferred
+// fault injection can snapshot a v3 stream mid-block.
+func TestPhiloxCloneAtEveryOffset(t *testing.T) {
+	for offset := 0; offset <= 4*philoxLanes; offset++ {
+		r := NewTrialRNG(77, 3).Substream(2, 9)
+		for i := 0; i < offset; i++ {
+			r.Uint64()
+		}
+		c := r.Clone()
+		for i := 0; i < 5*philoxLanes; i++ {
+			if a, b := r.Uint64(), c.Uint64(); a != b {
+				t.Fatalf("offset %d draw %d: clone %016x, receiver %016x", offset, i, b, a)
+			}
+		}
+	}
+}

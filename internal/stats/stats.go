@@ -32,10 +32,11 @@ type RNG struct {
 	// state is the splitmix64 state (v1/v2 bit source).
 	state uint64
 	// key/ctr are the Philox key and 128-bit counter (v3 bit source); buf
-	// holds the not-yet-served uint64s of the current block (bufn of them).
+	// holds the blocks of the last refill, and its last bufn uint64s are
+	// not yet served.
 	key  [2]uint32
 	ctr  [4]uint32
-	buf  [2]uint64
+	buf  [2 * philoxLanes]uint64
 	bufn uint8
 	// cached spare Gaussian deviate (Box-Muller generates pairs; v1 only)
 	spare    float64

@@ -109,7 +109,11 @@ func NewMLP(rng *stats.RNG, sizes ...int) *MLP {
 }
 
 // forward returns all layer activations (post-ReLU except the last). The
-// returned slices are instance scratch, overwritten by the next pass.
+// returned slices are instance scratch, overwritten by the next pass. Output
+// rows are computed four per pass over the input so each input value is
+// loaded once per block; every row still accumulates from its bias in
+// ascending input order, so the sums are bit-identical to a row-at-a-time
+// loop.
 func (m *MLP) forward(x []float64) [][]float64 {
 	if m.acts == nil {
 		m.acts = make([][]float64, len(m.Sizes))
@@ -119,22 +123,42 @@ func (m *MLP) forward(x []float64) [][]float64 {
 	}
 	m.acts[0] = x
 	cur := x
-	for l := range m.W {
-		next := m.acts[l+1]
-		last := l == len(m.W)-1
-		for o, row := range m.W[l] {
-			s := m.B[l][o]
+	for l, w := range m.W {
+		next, b := m.acts[l+1], m.B[l]
+		hidden := l < len(m.W)-1
+		o := 0
+		for ; o+4 <= len(w); o += 4 {
+			r0, r1, r2, r3 := w[o][:len(cur)], w[o+1][:len(cur)], w[o+2][:len(cur)], w[o+3][:len(cur)]
+			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+			for i, v := range cur {
+				s0 += r0[i] * v
+				s1 += r1[i] * v
+				s2 += r2[i] * v
+				s3 += r3[i] * v
+			}
+			next[o], next[o+1], next[o+2], next[o+3] = relu(s0, hidden), relu(s1, hidden), relu(s2, hidden), relu(s3, hidden)
+		}
+		for ; o < len(w); o++ {
+			row := w[o][:len(cur)]
+			s := b[o]
 			for i, v := range cur {
 				s += row[i] * v
 			}
-			if !last && s < 0 {
-				s = 0
-			}
-			next[o] = s
+			next[o] = relu(s, hidden)
 		}
 		cur = next
 	}
 	return m.acts
+}
+
+// relu clamps a negative hidden pre-activation to zero when on. It tests
+// s < 0 rather than calling the builtin max, which would also turn −0
+// into +0.
+func relu(s float64, on bool) float64 {
+	if on && s < 0 {
+		return 0
+	}
+	return s
 }
 
 // Predict returns the argmax class for x.
@@ -179,11 +203,12 @@ func (m *MLP) Train(d *Dataset, rng *stats.RNG, epochs int, lr float64) float64 
 	return loss
 }
 
-// TrainWithNoise trains while injecting Gaussian perturbations into the
-// forward activations, the noise-aware training the paper adopts from
-// [53],[54],[57] to absorb analog errors.
+// TrainWithNoise trains while scaling each input feature of every sample
+// by an independent 1+N(0, actSigma) factor, the noise-aware training the
+// paper adopts from [53],[54],[57] to absorb analog errors. Like Train, it
+// returns 0 on an empty dataset.
 func (m *MLP) TrainWithNoise(d *Dataset, rng *stats.RNG, epochs int, lr, actSigma float64) float64 {
-	if actSigma == 0 {
+	if actSigma == 0 || d.Len() == 0 {
 		return m.Train(d, rng, epochs, lr)
 	}
 	idx := make([]int, d.Len())
@@ -209,9 +234,10 @@ func (m *MLP) TrainWithNoise(d *Dataset, rng *stats.RNG, epochs int, lr, actSigm
 	return loss
 }
 
-// step performs one SGD update and returns the sample loss.
+// step performs one SGD update and returns the sample loss. The loss
+// gradient with respect to the input is never formed: nothing reads it.
 func (m *MLP) step(x []float64, y int, lr float64) float64 {
-	loss, _ := m.stepWithInputGrad(x, y, lr)
+	loss, _ := m.sgd(x, y, lr, false)
 	return loss
 }
 
@@ -221,6 +247,17 @@ func (m *MLP) step(x []float64, y int, lr float64) float64 {
 // front-ends backpropagate through the head. The returned slice is instance
 // scratch, valid until the next pass.
 func (m *MLP) stepWithInputGrad(x []float64, y int, lr float64) (float64, []float64) {
+	return m.sgd(x, y, lr, true)
+}
+
+// sgd is the one SGD body behind step and stepWithInputGrad: a forward
+// pass, softmax cross-entropy, and a backward pass that updates every
+// weight and bias in place. Each layer's input gradient accumulates over
+// output rows in ascending order from the pre-update weights; rows are
+// fused in pairs, and prev[i] + g0·a0 + g1·a1 is the same left-to-right
+// fold as two single-row passes. Layer 0's input gradient is formed only
+// when inputGrad is set; otherwise it returns nil.
+func (m *MLP) sgd(x []float64, y int, lr float64, inputGrad bool) (float64, []float64) {
 	acts := m.forward(x)
 	out := acts[len(acts)-1]
 	probs := m.softmaxInto(out)
@@ -240,35 +277,72 @@ func (m *MLP) stepWithInputGrad(x []float64, y int, lr float64) (float64, []floa
 	delta, other := m.gradA[:len(out)], m.gradB
 	copy(delta, probs)
 	delta[y] -= 1
-	var inputGrad []float64
 	for l := len(m.W) - 1; l >= 0; l-- {
-		in := acts[l]
+		w, b, in := m.W[l], m.B[l], acts[l]
+		if l == 0 && !inputGrad {
+			// Weights and biases only: the input gradient has no reader.
+			o := 0
+			for ; o+2 <= len(w); o += 2 {
+				lg0, lg1 := lr*delta[o], lr*delta[o+1]
+				b[o] -= lg0
+				b[o+1] -= lg1
+				r0, r1 := w[o][:len(in)], w[o+1][:len(in)]
+				for i, v := range in {
+					r0[i] -= lg0 * v
+					r1[i] -= lg1 * v
+				}
+			}
+			for ; o < len(w); o++ {
+				lg := lr * delta[o]
+				b[o] -= lg
+				row := w[o][:len(in)]
+				for i, v := range in {
+					row[i] -= lg * v
+				}
+			}
+			return loss, nil
+		}
 		prev := other[:len(in)]
 		for i := range prev {
 			prev[i] = 0
 		}
-		for o, row := range m.W[l] {
-			g := delta[o]
-			m.B[l][o] -= lr * g
-			lg := lr * g
-			for i, ri := range row {
-				prev[i] += g * ri
-				row[i] = ri - lg*in[i]
-			}
-		}
-		if l > 0 {
-			// ReLU derivative of the hidden activation.
+		o := 0
+		for ; o+2 <= len(w); o += 2 {
+			g0, g1 := delta[o], delta[o+1]
+			lg0, lg1 := lr*g0, lr*g1
+			b[o] -= lg0
+			b[o+1] -= lg1
+			r0, r1 := w[o][:len(in)], w[o+1][:len(in)]
 			for i, v := range in {
-				if v <= 0 {
-					prev[i] = 0
-				}
+				a0, a1 := r0[i], r1[i]
+				prev[i] = prev[i] + g0*a0 + g1*a1
+				r0[i] = a0 - lg0*v
+				r1[i] = a1 - lg1*v
 			}
-			delta, other = prev, delta[:cap(delta)]
-		} else {
-			inputGrad = prev
 		}
+		for ; o < len(w); o++ {
+			g := delta[o]
+			lg := lr * g
+			b[o] -= lg
+			row := w[o][:len(in)]
+			for i, v := range in {
+				ri := row[i]
+				prev[i] += g * ri
+				row[i] = ri - lg*v
+			}
+		}
+		if l == 0 {
+			return loss, prev
+		}
+		// ReLU derivative of the hidden activation.
+		for i, v := range in {
+			if v <= 0 {
+				prev[i] = 0
+			}
+		}
+		delta, other = prev, delta[:cap(delta)]
 	}
-	return loss, inputGrad
+	return loss, nil
 }
 
 // softmaxInto computes softmax(xs) into the instance probability scratch.
