@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/sim"
 )
 
 // evalResponse captures one evaluate round-trip.
@@ -272,5 +274,43 @@ func TestNoCoalesceComputesEveryRequest(t *testing.T) {
 	_, _, coalesced := srv.evalQueue.Stats()
 	if coalesced != 0 {
 		t.Errorf("coalesced_requests = %d, want 0", coalesced)
+	}
+}
+
+// TestEvalGroupTakesPublishedBody: a job that missed the result cache but
+// whose key was published before its group ran takes the published body
+// instead of computing again (a request that reaches the queue just after
+// the group answering its key has left). Only the other jobs compute.
+func TestEvalGroupTakesPublishedBody(t *testing.T) {
+	srv := newServer(quietConfig())
+	jobs := make([]*evalJob, 2)
+	for i := range jobs {
+		req := &sim.EvalRequest{Backend: "timely", Network: "CNN-1", Chips: i + 1}
+		cacheKey, _, err := req.Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = &evalJob{req: req, cacheKey: cacheKey}
+	}
+	published := []byte("published\n")
+	srv.evalCache.Put(jobs[0].cacheKey, published)
+
+	bodies, errs := srv.runEvalGroup(context.Background(), jobs[:1])
+	if errs[0] != nil || string(bodies[0]) != string(published) {
+		t.Fatalf("cached job: body %q err %v, want the published body", bodies[0], errs[0])
+	}
+	if got := srv.metrics.Admitted.Load(); got != 0 {
+		t.Errorf("Admitted = %d for a group answered from the cache, want 0", got)
+	}
+
+	bodies, errs = srv.runEvalGroup(context.Background(), jobs)
+	if errs[0] != nil || string(bodies[0]) != string(published) {
+		t.Errorf("mixed group, cached job: body %q err %v", bodies[0], errs[0])
+	}
+	if errs[1] != nil || !json.Valid(bodies[1]) {
+		t.Errorf("mixed group, computed job: body %q err %v", bodies[1], errs[1])
+	}
+	if got := srv.metrics.Admitted.Load(); got != 1 {
+		t.Errorf("Admitted = %d after the mixed group, want 1", got)
 	}
 }

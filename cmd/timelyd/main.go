@@ -17,7 +17,9 @@
 // under "spec" (sim.NetworkSpec: name, input dims, conv/fc/pool layers),
 // which is compiled, validated and evaluated in one call. POST bodies must
 // be application/json (415 otherwise), at most 1 MiB (413 otherwise), and
-// exactly one JSON value (400 on trailing content).
+// exactly one JSON value (400 on trailing content). A body repeated byte
+// for byte whose answer is still cached is answered without being decoded
+// again (/metricz decode_skipped); see DESIGN.md "Body memo".
 //
 // The experiment endpoints negotiate their representation: JSON for
 // Accept: application/json, CSV for Accept: text/csv, aligned text
@@ -75,7 +77,7 @@
 //	-chaos <spec>            deterministic fault injection (default off)
 //	-batch-window <dur>      evaluate batching gather window (default 2ms; 0 = no gathering)
 //	-batch-max N             max requests fused into one evaluate batch (default 32)
-//	-cache-entries N         evaluate result cache size (default 4096; 0 = off)
+//	-cache-entries N         evaluate result cache and body memo size (default 4096; 0 = off)
 //	-coalesce                singleflight+batching on /v1/evaluate (default true)
 //	-peers <a,b,c>           every replica's host:port, self included (default standalone)
 //	-self <host:port>        this replica's entry in -peers (required with -peers)

@@ -291,9 +291,12 @@ func TestReadyzDrain(t *testing.T) {
 
 	srv.StartDrain()
 
-	status, body, _ = get(t, ts, "/readyz", "")
+	status, body, ctype := get(t, ts, "/readyz", "")
 	if status != http.StatusServiceUnavailable || !strings.Contains(body, `"draining"`) {
 		t.Fatalf("readyz during drain: status %d body %s", status, body)
+	}
+	if !strings.Contains(ctype, "application/json") {
+		t.Errorf("readyz during drain: content type %q, want application/json", ctype)
 	}
 	resp, body2 := doEvaluate(t, ts)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -353,9 +356,12 @@ func TestCheapEndpointsBypassAdmission(t *testing.T) {
 	// ...after which /readyz answers immediately AND honestly: requests
 	// are bouncing, so balancers should route away.
 	start := time.Now()
-	status, body, _ = get(t, ts, "/readyz", "")
+	status, body, ctype := get(t, ts, "/readyz", "")
 	if status != http.StatusServiceUnavailable || !strings.Contains(body, `"overloaded"`) {
 		t.Errorf("readyz under saturation: status %d body %s, want 503 overloaded", status, body)
+	}
+	if !strings.Contains(ctype, "application/json") {
+		t.Errorf("readyz under saturation: content type %q, want application/json", ctype)
 	}
 	if d := time.Since(start); d > 300*time.Millisecond {
 		t.Errorf("readyz under load took %s — queued behind compute?", d)
@@ -377,7 +383,7 @@ func TestMetricz(t *testing.T) {
 	}
 	for _, key := range []string{"requests", "admitted", "shed_total", "shed_queue_full",
 		"queue_deadline", "compute_deadline", "client_gone", "panics", "in_flight", "queued",
-		"cache_hits", "cache_misses", "cache_evictions", "cache_hits_peer_owned",
+		"cache_hits", "cache_misses", "cache_evictions", "cache_hits_peer_owned", "decode_skipped",
 		"batches", "batched_requests", "coalesced_requests",
 		"forwarded", "forward_errors", "failover_local"} {
 		if _, ok := m[key]; !ok {
@@ -397,5 +403,10 @@ func TestMetricz(t *testing.T) {
 	// one single-member batch, nothing coalesced yet.
 	if m["cache_misses"] != 1 || m["batches"] != 1 || m["batched_requests"] != 1 {
 		t.Errorf("batching counters after one evaluate: %v", m)
+	}
+	// A single evaluate has nothing to repeat, so the body memo answered
+	// nothing.
+	if m["decode_skipped"] != 0 {
+		t.Errorf("decode_skipped = %d after one evaluate, want 0", m["decode_skipped"])
 	}
 }

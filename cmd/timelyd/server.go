@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,8 +54,9 @@ type serverConfig struct {
 	// fires without waiting out the window. 0 means the default (32).
 	BatchMax int
 	// CacheEntries sizes the LRU result cache keyed by the request's
-	// cache key (spec hash + design options + seed). 0 means the default
-	// (4096); negative disables caching.
+	// cache key (spec hash + design options + seed), and the memo of
+	// evaluate body digests in front of it. 0 means the default (4096);
+	// negative disables both.
 	CacheEntries int
 	// NoCoalesce disables singleflight de-duplication: byte-identical
 	// concurrent requests each compute (they may still gather into one
@@ -122,9 +124,23 @@ type server struct {
 	// key). See handleEvaluate.
 	evalCache *batchq.Cache[[]byte]
 	evalQueue *batchq.Queue[*evalJob, []byte]
+	// bodyKeys memoizes the keys of registry-free evaluate bodies by the
+	// SHA-256 digest of their raw bytes, so a repeated body is answered
+	// from evalCache without being decoded or keyed again. nil when
+	// caching is disabled.
+	bodyKeys *batchq.Cache[evalKeys]
 	// peerOwnedHits counts cache hits on keys another replica owns
 	// (/metricz cache_hits_peer_owned).
 	peerOwnedHits atomic.Int64
+	// decodeSkipped counts evaluate requests answered through bodyKeys
+	// (/metricz decode_skipped).
+	decodeSkipped atomic.Int64
+}
+
+// evalKeys is a decoded evaluate request's identity: its result-cache key
+// and its batch (routing) key, as sim.(*EvalRequest).Keys derives them.
+type evalKeys struct {
+	cacheKey, batchKey string
 }
 
 // evalJob is the unit the batching queue carries: the decoded request plus
@@ -162,6 +178,9 @@ func newServer(cfg serverConfig) *server {
 	}
 	s.evalClass = serve.Class{Name: "evaluate", Timeout: cfg.EvaluateTimeout}
 	s.evalCache = batchq.NewCache[[]byte](cfg.CacheEntries)
+	if cfg.CacheEntries > 0 {
+		s.bodyKeys = batchq.NewCache[evalKeys](cfg.CacheEntries)
+	}
 	window := cfg.BatchWindow
 	if window < 0 {
 		window = 0
@@ -253,11 +272,14 @@ func errorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeJSON emits v as an indented JSON response. Encode failures are
-// logged: the 200 header is committed by then, so the log line is the
-// only place the failure can surface.
-func (s *server) writeJSON(w http.ResponseWriter, v any) {
+// writeJSON emits v as an indented JSON response with the given status.
+// The headers are set before the status is written, since net/http
+// ignores header edits made after WriteHeader. Encode failures are
+// logged: the status is committed by then, so the log line is the only
+// place the failure can surface.
+func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil && s.logger != nil {
@@ -302,7 +324,7 @@ func contentType(format string) string {
 // orchestrators do not kill a pod that is merely busy; routing decisions
 // belong to /readyz.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"uptime_s":    time.Since(s.started).Seconds(),
 		"backends":    sim.Backends(),
@@ -322,19 +344,20 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"max_concurrent": conc,
 		"queue_depth":    depth,
 	}
+	status := http.StatusOK
 	switch {
 	case s.limiter.Draining():
 		body["status"] = "draining"
 		w.Header().Set("Retry-After", "2")
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	case s.limiter.Saturated():
 		body["status"] = "overloaded"
 		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	default:
 		body["status"] = "ready"
 	}
-	s.writeJSON(w, body)
+	s.writeJSON(w, status, body)
 }
 
 // handleMetricz exposes the service counters as JSON (admission, shed,
@@ -351,6 +374,7 @@ func (s *server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	snap["cache_misses"] = misses
 	snap["cache_evictions"] = evictions
 	snap["cache_hits_peer_owned"] = s.peerOwnedHits.Load()
+	snap["decode_skipped"] = s.decodeSkipped.Load()
 	batches, batched, coalesced := s.evalQueue.Stats()
 	snap["batches"] = batches
 	snap["batched_requests"] = batched
@@ -365,30 +389,31 @@ func (s *server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	if c := s.cfg.Cluster; c != nil {
 		c.Snapshot(snap)
 	}
-	s.writeJSON(w, snap)
+	s.writeJSON(w, http.StatusOK, snap)
 }
 
 // decodeJSON enforces the POST body contract shared by every mutation
-// endpoint: a JSON media type (415 otherwise), a body bounded by
-// maxRequestBody (413 when exceeded), strict field checking (400 on
-// unknown fields or malformed JSON), and exactly ONE JSON value — content
-// after the first value (a second object, stray tokens) is a 400, not
-// silently ignored. It writes the error response itself and reports
-// whether decoding succeeded.
+// endpoint: readJSONBody's media type and size checks, then decodeStrict.
+// It writes the error response itself and reports whether decoding
+// succeeded.
 func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	_, ok := s.decodeJSONRaw(w, r, v)
-	return ok
+	raw, ok := s.readJSONBody(w, r)
+	return ok && s.decodeStrict(w, raw, v)
 }
 
-// decodeJSONRaw is decodeJSON surfacing the exact body bytes it decoded
-// — the cluster forwarding path re-sends those bytes verbatim so the
-// owning replica decodes (and answers) the identical request.
-func (s *server) decodeJSONRaw(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
-		s.writeError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("content type %q is not supported; send application/json", ct))
-		return nil, false
+// readJSONBody is the transport half of the POST body contract: a JSON
+// media type (415 otherwise) and a body bounded by maxRequestBody (413
+// when exceeded). It writes the error response itself and returns the
+// body bytes — the cluster forwarding path re-sends those bytes verbatim
+// so the owning replica decodes (and answers) the identical request.
+func (s *server) readJSONBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	// The exact media type every client sends skips the general parser.
+	if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+		if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
+			s.writeError(w, http.StatusUnsupportedMediaType,
+				fmt.Errorf("content type %q is not supported; send application/json", ct))
+			return nil, false
+		}
 	}
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
@@ -401,11 +426,20 @@ func (s *server) decodeJSONRaw(w http.ResponseWriter, r *http.Request, v any) ([
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
 		return nil, false
 	}
+	return raw, true
+}
+
+// decodeStrict is the content half of the POST body contract: strict
+// field checking (400 on unknown fields or malformed JSON) and exactly ONE
+// JSON value — content after the first value (a second object, stray
+// tokens) is a 400, not silently ignored. It writes the error response
+// itself and reports whether decoding succeeded.
+func (s *server) decodeStrict(w http.ResponseWriter, raw []byte, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
-		return nil, false
+		return false
 	}
 	// The body must be exactly one JSON value: a second Decode must hit
 	// clean EOF, else the request smuggled trailing content past the
@@ -413,23 +447,29 @@ func (s *server) decodeJSONRaw(w http.ResponseWriter, r *http.Request, v any) ([
 	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
 		s.writeError(w, http.StatusBadRequest,
 			errors.New("decoding request body: unexpected content after the JSON value"))
-		return nil, false
+		return false
 	}
-	return raw, true
+	return true
 }
 
 // handleEvaluate decodes one sim.EvalRequest — naming a zoo or registered
 // network, or carrying an inline network spec — and serves it through the
 // batching layer:
 //
-//  1. derive the request's identity keys (a malformed request is a 400
-//     here, before it ever touches admission),
+//  0. check the media type and read the bounded body (415/413 on every
+//     request), then look the body's SHA-256 digest up in the body memo:
+//     a body seen before, whose answer is still in the result cache, is
+//     answered from there without decoding or keying it again. A memo
+//     miss, or a memo hit whose answer was evicted, goes on below,
+//  1. decode the body strictly and derive the request's identity keys (a
+//     malformed request is a 400 here, before it ever touches admission);
+//     a registry-free request (sim.RegistryFree) enters the body memo,
 //  2. consult the result cache — a hit answers without a compute slot or
 //     a hop, even when a peer owns the key: an entry replica keeps the
-//     owner's answer to a registry-free request (sim.RegistryFree) and
-//     replays it. In cluster mode a request naming a registered network
-//     consults the cache only after routing, so a peer-owned one is
-//     forwarded every time,
+//     owner's answer to a registry-free request and replays it. In
+//     cluster mode a request naming a registered network consults the
+//     cache only after routing, so a peer-owned one is forwarded every
+//     time,
 //  3. in cluster mode, route on the batch key: a request owned by a
 //     healthy peer is proxied there with the raw body and an incremented
 //     hop header, and the owner's response — status, Retry-After,
@@ -443,25 +483,46 @@ func (s *server) decodeJSONRaw(w http.ResponseWriter, r *http.Request, v any) ([
 //     one computation (Cache-Status: coalesced), compatible requests that
 //     differ only in seed batch into one fused group evaluation.
 //
-// The group executor (runEvalGroup) holds the single admission slot for
-// the whole group; shed failures fan back here per waiter.
+// Every request consults the result cache exactly once, so cache_hits
+// and cache_misses keep counting requests. The group executor
+// (runEvalGroup) holds the single admission slot for the whole group;
+// shed failures fan back here per waiter.
 func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req sim.EvalRequest
-	raw, ok := s.decodeJSONRaw(w, r, &req)
+	raw, ok := s.readJSONBody(w, r)
 	if !ok {
 		return
 	}
-	if info := serve.RequestInfo(r.Context()); info != nil {
-		info.Class = s.evalClass.Name
+	var digest string
+	looked := false // the result cache was consulted through the memo
+	if s.bodyKeys != nil {
+		sum := sha256.Sum256(raw)
+		digest = string(sum[:])
+		if k, ok := s.bodyKeys.Get(digest); ok {
+			s.markEvalClass(r)
+			if s.serveCached(w, k.cacheKey, k.batchKey) {
+				s.decodeSkipped.Add(1)
+				return
+			}
+			looked = true
+		}
 	}
+	var req sim.EvalRequest
+	if !s.decodeStrict(w, raw, &req) {
+		return
+	}
+	s.markEvalClass(r)
 	cacheKey, batchKey, err := req.Keys()
 	if err != nil {
 		s.writeComputeError(w, r, err)
 		return
 	}
+	registryFree := req.RegistryFree()
+	if digest != "" && registryFree {
+		s.bodyKeys.Put(digest, evalKeys{cacheKey: cacheKey, batchKey: batchKey})
+	}
 	c := s.cfg.Cluster
-	replayable := c == nil || req.RegistryFree()
-	if replayable && s.serveCached(w, cacheKey, batchKey) {
+	replayable := c == nil || registryFree
+	if replayable && !looked && s.serveCached(w, cacheKey, batchKey) {
 		return
 	}
 	if c != nil {
@@ -495,6 +556,14 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		status = "coalesced"
 	}
 	s.writeEvalBody(w, body, status)
+}
+
+// markEvalClass books the request under the evaluate deadline class in
+// the access log.
+func (s *server) markEvalClass(r *http.Request) {
+	if info := serve.RequestInfo(r.Context()); info != nil {
+		info.Class = s.evalClass.Name
+	}
 }
 
 // serveCached answers from the result cache when it holds cacheKey and
@@ -561,7 +630,9 @@ func (s *server) writeEvalError(w http.ResponseWriter, r *http.Request, err erro
 
 // runEvalGroup is the batchq executor: it runs ONE group of coalesced
 // evaluate requests under a single admission slot and returns each
-// member's finished response body. The slot is acquired with the evaluate
+// member's finished response body. Members whose body the result cache
+// already holds take it without computing; a group of only those needs
+// no slot. The slot is acquired with the evaluate
 // deadline class; on shed every member fails with the same wrapped
 // admission error. Chaos latency is applied inside the slot (matching
 // where Chaos.Wrap ran when the handler held the slot itself), the fused
@@ -570,9 +641,24 @@ func (s *server) writeEvalError(w http.ResponseWriter, r *http.Request, err erro
 func (s *server) runEvalGroup(ctx context.Context, jobs []*evalJob) ([][]byte, []error) {
 	bodies := make([][]byte, len(jobs))
 	errs := make([]error, len(jobs))
+	// A request can miss the result cache and reach the queue just after
+	// the group computing its key published the body and left, too late
+	// to coalesce. Its job takes the published body: computing again
+	// would answer one request with two different elapsed_ms.
+	var todo []int // indexes of the jobs still to compute
+	for i, j := range jobs {
+		if body, ok := s.evalCache.Peek(j.cacheKey); ok {
+			bodies[i] = body
+			continue
+		}
+		todo = append(todo, i)
+	}
+	if len(todo) == 0 {
+		return bodies, errs
+	}
 	g, err := s.limiter.Acquire(ctx, s.evalClass.Timeout)
 	if err != nil {
-		for i := range errs {
+		for _, i := range todo {
 			errs[i] = &shedError{err: err}
 		}
 		return bodies, errs
@@ -586,24 +672,24 @@ func (s *server) runEvalGroup(ctx context.Context, jobs []*evalJob) ([][]byte, [
 		defer cancel()
 	}
 	s.cfg.Chaos.SleepLatency(ctx, "/v1/evaluate")
-	reqs := make([]*sim.EvalRequest, len(jobs))
-	for i, j := range jobs {
-		reqs[i] = j.req
+	reqs := make([]*sim.EvalRequest, len(todo))
+	for k, i := range todo {
+		reqs[k] = jobs[i].req
 	}
 	vals, verrs := sim.EvaluateBatch(ctx, reqs)
-	for i, j := range jobs {
-		if verrs[i] != nil {
-			errs[i] = verrs[i]
+	for k, i := range todo {
+		if verrs[k] != nil {
+			errs[i] = verrs[k]
 			continue
 		}
-		body, merr := json.MarshalIndent(vals[i], "", "  ")
+		body, merr := json.MarshalIndent(vals[k], "", "  ")
 		if merr != nil {
 			errs[i] = fmt.Errorf("encoding response: %w", merr)
 			continue
 		}
 		body = append(body, '\n')
 		bodies[i] = body
-		s.evalCache.Put(j.cacheKey, body)
+		s.evalCache.Put(jobs[i].cacheKey, body)
 	}
 	return bodies, errs
 }
@@ -624,13 +710,13 @@ func (s *server) handleRegisterNetwork(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	s.writeJSON(w, info)
+	s.writeJSON(w, http.StatusOK, info)
 }
 
 // handleNetworkIndex lists the evaluable networks: the built-in Table III
 // zoo and every registered custom network.
 func (s *server) handleNetworkIndex(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"zoo":    sim.ZooNetworks(),
 		"custom": sim.RegisteredNetworks(),
 	})
@@ -655,7 +741,7 @@ func (s *server) handleExperimentIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format {
 	case "json":
-		s.writeJSON(w, map[string]any{
+		s.writeJSON(w, http.StatusOK, map[string]any{
 			"backends":    sim.Backends(),
 			"experiments": experiments.Index(),
 		})

@@ -57,6 +57,22 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return el.Value.(*cacheEntry[V]).val, true
 }
 
+// Peek returns the cached value for key without counting a hit or a miss
+// and without refreshing its recency.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	var zero V
+	if c.limit <= 0 {
+		return zero, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return zero, false
+	}
+	return el.Value.(*cacheEntry[V]).val, true
+}
+
 // Put stores a value under key, evicting the least-recently-used entries
 // past the limit. Storing an existing key refreshes its value and
 // recency.

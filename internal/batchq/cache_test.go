@@ -57,6 +57,29 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 	}
 }
 
+// TestCachePeek: Peek neither counts nor refreshes recency.
+func TestCachePeek(t *testing.T) {
+	c := NewCache[int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Errorf("Peek(a) = (%d, %v), want (1, true)", v, ok)
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Error("Peek(z) hit")
+	}
+	c.Put("c", 3) // a stays the LRU entry, so it is evicted
+	if _, ok := c.Peek("a"); ok {
+		t.Error("Peek refreshed a's recency")
+	}
+	if hits, misses, _ := c.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("Peek counted %d hits and %d misses", hits, misses)
+	}
+	if _, ok := NewCache[int](0).Peek("a"); ok {
+		t.Error("disabled cache returned a value")
+	}
+}
+
 // TestCacheDisabled pins the -cache-entries 0 baseline: no storage, no
 // counter movement.
 func TestCacheDisabled(t *testing.T) {

@@ -1,13 +1,11 @@
-// Package trace provides cycle-level simulations of TIMELY's two pipelines
-// (§IV-E): the five-stage intra-sub-chip pipeline (input read → DTC →
-// analog computation → TDC → output write) and the inter-sub-chip layer
-// pipeline. The discrete-event models cross-validate the closed-form timing
-// used by the analytic simulator (package pipeline): the intra pipeline's
-// fill behaviour reproduces the paper's narration ("the first data ... is
-// written back to an output buffer at the fifth cycle; meanwhile, at the
-// fifth cycle, the fifth, fourth, third, and second data is read, converted
-// by a DTC, computed ..."), and the inter pipeline's measured steady-state
-// throughput converges to the analytic bottleneck.
+// Package trace provides a cycle-level simulation of TIMELY's five-stage
+// intra-sub-chip pipeline (§IV-E: input read → DTC → analog computation →
+// TDC → output write) and the span vocabulary the event-driven timing
+// backend (internal/timing) emits. The discrete-event model reproduces the
+// paper's narration ("the first data ... is written back to an output
+// buffer at the fifth cycle; meanwhile, at the fifth cycle, the fifth,
+// fourth, third, and second data is read, converted by a DTC, computed
+// ...") and serves the timing engine's tests as an oracle.
 package trace
 
 import (
@@ -172,80 +170,4 @@ func (p IntraPipeline) Utilization() float64 {
 	}
 	busy := float64(p.Items) * float64(NumStages)
 	return busy / (float64(p.Makespan()) * float64(NumStages))
-}
-
-// LayerStage is one stage of the inter-sub-chip pipeline: a layer (or layer
-// group) that needs Cycles pipeline-cycles per image and is replicated over
-// Instances sub-chip groups.
-type LayerStage struct {
-	Name      string
-	Cycles    int64
-	Instances int
-}
-
-// serviceCycles is the effective per-image service time of a stage.
-func (l LayerStage) serviceCycles() float64 {
-	if l.Instances < 1 {
-		return float64(l.Cycles)
-	}
-	return float64(l.Cycles) / float64(l.Instances)
-}
-
-// InterResult summarises an inter-pipeline simulation.
-type InterResult struct {
-	// Images is the number of images pushed through.
-	Images int
-	// TotalCycles is when the last image left the last stage.
-	TotalCycles float64
-	// SteadyInterval is the measured inter-departure interval over the
-	// second half of the run (steady state).
-	SteadyInterval float64
-	// FirstLatency is the first image's end-to-end latency.
-	FirstLatency float64
-}
-
-// SimulateInter runs images through the chained layer stages with
-// unbounded inter-stage buffering (each sub-chip's output buffer decouples
-// neighbours): stage s starts image i at max(done[s][i-1], done[s-1][i]).
-// It returns the measured timing, which must converge to the analytic
-// bottleneck max_l Cycles_l/Instances_l.
-func SimulateInter(stages []LayerStage, images int) InterResult {
-	if len(stages) == 0 || images <= 0 {
-		return InterResult{}
-	}
-	depart := make([]float64, len(stages)) // departure time of previous image per stage
-	var firstDone, prevDone, lastDone float64
-	var half []float64
-	for img := 0; img < images; img++ {
-		t := 0.0
-		for s, st := range stages {
-			start := t
-			if depart[s] > start {
-				start = depart[s]
-			}
-			t = start + st.serviceCycles()
-			depart[s] = t
-		}
-		if img == 0 {
-			firstDone = t
-		}
-		if img >= images/2 && img > 0 {
-			half = append(half, t-prevDone)
-		}
-		prevDone = t
-		lastDone = t
-	}
-	res := InterResult{
-		Images:       images,
-		TotalCycles:  lastDone,
-		FirstLatency: firstDone,
-	}
-	if len(half) > 0 {
-		sum := 0.0
-		for _, v := range half {
-			sum += v
-		}
-		res.SteadyInterval = sum / float64(len(half))
-	}
-	return res
 }

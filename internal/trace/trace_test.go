@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/pipeline"
 )
 
 // TestIntraFirstWriteAtFifthCycle checks the §IV-E narration: the first
@@ -88,58 +85,6 @@ func TestIntraEventConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestInterMatchesAnalyticBottleneck: the event-driven inter-layer pipeline
-// must converge to the closed-form bottleneck of package pipeline.
-func TestInterMatchesAnalyticBottleneck(t *testing.T) {
-	stages := []LayerStage{
-		{"conv1", 2240, 3},
-		{"conv2", 1120, 1},
-		{"conv3", 300, 2},
-		{"fc", 10, 1},
-	}
-	res := SimulateInter(stages, 400)
-	pstages := make([]pipeline.Stage, len(stages))
-	inst := make([]int, len(stages))
-	for i, s := range stages {
-		pstages[i] = pipeline.Stage{Name: s.Name, Work: float64(s.Cycles), MinUnits: 1}
-		inst[i] = s.Instances
-	}
-	want := pipeline.BottleneckCycles(pstages, inst)
-	if math.Abs(res.SteadyInterval-want)/want > 0.01 {
-		t.Errorf("measured steady interval = %.1f cycles, analytic bottleneck = %.1f", res.SteadyInterval, want)
-	}
-}
-
-// TestInterFirstLatencyIsSumOfStages: with an empty pipeline the first
-// image's latency is the serial sum of stage times.
-func TestInterFirstLatencyIsSumOfStages(t *testing.T) {
-	stages := []LayerStage{{"a", 100, 1}, {"b", 50, 2}, {"c", 10, 1}}
-	res := SimulateInter(stages, 10)
-	want := 100.0 + 25 + 10
-	if math.Abs(res.FirstLatency-want) > 1e-9 {
-		t.Errorf("first latency = %v, want %v", res.FirstLatency, want)
-	}
-}
-
-// TestInterThroughputScalesWithInstances: replicating the bottleneck stage
-// must raise throughput proportionally.
-func TestInterThroughputScalesWithInstances(t *testing.T) {
-	base := SimulateInter([]LayerStage{{"hot", 1000, 1}, {"cold", 10, 1}}, 200)
-	dup := SimulateInter([]LayerStage{{"hot", 1000, 4}, {"cold", 10, 1}}, 200)
-	if ratio := base.SteadyInterval / dup.SteadyInterval; math.Abs(ratio-4) > 0.05 {
-		t.Errorf("4x duplication sped up %.2fx, want ≈4x", ratio)
-	}
-}
-
-func TestInterDegenerate(t *testing.T) {
-	if res := SimulateInter(nil, 10); res.TotalCycles != 0 {
-		t.Errorf("empty stage list produced cycles")
-	}
-	if res := SimulateInter([]LayerStage{{"a", 1, 1}}, 0); res.TotalCycles != 0 {
-		t.Errorf("zero images produced cycles")
 	}
 }
 
