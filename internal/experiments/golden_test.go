@@ -10,17 +10,16 @@ import (
 	"repro/internal/stats"
 )
 
-// runGolden renders the two Monte-Carlo-heavy experiments under the given
-// sampling regime and compares the text artifact byte-for-byte against a
-// golden file.
-func runGolden(t *testing.T, sampler stats.SamplerVersion, file string) {
+// runGolden renders the given experiments under the given sampling regime
+// and compares the text artifact byte-for-byte against a golden file.
+func runGolden(t *testing.T, ids []string, sampler stats.SamplerVersion, file string) {
 	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var exps []Experiment
-	for _, id := range []string{"accuracy", "ablation"} {
+	for _, id := range ids {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -32,11 +31,30 @@ func runGolden(t *testing.T, sampler stats.SamplerVersion, file string) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("accuracy+ablation text output under sampler %s differs from %s (%d vs %d bytes);\n"+
-			"the functional datapath must stay byte-identical per regime — if the change is an\n"+
-			"intentional modelling change, regenerate the golden (see comments)",
-			sampler.Resolve(), file, got.Len(), len(want))
+		t.Fatalf("%v text output under sampler %s differs from %s (%d vs %d bytes);\n"+
+			"the artifacts must stay byte-identical — if the change is an intentional\n"+
+			"modelling change, regenerate the golden (see comments)",
+			ids, sampler.Resolve(), file, got.Len(), len(want))
 	}
+}
+
+// monteCarloIDs are the two Monte-Carlo-heavy experiments; analyticIDs are
+// the rest, whose artifacts come from the closed-form models alone.
+var (
+	monteCarloIDs = []string{"accuracy", "ablation"}
+	analyticIDs   = []string{"fig1c", "fig4", "fig5", "fig8a", "fig8b", "fig9",
+		"fig10", "fig11", "layers", "table4", "table5"}
+)
+
+// TestAnalyticGolden locks every analytic artifact byte-for-byte: a
+// parameter or mapping edit that moves any figure or table (the Fig. 8
+// geomeans included) shows up here as a diff. Regenerate (only after an
+// intentional modelling change) with:
+//
+//	go run ./cmd/timely fig1c fig4 fig5 fig8a fig8b fig9 fig10 fig11 layers table4 table5 -par 1 \
+//	    > internal/experiments/testdata/analytic.golden
+func TestAnalyticGolden(t *testing.T) {
+	runGolden(t, analyticIDs, stats.SamplerDefault, "analytic.golden")
 }
 
 // TestAccuracyAblationGolden locks the text artifacts of the two
@@ -50,7 +68,7 @@ func TestAccuracyAblationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden run re-trains the accuracy workloads; skipped in -short")
 	}
-	runGolden(t, stats.SamplerDefault, "accuracy_ablation.golden")
+	runGolden(t, monteCarloIDs, stats.SamplerDefault, "accuracy_ablation.golden")
 }
 
 // TestAccuracyAblationGoldenV1 locks the legacy v1 regime against the
@@ -64,7 +82,7 @@ func TestAccuracyAblationGoldenV1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden run re-trains the accuracy workloads; skipped in -short")
 	}
-	runGolden(t, stats.SamplerV1, "accuracy_ablation_v1.golden")
+	runGolden(t, monteCarloIDs, stats.SamplerV1, "accuracy_ablation_v1.golden")
 }
 
 // TestAccuracyAblationGoldenV2 locks the sublinear v2 regime against the
@@ -78,5 +96,5 @@ func TestAccuracyAblationGoldenV2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden run re-trains the accuracy workloads; skipped in -short")
 	}
-	runGolden(t, stats.SamplerV2, "accuracy_ablation_v2.golden")
+	runGolden(t, monteCarloIDs, stats.SamplerV2, "accuracy_ablation_v2.golden")
 }
