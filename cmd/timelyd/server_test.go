@@ -262,6 +262,22 @@ func TestEvaluateInlineSpec(t *testing.T) {
 	}
 }
 
+// TestWeightlessSpecRejected: a spec with no conv or fc layer is a client
+// error on both spec endpoints, and the server keeps answering after it.
+func TestWeightlessSpecRejected(t *testing.T) {
+	ts := testServer(t)
+	spec := `{"name":"poolonly","input":{"c":1,"h":8,"w":8},"layers":[{"kind":"maxpool","kernel":2,"stride":2}]}`
+	if status, raw := postEvaluate(t, ts, `{"backend":"timely","spec":`+spec+`}`); status != http.StatusBadRequest {
+		t.Errorf("evaluate: status = %d, body %s", status, raw)
+	}
+	if status, raw := post(t, ts, "/v1/networks", "application/json", spec); status != http.StatusBadRequest {
+		t.Errorf("register: status = %d, body %s", status, raw)
+	}
+	if status, body, _ := get(t, ts, "/healthz", ""); status != http.StatusOK {
+		t.Errorf("healthz after the rejected spec: status = %d, body %s", status, body)
+	}
+}
+
 func TestRegisterNetworkEndpoint(t *testing.T) {
 	ts := testServer(t)
 	status, raw := post(t, ts, "/v1/networks", "application/json", tinySpecJSON("httpreg"))

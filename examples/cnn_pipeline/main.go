@@ -1,8 +1,8 @@
 // cnn_pipeline walks the §IV-F software-hardware interface end to end:
-// a textual network description goes through the NN parser, the compiler
-// lowers it to sub-chip commands (weight mapping + input-path
-// configuration), and the controller loads the command stream onto
-// functional sub-chips and runs inference through the analog datapath —
+// a declarative network spec goes through model.Spec.Compile (the NN
+// parser), the compiler lowers it to sub-chip commands (weight mapping +
+// input-path configuration), and the controller loads the command stream
+// onto functional sub-chips and runs inference through the analog datapath —
 // classifying synthetic oriented-grating images with a CNN. The same
 // workload recipe is then run through the public sim facade's functional
 // backend as a cross-check on the compiled program's accuracy.
@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/params"
 	"repro/internal/stats"
 	"repro/internal/tensor"
@@ -22,18 +23,22 @@ import (
 	"repro/sim"
 )
 
-const netSrc = `
-# grating classifier: 1x12x12 -> conv -> pool -> fc -> fc
-input 1 12 12
-conv features d=8 k=3 s=1 p=1
-maxpool k=2 s=2
-fc hidden d=32
-fc logits d=4
-`
+// spec is the grating classifier: 1x12x12 -> conv -> pool -> fc -> fc.
+var spec = model.Spec{
+	Name:  "gratings",
+	Input: model.Dims{C: 1, H: 12, W: 12},
+	Layers: []model.LayerSpec{
+		{Name: "features", Kind: "conv", Filters: 8, Kernel: 3, Pad: 1},
+		{Kind: "maxpool", Kernel: 2, Stride: 2},
+		{Name: "hidden", Kind: "fc", Units: 32},
+		{Name: "logits", Kind: "fc", Units: 4},
+	},
+}
 
 func main() {
-	// Stage 1 (§IV-F): the NN parser extracts model parameters.
-	net, err := compiler.Parse("gratings", netSrc)
+	// Stage 1 (§IV-F): the NN parser (Spec.Compile) extracts model
+	// parameters.
+	net, err := spec.Compile()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,11 +5,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/params"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
+
+// countSingleInstance counts layer on the analytic model mapped the way the
+// functional executor maps it: differential signed weights use 2× the
+// sub-ranged columns, and one instance (no O2IR vertical copies) slides
+// over every output position.
+func countSingleInstance(l model.Layer, led *energy.Ledger) {
+	cfg := params.DefaultTimely(8)
+	p := mapping.PlaceO2IRScheme(l, cfg, 2*cfg.ColumnsPerWeight())
+	p.VerticalCopies = 1
+	p.CyclesPerImage = int64(l.E) * int64(l.F) * int64(cfg.InputPasses())
+	(&Timely{Cfg: cfg}).CountLayer(p, led)
+}
 
 // TestFunctionalMatchesAnalyticCounts cross-validates the two simulators:
 // the functional sub-chip executor (package core, differential signed
@@ -37,17 +50,10 @@ func TestFunctionalMatchesAnalyticCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Analytic run on the same layer with matching scheme: differential
-	// signed weights use 2× the sub-ranged columns, single instance.
+	// Analytic run on the same layer with the matching scheme.
 	layer := model.NewBuilder("t", c, h, w).Conv("conv", d, k, stride, pad).Build().Layers[0]
-	cfg := params.DefaultTimely(8)
-	anaModel := &Timely{
-		Cfg:                cfg,
-		DisableDuplication: true,
-		PhysColsPerWeight:  2 * cfg.ColumnsPerWeight(),
-	}
 	anaLed := energy.NewLedger(nil)
-	anaModel.EvaluateLayer(layer, anaLed)
+	countSingleInstance(layer, anaLed)
 
 	for _, comp := range []energy.Component{
 		energy.L1Read, energy.L1Write, energy.DTCConv, energy.TDCConv,
@@ -84,14 +90,8 @@ func TestFunctionalMatchesAnalyticMultiColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	layer := model.NewBuilder("t", c, h, w).Conv("conv", d, k, stride, pad).Build().Layers[0]
-	cfg := params.DefaultTimely(8)
-	anaModel := &Timely{
-		Cfg:                cfg,
-		DisableDuplication: true,
-		PhysColsPerWeight:  2 * cfg.ColumnsPerWeight(),
-	}
 	anaLed := energy.NewLedger(nil)
-	anaModel.EvaluateLayer(layer, anaLed)
+	countSingleInstance(layer, anaLed)
 	for _, comp := range []energy.Component{
 		energy.L1Read, energy.DTCConv, energy.TDCConv, energy.ChargingOp,
 		energy.IAdderOp, energy.PSubBufOp, energy.XSubBufOp, energy.CrossbarOp,

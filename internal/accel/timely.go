@@ -15,14 +15,6 @@ import (
 // of §IV-E.
 type Timely struct {
 	Cfg params.TimelyConfig
-	// DisableDuplication turns off O2IR vertical filter copies (used by the
-	// functional-vs-analytic integration tests, whose functional executor
-	// maps a single instance).
-	DisableDuplication bool
-	// PhysColsPerWeight overrides the physical columns per weight (0 keeps
-	// the paper's sub-ranging accounting; the functional integration test
-	// sets 2× for its differential scheme).
-	PhysColsPerWeight int
 	// LayerInstances, when non-nil, fixes the weight-duplication count per
 	// weighted layer instead of the default uniform network replication —
 	// the paper reuses the baselines' published duplication ratios for the
@@ -61,27 +53,10 @@ func (t *Timely) Units() map[energy.Component]float64 {
 	}
 }
 
-func (t *Timely) place(l model.Layer) mapping.Placement {
-	cpw := t.PhysColsPerWeight
-	if cpw == 0 {
-		cpw = t.Cfg.ColumnsPerWeight()
-	}
-	p := mapping.PlaceO2IRScheme(l, t.Cfg, cpw)
-	if t.DisableDuplication {
-		p.VerticalCopies = 1
-		passes := int64(t.Cfg.InputPasses())
-		if l.Kind == model.KindConv {
-			p.CyclesPerImage = int64(l.E) * int64(l.F) * passes
-		}
-	}
-	return p
-}
-
-// EvaluateLayer counts one weighted layer's operations into the ledger and
-// returns its placement.
-func (t *Timely) EvaluateLayer(l model.Layer, led *energy.Ledger) mapping.Placement {
-	p := t.place(l)
-	cfg := t.Cfg
+// CountLayer counts the operations of one weighted layer, mapped as p,
+// into the ledger.
+func (t *Timely) CountLayer(p mapping.Placement, led *energy.Ledger) {
+	l, cfg := p.Layer, t.Cfg
 	passes := float64(cfg.InputPasses())
 	// Input values are stored as passes × 8-bit halves: one L1 read and one
 	// DTC conversion per half (O2IR: once per input, Table V).
@@ -138,43 +113,32 @@ func (t *Timely) EvaluateLayer(l model.Layer, led *energy.Ledger) mapping.Placem
 	// Final outputs: ReLU and write-back (one access per 8-bit half).
 	led.Add(energy.ReLUOp, energy.ClassDigital, outVals)
 	led.Add(energy.L1Write, energy.ClassOutput, outVals*passes)
-	return p
 }
 
 // Evaluate implements Accelerator.
 func (t *Timely) Evaluate(n *model.Network) (*Result, error) {
+	plan := mapping.Lower(n, t.Cfg)
 	led := energy.NewLedger(t.Units())
-	var stages []pipeline.Stage
-	var prevSubChips int
-	subChipsSoFar := 0
-	perChip := t.Cfg.SubChips
+	stages := make([]pipeline.Stage, len(plan.Placements))
+	for i, p := range plan.Placements {
+		stages[i] = pipeline.Stage{Name: p.Layer.Name, Work: float64(p.CyclesPerImage), MinUnits: p.SubChips}
+	}
+	i := 0 // weighted-layer stage index
 	for _, l := range n.Layers {
 		switch {
 		case l.IsWeighted():
-			p := t.EvaluateLayer(l, led)
-			stages = append(stages, pipeline.Stage{
-				Name:     l.Name,
-				Work:     float64(p.CyclesPerImage),
-				MinUnits: p.SubChips,
-			})
+			t.CountLayer(plan.Placements[i], led)
 			// Inter-chip transfers when the pipeline crosses a chip
 			// boundary (negligible energy, Fig. 9(c) L3).
-			if (subChipsSoFar/perChip) != (subChipsSoFar+p.SubChips)/perChip && prevSubChips > 0 {
+			if plan.CrossesChip(i, 0) {
 				led.Add(energy.HyperLinkOp, energy.ClassComm,
 					float64(l.Inputs())*float64(t.Cfg.InputPasses()))
 			}
-			subChipsSoFar += p.SubChips
-			prevSubChips = p.SubChips
+			i++
 		case l.Kind == model.KindMaxPool || l.Kind == model.KindAvgPool:
 			led.Add(energy.MaxPoolOp, energy.ClassDigital, float64(l.Outputs()))
 		}
 	}
-	total := t.Cfg.Chips * t.Cfg.SubChips
-	need := 0
-	for _, s := range stages {
-		need += s.MinUnits
-	}
-	fits := need <= total
 	inst := make([]int, len(stages))
 	if t.LayerInstances != nil {
 		if len(t.LayerInstances) != len(stages) {
@@ -183,6 +147,7 @@ func (t *Timely) Evaluate(n *model.Network) (*Result, error) {
 		}
 		// Adopt the supplied (baseline-published) duplication ratios,
 		// shrinking uniformly if they exceed capacity.
+		total := t.Cfg.Chips * t.Cfg.SubChips
 		used := 0
 		for i, s := range stages {
 			if t.LayerInstances[i] < 1 {
@@ -204,12 +169,8 @@ func (t *Timely) Evaluate(n *model.Network) (*Result, error) {
 		// Default: uniform network-level weight duplication — whole extra
 		// copies of the network pipeline, which keeps the throughput gain
 		// linear in chip count (the constant 736.6× of Fig. 8(b)).
-		dup := 1
-		if fits {
-			dup = total / need
-		}
 		for i := range inst {
-			inst[i] = dup
+			inst[i] = plan.Copies
 		}
 	}
 	cycles := pipeline.BottleneckCycles(stages, inst)
@@ -223,6 +184,6 @@ func (t *Timely) Evaluate(n *model.Network) (*Result, error) {
 		ImagesPerSec:   pipeline.Throughput(cycles, ct),
 		Chips:          t.Cfg.Chips,
 		Instances:      inst,
-		Fits:           fits,
+		Fits:           plan.Fits,
 	}, nil
 }

@@ -1,3 +1,17 @@
+// Package compiler implements the software-hardware interface of §IV-F:
+// a compiler that lowers a network onto TIMELY sub-chips (weight-mapping
+// and input-datapath commands from the shared mapping.Plan), and a
+// controller that loads the command stream onto functional sub-chips and
+// executes inference.
+//
+// The paper describes three stages — "the CNN/DNN is loaded into an NN
+// parser that automatically extracts model parameters"; "a compiler
+// optimizes mapping strategies ... and generates execution commands"; "the
+// controller loads the commands ... to (1) write pre-trained weights to the
+// mapped addresses, and (2) configure peripheral circuits for setting up
+// input paths". The parser is model.Spec.Compile, the declarative network
+// format every other entry point uses; Compile and Controller are the
+// other two.
 package compiler
 
 import (
@@ -58,40 +72,35 @@ type Command struct {
 type Program struct {
 	Network  *model.Network
 	Commands []Command
-	// Assignments maps weighted-layer name to its sub-chip index.
-	Assignments map[string]int
-	// Placements holds the O2IR placement per weighted layer, in order.
-	Placements []mapping.Placement
 	// SubChips is the number of sub-chips the program occupies.
 	SubChips int
 }
 
-// Compile lowers a network onto TIMELY sub-chips: every weighted layer gets
-// an O2IR placement and a sub-chip assignment (functional single-sub-chip
-// granularity: one sub-chip per weighted layer, matching the §IV-E
-// "layer by layer weight mapping strategy"), plus the data-path commands
-// chaining layers together. It rejects layers whose single instance exceeds
-// one sub-chip when strict is true.
+// Compile lowers a network onto TIMELY sub-chips through mapping.Lower —
+// the §IV-E "layer by layer weight mapping strategy" — and emits one
+// pipeline copy's commands: each weighted layer is written at its stage's
+// first sub-chip, its input path is wired to the previous stage, and pool
+// layers route the next stage's inputs (or, trailing, the final outputs).
+// It rejects layers whose single instance exceeds one sub-chip when strict
+// is true.
 func Compile(n *model.Network, cfg params.TimelyConfig, strict bool) (*Program, error) {
-	p := &Program{Network: n, Assignments: map[string]int{}}
-	next := 0
-	prevWeighted := ""
+	plan := mapping.Lower(n, cfg)
+	p := &Program{Network: n, SubChips: plan.Need}
+	stage, prev, sc := -1, "", 0 // last weighted stage, its layer and sub-chip
 	var pendingPool []model.Layer
 	for _, l := range n.Layers {
 		switch {
 		case l.IsWeighted():
-			pl := mapping.PlaceO2IR(l, cfg)
+			stage++
+			pl := plan.Placements[stage]
 			if strict && pl.SubChips > 1 {
 				return nil, fmt.Errorf("compiler: layer %s needs %d sub-chips (rows %d, cols %d); strict mode maps one layer per sub-chip",
 					l.Name, pl.SubChips, pl.Rows, l.D*pl.PhysColsPerWeight)
 			}
-			sc := next
-			next += pl.SubChips
-			p.Assignments[l.Name] = sc
-			p.Placements = append(p.Placements, pl)
+			sc = plan.First[stage]
 			p.Commands = append(p.Commands,
 				Command{Op: OpWriteWeights, Layer: l.Name, SubChip: sc},
-				Command{Op: OpConfigInputPath, Layer: l.Name, SubChip: sc, Source: prevWeighted},
+				Command{Op: OpConfigInputPath, Layer: l.Name, SubChip: sc, Source: prev},
 				Command{Op: OpSetScale, Layer: l.Name, SubChip: sc},
 			)
 			// Attach any pooling that preceded this layer to its input path.
@@ -101,7 +110,7 @@ func Compile(n *model.Network, cfg params.TimelyConfig, strict bool) (*Program, 
 				})
 			}
 			pendingPool = nil
-			prevWeighted = l.Name
+			prev = l.Name
 		case l.Kind == model.KindMaxPool || l.Kind == model.KindAvgPool:
 			pendingPool = append(pendingPool, l)
 		}
@@ -109,9 +118,8 @@ func Compile(n *model.Network, cfg params.TimelyConfig, strict bool) (*Program, 
 	// Trailing pool layers route the final outputs.
 	for _, pool := range pendingPool {
 		p.Commands = append(p.Commands, Command{
-			Op: OpConfigPooling, Layer: prevWeighted, SubChip: p.Assignments[prevWeighted], Arg: pool.Z,
+			Op: OpConfigPooling, Layer: prev, SubChip: sc, Arg: pool.Z,
 		})
 	}
-	p.SubChips = next
 	return p, nil
 }

@@ -11,83 +11,30 @@ import (
 	"repro/internal/tensor"
 )
 
-const lenetSrc = `
-# LeNet-style network on 16x16 inputs
-input 1 16 16
-conv conv1 d=6 k=3 s=1 p=1
-maxpool k=2 s=2
-conv conv2 d=12 k=3 s=1 p=1
-maxpool k=2 s=2
-fc fc1 d=32
-fc fc2 d=4
-`
-
-func TestParse(t *testing.T) {
-	n, err := Parse("lenet", lenetSrc)
+// lenet is a LeNet-style network on 16x16 inputs.
+func lenet(t *testing.T) *model.Network {
+	t.Helper()
+	spec := model.Spec{
+		Name:  "lenet",
+		Input: model.Dims{C: 1, H: 16, W: 16},
+		Layers: []model.LayerSpec{
+			{Name: "conv1", Kind: "conv", Filters: 6, Kernel: 3, Pad: 1},
+			{Kind: "maxpool", Kernel: 2, Stride: 2},
+			{Name: "conv2", Kind: "conv", Filters: 12, Kernel: 3, Pad: 1},
+			{Kind: "maxpool", Kernel: 2, Stride: 2},
+			{Name: "fc1", Kind: "fc", Units: 32},
+			{Name: "fc2", Kind: "fc", Units: 4},
+		},
+	}
+	n, err := spec.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Layers) != 6 {
-		t.Fatalf("layers = %d, want 6", len(n.Layers))
-	}
-	if got := len(n.WeightedLayers()); got != 4 {
-		t.Errorf("weighted layers = %d, want 4", got)
-	}
-	// Dimension propagation: fc1 consumes 12x4x4 = 192 features.
-	for _, l := range n.Layers {
-		if l.Name == "fc1" && l.C*l.H*l.W != 192 {
-			t.Errorf("fc1 inputs = %d, want 192", l.C*l.H*l.W)
-		}
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"no input first":  "conv c d=1 k=1",
-		"duplicate input": "input 1 4 4\ninput 1 4 4",
-		"bad dims":        "input 1 x 4",
-		"unknown op":      "input 1 4 4\nbatchnorm",
-		"conv missing d":  "input 1 4 4\nconv c k=3",
-		"conv bad kv":     "input 1 4 4\nconv c d=4 k3",
-		"fc missing d":    "input 1 4 4\nfc f s=1",
-		"pool missing k":  "input 1 4 4\nmaxpool s=2",
-		"empty":           "# nothing\n",
-		"conv no name":    "input 1 4 4\nconv",
-	}
-	for name, src := range cases {
-		if _, err := Parse("bad", src); err == nil {
-			t.Errorf("%s: accepted %q", name, src)
-		}
-	}
-}
-
-func TestParseMatchesBuilder(t *testing.T) {
-	parsed, err := Parse("CNN-1", `
-input 1 28 28
-conv conv1 d=20 k=5
-maxpool k=2 s=2
-conv conv2 d=50 k=5
-maxpool k=2 s=2
-fc fc1 d=500
-fc fc2 d=10
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := model.CNN1()
-	if parsed.TotalParams() != want.TotalParams() {
-		t.Errorf("parsed CNN-1 params = %d, builder = %d", parsed.TotalParams(), want.TotalParams())
-	}
-	if parsed.TotalMACs() != want.TotalMACs() {
-		t.Errorf("parsed CNN-1 MACs = %d, builder = %d", parsed.TotalMACs(), want.TotalMACs())
-	}
+	return n
 }
 
 func TestCompile(t *testing.T) {
-	n, err := Parse("lenet", lenetSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := lenet(t)
 	prog, err := Compile(n, params.DefaultTimely(8), true)
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +61,13 @@ func TestCompile(t *testing.T) {
 	if pools != 2 {
 		t.Errorf("pooling commands = %d, want 2", pools)
 	}
+	// Each layer is written at its stage's first sub-chip in the plan.
+	for _, c := range prog.Commands {
+		want := map[string]int{"conv1": 0, "conv2": 1, "fc1": 2, "fc2": 3}[c.Layer]
+		if c.SubChip != want {
+			t.Errorf("%s %s on sub-chip %d, want %d", c.Op, c.Layer, c.SubChip, want)
+		}
+	}
 	// conv2's input path must come from conv1.
 	for _, c := range prog.Commands {
 		if c.Op == OpConfigInputPath && c.Layer == "conv2" && c.Source != "conv1" {
@@ -137,14 +91,11 @@ func TestCompileStrictRejectsHugeLayer(t *testing.T) {
 	}
 }
 
-// TestEndToEndInference: parse → compile → load → calibrate → run, and the
+// TestEndToEndInference: spec → compile → load → calibrate → run, and the
 // analog controller must agree with a plain integer execution of the same
 // quantised network.
 func TestEndToEndInference(t *testing.T) {
-	n, err := Parse("lenet", lenetSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := lenet(t)
 	prog, err := Compile(n, params.DefaultTimely(8), true)
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +157,7 @@ func TestEndToEndInference(t *testing.T) {
 }
 
 func TestControllerErrors(t *testing.T) {
-	n, err := Parse("lenet", lenetSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := lenet(t)
 	prog, err := Compile(n, params.DefaultTimely(8), true)
 	if err != nil {
 		t.Fatal(err)

@@ -111,13 +111,7 @@ func network(name string) (*model.Network, error) {
 
 // benchmarks returns the memoized full Table III suite in the paper's order.
 func benchmarks() []*model.Network {
-	names := []string{
-		"VGG-D", "CNN-1", "MLP-L",
-		"VGG-1", "VGG-2", "VGG-3", "VGG-4",
-		"MSRA-1", "MSRA-2", "MSRA-3",
-		"ResNet-18", "ResNet-50", "ResNet-101", "ResNet-152",
-		"SqueezeNet",
-	}
+	names := model.BenchmarkNames()
 	out := make([]*model.Network, len(names))
 	for i, name := range names {
 		n, err := network(name)

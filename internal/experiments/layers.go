@@ -4,6 +4,7 @@ import (
 	"context"
 	"repro/internal/accel"
 	"repro/internal/energy"
+	"repro/internal/mapping"
 	"repro/internal/report"
 )
 
@@ -29,11 +30,11 @@ func LayerProfile(name string) ([]LayerRow, error) {
 	}
 	t := accel.NewTimely(8, 1)
 	var rows []LayerRow
-	for _, l := range n.WeightedLayers() {
+	for _, p := range mapping.Lower(n, t.Cfg).Placements {
 		led := energy.NewLedger(t.Units())
-		p := t.EvaluateLayer(l, led)
+		t.CountLayer(p, led)
 		rows = append(rows, LayerRow{
-			Layer:      l.Name,
+			Layer:      p.Layer.Name,
 			Rows:       p.Rows,
 			Copies:     p.VerticalCopies,
 			SubChips:   p.SubChips,

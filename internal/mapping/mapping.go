@@ -2,8 +2,8 @@
 // mapping method (§IV-D, Fig. 7) and the baseline row-major mapping PRIME
 // and ISAAC use. A Placement captures how one layer occupies sub-chips (or
 // crossbars) and how many pipeline cycles one mapped instance needs per
-// image; Replicate distributes spare sub-chips across layers to balance the
-// inter-sub-chip pipeline (§IV-E).
+// image; Lower maps a whole network onto a deployment as one Plan, with
+// uniform pipeline copies filling the chips (§IV-E).
 //
 // O2IR's three principles appear as:
 //
@@ -114,23 +114,56 @@ func (p Placement) CrossbarsUsed(cfg params.TimelyConfig) int {
 	return n
 }
 
-// PlaceNetwork places every weighted layer of a network.
-func PlaceNetwork(n *model.Network, cfg params.TimelyConfig) []Placement {
-	var out []Placement
-	for _, l := range n.WeightedLayers() {
-		out = append(out, PlaceO2IR(l, cfg))
-	}
-	return out
+// Plan is TIMELY's layer-by-layer mapping of one network onto a deployment
+// (§IV-E): every weighted layer gets an O2IR placement on consecutive
+// sub-chips, and whole copies of that pipeline fill the chips. The analytic
+// model, the timing backend and the §IV-F compiler all lower through it.
+type Plan struct {
+	// Placements holds each weighted layer's O2IR placement, in layer
+	// order; stage i is the i-th weighted layer.
+	Placements []Placement
+	// First is each stage's first sub-chip within one pipeline copy.
+	First []int
+	// Need is the sub-chips one pipeline copy occupies.
+	Need int
+	// Fits reports whether one pipeline copy fits the deployment.
+	Fits bool
+	// Copies is the uniform weight duplication: the whole pipeline copies
+	// the deployment holds (1 when one copy does not fit).
+	Copies int
+	// perChip is χ, the sub-chips per chip.
+	perChip int
 }
 
-// MinSubChips sums the sub-chips required to hold one instance of every
-// weighted layer.
-func MinSubChips(ps []Placement) int {
-	s := 0
-	for _, p := range ps {
-		s += p.SubChips
+// Lower maps a network onto cfg's chips. Copy c of the pipeline occupies
+// global sub-chips [c·Need, (c+1)·Need).
+func Lower(n *model.Network, cfg params.TimelyConfig) Plan {
+	p := Plan{perChip: cfg.SubChips, Copies: 1}
+	for _, l := range n.WeightedLayers() {
+		pl := PlaceO2IR(l, cfg)
+		p.Placements = append(p.Placements, pl)
+		p.First = append(p.First, p.Need)
+		p.Need += pl.SubChips
 	}
-	return s
+	total := cfg.Chips * cfg.SubChips
+	p.Fits = p.Need <= total
+	if p.Fits && p.Need > 0 {
+		p.Copies = total / p.Need
+	}
+	return p
+}
+
+// CrossesChip reports whether the boundary into stage (from stage−1) of
+// pipeline copy copy is routed across a chip edge, the one rule behind
+// both the analytic HyperLink energy and the timing backend's
+// HyperTransport routing: it holds when the stage's sub-chips run up to or
+// past a multiple of χ. Stage 0 has no inbound boundary.
+func (p Plan) CrossesChip(stage, copy int) bool {
+	if stage == 0 {
+		return false
+	}
+	start := copy*p.Need + p.First[stage]
+	return start/p.perChip != (start+p.Placements[stage].SubChips)/p.perChip
 }
 
 // BaselinePlacement describes a layer mapped row-major onto B×B crossbars

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -123,16 +124,61 @@ func TestPlacePanicsOnPool(t *testing.T) {
 	PlaceO2IR(b.Build().Layers[0], cfg8())
 }
 
-func TestPlaceNetworkVGGD(t *testing.T) {
-	net := model.VGG("D")
-	ps := PlaceNetwork(net, cfg8())
-	if len(ps) != 16 {
-		t.Fatalf("VGG-D placements = %d, want 16", len(ps))
+func TestLowerVGGD(t *testing.T) {
+	plan := Lower(model.VGG("D"), cfg8())
+	if len(plan.Placements) != 16 {
+		t.Fatalf("VGG-D placements = %d, want 16", len(plan.Placements))
 	}
-	min := MinSubChips(ps)
 	// One VGG-D instance must fit comfortably inside one 106-sub-chip chip.
-	if min <= 16 || min > params.SubChipsPerChip {
-		t.Errorf("VGG-D minimum sub-chips = %d, want in (16,106]", min)
+	if plan.Need <= 16 || plan.Need > params.SubChipsPerChip {
+		t.Errorf("VGG-D sub-chips per copy = %d, want in (16,106]", plan.Need)
+	}
+}
+
+// TestLower pins the lowering of VGG-D on one Table II chip (two pipeline
+// copies fit) and on a 32-sub-chip chip (one copy does not fit).
+func TestLower(t *testing.T) {
+	first := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 39, 42}
+	small := cfg8()
+	small.SubChips = 32
+	for _, tc := range []struct {
+		name   string
+		cfg    params.TimelyConfig
+		fits   bool
+		copies int
+	}{
+		{"chip", cfg8(), true, 2},
+		{"small", small, false, 1},
+	} {
+		plan := Lower(model.VGG("D"), tc.cfg)
+		if !reflect.DeepEqual(plan.First, first) {
+			t.Errorf("%s: First = %v, want %v", tc.name, plan.First, first)
+		}
+		if plan.Need != 43 || plan.Fits != tc.fits || plan.Copies != tc.copies {
+			t.Errorf("%s: Need/Fits/Copies = %d/%v/%d, want 43/%v/%d",
+				tc.name, plan.Need, plan.Fits, plan.Copies, tc.fits, tc.copies)
+		}
+	}
+}
+
+// TestCrossesChip pins the chip-crossing rule: a stage crosses when its
+// sub-chips run up to or past a χ multiple. CNN-1 (four one-sub-chip
+// stages) at 16 chips: copy 26 occupies sub-chips 104–107, so stage 1
+// (sub-chip 105) is flagged and stage 2 (sub-chip 106, the first on chip 1)
+// is not.
+func TestCrossesChip(t *testing.T) {
+	cfg := cfg8()
+	cfg.Chips = 16
+	plan := Lower(model.CNN1(), cfg)
+	for stage, want := range []bool{false, true, false, false} {
+		if got := plan.CrossesChip(stage, 26); got != want {
+			t.Errorf("CrossesChip(%d, 26) = %v, want %v", stage, got, want)
+		}
+	}
+	for c := 0; c < plan.Copies; c++ {
+		if plan.CrossesChip(0, c) {
+			t.Errorf("stage 0 of copy %d crosses; it has no inbound boundary", c)
+		}
 	}
 }
 

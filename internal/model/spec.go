@@ -301,6 +301,11 @@ func (s *Spec) Compile() (*Network, error) {
 		}
 		n.Layers = append(n.Layers, l)
 	}
+	if len(n.WeightedLayers()) == 0 {
+		// Every accelerator model maps weighted layers onto crossbars; a
+		// network of pools alone has nothing to map.
+		return nil, fail(-1, "", "layers", "network has no conv or fc layer")
+	}
 	return n, nil
 }
 

@@ -146,6 +146,10 @@ func TestSpecValidation(t *testing.T) {
 		s = valid()
 		s.Layers = nil
 		specErr(t, s, -1, "layers")
+
+		s = valid()
+		s.Layers = []LayerSpec{{Kind: "maxpool", Kernel: 2, Stride: 2}}
+		specErr(t, s, -1, "layers")
 	})
 
 	t.Run("kinds and fields", func(t *testing.T) {

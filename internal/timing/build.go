@@ -79,48 +79,28 @@ type Machine struct {
 // rolesPerInstance is the intra-pipeline unit count of one stage instance.
 const rolesPerInstance = 6
 
-// Build compiles a network onto the timing model: O2IR placements via the
-// same mapping path the analytic model uses, uniform weight duplication
-// (whole extra pipeline copies while capacity allows), one unit per
-// (stage, instance, role), and a transfer channel per stage boundary per
-// instance — a dedicated LocalLanes-wide neighbour channel within a chip,
-// or the source chip's single shared HyperLanes-wide HyperTransport port
-// where the boundary crosses a chip edge (the same crossing rule the
-// analytic model charges HyperLink energy for). Images round-robin across
-// each stage's instances, and with uniform duplication image i stays on
-// instance i mod dup through the whole pipeline.
+// Build compiles a network onto the timing model through the same
+// mapping.Plan the analytic model uses (O2IR placements, uniform weight
+// duplication): one unit per (stage, instance, role), and a transfer
+// channel per stage boundary per instance — a dedicated LocalLanes-wide
+// neighbour channel within a chip, or the source chip's single shared
+// HyperLanes-wide HyperTransport port where Plan.CrossesChip holds. Images
+// round-robin across each stage's instances, and with uniform duplication
+// image i stays on instance i mod dup through the whole pipeline.
 func Build(n *model.Network, cfg params.TimelyConfig, opt Options) (*Machine, error) {
 	m := &Machine{Net: n, Cfg: cfg, Cons: NewConstraints(cfg)}
-	for _, l := range n.WeightedLayers() {
-		p := mapping.PlaceO2IR(l, cfg)
-		m.Stages = append(m.Stages, StageModel{
-			Layer:         l,
-			Placement:     p,
-			WavesPerImage: p.CyclesPerImage,
-		})
-	}
-	if len(m.Stages) == 0 {
+	plan := mapping.Lower(n, cfg)
+	if len(plan.Placements) == 0 {
 		return nil, fmt.Errorf("timing: network %s has no weighted layers", n.Name)
 	}
-	// Uniform network-level duplication, exactly the analytic default
-	// (accel.Timely.Evaluate): whole extra copies of the pipeline while
-	// one instance of every stage fits.
-	total := cfg.Chips * cfg.SubChips
-	need := 0
-	for _, s := range m.Stages {
-		need += s.Placement.SubChips
-	}
-	m.Fits = need <= total
-	dup := 1
-	if m.Fits {
-		dup = total / need
-	}
-	for i := range m.Stages {
-		m.Stages[i].Instances = dup
-		if i+1 < len(m.Stages) {
-			next := m.Stages[i+1].Layer
-			m.Stages[i].TransferValues = next.Inputs() * int64(cfg.InputPasses())
+	m.Fits = plan.Fits
+	dup := plan.Copies
+	for i, p := range plan.Placements {
+		s := StageModel{Layer: p.Layer, Placement: p, Instances: dup, WavesPerImage: p.CyclesPerImage}
+		if i+1 < len(plan.Placements) {
+			s.TransferValues = plan.Placements[i+1].Layer.Inputs() * int64(cfg.InputPasses())
 		}
+		m.Stages = append(m.Stages, s)
 	}
 
 	images := opt.Images
@@ -157,25 +137,21 @@ func Build(n *model.Network, cfg params.TimelyConfig, opt Options) (*Machine, er
 			}
 		}
 	}
-	// Transfer channels. Copy c of the pipeline occupies global sub-chips
-	// [c·need, (c+1)·need); a boundary whose next stage straddles a χ
-	// multiple crosses a chip edge (accel.Timely's HyperLink rule) and
-	// rides the source chip's one shared HyperTransport port. All other
+	// Transfer channels. A boundary the plan routes across a chip edge
+	// rides the source chip's one shared HyperTransport port; all other
 	// boundaries get a dedicated per-instance neighbour channel.
 	type boundaryLink struct {
 		unit  int32
 		lanes int64
 	}
-	perChip := cfg.SubChips
 	htUnit := map[int]int32{} // source chip index → shared HT unit
 	links := make([][]boundaryLink, len(m.Stages)-1)
-	cum := m.Stages[0].Placement.SubChips // sub-chips before stage si+1
 	for si := 0; si+1 < len(m.Stages); si++ {
 		links[si] = make([]boundaryLink, dup)
 		for c := 0; c < dup; c++ {
-			off := c * need
-			if (off+cum)/perChip != (off+cum+m.Stages[si+1].Placement.SubChips)/perChip {
-				srcChip := ((off + cum - 1) / perChip) % cfg.Chips
+			if plan.CrossesChip(si+1, c) {
+				start := c*plan.Need + plan.First[si+1]
+				srcChip := ((start - 1) / cfg.SubChips) % cfg.Chips
 				u, ok := htUnit[srcChip]
 				if !ok {
 					u = int32(len(m.units))
@@ -199,7 +175,6 @@ func Build(n *model.Network, cfg params.TimelyConfig, opt Options) (*Machine, er
 				links[si][c] = boundaryLink{unit: u, lanes: LocalLanes}
 			}
 		}
-		cum += m.Stages[si+1].Placement.SubChips
 	}
 
 	// Command generation, image-major then stage-major so every explicit

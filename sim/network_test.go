@@ -110,6 +110,24 @@ func TestEvaluateInlineSpecJSON(t *testing.T) {
 	}
 }
 
+// TestEvaluateWeightlessSpec: a network of pool layers alone has nothing
+// to map onto crossbars, and every spec backend rejects it as an invalid
+// spec rather than evaluating it.
+func TestEvaluateWeightlessSpec(t *testing.T) {
+	spec := &NetworkSpec{
+		Name:   "poolonly",
+		Input:  NetworkDims{C: 1, H: 8, W: 8},
+		Layers: []NetworkLayer{{Kind: "maxpool", Kernel: 2, Stride: 2}},
+	}
+	for _, backend := range []string{"timely", "prime", "isaac", "timing"} {
+		_, err := Evaluate(context.Background(), &EvalRequest{Backend: backend, Spec: spec})
+		var se *SpecError
+		if !errors.Is(err, ErrInvalidSpec) || !errors.As(err, &se) || se.Field != "layers" {
+			t.Errorf("%s: err = %v, want ErrInvalidSpec on field layers", backend, err)
+		}
+	}
+}
+
 func TestEvaluateSpecHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
