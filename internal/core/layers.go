@@ -53,9 +53,9 @@ func RunConv(opt Options, in *tensor.Int, w *tensor.Filter, stride, pad int, app
 	}
 
 	rows, e, f := tensor.Im2ColDims(in, w.Z, w.G, stride, pad)
-	inputs := growInt(&s.ar.inputs, rows*e*f)
+	inputs := grow(&s.ar.inputs, rows*e*f)
 	tensor.Im2ColIntoInts(in, w.Z, w.G, stride, pad, inputs)
-	psums := growInt(&s.ar.psums, e*f*w.D)
+	psums := grow(&s.ar.psums, e*f*w.D)
 	if err := m.ForwardBatch(inputs, e*f, psums); err != nil {
 		return nil, err
 	}

@@ -15,14 +15,16 @@
 // end-to-end effect together with injected circuit noise.
 //
 // Hot-path organisation: crossbars are materialised lazily (a mapped layer
-// touches a handful of the 16×12 grid), every wave reuses a per-sub-chip
-// scratch arena instead of allocating, and the crossbar dot products go
-// through the flat-conductance kernels of package reram. When the noise
-// configuration is deterministic, ForwardBatch additionally batches whole
-// input blocks through the matrix–matrix kernel; with randomness configured
-// it falls back to strictly ordered per-wave execution so RNG draw sequences
-// (and therefore artifact bytes) are identical to repeated Compute calls.
-// Sub-chips are not safe for concurrent use.
+// touches a handful of the 16×12 grid) and every wave reuses a per-sub-chip
+// scratch arena instead of allocating. With randomness, device variation or
+// IR drop configured, ForwardBatch runs strictly ordered per-wave Compute
+// calls through the float flat-conductance kernels of package reram, so RNG
+// draw sequences (and therefore artifact bytes) are identical to repeated
+// Compute calls. Noise-free on integral crossbars, the datapath is exact
+// integer arithmetic — 8-bit DTC codes times integer cell levels, summed
+// exactly, quantised by a shift — and ForwardBatch pushes whole input
+// blocks through the integer matrix–matrix kernel instead, bit-identical to
+// the float path. Sub-chips are not safe for concurrent use.
 package core
 
 import (
@@ -89,22 +91,17 @@ type arena struct {
 	contribs []float64
 	inputs   []int
 	psums    []int
+	// codes and dots stage the deterministic path's integer DTC codes and
+	// per-crossbar column sums.
+	codes []uint8
+	dots  []int64
 }
 
-// growF resizes buf to n float64s, reallocating only on capacity growth.
+// grow resizes buf to n elements, reallocating only on capacity growth.
 // Contents are unspecified; callers overwrite every element they read.
-func growF(buf *[]float64, n int) []float64 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growInt is growF for int slices.
-func growInt(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -393,18 +390,21 @@ func (s *SubChip) MapDense(weights [][]int) (*MappedLayer, error) {
 			}
 		}
 	}
-	// Per-layer scale: the largest column dot is 255·maxColSum (full-scale
-	// inputs into the heaviest column); one TDC LSB covers 2^k dot units so
-	// the charging unit never saturates.
-	maxCode := int(1)<<s.ifBits - 1
-	m.ScaleShift = 0
-	if maxColSum > 0 {
-		worst := 255 * maxColSum
-		for worst > maxCode<<m.ScaleShift {
-			m.ScaleShift++
-		}
-	}
+	m.ScaleShift = scaleShift(maxColSum, s.ifBits)
 	return m, nil
+}
+
+// scaleShift is the per-layer scale choice: the largest column dot is
+// 255·maxColSum (full-scale inputs into the heaviest column), and one TDC
+// LSB covers 2^k dot units with the least k that keeps the charging unit
+// from saturating.
+func scaleShift(maxColSum, ifBits int) int {
+	maxCode := int(1)<<ifBits - 1
+	k := 0
+	for 255*maxColSum > maxCode<<k {
+		k++
+	}
+	return k
 }
 
 func (m *MappedLayer) globalCol(d, arm, nib int) int {
@@ -452,7 +452,7 @@ func (m *MappedLayer) computeInto(inputs []int, psums []int) error {
 	// DTC conversion of the input vector (per-row times), plus the optional
 	// input-hop cascade. Energy for these conversions is attributed by the
 	// caller (O2IR converts once per input, not once per wave).
-	timesAt := growF(&s.ar.timesAt, m.gridColsUsed*rows)
+	timesAt := grow(&s.ar.timesAt, m.gridColsUsed*rows)
 	t0 := timesAt[:rows]
 	for i, code := range inputs {
 		t, err := s.dtc.Convert(code, s.noise)
@@ -480,11 +480,11 @@ func (m *MappedLayer) computeInto(inputs []int, psums []int) error {
 	// Pre-scale times into code units once per wave (the old path divided by
 	// TDel per element *per column*) and gather every used column dot of
 	// every crossbar in one row-major kernel pass each.
-	scaled := growF(&s.ar.scaled, m.gridColsUsed*rows)
+	scaled := grow(&s.ar.scaled, m.gridColsUsed*rows)
 	for i, t := range timesAt {
 		scaled[i] = t / params.TDel
 	}
-	colDots := growF(&s.ar.colDots, m.gridRowsUsed*m.physCols)
+	colDots := grow(&s.ar.colDots, m.gridRowsUsed*m.physCols)
 	for gr := 0; gr < m.gridRowsUsed; gr++ {
 		lo := gr * cfg.B
 		hi := lo + cfg.B
@@ -503,7 +503,7 @@ func (m *MappedLayer) computeInto(inputs []int, psums []int) error {
 	}
 
 	cu := m.chargingUnit()
-	contribs := growF(&s.ar.contribs, m.gridRowsUsed)
+	contribs := grow(&s.ar.contribs, m.gridRowsUsed)
 	for d := 0; d < m.D; d++ {
 		acc := 0
 		for arm := 0; arm < armsPerWeight; arm++ {
@@ -572,129 +572,139 @@ func (m *MappedLayer) ForwardBatch(inputs []int, nvec int, out []int) error {
 
 // BatchDeterministic reports whether this mapped layer's batched forward
 // path is bit-identical regardless of batch composition: a deterministic
-// noise configuration (every sigma zero, no RNG consumed) with zero-INL
+// noise configuration (every sigma zero, no RNG consumed), zero-INL
 // interfaces (always true for SubChip-built converters; checked so a
-// future nonlinearity knob cannot silently change results). When false,
-// waves draw from a shared RNG stream, so reordering inputs across layers
-// or batches would change the draws — callers must keep per-input order.
+// future nonlinearity knob cannot silently change results) and integral
+// crossbars (no device variation, no IR drop), so every dot is an exact
+// integer. When false, waves run through the per-wave Compute path: they
+// may draw from a shared RNG stream, so reordering inputs across layers or
+// batches would change the draws — callers must keep per-input order.
 func (m *MappedLayer) BatchDeterministic() bool {
-	return m.sc.noise.Deterministic() && m.sc.tdc.INL == 0
+	s := m.sc
+	if !s.noise.Deterministic() || s.tdc.INL != 0 || s.dtc.INL != 0 {
+		return false
+	}
+	for gr := 0; gr < m.gridRowsUsed; gr++ {
+		for gc := 0; gc < m.gridColsUsed; gc++ {
+			if !s.Crossbar(gr, gc).Integral() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // batchBlock bounds the scratch footprint of the deterministic batched
 // path: waves are processed in blocks of this many input vectors.
 const batchBlock = 64
 
-// forwardBatchDet is the deterministic ForwardBatch fast path. Every
-// circuit stage computes exactly what the per-wave path would (same
-// operands, same order within each wave) — only the crossbar dots are
-// hoisted into blocked matrix–matrix kernel calls and the X-subBuf copies
-// elided (they are exact identities without noise), so the psums are
-// bit-identical to per-wave execution.
+// quantiser is the noise-free charging + TDC stage in integer form. An
+// integer column total maps to round(total / 2^shift), halves away from
+// zero, clamped to the interface's largest code — what the float
+// expression TDC.Convert(ChargingUnit.Output(total)) yields whenever the
+// quotient is not an exact tie (total mod 2^shift = 2^(shift−1)): the float
+// rounding error is far below the quotient's distance from the nearest
+// half. At a tie that error could fall either side of the half, so ties
+// take the float expression itself. With shift 0 (the 24-bit interface)
+// ties cannot occur; TestQuantiserExhaustive checks every total of the 8-
+// and 24-bit interfaces.
+type quantiser struct {
+	shift                      uint
+	half, mask, tieAt, maxCode int64
+	cu                         analog.ChargingUnit
+	tdc                        analog.TDC
+}
+
+func (m *MappedLayer) quantiser() quantiser {
+	cu := m.chargingUnit()
+	// A shift-0 quantiser has no ties: total&0 never equals tieAt −1.
+	q := quantiser{shift: uint(m.ScaleShift), tieAt: -1, maxCode: int64(cu.MaxCode()), cu: cu, tdc: m.sc.tdc}
+	if m.ScaleShift > 0 {
+		q.half = int64(1) << (m.ScaleShift - 1)
+		q.mask, q.tieAt = 2*q.half-1, q.half
+	}
+	return q
+}
+
+// code quantises a non-negative integer column total.
+func (q *quantiser) code(total int64) int {
+	if total&q.mask == q.tieAt {
+		return q.tie(total)
+	}
+	return int(min((total+q.half)>>q.shift, q.maxCode))
+}
+
+// tie quantises an exact tie through the float expression (kept out of
+// code so the common case inlines).
+func (q *quantiser) tie(total int64) int {
+	return q.tdc.Convert(q.cu.Output(float64(total), nil), nil)
+}
+
+// forwardBatchDet is the deterministic ForwardBatch fast path, exact
+// integer arithmetic end to end: with integral crossbars and no noise an
+// 8-bit DTC code times an integer level is an integer, the X-subBuf copies
+// and P-subBuf mirrors are identities, and the I-adder sum of the column
+// totals is exact in any order. The blocked integer kernel
+// (reram.DotLevelsBatch) produces every crossbar's column sums, grid rows
+// add in int64, and the quantiser maps each total to the code the float
+// charging + TDC stage would produce — so the psums are bit-identical to
+// per-wave execution.
 func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 	s := m.sc
 	cfg := s.cfg
 	rows, d := m.Rows, m.D
-	cu := m.chargingUnit()
-	// Inlined deterministic quantisation constants: the charging stage maps
-	// dot → full·dot/FullScale clamped to [0, full], the TDC divides by TDel
-	// and rounds — the identical operation sequence ChargingUnit.Output and
-	// TDC.Convert perform when every noise draw is zero.
-	maxCode := cu.MaxCode()
-	full := float64(maxCode) * cu.TDel
-	fs := cu.FullScale
-	// With a zero-INL DTC, code·TDel/TDel reproduces float64(code) exactly
-	// (both operations are exact for 8-bit codes).
-	dtcFast := s.dtc.INL == 0
+	q := m.quantiser()
 	dtcLevels := s.dtc.Levels()
 	for base := 0; base < nvec; base += batchBlock {
 		n := nvec - base
 		if n > batchBlock {
 			n = batchBlock
 		}
-		// DTC conversion, pre-scaled into code units. Without noise the
-		// X-subBuf hop cascade and grid-column propagation are identities,
-		// so one scaled ladder serves every grid column.
-		scaled := growF(&s.ar.scaled, n*rows)
-		for v := 0; v < n; v++ {
-			in := inputs[(base+v)*rows : (base+v+1)*rows]
-			sv := scaled[v*rows : (v+1)*rows]
-			if dtcFast {
-				for i, code := range in {
-					if code < 0 || code >= dtcLevels {
-						return fmt.Errorf("analog: DTC code %d out of [0,%d)", code, dtcLevels)
-					}
-					sv[i] = float64(code)
-				}
-				continue
+		// DTC conversion: without noise or INL the delay is the code
+		// itself in TDel units, whichever grid column it reaches. The DTC
+		// has params.DTCBits = 8 bits, so every valid code fits a uint8.
+		in := inputs[base*rows : (base+n)*rows]
+		codes := grow(&s.ar.codes, len(in))
+		for i, code := range in {
+			if code < 0 || code >= dtcLevels {
+				return fmt.Errorf("analog: DTC code %d out of [0,%d)", code, dtcLevels)
 			}
-			for i, code := range in {
-				t, err := s.dtc.Convert(code, s.noise)
-				if err != nil {
-					return err
-				}
-				sv[i] = t / params.TDel
-			}
+			codes[i] = uint8(code)
 		}
-		// Blocked matrix–matrix dots: one kernel call per crossbar covers
-		// the whole block. Layout: colDots[(gr·n + v)·physCols + gcol].
-		colDots := growF(&s.ar.colDots, m.gridRowsUsed*n*m.physCols)
+		// Blocked integer dots: one kernel call per crossbar covers the
+		// whole block. Layout: dots[(gr·n + v)·physCols + gcol].
+		dots := grow(&s.ar.dots, m.gridRowsUsed*n*m.physCols)
 		for gr := 0; gr < m.gridRowsUsed; gr++ {
 			lo := gr * cfg.B
-			hi := lo + cfg.B
-			if hi > rows {
-				hi = rows
-			}
+			hi := min(lo+cfg.B, rows)
 			for gc := 0; gc < m.gridColsUsed; gc++ {
 				c0 := gc * cfg.B
-				nc := m.physCols - c0
-				if nc > cfg.B {
-					nc = cfg.B
-				}
-				s.Crossbar(gr, gc).DotColumnsBatch(scaled[lo:], n, rows, hi-lo, 0, nc,
-					colDots[gr*n*m.physCols+c0:], m.physCols)
+				nc := min(m.physCols-c0, cfg.B)
+				s.Crossbar(gr, gc).DotLevelsBatch(codes[lo:], n, rows, hi-lo, nc,
+					dots[gr*n*m.physCols+c0:], m.physCols)
 			}
 		}
-		// Interface stages per wave: P-subBuf mirrors are identities without
-		// noise, the I-adder sum runs in the same ascending-grid-row order.
-		// Layers inside one crossbar grid row (the common case) read their
-		// column dot directly: the single-term I-adder sum 0+x reproduces x
-		// bitwise, because the kernels never produce a −0.0 dot (column
-		// accumulators start at +0.0 and IEEE addition cannot reach −0.0
-		// from there).
-		oneRow := m.gridRowsUsed == 1
+		// I-adder: fold the lower grid rows' sums into grid row 0. Then
+		// quantise and recombine; globalCol numbers the columns
+		// channel-major, arm, nibble, so one linear walk visits them in
+		// recombination order.
 		for v := 0; v < n; v++ {
+			totals := dots[v*m.physCols : (v+1)*m.physCols]
+			for gr := 1; gr < m.gridRowsUsed; gr++ {
+				lower := dots[(gr*n+v)*m.physCols : (gr*n+v+1)*m.physCols]
+				for g, t := range lower[:len(totals)] {
+					totals[g] += t
+				}
+			}
 			o := out[(base+v)*d : (base+v+1)*d]
-			row0 := colDots[v*m.physCols : (v+1)*m.physCols]
-			for di := 0; di < d; di++ {
+			for di := range o {
 				acc := 0
 				for arm := 0; arm < armsPerWeight; arm++ {
 					armDot := 0
-					for nib := 0; nib < m.colsPerArm; nib++ {
-						gcol := m.globalCol(di, arm, nib)
-						var total float64
-						if oneRow {
-							total = row0[gcol]
-						} else {
-							for gr := 0; gr < m.gridRowsUsed; gr++ {
-								total += colDots[(gr*n+v)*m.physCols+gcol]
-							}
-						}
-						// Charging + TDC, inlined (see constants above).
-						t := full * total / fs
-						if t < 0 {
-							t = 0
-						} else if t > full {
-							t = full
-						}
-						code := analog.RoundCode(t / cu.TDel)
-						if code < 0 {
-							code = 0
-						} else if code > maxCode {
-							code = maxCode
-						}
-						armDot = armDot<<uint(cfg.CellBits) + code
+					for _, total := range totals[:m.colsPerArm] {
+						armDot = armDot<<uint(cfg.CellBits) + q.code(total)
 					}
+					totals = totals[m.colsPerArm:]
 					if arm == 0 {
 						acc += armDot
 					} else {
@@ -727,6 +737,31 @@ func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 		}
 	}
 	return nil
+}
+
+// AppendLevels appends to dst the programmed level of every cell the layer
+// reads — its rows × physical columns over the used crossbar grid, grid row
+// by grid row — and returns the extended slice. While BatchDeterministic
+// holds, the layer's psums are a pure function of these levels (its
+// ScaleShift derives from them too), so two layers mapped from the same
+// weights under the same options with equal level strings compute the same
+// result on every input.
+func (m *MappedLayer) AppendLevels(dst []byte) []byte {
+	cfg := m.sc.cfg
+	for gr := 0; gr < m.gridRowsUsed; gr++ {
+		lo := gr * cfg.B
+		hi := min(lo+cfg.B, m.Rows)
+		for gc := 0; gc < m.gridColsUsed; gc++ {
+			nc := min(m.physCols-gc*cfg.B, cfg.B)
+			x := m.sc.Crossbar(gr, gc)
+			for r := 0; r < hi-lo; r++ {
+				for c := 0; c < nc; c++ {
+					dst = append(dst, x.Level(r, c))
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // QuantizationBound returns the worst-case absolute psum error of one wave

@@ -74,7 +74,9 @@ type DefectPoint struct {
 // construction rather than by careful stream ordering; and because no
 // slot's draws feed another's, the crossbars the CNN never touches draw
 // only their binomial count, leaving O(faults) work on the few mapped
-// slots alone.
+// slots alone. Draws that program identical cells (every rate-0 draw, and
+// most low-rate draws, whose faults miss the cells the CNN reads) share one
+// accuracy evaluation; their fault maps are still drawn one by one.
 func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stats.SamplerVersion) ([]DefectPoint, error) {
 	sampler = sampler.Resolve()
 	tc, err := defectCNN(seed)
@@ -91,6 +93,7 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stat
 		faults int
 	}
 	units := make([]unit, len(rates)*draws)
+	var accs memo[float64]
 	err = parallelEach(ctx, len(units), func(i int) error {
 		rate, d := rates[i/draws], i%draws
 		a, err := cnn.MapAnalog(core.Options{
@@ -100,7 +103,7 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stat
 		if err != nil {
 			return err
 		}
-		acc, err := a.Accuracy(test)
+		acc, err := defectAccuracy(&accs, a, test)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/params"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Batched experiment executors: several requests that differ ONLY in their
@@ -128,6 +129,7 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		faults int
 	}
 	units := make([]unit, len(seeds)*trials)
+	accs := make([]memo[float64], len(seeds))
 	err = parallelEach(ctx, len(units), func(i int) error {
 		m, d := i/trials, i%trials
 		seed := seeds[m]
@@ -138,7 +140,7 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		if err != nil {
 			return err
 		}
-		acc, err := a.AccuracyBatch(tcs[m].test)
+		acc, err := defectAccuracy(&accs[m], a, tcs[m].test)
 		if err != nil {
 			return err
 		}
@@ -168,4 +170,18 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		out[m] = res
 	}
 	return out, nil
+}
+
+// defectAccuracy is the accuracy of one fault-map draw of a defect study,
+// evaluated once per distinct programmed CNN. accs must be private to one
+// call and one trained model: within it, mapping options are fixed, so a
+// BatchSafe mapped CNN's accuracy is a function of AnalogCNN.Programmed
+// alone, and draws whose faults leave the read cells identical share the
+// first such draw's evaluation. Fault injection and every RNG stream are
+// untouched — the memo only skips repeated test-set passes.
+func defectAccuracy(accs *memo[float64], a *workload.AnalogCNN, test *workload.ImageDataset) (float64, error) {
+	if !a.BatchSafe() {
+		return a.AccuracyBatch(test)
+	}
+	return accs.Do(a.Programmed(), func() (float64, error) { return a.AccuracyBatch(test) })
 }

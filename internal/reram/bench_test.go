@@ -1,6 +1,7 @@
 package reram
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/stats"
@@ -59,23 +60,30 @@ func BenchmarkDotColumns(b *testing.B) {
 	}
 }
 
-// BenchmarkDotColumnsBatch measures the blocked matrix–matrix kernel on a
-// 64-vector batch (one batchBlock of the deterministic forward path).
-func BenchmarkDotColumnsBatch(b *testing.B) {
-	x, times := benchCrossbar(b, true)
-	const nvec = 64
-	rows := len(times)
-	scaled := make([]float64, nvec*rows)
-	for v := 0; v < nvec; v++ {
-		for i, t := range times {
-			scaled[v*rows+i] = t / 50
-		}
-	}
-	out := make([]float64, nvec*x.B)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.DotColumnsBatch(scaled, nvec, rows, rows, 0, x.B, out, x.B)
+// BenchmarkDotLevelsBatch measures the integer SWAR matrix–matrix kernel
+// of the noise-free datapath on a 64-vector batch (one batchBlock of the
+// deterministic forward path) in two shapes: the defect CNN's conv bank
+// (9 rows × 32 columns, four 16-bit lanes per word) and a full 256-row
+// array (three 20-bit lanes).
+func BenchmarkDotLevelsBatch(b *testing.B) {
+	for _, shape := range []struct{ rows, cols int }{{9, 32}, {256, 256}} {
+		b.Run(fmt.Sprintf("rows=%d/cols=%d", shape.rows, shape.cols), func(b *testing.B) {
+			x, times := benchCrossbar(b, false)
+			const nvec = 64
+			rows := shape.rows
+			codes := make([]uint8, nvec*rows)
+			for v := 0; v < nvec; v++ {
+				for i := range rows {
+					codes[v*rows+i] = uint8(times[(v+i)%len(times)] / 50)
+				}
+			}
+			out := make([]int64, nvec*shape.cols)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.DotLevelsBatch(codes, nvec, rows, rows, shape.cols, out, shape.cols)
+			}
+		})
 	}
 }
 

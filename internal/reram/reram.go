@@ -9,17 +9,22 @@
 // Eq. 2 cancels Rmin. Device variation multiplies the level by (1+δ) with
 // Gaussian δ.
 //
-// The dot-product kernels operate on a cached flat effective-conductance
-// matrix: the branchy per-cell path (level, variation, IR drop) is evaluated
-// once per cell into a contiguous []float64 and every kernel — single-column,
-// multi-column and batched — reads the cache. Any state mutation (Program,
-// ApplyVariation, SetIRDrop, fault injection) invalidates it; the cache is
-// rebuilt lazily and only for the row prefix a kernel actually touches.
-// Crossbars are not safe for concurrent use.
+// Two kernel families read two lazily built caches. The float kernels
+// (ColumnDot, DotColumns, SubRangedDot) serve the noisy datapath, where
+// variation and IR drop make conductances non-integral: they read a flat
+// effective-conductance matrix, the branchy per-cell path (level,
+// variation, IR drop) evaluated once per cell into a contiguous []float64.
+// The noise-free datapath is exact integer arithmetic, so its batched
+// kernel DotLevelsBatch reads the programmed levels instead, packed several
+// columns to a machine word. Any state mutation (Program, ApplyVariation,
+// SetIRDrop, fault injection) invalidates both caches; each is rebuilt only
+// for the row prefix a kernel actually touches. Crossbars are not safe for
+// concurrent use.
 package reram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fixed"
 	"repro/internal/stats"
@@ -44,6 +49,13 @@ type Crossbar struct {
 	// (row-major, stride B). flatRows == 0 means the cache is stale.
 	flat     []float64
 	flatRows int
+	// packed caches the programmed levels of the first packedRows rows in
+	// the SWAR layout of DotLevelsBatch: lanes of packedWidth bits, rows of
+	// packedWords words. packedRows == 0 means the cache is stale.
+	packed                               []uint64
+	packedRows, packedWidth, packedWords int
+	// acc is DotLevelsBatch's per-vector lane accumulator scratch.
+	acc []uint64
 	// scaled and dots are kernel scratch reused by SubRangedDot so the
 	// recombining decoders stay allocation-free.
 	scaled []float64
@@ -62,8 +74,8 @@ func New(b, cellBits int) *Crossbar {
 // MaxLevel returns the highest programmable level.
 func (x *Crossbar) MaxLevel() uint8 { return uint8(int(1)<<x.CellBits - 1) }
 
-// invalidate drops the cached conductance matrix.
-func (x *Crossbar) invalidate() { x.flatRows = 0 }
+// invalidate drops the cached conductance matrix and packed levels.
+func (x *Crossbar) invalidate() { x.flatRows, x.packedRows = 0, 0 }
 
 // Program writes one cell. It returns an error if the coordinates are out
 // of range or the level exceeds the cell's capability.
@@ -149,14 +161,6 @@ func (x *Crossbar) ensureFlat(rows int) []float64 {
 		x.flatRows = rows
 	}
 	return x.flat
-}
-
-// CondMatrix returns the full cached effective-conductance matrix (row-major,
-// B×B, level units), rebuilding any stale part. The slice is owned by the
-// crossbar: callers must not modify it, and any Program/ApplyVariation/
-// SetIRDrop/fault-injection call invalidates it.
-func (x *Crossbar) CondMatrix() []float64 {
-	return x.ensureFlat(x.B)
 }
 
 // ColumnDot integrates the column current over the applied input times:
@@ -245,84 +249,122 @@ func (x *Crossbar) DotColumns(scaled []float64, col0, ncols int, out []float64) 
 	}
 }
 
-// DotColumnsBatch is the matrix–matrix kernel: it runs nvec pre-scaled input
-// vectors through DotColumns in a single blocked pass over the conductance
-// matrix. Vector v occupies scaled[v*istride : v*istride+rows] and its
-// results land in out[v*ostride : v*ostride+ncols]. Iteration is row-major
-// (conductance rows stream once for the whole batch) but each column still
-// accumulates in ascending row order, so every vector's result is
-// bit-identical to a DotColumns call. The kernel allocates nothing.
-func (x *Crossbar) DotColumnsBatch(scaled []float64, nvec, istride, rows, col0, ncols int, out []float64, ostride int) {
-	if col0 < 0 || ncols < 0 || col0+ncols > x.B {
-		panic(fmt.Sprintf("reram: columns [%d,%d) outside array", col0, col0+ncols))
+// Integral reports whether every cell's effective conductance is exactly
+// its programmed integer level: no device variation and no IR drop.
+// Stuck-at faults keep a crossbar integral (they pin levels). On an
+// integral crossbar every dot against integer DTC codes is an exact
+// integer, which DotLevelsBatch computes without floating point.
+func (x *Crossbar) Integral() bool { return x.variation == nil && x.irDrop == 0 }
+
+// laneWidth returns the bit width of one packed column lane for a dot over
+// rows rows of 8-bit codes: wide enough for the largest possible column sum
+// rows·255·MaxLevel, so no lane can carry into its neighbour.
+func (x *Crossbar) laneWidth(rows int) int {
+	return bits.Len(uint(rows * 255 * int(x.MaxLevel())))
+}
+
+// ensurePacked returns the packed level cache for lane width `width` with at
+// least the first rows rows valid, rebuilding the stale prefix lazily (a
+// width change repacks from row 0). Row r occupies
+// packed[r·packedWords : (r+1)·packedWords]; word k holds columns
+// k·lanes … k·lanes+lanes−1, column k·lanes in the lowest lane.
+func (x *Crossbar) ensurePacked(rows, width int) []uint64 {
+	lanes := 64 / width
+	if width != x.packedWidth {
+		x.packedWidth = width
+		x.packedWords = (x.B + lanes - 1) / lanes
+		x.packedRows = 0
 	}
-	if rows > x.B {
-		panic(fmt.Sprintf("reram: %d input rows exceed array size %d", rows, x.B))
+	if rows > x.packedRows {
+		words := x.packedWords
+		need := rows * words
+		if cap(x.packed) < need {
+			x.packed = make([]uint64, need)
+			x.packedRows = 0
+		}
+		x.packed = x.packed[:need]
+		for r := x.packedRows; r < rows; r++ {
+			lv := x.levels[r*x.B : (r+1)*x.B]
+			row := x.packed[r*words : (r+1)*words]
+			for k := range row {
+				var pw uint64
+				for c := min((k+1)*lanes, x.B) - 1; c >= k*lanes; c-- {
+					pw = pw<<width | uint64(lv[c])
+				}
+				row[k] = pw
+			}
+		}
+		x.packedRows = rows
+	}
+	return x.packed
+}
+
+// DotLevelsBatch is the integer matrix–matrix kernel of the noise-free
+// datapath: it computes, for nvec vectors of 8-bit DTC codes, the exact
+// column sums Σᵢ code[i]·level[i][col] over the programmed levels of
+// columns 0 … ncols−1. Vector v occupies codes[v*istride : v*istride+rows]
+// and its sums land in out[v*ostride : v*ostride+ncols]. The kernel reads
+// levels, not conductances: it equals the float kernels only on an
+// Integral crossbar.
+//
+// Adjacent columns share one uint64 (SWAR): each word holds 64/w lanes of
+// w = bits.Len(rows·255·MaxLevel) bits, so a single multiply-add
+// accumulates code·level into several columns at once and no lane can
+// overflow into the next — the conv bank's 9 rows get four 16-bit lanes,
+// a full 256-row array of 4-bit cells three 20-bit lanes. The packed rows
+// are cached per crossbar and invalidated with the conductance cache. The
+// kernel allocates nothing once its scratch has grown.
+func (x *Crossbar) DotLevelsBatch(codes []uint8, nvec, istride, rows, ncols int, out []int64, ostride int) {
+	if ncols < 0 || ncols > x.B {
+		panic(fmt.Sprintf("reram: %d columns outside array size %d", ncols, x.B))
+	}
+	if rows < 0 || rows > x.B {
+		panic(fmt.Sprintf("reram: %d input rows outside array size %d", rows, x.B))
 	}
 	if nvec < 0 || istride < rows || ostride < ncols {
-		panic("reram: DotColumnsBatch stride shorter than vector extent")
+		panic("reram: DotLevelsBatch stride shorter than vector extent")
 	}
-	if nvec > 0 {
-		if len(scaled) < (nvec-1)*istride+rows {
-			panic("reram: DotColumnsBatch input shorter than batch extent")
-		}
-		if len(out) < (nvec-1)*ostride+ncols {
-			panic("reram: DotColumnsBatch output shorter than batch extent")
+	if nvec == 0 {
+		return
+	}
+	if len(codes) < (nvec-1)*istride+rows {
+		panic("reram: DotLevelsBatch input shorter than batch extent")
+	}
+	if len(out) < (nvec-1)*ostride+ncols {
+		panic("reram: DotLevelsBatch output shorter than batch extent")
+	}
+	width := max(x.laneWidth(rows), 1)
+	lanes := 64 / width
+	p := x.ensurePacked(rows, width)
+	words := x.packedWords
+	nw := (ncols + lanes - 1) / lanes
+	if cap(x.acc) < nvec*nw {
+		x.acc = make([]uint64, nvec*nw)
+	}
+	acc := x.acc[:nvec*nw]
+	clear(acc)
+	// Row-major over the packed levels: each packed row streams once for
+	// the whole batch. Integer sums are exact, so the order is free.
+	for i := 0; i < rows; i++ {
+		prow := p[i*words : i*words+nw]
+		for v := 0; v < nvec; v++ {
+			c := uint64(codes[v*istride+i])
+			if c == 0 {
+				continue
+			}
+			a := acc[v*nw : v*nw+nw][:len(prow)]
+			for k, pw := range prow {
+				a[k] += c * pw
+			}
 		}
 	}
-	g := x.ensureFlat(rows)
-	b := x.B
+	mask := uint64(1)<<width - 1
 	for v := 0; v < nvec; v++ {
 		o := out[v*ostride : v*ostride+ncols]
-		for j := range o {
-			o[j] = 0
-		}
-	}
-	// Four conductance rows per pass, keeping each column's accumulation
-	// serial (o[j] + s0·g0[j] + s1·g1[j] + … evaluates left to right) so
-	// the float result stays bit-identical to the row-at-a-time order
-	// while the o[] loads/stores amortise over four multiply-adds. Quads
-	// with dead inputs fall back to per-row accumulation, which skips zero
-	// terms exactly like the scalar kernel; the ≤3-row tail does the same.
-	i := 0
-	for ; i+3 < rows; i += 4 {
-		g0 := g[i*b+col0 : i*b+col0+ncols]
-		g1 := g[(i+1)*b+col0 : (i+1)*b+col0+ncols]
-		g2 := g[(i+2)*b+col0 : (i+2)*b+col0+ncols]
-		g3 := g[(i+3)*b+col0 : (i+3)*b+col0+ncols]
-		gq := [4][]float64{g0, g1, g2, g3}
-		for v := 0; v < nvec; v++ {
-			s0 := scaled[v*istride+i]
-			s1 := scaled[v*istride+i+1]
-			s2 := scaled[v*istride+i+2]
-			s3 := scaled[v*istride+i+3]
-			o := out[v*ostride : v*ostride+ncols]
-			if s0 != 0 && s1 != 0 && s2 != 0 && s3 != 0 {
-				for j, gj := range g0 {
-					o[j] = o[j] + s0*gj + s1*g1[j] + s2*g2[j] + s3*g3[j]
-				}
-				continue
-			}
-			for q, s := range [4]float64{s0, s1, s2, s3} {
-				if s == 0 {
-					continue
-				}
-				for j, gj := range gq[q] {
-					o[j] += s * gj
-				}
-			}
-		}
-	}
-	for ; i < rows; i++ {
-		grow := g[i*b+col0 : i*b+col0+ncols]
-		for v := 0; v < nvec; v++ {
-			s := scaled[v*istride+i]
-			if s == 0 {
-				continue
-			}
-			o := out[v*ostride : v*ostride+ncols]
-			for j, gj := range grow {
-				o[j] += s * gj
+		for k, w := range acc[v*nw : v*nw+nw] {
+			for j := k * lanes; j < min((k+1)*lanes, ncols); j++ {
+				o[j] = int64(w & mask)
+				w >>= width
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // Batched inference: when every mapped layer's noise configuration is
 // deterministic, inputs can be regrouped into matrix–matrix ForwardBatch
@@ -124,7 +120,7 @@ func (a *AnalogMLP) AccuracyBatch(d *Dataset) (float64, error) {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len()), nil
+	return hitRate(hit, d.Len()), nil
 }
 
 // BatchSafe reports whether cross-image batching is bit-identical for
@@ -134,51 +130,41 @@ func (a *AnalogCNN) BatchSafe() bool {
 	return a.convMap.BatchDeterministic() && a.head.BatchSafe()
 }
 
-// AccuracyBatch evaluates the analog pipeline over a dataset, fanning
-// blocks of images through one conv ForwardBatch wave (all patches of all
-// block images at once) and the head's layer-major batched path. The
-// returned accuracy is identical to Accuracy's; when BatchSafe is false
-// it falls back to the per-image path outright.
+// Programmed returns the programmed level of every cell each mapped layer
+// reads — the conv bank's, then each head layer's — as one string. It is a
+// valid identity only when BatchSafe holds: then the whole pipeline is a
+// pure function of these levels, so two AnalogCNNs mapped from the same CNN
+// under the same options with equal Programmed() classify every image the
+// same way. Stuck-at faults outside the cells a layer reads leave it
+// unchanged.
+func (a *AnalogCNN) Programmed() string {
+	buf := a.convMap.AppendLevels(nil)
+	for _, m := range a.head.mapped {
+		buf = m.AppendLevels(buf)
+	}
+	return string(buf)
+}
+
+// AccuracyBatch evaluates the analog pipeline over a dataset: each image's
+// patches take one conv ForwardBatch wave (already a matrix–matrix pass),
+// and blocks of images go through the head's layer-major batched path. The
+// returned accuracy is identical to Accuracy's; when BatchSafe is false it
+// falls back to the per-image path outright.
 func (a *AnalogCNN) AccuracyBatch(d *ImageDataset) (float64, error) {
-	if !a.BatchSafe() || d.Len() == 0 {
+	if !a.BatchSafe() {
 		return a.Accuracy(d)
 	}
-	c := a.cnn
 	preds := make([]int, d.Len())
 	feats := make([][]float64, 0, predictBlock)
 	for base := 0; base < d.Len(); base += predictBlock {
-		n := d.Len() - base
-		if n > predictBlock {
-			n = predictBlock
-		}
-		rows, e, f := tensor.Im2ColDims(d.X[base], c.Filters.Z, c.Filters.G, c.Stride, c.Pad)
-		pf := e * f // patches per image
-		if cap(a.inputs) < n*pf*rows {
-			a.inputs = make([]int, n*pf*rows)
-		}
-		inputs := a.inputs[:n*pf*rows]
-		for v := 0; v < n; v++ {
-			tensor.Im2ColIntoInts(d.X[base+v], c.Filters.Z, c.Filters.G, c.Stride, c.Pad,
-				inputs[v*pf*rows:(v+1)*pf*rows])
-		}
-		if cap(a.psums) < n*pf*c.Filters.D {
-			a.psums = make([]int, n*pf*c.Filters.D)
-		}
-		psums := a.psums[:n*pf*c.Filters.D]
-		if err := a.convMap.ForwardBatch(inputs, n*pf, psums); err != nil {
-			return 0, err
-		}
+		n := min(d.Len()-base, predictBlock)
 		feats = feats[:0]
-		for v := 0; v < n; v++ {
-			conv := tensor.NewInt(c.Filters.D, e, f)
-			for p := 0; p < pf; p++ {
-				for dch := 0; dch < c.Filters.D; dch++ {
-					conv.Data[dch*pf+p] = int32(psums[(v*pf+p)*c.Filters.D+dch])
-				}
+		for _, img := range d.X[base : base+n] {
+			feat, err := a.features(img)
+			if err != nil {
+				return 0, err
 			}
-			tensor.RequantizeShift(conv, c.FeatShift, 255)
-			pooled := tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
-			feats = append(feats, featVec(pooled))
+			feats = append(feats, feat)
 		}
 		if err := a.head.PredictBatch(feats, preds[base:base+n]); err != nil {
 			return 0, err
@@ -190,5 +176,5 @@ func (a *AnalogCNN) AccuracyBatch(d *ImageDataset) (float64, error) {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len()), nil
+	return hitRate(hit, d.Len()), nil
 }

@@ -163,7 +163,7 @@ func (c *CNN) AccuracyInt(d *ImageDataset) float64 {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len())
+	return hitRate(hit, d.Len())
 }
 
 // AnalogCNN is a CNN programmed onto functional TIMELY sub-chips: one for
@@ -195,6 +195,12 @@ func (c *CNN) MapAnalog(opt core.Options, faultRate float64) (*AnalogCNN, error)
 			return nil, err
 		}
 	}
+	return c.mapOnto(sc, opt, faults)
+}
+
+// mapOnto programs the conv bank onto sc (whose faults, already injected,
+// number faults) and the head onto fresh sub-chips built from opt.
+func (c *CNN) mapOnto(sc *core.SubChip, opt core.Options, faults int) (*AnalogCNN, error) {
 	convMap, err := sc.MapDense(core.FlattenFilter(c.Filters))
 	if err != nil {
 		return nil, err
@@ -213,6 +219,17 @@ func (a *AnalogCNN) Faults() int { return a.faultMap }
 // the mapped crossbars, digital requantisation + pooling, then the analog
 // head.
 func (a *AnalogCNN) Predict(img *tensor.Int) (int, error) {
+	feat, err := a.features(img)
+	if err != nil {
+		return 0, err
+	}
+	return a.head.Predict(feat)
+}
+
+// features runs one image's patches through the mapped conv bank in a
+// single ForwardBatch wave, then requantises and pools the psums into the
+// head's input vector.
+func (a *AnalogCNN) features(img *tensor.Int) ([]float64, error) {
 	c := a.cnn
 	rows, e, f := tensor.Im2ColDims(img, c.Filters.Z, c.Filters.G, c.Stride, c.Pad)
 	if cap(a.inputs) < rows*e*f {
@@ -225,7 +242,7 @@ func (a *AnalogCNN) Predict(img *tensor.Int) (int, error) {
 	}
 	psums := a.psums[:e*f*c.Filters.D]
 	if err := a.convMap.ForwardBatch(inputs, e*f, psums); err != nil {
-		return 0, err
+		return nil, err
 	}
 	conv := tensor.NewInt(c.Filters.D, e, f)
 	for p := 0; p < e*f; p++ {
@@ -234,8 +251,7 @@ func (a *AnalogCNN) Predict(img *tensor.Int) (int, error) {
 		}
 	}
 	tensor.RequantizeShift(conv, c.FeatShift, 255)
-	pooled := tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
-	return a.head.Predict(featVec(pooled))
+	return featVec(tensor.MaxPool2D(conv, c.PoolK, c.PoolS)), nil
 }
 
 // Accuracy evaluates the analog pipeline over a dataset.
@@ -250,5 +266,5 @@ func (a *AnalogCNN) Accuracy(d *ImageDataset) (float64, error) {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len()), nil
+	return hitRate(hit, d.Len()), nil
 }

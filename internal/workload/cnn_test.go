@@ -135,3 +135,77 @@ func TestMapAnalogErrors(t *testing.T) {
 		t.Errorf("fault injection without noise RNG accepted")
 	}
 }
+
+// TestProgrammedKey: AnalogCNN.Programmed identifies what a mapped CNN
+// reads. Fault-free draws share one key whatever their RNG; a stuck cell
+// inside the conv bank's read region that pins a different level changes
+// the key; faults that land elsewhere on the same crossbar do not.
+func TestProgrammedKey(t *testing.T) {
+	rng := stats.NewRNG(17)
+	cnn := NewCNN(rng, 8, 7)
+	if _, err := cnn.Train(rng, SyntheticImages(rng, 32, 12, 4, 0.05), 32, 1, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	opts := func(seed uint64) core.Options {
+		return core.Options{Noise: &analog.Noise{RNG: stats.NewRNGSampler(seed, stats.SamplerV3)}, InterfaceBits: 24}
+	}
+	clean, err := cnn.MapAnalog(core.IdealOptions(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := clean.Programmed()
+	for seed := uint64(1); seed <= 3; seed++ {
+		a, err := cnn.MapAnalog(opts(seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.BatchSafe() || a.Programmed() != key {
+			t.Fatalf("rate-0 draw %d: BatchSafe %v, key equal %v", seed, a.BatchSafe(), a.Programmed() == key)
+		}
+	}
+	// The conv bank reads the first Z·G·C rows and D·2·2 columns of
+	// crossbar (0,0): 8-bit weights, two nibble columns per sign arm.
+	readRows, readCols := 9, 8*2*2
+	var inside, outside int
+	for seed := uint64(1); seed <= 60 && (inside == 0 || outside == 0); seed++ {
+		opt := opts(seed)
+		sc := core.NewSubChip(opt)
+		n, err := sc.InjectFaults(0.002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := cnn.mapOnto(sc, opt, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, ref := sc.Crossbar(0, 0), clean.convMap.AppendLevels(nil)
+		changed, faulty, read := false, 0, 0
+		for r := 0; r < x.B; r++ {
+			for c := 0; c < x.B; c++ {
+				if !x.IsFaulty(r, c) {
+					continue
+				}
+				faulty++
+				if r < readRows && c < readCols {
+					read++
+					changed = changed || x.Level(r, c) != ref[r*readCols+c]
+				}
+			}
+		}
+		switch {
+		case changed:
+			inside++
+			if a.Programmed() == key {
+				t.Fatalf("draw %d: a level-changing fault in the read region left the key unchanged", seed)
+			}
+		case faulty > 0 && read == 0:
+			outside++
+			if a.Programmed() != key {
+				t.Fatalf("draw %d: %d faults outside the read region changed the key", seed, faulty)
+			}
+		}
+	}
+	if inside == 0 || outside == 0 {
+		t.Fatalf("draws covered %d inside-fault and %d outside-fault cases, want both", inside, outside)
+	}
+}

@@ -134,7 +134,7 @@ func (n *ConvNet) Accuracy(d *ImageDataset) float64 {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len())
+	return hitRate(hit, d.Len())
 }
 
 // Train runs end-to-end SGD (conv + head) and returns the final epoch's

@@ -158,7 +158,7 @@ func (q *QuantMLP) AccuracyInt(d *Dataset) float64 {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len())
+	return hitRate(hit, d.Len())
 }
 
 // AnalogMLP is a QuantMLP programmed onto functional TIMELY sub-chips (one
@@ -239,7 +239,7 @@ func (a *AnalogMLP) Accuracy(d *Dataset) (float64, error) {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len()), nil
+	return hitRate(hit, d.Len()), nil
 }
 
 func argmax64(xs []int64) int {

@@ -169,16 +169,23 @@ func (m *MLP) Predict(x []float64) int {
 
 // Accuracy returns the fraction of correctly classified samples.
 func (m *MLP) Accuracy(d *Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
 	hit := 0
 	for i, x := range d.X {
 		if m.Predict(x) == d.Y[i] {
 			hit++
 		}
 	}
-	return float64(hit) / float64(d.Len())
+	return hitRate(hit, d.Len())
+}
+
+// hitRate is the fraction of n samples classified correctly. An empty
+// dataset scores 0, not the NaN of 0/0, so every accuracy function reports
+// the same number for it.
+func hitRate(hit, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(hit) / float64(n)
 }
 
 // Train runs SGD for the given epochs and learning rate, returning the final

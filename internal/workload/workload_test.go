@@ -180,3 +180,59 @@ func TestExtremeNoiseDegrades(t *testing.T) {
 		t.Errorf("extreme noise barely moved accuracy: %.3f vs %.3f", got, base)
 	}
 }
+
+// TestAccuracyEmptyDataset: every accuracy function — float, integer and
+// analog, per-sample and batched, MLP and CNN — scores an empty dataset 0,
+// not the NaN of 0/0.
+func TestAccuracyEmptyDataset(t *testing.T) {
+	rng := stats.NewRNG(3)
+	clusters := SyntheticClusters(rng, 40, 16, 4, 0.12)
+	mlp := NewMLP(rng, 16, 8, 4)
+	q, err := Quantize(mlp, clusters, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amlp, err := q.MapAnalog(core.IdealOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := SyntheticImages(rng, 16, 12, 4, 0.05)
+	cnn := NewCNN(rng, 8, 7)
+	if _, err := cnn.Train(rng, images, 8, 1, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	acnn, err := cnn.MapAnalog(core.IdealOptions(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv := NewConvNet(rng, 12, 4, 8, 4)
+
+	noClusters := &Dataset{Dim: 16, Classes: 4}
+	noImages := &ImageDataset{Size: 12, Classes: 4}
+	withErr := func(f func() (float64, error)) func() float64 {
+		return func() float64 {
+			acc, err := f()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return acc
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		acc  func() float64
+	}{
+		{"MLP.Accuracy", func() float64 { return mlp.Accuracy(noClusters) }},
+		{"QuantMLP.AccuracyInt", func() float64 { return q.AccuracyInt(noClusters) }},
+		{"AnalogMLP.Accuracy", withErr(func() (float64, error) { return amlp.Accuracy(noClusters) })},
+		{"AnalogMLP.AccuracyBatch", withErr(func() (float64, error) { return amlp.AccuracyBatch(noClusters) })},
+		{"CNN.AccuracyInt", func() float64 { return cnn.AccuracyInt(noImages) }},
+		{"AnalogCNN.Accuracy", withErr(func() (float64, error) { return acnn.Accuracy(noImages) })},
+		{"AnalogCNN.AccuracyBatch", withErr(func() (float64, error) { return acnn.AccuracyBatch(noImages) })},
+		{"ConvNet.Accuracy", func() float64 { return conv.Accuracy(noImages) }},
+	} {
+		if got := tc.acc(); got != 0 {
+			t.Errorf("%s on an empty dataset = %v, want 0", tc.name, got)
+		}
+	}
+}
