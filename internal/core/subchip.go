@@ -601,43 +601,25 @@ const batchBlock = 64
 // quantiser is the noise-free charging + TDC stage in integer form. An
 // integer column total maps to round(total / 2^shift), halves away from
 // zero, clamped to the interface's largest code — what the float
-// expression TDC.Convert(ChargingUnit.Output(total)) yields whenever the
-// quotient is not an exact tie (total mod 2^shift = 2^(shift−1)): the float
-// rounding error is far below the quotient's distance from the nearest
-// half. At a tie that error could fall either side of the half, so ties
-// take the float expression itself. With shift 0 (the 24-bit interface)
-// ties cannot occur; TestQuantiserExhaustive checks every total of the 8-
-// and 24-bit interfaces.
+// expression TDC.Convert(ChargingUnit.Output(total)) yields for every total
+// the 8- and 24-bit interfaces can produce, ties included (at 24 bits the
+// shift is 0 and no tie exists). TestQuantiserExhaustive checks every one.
 type quantiser struct {
-	shift                      uint
-	half, mask, tieAt, maxCode int64
-	cu                         analog.ChargingUnit
-	tdc                        analog.TDC
+	shift         uint
+	half, maxCode int64
 }
 
 func (m *MappedLayer) quantiser() quantiser {
-	cu := m.chargingUnit()
-	// A shift-0 quantiser has no ties: total&0 never equals tieAt −1.
-	q := quantiser{shift: uint(m.ScaleShift), tieAt: -1, maxCode: int64(cu.MaxCode()), cu: cu, tdc: m.sc.tdc}
+	q := quantiser{shift: uint(m.ScaleShift), maxCode: int64(m.chargingUnit().MaxCode())}
 	if m.ScaleShift > 0 {
 		q.half = int64(1) << (m.ScaleShift - 1)
-		q.mask, q.tieAt = 2*q.half-1, q.half
 	}
 	return q
 }
 
 // code quantises a non-negative integer column total.
 func (q *quantiser) code(total int64) int {
-	if total&q.mask == q.tieAt {
-		return q.tie(total)
-	}
 	return int(min((total+q.half)>>q.shift, q.maxCode))
-}
-
-// tie quantises an exact tie through the float expression (kept out of
-// code so the common case inlines).
-func (q *quantiser) tie(total int64) int {
-	return q.tdc.Convert(q.cu.Output(float64(total), nil), nil)
 }
 
 // forwardBatchDet is the deterministic ForwardBatch fast path, exact

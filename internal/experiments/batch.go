@@ -129,7 +129,12 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		faults int
 	}
 	units := make([]unit, len(seeds)*trials)
-	accs := make([]memo[float64], len(seeds))
+	// One draw per seed can never repeat, so a single-trial call skips the
+	// memo and its per-draw Programmed key.
+	var accs []memo[float64]
+	if trials > 1 {
+		accs = make([]memo[float64], len(seeds))
+	}
 	err = parallelEach(ctx, len(units), func(i int) error {
 		m, d := i/trials, i%trials
 		seed := seeds[m]
@@ -140,7 +145,12 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		if err != nil {
 			return err
 		}
-		acc, err := defectAccuracy(&accs[m], a, tcs[m].test)
+		var acc float64
+		if accs == nil {
+			acc, err = a.AccuracyBatch(tcs[m].test)
+		} else {
+			acc, err = defectAccuracy(&accs[m], a, tcs[m].test)
+		}
 		if err != nil {
 			return err
 		}

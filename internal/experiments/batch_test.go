@@ -82,3 +82,27 @@ func TestBatchedDefectByteIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalogCNNAccuracyBatchMemoMatchesDirect checks the distinct-CNN memo
+// against direct evaluation: at fault rate 0 every draw programs the same
+// cells, so the median draw of a three-trial call (memoised, two hits per
+// seed) must be exactly the accuracy a single-trial call (no memo)
+// evaluates directly.
+func TestAnalogCNNAccuracyBatchMemoMatchesDirect(t *testing.T) {
+	ctx := context.Background()
+	seeds := []uint64{5, 6}
+	direct, err := AnalogCNNAccuracyBatch(ctx, seeds, 1, 0, stats.SamplerV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoised, err := AnalogCNNAccuracyBatch(ctx, seeds, 3, 0, stats.SamplerV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, seed := range seeds {
+		d, r := direct[m], memoised[m]
+		if r.AccP50 != d.AnalogAcc {
+			t.Errorf("seed %d: memoised %+v, direct accuracy %v", seed, r, d.AnalogAcc)
+		}
+	}
+}
