@@ -124,7 +124,7 @@ func BenchmarkAccuracy(b *testing.B) {
 	var res *experiments.AccuracyResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunAccuracy(context.Background(), 2020, 3, stats.SamplerDefault)
+		res, err = experiments.RunAccuracy(context.Background(), 2020, 3)
 		if err != nil {
 			b.Fatal(err)
 		}

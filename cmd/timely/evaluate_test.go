@@ -126,20 +126,25 @@ func TestEvaluateFunctionalBackend(t *testing.T) {
 	if !strings.Contains(out, "sampler") || !strings.Contains(out, "v3") {
 		t.Errorf("default sampler regime missing from output:\n%s", out)
 	}
-	v1 := runOut(t, "evaluate", "-network", "mlp", "-backend", "functional", "-trials", "2", "-noise", "0", "-sampler", "v1")
-	if !strings.Contains(v1, "v1") {
-		t.Errorf("explicit v1 regime missing from output:\n%s", v1)
+	v3 := runOut(t, "evaluate", "-network", "mlp", "-backend", "functional", "-trials", "2", "-noise", "0", "-sampler", "v3")
+	if !strings.Contains(v3, "v3") {
+		t.Errorf("explicit v3 regime missing from output:\n%s", v3)
 	}
 }
 
 // TestEvaluateSamplerErrors: regime validation surfaces through the
-// evaluate subcommand for both a bad spelling and an inapplicable backend.
+// evaluate subcommand for a bad spelling, a retired regime and an
+// inapplicable backend.
 func TestEvaluateSamplerErrors(t *testing.T) {
 	if err := run([]string{"evaluate", "-network", "mlp", "-backend", "functional", "-sampler", "v9"},
 		io.Discard, io.Discard); err == nil {
 		t.Error("invalid sampler accepted")
 	}
-	if err := run([]string{"evaluate", "-network", "VGG-D", "-backend", "timely", "-sampler", "v2"},
+	if err := run([]string{"evaluate", "-network", "cnn", "-backend", "functional", "-sampler", "v1"},
+		io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "d9a0b33") {
+		t.Errorf("retired sampler v1: err = %v, want the retirement error naming d9a0b33", err)
+	}
+	if err := run([]string{"evaluate", "-network", "VGG-D", "-backend", "timely", "-sampler", "v3"},
 		io.Discard, io.Discard); err == nil {
 		t.Error("sampler accepted on an analytic backend")
 	}

@@ -19,9 +19,9 @@
 //	-out <dir>              write one file per experiment into dir
 //	-par N                  run N experiments concurrently (default GOMAXPROCS)
 //	-timeout <dur>          abort the run after this long (e.g. 30s; 0 = none)
-//	-sampler v1|v2|v3       Monte-Carlo sampling regime (default v3, the
-//	                        counter-based keyed generator; v1/v2 keep the
-//	                        earlier byte-identical deviate streams)
+//	-sampler v3             Monte-Carlo stream contract (v3, the only one:
+//	                        counter-based keyed generators; the retired
+//	                        v1/v2 exit 1 naming d9a0b33, their last commit)
 //	-v                      print a per-experiment timing summary to stderr
 //	-cpuprofile <file>      write a pprof CPU profile of the run
 //	-memprofile <file>      write a pprof heap profile taken after the run
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&opt.outDir, "out", "", "write one file per experiment into this directory")
 	fs.IntVar(&opt.par, "par", runtime.GOMAXPROCS(0), "number of experiments to run concurrently")
 	fs.DurationVar(&opt.timeout, "timeout", 0, "abort the run after this long (0 = no timeout)")
-	fs.StringVar(&opt.sampler, "sampler", "v3", "Monte-Carlo sampling regime: v3 (counter-based, parallel-stable), v2 (sublinear) or v1 (legacy byte-identical streams)")
+	fs.StringVar(&opt.sampler, "sampler", "v3", "Monte-Carlo stream contract: v3 (counter-based, parallel-stable; v1 and v2 are retired)")
 	fs.BoolVar(&opt.vrbose, "v", false, "print a per-experiment timing summary to stderr")
 	fs.StringVar(&opt.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	fs.StringVar(&opt.memprofile, "memprofile", "", "write a pprof heap profile taken after the run to this file")
@@ -146,9 +146,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown format %q (want text, csv or json)", opt.format)
 	}
-	sampler, err := stats.ParseSamplerVersion(opt.sampler)
-	if err != nil {
-		return fmt.Errorf("unknown sampler %q (want v1, v2 or v3)", opt.sampler)
+	if _, err := stats.ParseSamplerVersion(opt.sampler); err != nil {
+		return fmt.Errorf("-sampler: %w", err)
 	}
 	// The worker pool treats any par < 1 as one worker; clamp here so the
 	// timing summary and docs never see a nonsensical value either.
@@ -181,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, opt.timeout)
 		defer cancel()
 	}
-	results := experiments.Run(ctx, exps, experiments.Options{Par: opt.par, Sampler: sampler})
+	results := experiments.Run(ctx, exps, experiments.Options{Par: opt.par})
 	if opt.vrbose {
 		timingSummary(stderr, results)
 	}
@@ -312,7 +311,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "  -out <dir>             write one file per experiment into dir")
 	fmt.Fprintln(w, "  -par N                 concurrent experiments (default GOMAXPROCS)")
 	fmt.Fprintln(w, "  -timeout <dur>         abort the run after this long (0 = none)")
-	fmt.Fprintln(w, "  -sampler v1|v2|v3      Monte-Carlo sampling regime (default v3; v1/v2 = earlier streams)")
+	fmt.Fprintln(w, "  -sampler v3            Monte-Carlo stream contract (v3 only; v1/v2 retired after d9a0b33)")
 	fmt.Fprintln(w, "  -v                     per-experiment timing summary on stderr")
 	fmt.Fprintln(w, "  -cpuprofile <file>     write a pprof CPU profile of the run")
 	fmt.Fprintln(w, "  -memprofile <file>     write a pprof heap profile after the run")

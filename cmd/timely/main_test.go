@@ -111,19 +111,25 @@ func TestListAndUnknown(t *testing.T) {
 	}
 }
 
-// TestSamplerFlag: the regime flag validates its spelling, defaults to v3,
-// and the analytic experiments are regime-independent (identical bytes
-// under every regime).
+// TestSamplerFlag: the stream-contract flag validates its spelling,
+// accepts only v3 (the bytes of the default run), and the retired v1/v2
+// fail on both the experiment harness and the evaluate subcommand with an
+// error naming d9a0b33, the last commit that supports them.
 func TestSamplerFlag(t *testing.T) {
 	if err := run([]string{"table5", "-sampler", "v9"}, io.Discard, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "sampler") {
 		t.Errorf("unknown sampler accepted (err = %v)", err)
 	}
-	def := runOut(t, "table5")
-	for _, v := range []string{"v1", "v2", "v3"} {
-		if got := runOut(t, "table5", "-sampler", v); got != def {
-			t.Errorf("analytic experiment bytes changed under -sampler %s", v)
+	for _, args := range [][]string{
+		{"all", "-sampler", "v1"},
+		{"evaluate", "-network", "mlp", "-backend", "functional", "-sampler", "v2"},
+	} {
+		if err := run(args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "d9a0b33") {
+			t.Errorf("%v: err = %v, want the retirement error naming d9a0b33", args, err)
 		}
+	}
+	if got, def := runOut(t, "table5", "-sampler", "v3"), runOut(t, "table5"); got != def {
+		t.Error("experiment bytes changed under -sampler v3")
 	}
 	if !strings.Contains(runOut(t, "-h"), "-sampler") {
 		t.Error("usage does not document -sampler")

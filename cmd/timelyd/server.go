@@ -757,10 +757,11 @@ func (s *server) handleExperimentIndex(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment regenerates one paper artifact under the admitted
 // request context (deadline class "experiment", minus any queue wait) and
-// writes it in the negotiated representation. The optional
-// ?sampler=v1|v2|v3 query parameter selects the Monte-Carlo sampling
-// regime (default v3, the counter-based keyed generator; v1/v2 reproduce
-// the earlier pinned byte streams). The artifact is rendered into a
+// writes it in the negotiated representation. The optional ?sampler=v3
+// query parameter names the Monte-Carlo stream contract (v3, the
+// counter-based keyed generator, is the only one); the retired v1 and v2
+// answer 400 naming d9a0b33, the last commit that supports them. The
+// artifact is rendered into a
 // buffer BEFORE any header is written, so a render failure surfaces as a
 // clean 500 instead of a 200 with a truncated body.
 func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -769,8 +770,7 @@ func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sampler, err := stats.ParseSamplerVersion(r.URL.Query().Get("sampler"))
-	if err != nil {
+	if _, err := stats.ParseSamplerVersion(r.URL.Query().Get("sampler")); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -780,7 +780,7 @@ func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := experiments.Run(r.Context(), []experiments.Experiment{e},
-		experiments.Options{Par: s.cfg.Par, Sampler: sampler})
+		experiments.Options{Par: s.cfg.Par})
 	if rerr := results[0].Err; rerr != nil {
 		s.writeComputeError(w, r, fmt.Errorf("%s: %w", e.ID, rerr))
 		return

@@ -501,22 +501,38 @@ func TestExperimentArtifact(t *testing.T) {
 	errorBody(t, body)
 }
 
-// TestExperimentSamplerParam: the ?sampler= query selects the Monte-Carlo
-// regime — analytic artifacts are regime-independent, bad spellings 400.
+// TestExperimentSamplerParam: the ?sampler= query and the evaluate body's
+// "sampler" accept only v3 (the default's bytes); bad spellings and the
+// retired v1/v2 answer 400, the retired ones naming d9a0b33.
 func TestExperimentSamplerParam(t *testing.T) {
 	ts := testServer(t)
 	_, def, _ := get(t, ts, "/v1/experiments/table5", "")
-	for _, v := range []string{"v1", "v2", "v3"} {
+	if status, body, _ := get(t, ts, "/v1/experiments/table5?sampler=v3", ""); status != http.StatusOK || body != def {
+		t.Errorf("sampler=v3: status %d, bytes changed=%v", status, body != def)
+	}
+	for _, v := range []string{"bogus", "v1", "v2"} {
 		status, body, _ := get(t, ts, "/v1/experiments/table5?sampler="+v, "")
-		if status != http.StatusOK || body != def {
-			t.Errorf("sampler=%s: status %d, bytes changed=%v", v, status, body != def)
+		if status != http.StatusBadRequest {
+			t.Errorf("sampler=%s: status %d, want 400", v, status)
+		}
+		if msg := errorBody(t, body); v != "bogus" && !strings.Contains(msg, "d9a0b33") {
+			t.Errorf("sampler=%s: error %q does not name d9a0b33", v, msg)
 		}
 	}
-	status, body, _ := get(t, ts, "/v1/experiments/table5?sampler=bogus", "")
-	if status != http.StatusBadRequest {
-		t.Errorf("bogus sampler: status %d, want 400", status)
+	status, body := postEvaluate(t, ts, `{"backend":"functional","network":"mlp","trials":1,"sampler":"v1"}`)
+	if status != http.StatusBadRequest || !strings.Contains(errorBody(t, body), "d9a0b33") {
+		t.Errorf("evaluate with sampler v1: status %d, body %s; want 400 naming d9a0b33", status, body)
 	}
-	errorBody(t, body)
+	if testing.Short() {
+		return
+	}
+	// An explicit "v3" is the default contract: same bytes, elapsed_ms aside.
+	norm := func(s string) string { return elapsedRe.ReplaceAllString(s, `"elapsed_ms": 0`) }
+	_, implicit := postEvaluate(t, ts, `{"backend":"functional","network":"cnn","trials":2,"fault_rate":0.01}`)
+	status, explicit := postEvaluate(t, ts, `{"backend":"functional","network":"cnn","trials":2,"fault_rate":0.01,"sampler":"v3"}`)
+	if status != http.StatusOK || norm(explicit) != norm(implicit) {
+		t.Errorf("sampler v3 body differs from the default:\n%s\nvs\n%s", explicit, implicit)
+	}
 }
 
 // TestConcurrentRequests exercises the memoized caches and the worker pool

@@ -19,10 +19,7 @@ func main() {
 	ctx := context.Background()
 
 	// Design point: the paper's ε=10 ps per X-subBuf, 12-hop cascade.
-	// WithSampler selects the Monte-Carlo regime — "v2" (the default,
-	// shown here explicitly) draws its Gaussians through the Ziggurat hot
-	// path; "v1" reproduces the legacy Box-Muller streams byte for byte.
-	b, err := sim.Open("functional", sim.WithSeed(7), sim.WithTrials(5), sim.WithSampler("v2"))
+	b, err := sim.Open("functional", sim.WithSeed(7), sim.WithTrials(5))
 	if err != nil {
 		log.Fatal(err)
 	}

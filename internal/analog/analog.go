@@ -39,27 +39,16 @@ type Noise struct {
 }
 
 // DefaultNoise returns the paper's design-point noise configuration
-// (§V, §VI-B) seeded deterministically, drawing under the legacy v1
-// sampling regime (Box-Muller Gaussians); see DefaultNoiseSampler.
+// (§V, §VI-B) drawing from the counter-based trial stream
+// stats.NewTrialRNG(seed, 0).
 func DefaultNoise(seed uint64) *Noise {
-	return DefaultNoiseSampler(seed, stats.SamplerV1)
-}
-
-// DefaultNoiseSampler is DefaultNoise with an explicit sampling regime for
-// the injection RNG: stats.SamplerV2 and the counter-based default v3 draw
-// their Gaussians through the Ziggurat hot path, stats.SamplerV1 reproduces
-// the legacy Box-Muller stream byte for byte. The regime changes the
-// deviate sequence, not its distribution — the accuracy studies are
-// statistically identical under any of them (see the regime-equivalence
-// tests).
-func DefaultNoiseSampler(seed uint64, v stats.SamplerVersion) *Noise {
-	return DefaultNoiseRNG(stats.NewRNGSampler(seed, v))
+	return DefaultNoiseRNG(stats.NewTrialRNG(seed, 0))
 }
 
 // DefaultNoiseRNG is the design-point noise configuration driven by a
 // caller-supplied generator. Monte-Carlo studies that key their generators
-// by trial coordinates (stats.NewTrialRNG under the v3 regime) build their
-// per-trial noise through this instead of re-deriving seeds additively.
+// by trial coordinates (stats.NewTrialRNG) build their per-trial noise
+// through this.
 func DefaultNoiseRNG(rng *stats.RNG) *Noise {
 	return &Noise{
 		XSubBufSigma:    params.DefaultXSubBufSigma,

@@ -175,7 +175,7 @@ func TestLazyCrossbarMaterialisation(t *testing.T) {
 
 	// Deferred injection must replay to the same faults as eager injection.
 	mk := func(eager bool) (*SubChip, int) {
-		sc := NewSubChip(Options{Noise: &analog.Noise{RNG: stats.NewRNG(77)}, InterfaceBits: 24})
+		sc := NewSubChip(Options{Noise: &analog.Noise{RNG: stats.NewTrialRNG(77, 0)}, InterfaceBits: 24})
 		if eager {
 			for i := range sc.grid {
 				sc.xbar(i)
@@ -219,7 +219,11 @@ func TestForwardBatchNonIntegralCrossbars(t *testing.T) {
 		setup func(*SubChip)
 		det   bool
 	}{
-		{"variation", func(s *SubChip) { s.ApplyDeviceVariation(0.05) }, false},
+		{"variation", func(s *SubChip) {
+			if err := s.ApplyDeviceVariation(0.05); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
 		{"ir-drop", func(s *SubChip) { s.ApplyIRDrop(0.3) }, false},
 		{"faults", func(s *SubChip) {
 			if _, err := s.InjectFaults(0.05); err != nil {
@@ -227,7 +231,7 @@ func TestForwardBatchNonIntegralCrossbars(t *testing.T) {
 			}
 		}, true},
 	} {
-		s := NewSubChip(Options{Noise: &analog.Noise{RNG: stats.NewRNG(31)}, InterfaceBits: 24})
+		s := NewSubChip(Options{Noise: &analog.Noise{RNG: stats.NewTrialRNG(31, 0)}, InterfaceBits: 24})
 		tc.setup(s)
 		m, err := s.MapDense(randomDense(stats.NewRNG(37), d, rows, s.cfg.WeightBits))
 		if err != nil {

@@ -320,13 +320,15 @@ func TestNoiseErrorGrowsWithSigma(t *testing.T) {
 // TestDeviceVariationShiftsPsums: programmed conductance variation perturbs
 // results but preserves zero-input behaviour.
 func TestDeviceVariationShiftsPsums(t *testing.T) {
-	noise := &analog.Noise{RNG: stats.NewRNG(55)}
+	noise := &analog.Noise{RNG: stats.NewTrialRNG(55, 0)}
 	s := NewSubChip(Options{Noise: noise, InterfaceBits: 24})
 	m, err := s.MapDense([][]int{{10, -20, 30, 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ApplyDeviceVariation(0.05)
+	if err := s.ApplyDeviceVariation(0.05); err != nil {
+		t.Fatal(err)
+	}
 	zero, err := m.Compute([]int{0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -59,18 +60,16 @@ type Options struct {
 }
 
 // pendingInject records a fault-injection pass deferred on a
-// not-yet-materialised crossbar: the fault map was already counted against
-// the live RNG, and rng is a clone snapshotted before the count so
-// materialisation replays the identical faults. Under the counter-based v3
-// regime the snapshot is the slot's own keyed substream at block 0 rather
-// than a point on the shared serial stream — replay is then independent of
-// the order in which other slots were counted or materialised.
+// not-yet-materialised crossbar: the fault total was already counted, and
+// rng is the slot's own keyed substream at block 0, so materialisation
+// replays the identical faults independently of the order in which other
+// slots were counted or materialised.
 type pendingInject struct {
 	rate float64
 	rng  *stats.RNG
 }
 
-// Substream lanes of the v3 counter-based regime (see stats.Substream):
+// Substream lanes of the noise RNG's trial stream (see stats.Substream):
 // lane 0 — the main stream — carries the strictly-ordered noise draws of
 // the compute path; stuck-at fault injection and device variation each own
 // a lane whose index keys (pass, grid slot), so per-crossbar draws are
@@ -123,8 +122,8 @@ type SubChip struct {
 	// pending holds deferred fault injections per slot (nil when none).
 	pending [][]pendingInject
 	// faultPasses / variationPasses count the completed InjectFaults /
-	// ApplyDeviceVariation passes, so repeated passes under the v3 regime
-	// key fresh substreams instead of replaying the previous pass's draws.
+	// ApplyDeviceVariation passes, so repeated passes key fresh substreams
+	// instead of replaying the previous pass's draws.
 	faultPasses, variationPasses int
 
 	dtc  analog.DTC
@@ -190,27 +189,29 @@ func (s *SubChip) Crossbar(row, col int) *reram.Crossbar {
 	return s.xbar(row*s.cfg.GridCols + col)
 }
 
-// ApplyDeviceVariation draws per-cell conductance errors on every crossbar.
-// Under the v3 counter-based regime each grid slot draws from its own keyed
-// substream (laneVariation, pass·slots+slot); under v1/v2 the slots consume
-// the shared serial stream in slot order, as they always have.
-func (s *SubChip) ApplyDeviceVariation(sigma float64) {
+// ApplyDeviceVariation draws per-cell conductance errors on every crossbar,
+// each grid slot from its own keyed substream (laneVariation,
+// pass·slots+slot) of the noise RNG. Without a noise RNG it does nothing;
+// a noise RNG that is not a counter-based trial stream is an error.
+func (s *SubChip) ApplyDeviceVariation(sigma float64) error {
 	if s.noise == nil || s.noise.RNG == nil {
-		return
+		return nil
 	}
 	rng := s.noise.RNG
-	if rng.Sampler() == stats.SamplerV3 {
-		pass := s.variationPasses
-		s.variationPasses++
-		for i := range s.grid {
-			s.xbar(i).ApplyVariation(sigma, rng.Substream(laneVariation, uint32(pass*len(s.grid)+i)))
-		}
-		return
+	if !rng.Philox() {
+		return errSerialRNG
 	}
+	pass := s.variationPasses
+	s.variationPasses++
 	for i := range s.grid {
-		s.xbar(i).ApplyVariation(sigma, rng)
+		s.xbar(i).ApplyVariation(sigma, rng.Substream(laneVariation, uint32(pass*len(s.grid)+i)))
 	}
+	return nil
 }
+
+// errSerialRNG rejects per-slot draws on a noise RNG without substream
+// coordinates (a stats.NewRNG generator).
+var errSerialRNG = errors.New("core: fault and variation draws need a counter-based noise RNG (stats.NewTrialRNG)")
 
 // ApplyIRDrop configures wire-resistance attenuation on every crossbar
 // (see reram.SetIRDrop). Apply before MapDense so the per-layer scale is
@@ -230,37 +231,29 @@ func (s *SubChip) ApplyIRDrop(alpha float64) {
 // the array back so its per-layer scale covers the faulted conductances.
 // Requires a noise RNG.
 //
-// Crossbars not yet materialised only have their faults counted here, and
-// the physical injection is replayed from an RNG snapshot if the crossbar
-// is touched later, so the returned total and all downstream results match
-// an eager injection exactly.
-//
-// The regimes differ in where the draws come from. Under v1/v2 every slot
-// consumes the shared serial noise stream in slot order, so the snapshot is
-// a point on that stream and reram.CountStuckFaults must advance it exactly
-// as the injection would — O(cells) per crossbar under v1, one binomial
-// count plus O(faults) position/polarity draws under v2. Under the
-// counter-based v3 regime each slot owns the keyed substream
-// (laneFaults, pass·slots+slot) of the study's (seed, trial) coordinates:
-// no slot's draws depend on any other slot's and the main noise stream is
-// not advanced at all — the property that makes trial-parallel runs
-// byte-stable at any worker count. Nothing reads a v3 slot stream after
-// its count, so an unmaterialised slot draws only the binomial count
-// (reram.StuckFaultCount, the first draw of the injection it defers).
+// Each slot draws from the keyed substream (laneFaults, pass·slots+slot)
+// of the noise RNG's (seed, trial) coordinates: no slot's draws depend on
+// any other slot's and the main noise stream is not advanced at all — the
+// property that makes trial-parallel runs byte-stable at any worker count.
+// Crossbars not yet materialised only draw their binomial fault count here
+// (reram.StuckFaultCount, the first draw of the injection it defers), and
+// the physical injection is replayed from the slot's substream if the
+// crossbar is touched later, so the returned total and all downstream
+// results match an eager injection exactly. A noise RNG that is not a
+// counter-based trial stream is an error.
 func (s *SubChip) InjectFaults(rate float64) (int, error) {
 	if s.noise == nil || s.noise.RNG == nil {
 		return 0, fmt.Errorf("core: fault injection needs Options.Noise with an RNG")
 	}
 	rng := s.noise.RNG
-	v3 := rng.Sampler() == stats.SamplerV3
+	if !rng.Philox() {
+		return 0, errSerialRNG
+	}
 	pass := s.faultPasses
 	total := 0
 	cells := s.cfg.B * s.cfg.B
 	for i := range s.grid {
-		r := rng
-		if v3 {
-			r = rng.Substream(laneFaults, uint32(pass*len(s.grid)+i))
-		}
+		r := rng.Substream(laneFaults, uint32(pass*len(s.grid)+i))
 		if x := s.grid[i]; x != nil {
 			fm, err := x.InjectStuckFaults(rate, r)
 			if err != nil {
@@ -270,15 +263,7 @@ func (s *SubChip) InjectFaults(rate float64) (int, error) {
 			continue
 		}
 		snap := r.Clone()
-		var n int
-		var err error
-		if v3 {
-			n, err = reram.StuckFaultCount(cells, rate, r)
-		} else {
-			var fm reram.FaultMap
-			fm, err = reram.CountStuckFaults(cells, rate, r)
-			n = fm.Total()
-		}
+		n, err := reram.StuckFaultCount(cells, rate, r)
 		if err != nil {
 			return 0, err
 		}

@@ -34,11 +34,10 @@ func cellsEqual(t *testing.T, a, b *SubChip, label string) {
 	}
 }
 
-// TestV3EagerLazyInjectionIdentical: under the counter-based regime the
-// deferred-injection replay must land the identical cells whether every
-// crossbar is materialised before the injection or only afterwards — the
-// same contract the serial regimes honour, now carried by per-slot keyed
-// substreams instead of snapshot points on one shared stream.
+// TestV3EagerLazyInjectionIdentical: the deferred-injection replay must
+// land the identical cells whether every crossbar is materialised before
+// the injection or only afterwards, a contract carried by per-slot keyed
+// substreams.
 func TestV3EagerLazyInjectionIdentical(t *testing.T) {
 	mk := func(eager bool) *SubChip {
 		sc := v3SubChip(3)
@@ -85,7 +84,9 @@ func TestV3InjectFaultsLeavesMainStreamUntouched(t *testing.T) {
 	if _, err := sc.InjectFaults(0.1); err != nil {
 		t.Fatal(err)
 	}
-	sc.ApplyDeviceVariation(0.1)
+	if err := sc.ApplyDeviceVariation(0.1); err != nil {
+		t.Fatal(err)
+	}
 	if sc.noise.RNG.Uint64() != ref.Uint64() {
 		t.Fatal("v3 fault/variation passes advanced the main noise stream")
 	}
@@ -162,5 +163,18 @@ func TestV3EagerLazyFaultTotals(t *testing.T) {
 			t.Fatalf("rate %v: InjectFaults returned %d, materialised grid has %d faulty cells",
 				rate, lazyTotal, faulty)
 		}
+	}
+}
+
+// TestSerialNoiseRNGRejected: per-slot fault and variation draws need
+// substream coordinates, so a NewRNG noise generator is an error, not a
+// panic.
+func TestSerialNoiseRNGRejected(t *testing.T) {
+	sc := NewSubChip(Options{Noise: &analog.Noise{RNG: stats.NewRNG(1)}, InterfaceBits: 24})
+	if _, err := sc.InjectFaults(0.1); err == nil {
+		t.Error("InjectFaults on a NewRNG noise generator succeeded")
+	}
+	if err := sc.ApplyDeviceVariation(0.1); err == nil {
+		t.Error("ApplyDeviceVariation on a NewRNG noise generator succeeded")
 	}
 }

@@ -65,10 +65,7 @@ type DefectPoint struct {
 // over several fault-map draws (§V: "TIMELY ... leverages algorithm
 // resilience of CNNs/DNNs to counter hardware vulnerability"; no
 // defect-aware retraining or remapping is applied, so this is the
-// unprotected floor the rescue literature improves on). The fault maps
-// draw under the given sampling regime: v1 spends one deviate per cell of
-// the 16×12 crossbar grid (~12.6M per draw), v2 one binomial count per
-// crossbar plus O(faults) position/polarity draws. Under v3 each draw's
+// unprotected floor the rescue literature improves on). Each draw's
 // generator is keyed by its (seed, draw) coordinates and each crossbar by
 // its grid slot, so the sweep is byte-stable at any worker count by
 // construction rather than by careful stream ordering; and because no
@@ -77,8 +74,7 @@ type DefectPoint struct {
 // slots alone. Draws that program identical cells (every rate-0 draw, and
 // most low-rate draws, whose faults miss the cells the CNN reads) share one
 // accuracy evaluation; their fault maps are still drawn one by one.
-func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stats.SamplerVersion) ([]DefectPoint, error) {
-	sampler = sampler.Resolve()
+func DefectSweep(ctx context.Context, seed uint64, rates []float64) ([]DefectPoint, error) {
 	tc, err := defectCNN(seed)
 	if err != nil {
 		return nil, err
@@ -97,7 +93,7 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stat
 	err = parallelEach(ctx, len(units), func(i int) error {
 		rate, d := rates[i/draws], i%draws
 		a, err := cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: trialRNG(seed, d, seed+uint64(d)*101+1, sampler)},
+			Noise:         &analog.Noise{RNG: stats.NewTrialRNG(seed, uint32(d))},
 			InterfaceBits: 24,
 		}, rate)
 		if err != nil {
@@ -141,20 +137,17 @@ type DefectResult struct {
 	Faults int
 	// Trials is the fault-map draw count.
 	Trials int
-	// Sampler is the resolved sampling regime the fault maps drew under.
-	Sampler stats.SamplerVersion
 }
 
 // AnalogCNNAccuracy maps the synthetic-image CNN (memoized per seed, shared
 // with DefectSweep) onto faulty crossbars at one stuck-at rate and measures
 // the analog accuracy over trials independent fault-map draws. Draw d uses
-// the same RNG stream DefectSweep gives its d-th draw under the same
-// regime, so the facade and the ablation experiment agree exactly at equal
-// (seed, rate, draws, sampler).
-func AnalogCNNAccuracy(ctx context.Context, seed uint64, trials int, faultRate float64, sampler stats.SamplerVersion) (*DefectResult, error) {
+// the same RNG stream DefectSweep gives its d-th draw, so the facade and
+// the ablation experiment agree exactly at equal (seed, rate, draws).
+func AnalogCNNAccuracy(ctx context.Context, seed uint64, trials int, faultRate float64) (*DefectResult, error) {
 	// A one-member batch: the fused executor (batch.go) IS the single path,
 	// so service-batched and standalone evaluations share every code path.
-	rs, err := AnalogCNNAccuracyBatch(ctx, []uint64{seed}, trials, faultRate, sampler)
+	rs, err := AnalogCNNAccuracyBatch(ctx, []uint64{seed}, trials, faultRate)
 	if err != nil {
 		return nil, err
 	}
@@ -185,14 +178,14 @@ func SchemeComparison() []SchemePoint {
 	}
 }
 
-func runAblation(ctx context.Context, env Env) ([]*report.Table, error) {
+func runAblation(ctx context.Context) ([]*report.Table, error) {
 	g := report.New("Ablation: DTC/TDC sharing factor gamma (Table II point: 8)",
 		"gamma", "cycle (ns)", "sub-chip mm^2", "peak TOPS/sub-chip", "TOPs/(s*mm^2)")
 	for _, p := range GammaSweep([]int{1, 2, 4, 8, 16, 32}) {
 		g.AddF(p.Gamma, p.CycleNS, fmt.Sprintf("%.2f", p.SubChipMM2),
 			fmt.Sprintf("%.2f", p.PeakTOPS), fmt.Sprintf("%.2f", p.DensityTOPsMM2))
 	}
-	pts, err := DefectSweep(ctx, 5, []float64{0, 0.001, 0.01, 0.05, 0.15, 0.30}, env.Sampler)
+	pts, err := DefectSweep(ctx, 5, []float64{0, 0.001, 0.01, 0.05, 0.15, 0.30})
 	if err != nil {
 		return nil, err
 	}

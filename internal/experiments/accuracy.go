@@ -27,8 +27,6 @@ type AccuracyResult struct {
 	AccP10, AccP50, AccP90 float64
 	// Trials is the Monte-Carlo repeat count.
 	Trials int
-	// Sampler is the resolved sampling regime the trials drew under.
-	Sampler stats.SamplerVersion
 }
 
 // NoiseSweepPoint is one ε point of the noise ablation.
@@ -42,29 +40,26 @@ type NoiseSweepPoint struct {
 
 // RunAccuracy trains the synthetic classifier (memoized per seed, shared
 // with RunNoiseSweep), quantises it to TIMELY's 8-bit datapath and measures
-// the analog accuracy at the paper's design-point noise, drawing under the
-// given sampling regime (stats.SamplerDefault resolves to the counter-based
-// v3).
-func RunAccuracy(ctx context.Context, seed uint64, trials int, sampler stats.SamplerVersion) (*AccuracyResult, error) {
-	return AnalogMLPAccuracy(ctx, seed, trials, params.DefaultXSubBufSigma, sampler)
+// the analog accuracy at the paper's design-point noise.
+func RunAccuracy(ctx context.Context, seed uint64, trials int) (*AccuracyResult, error) {
+	return AnalogMLPAccuracy(ctx, seed, trials, params.DefaultXSubBufSigma, stats.SamplerV3)
 }
 
 // AnalogMLPAccuracy is the generalized §VI-B accuracy study behind the
 // public sim facade: the design-point methodology of RunAccuracy at an
 // arbitrary per-X-subBuf error epsPS (in ps). Each Monte-Carlo trial draws
-// its noise RNG from the trial index under the given sampling regime
-// (keyed trial substreams under the counter-based v3 default, additive
-// seed derivation under v1/v2 — see trialRNG), so results are
-// deterministic per (seed, trials, epsPS, sampler) at any worker count; at
-// the design-point epsilon it is byte-for-byte RunAccuracy. The trained
-// classifier itself is regime-independent
-// (training draws stay on the legacy stream), so FloatAcc/IntAcc — and the
-// noise distribution, though not its exact deviates — are identical across
-// regimes.
+// its noise from the trial substream stats.NewTrialRNG(seed, trial), so
+// results are deterministic per (seed, trials, epsPS) at any worker count;
+// at the design-point epsilon it is byte-for-byte RunAccuracy. sampler
+// must be stats.SamplerV3 or stats.SamplerDefault, the only stream
+// contract left.
 func AnalogMLPAccuracy(ctx context.Context, seed uint64, trials int, epsPS float64, sampler stats.SamplerVersion) (*AccuracyResult, error) {
+	if sampler.Resolve() != stats.SamplerV3 {
+		return nil, fmt.Errorf("experiments: unsupported sampler %v (want v3)", sampler)
+	}
 	// A one-member batch: the fused executor (batch.go) IS the single path,
 	// so service-batched and standalone evaluations share every code path.
-	rs, err := AnalogMLPAccuracyBatch(ctx, []uint64{seed}, trials, epsPS, sampler)
+	rs, err := AnalogMLPAccuracyBatch(ctx, []uint64{seed}, trials, epsPS)
 	if err != nil {
 		return nil, err
 	}
@@ -73,10 +68,8 @@ func AnalogMLPAccuracy(ctx context.Context, seed uint64, trials int, epsPS float
 
 // RunNoiseSweep sweeps the X-subBuf error ε and reports analog accuracy —
 // the ablation behind the paper's choice of ε, cascade limit and margin.
-// The classifier is memoized per seed, shared with RunAccuracy; the noise
-// draws follow the given sampling regime.
-func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64, sampler stats.SamplerVersion) ([]NoiseSweepPoint, error) {
-	sampler = sampler.Resolve()
+// The classifier is memoized per seed, shared with RunAccuracy.
+func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64) ([]NoiseSweepPoint, error) {
 	tm, err := accuracyMLP(seed)
 	if err != nil {
 		return nil, err
@@ -91,7 +84,7 @@ func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64, sampler
 			XSubBufSigma:    eps,
 			PSubBufRelSigma: params.DefaultPSubBufRelSigma,
 			ComparatorSigma: params.DefaultComparatorSigma,
-			RNG:             stats.NewRNGSampler(seed+1, sampler),
+			RNG:             stats.NewTrialRNG(seed+1, 0),
 		}
 		a, err := q.MapAnalog(core.Options{Noise: noise, InterfaceBits: 24,
 			InputHops: params.MaxCascadedXSubBufs})
@@ -115,8 +108,8 @@ func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64, sampler
 	return pts, nil
 }
 
-func runAccuracy(ctx context.Context, env Env) ([]*report.Table, error) {
-	res, err := RunAccuracy(ctx, 2020, 5, env.Sampler)
+func runAccuracy(ctx context.Context) ([]*report.Table, error) {
+	res, err := RunAccuracy(ctx, 2020, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +120,7 @@ func runAccuracy(ctx context.Context, env Env) ([]*report.Table, error) {
 	t.Add(fmt.Sprintf("analog accuracy (design point, %d trials)", res.Trials), report.Pct(res.AnalogAcc))
 	t.Add("accuracy loss", fmt.Sprintf("%.2f pp (paper: <=0.1%% on CNNs)", res.Loss*100))
 	t.Add("cascade error sqrt(12)*eps", fmt.Sprintf("%.1f ps (margin %.0f ps)", res.CascadeErrorPS, res.MarginPS))
-	pts, err := RunNoiseSweep(ctx, 2020, []float64{0, 5, 10, 20, 50, 100, 200, 400, 800}, env.Sampler)
+	pts, err := RunNoiseSweep(ctx, 2020, []float64{0, 5, 10, 20, 50, 100, 200, 400, 800})
 	if err != nil {
 		return nil, err
 	}

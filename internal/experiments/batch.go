@@ -17,23 +17,20 @@ import (
 // one wave instead of queueing member-by-member, and each mapped model
 // evaluates its test set through the image-batched matrix–matrix path
 // (workload.AccuracyBatch). Per-trial RNG streams are keyed by (seed,
-// trial) alone in every sampling regime (counter substreams under v3,
-// additive seed derivation under v1/v2 — see trialRNG), so the fusion
-// cannot change any draw: each member's result is byte-identical to
+// trial) alone (stats.NewTrialRNG), so the fusion cannot change any draw: each member's result is byte-identical to
 // running it alone. The single-seed entry points delegate here with a
 // one-member batch.
 
 // AnalogMLPAccuracyBatch runs the §VI-B accuracy study for every seed in
-// one fused grid at shared (trials, epsPS, sampler). Results are returned
-// in seed order, each byte-identical to AnalogMLPAccuracy at that seed.
-func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, epsPS float64, sampler stats.SamplerVersion) ([]*AccuracyResult, error) {
+// one fused grid at shared (trials, epsPS). Results are returned in seed
+// order, each byte-identical to AnalogMLPAccuracy at that seed.
+func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, epsPS float64) ([]*AccuracyResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: empty seed batch")
 	}
 	if trials < 1 {
 		return nil, fmt.Errorf("experiments: trials must be >= 1, got %d", trials)
 	}
-	sampler = sampler.Resolve()
 	// Train (or fetch) each member's classifier first — memoized per seed,
 	// shared across members and with the sweep experiments.
 	tms := make([]*trainedMLP, len(seeds))
@@ -54,8 +51,7 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 	accs := make([]float64, len(seeds)*trials)
 	err = parallelEach(ctx, len(accs), func(i int) error {
 		m, trial := i/trials, i%trials
-		seed := seeds[m]
-		noise := analog.DefaultNoiseRNG(trialRNG(seed, trial, seed+uint64(trial)*7919, sampler))
+		noise := analog.DefaultNoiseRNG(stats.NewTrialRNG(seeds[m], uint32(trial)))
 		noise.XSubBufSigma = epsPS
 		a, err := tms[m].q.MapAnalog(core.Options{
 			Noise:         noise,
@@ -84,7 +80,6 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 			CascadeErrorPS: analog.CascadeErrorBound(params.MaxCascadedXSubBufs, epsPS),
 			MarginPS:       params.TDelMargin,
 			Trials:         trials,
-			Sampler:        sampler,
 		}
 		member := accs[m*trials : (m+1)*trials]
 		sum := 0.0
@@ -102,16 +97,15 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 }
 
 // AnalogCNNAccuracyBatch runs the defect study for every seed in one
-// fused grid at shared (trials, faultRate, sampler). Results are returned
-// in seed order, each byte-identical to AnalogCNNAccuracy at that seed.
-func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, faultRate float64, sampler stats.SamplerVersion) ([]*DefectResult, error) {
+// fused grid at shared (trials, faultRate). Results are returned in seed
+// order, each byte-identical to AnalogCNNAccuracy at that seed.
+func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, faultRate float64) ([]*DefectResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: empty seed batch")
 	}
 	if trials < 1 {
 		return nil, fmt.Errorf("experiments: trials must be >= 1, got %d", trials)
 	}
-	sampler = sampler.Resolve()
 	tcs := make([]*trainedCNN, len(seeds))
 	err := parallelEach(ctx, len(seeds), func(m int) error {
 		tc, err := defectCNN(seeds[m])
@@ -137,9 +131,8 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 	}
 	err = parallelEach(ctx, len(units), func(i int) error {
 		m, d := i/trials, i%trials
-		seed := seeds[m]
 		a, err := tcs[m].cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: trialRNG(seed, d, seed+uint64(d)*101+1, sampler)},
+			Noise:         &analog.Noise{RNG: stats.NewTrialRNG(seeds[m], uint32(d))},
 			InterfaceBits: 24,
 		}, faultRate)
 		if err != nil {
@@ -163,7 +156,7 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 	out := make([]*DefectResult, len(seeds))
 	for m := range seeds {
 		tc := tcs[m]
-		res := &DefectResult{IntAcc: tc.cnn.AccuracyInt(tc.test), Trials: trials, Sampler: sampler}
+		res := &DefectResult{IntAcc: tc.cnn.AccuracyInt(tc.test), Trials: trials}
 		sum, faults := 0.0, 0
 		member := make([]float64, trials)
 		for d := 0; d < trials; d++ {

@@ -2,47 +2,44 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
 // TestBatchedAccuracyByteIdentity is the ISSUE 9 identity gate: a fused
 // multi-seed batch must return, for every member, the exact result the
-// single-seed entry point computes — under every sampling regime and at
-// every worker count. Per-trial RNG streams are keyed by (seed, trial)
-// alone, so the fusion cannot change a draw; this test pins that.
+// single-seed entry point computes at every worker count. Per-trial RNG
+// streams are keyed by (seed, trial) alone, so the fusion cannot change a
+// draw; this test pins that.
 func TestBatchedAccuracyByteIdentity(t *testing.T) {
-	samplers := []stats.SamplerVersion{stats.SamplerV1, stats.SamplerV2, stats.SamplerV3}
 	pars := []int{1, 2, 8}
 	if testing.Short() {
-		samplers = []stats.SamplerVersion{stats.SamplerV3}
 		pars = []int{2}
 	}
 	defer setInnerPar(runtime.GOMAXPROCS(0))
 	ctx := context.Background()
 	// Two members so the fused grid actually interleaves seeds; the seeds
-	// reuse the memoized trained models across regimes and par levels.
+	// reuse the memoized trained models across par levels.
 	seeds := []uint64{2020, 2021}
 	const trials = 3
-	for _, sampler := range samplers {
-		for _, par := range pars {
-			setInnerPar(par)
-			batch, err := AnalogMLPAccuracyBatch(ctx, seeds, trials, 200, sampler)
+	for _, par := range pars {
+		setInnerPar(par)
+		batch, err := AnalogMLPAccuracyBatch(ctx, seeds, trials, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m, seed := range seeds {
+			single, err := AnalogMLPAccuracy(ctx, seed, trials, 200, stats.SamplerV3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for m, seed := range seeds {
-				single, err := AnalogMLPAccuracy(ctx, seed, trials, 200, sampler)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(batch[m], single) {
-					t.Errorf("MLP %v par=%d seed=%d: batched %+v != single %+v",
-						sampler, par, seed, batch[m], single)
-				}
+			if !reflect.DeepEqual(batch[m], single) {
+				t.Errorf("MLP par=%d seed=%d: batched %+v != single %+v", par, seed, batch[m], single)
 			}
 		}
 	}
@@ -52,34 +49,37 @@ func TestBatchedAccuracyByteIdentity(t *testing.T) {
 // defect study's fused batch (which takes the deterministic cross-image
 // ForwardBatch path) equals the single path member by member.
 func TestBatchedDefectByteIdentity(t *testing.T) {
-	samplers := []stats.SamplerVersion{stats.SamplerV1, stats.SamplerV2, stats.SamplerV3}
 	pars := []int{1, 2, 8}
 	if testing.Short() {
-		samplers = []stats.SamplerVersion{stats.SamplerV3}
 		pars = []int{2}
 	}
 	defer setInnerPar(runtime.GOMAXPROCS(0))
 	ctx := context.Background()
 	seeds := []uint64{5, 6}
 	const trials = 3
-	for _, sampler := range samplers {
-		for _, par := range pars {
-			setInnerPar(par)
-			batch, err := AnalogCNNAccuracyBatch(ctx, seeds, trials, 0.001, sampler)
+	for _, par := range pars {
+		setInnerPar(par)
+		batch, err := AnalogCNNAccuracyBatch(ctx, seeds, trials, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m, seed := range seeds {
+			single, err := AnalogCNNAccuracy(ctx, seed, trials, 0.001)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for m, seed := range seeds {
-				single, err := AnalogCNNAccuracy(ctx, seed, trials, 0.001, sampler)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(batch[m], single) {
-					t.Errorf("CNN %v par=%d seed=%d: batched %+v != single %+v",
-						sampler, par, seed, batch[m], single)
-				}
+			if !reflect.DeepEqual(batch[m], single) {
+				t.Errorf("CNN par=%d seed=%d: batched %+v != single %+v", par, seed, batch[m], single)
 			}
 		}
+	}
+}
+
+// TestAnalogMLPAccuracyRejectsUnknownSampler: the one study entry point
+// that still takes a sampler refuses anything but the v3 contract.
+func TestAnalogMLPAccuracyRejectsUnknownSampler(t *testing.T) {
+	if _, err := AnalogMLPAccuracy(context.Background(), 2020, 1, 10, stats.SamplerVersion(1)); err == nil {
+		t.Fatal("sampler(1) accepted")
 	}
 }
 
@@ -91,11 +91,11 @@ func TestBatchedDefectByteIdentity(t *testing.T) {
 func TestAnalogCNNAccuracyBatchMemoMatchesDirect(t *testing.T) {
 	ctx := context.Background()
 	seeds := []uint64{5, 6}
-	direct, err := AnalogCNNAccuracyBatch(ctx, seeds, 1, 0, stats.SamplerV3)
+	direct, err := AnalogCNNAccuracyBatch(ctx, seeds, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memoised, err := AnalogCNNAccuracyBatch(ctx, seeds, 3, 0, stats.SamplerV3)
+	memoised, err := AnalogCNNAccuracyBatch(ctx, seeds, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +104,40 @@ func TestAnalogCNNAccuracyBatchMemoMatchesDirect(t *testing.T) {
 		if r.AccP50 != d.AnalogAcc {
 			t.Errorf("seed %d: memoised %+v, direct accuracy %v", seed, r, d.AnalogAcc)
 		}
+	}
+}
+
+// TestDefectRateZeroRegimeIdentical: at rate 0 no fault deviate is drawn
+// and the defect datapath is deterministic, so every trial stream must
+// reproduce the fault-free mapping's accuracy exactly — the anchor tying
+// the Monte-Carlo golden to the noise-free model.
+func TestDefectRateZeroRegimeIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the defect CNN; skipped in -short")
+	}
+	tc, err := defectCNN(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := tc.cnn.MapAnalog(core.Options{InterfaceBits: 24}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.AccuracyBatch(tc.test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := AnalogCNNAccuracy(context.Background(), 5, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Faults != 0 {
+		t.Fatalf("rate-0 study realised %d faults", r.Faults)
+	}
+	// P50 is one draw's accuracy; the mean and the interpolated P10/P90 may
+	// round in the last bit.
+	if r.AccP50 != want || math.Abs(r.AnalogAcc-want) > 1e-12 ||
+		math.Abs(r.AccP10-want) > 1e-12 || math.Abs(r.AccP90-want) > 1e-12 {
+		t.Fatalf("rate-0 defect study %+v differs from the fault-free accuracy %v", r, want)
 	}
 }

@@ -4,25 +4,21 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"repro/internal/stats"
 )
 
-// The reproducibility harness of the counter-based sampler work: the full
+// The reproducibility harness of the counter-based trial streams: the full
 // experiment suite's rendered output — text AND JSON — must be
-// byte-identical at every worker count under every sampling regime. For
-// v1/v2 this pins the careful serial stream ordering the worker pool
-// preserves; for v3 it proves the structural claim that keyed substreams
-// make parallelism invisible to the results.
+// byte-identical at every worker count, the structural claim that keyed
+// substreams make parallelism invisible to the results.
 
 // renderAll runs every registered experiment and returns the text and JSON
 // artifacts.
-func renderAll(t *testing.T, par int, sampler stats.SamplerVersion) (text, js []byte) {
+func renderAll(t *testing.T, par int) (text, js []byte) {
 	t.Helper()
-	results := Run(context.Background(), All(), Options{Par: par, Sampler: sampler})
+	results := Run(context.Background(), All(), Options{Par: par})
 	for _, r := range results {
 		if r.Err != nil {
-			t.Fatalf("par %d sampler %s: experiment %s failed: %v", par, sampler.Resolve(), r.Experiment.ID, r.Err)
+			t.Fatalf("par %d: experiment %s failed: %v", par, r.Experiment.ID, r.Err)
 		}
 	}
 	var tb, jb bytes.Buffer
@@ -36,57 +32,23 @@ func renderAll(t *testing.T, par int, sampler stats.SamplerVersion) (text, js []
 }
 
 // TestFullSuiteDeterministicAcrossPar renders the complete suite at worker
-// counts 1, 2 and 8 under each sampling regime and diffs the bytes against
-// the serial run. A single differing byte means some Monte-Carlo draw
-// escaped its ordering (v1/v2) or its keyed substream (v3).
+// counts 1, 2 and 8 and diffs the bytes against the serial run. A single
+// differing byte means some Monte-Carlo draw escaped its keyed substream.
 func TestFullSuiteDeterministicAcrossPar(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders the full experiment suite nine times; skipped in -short")
+		t.Skip("renders the full experiment suite three times; skipped in -short")
 	}
-	for _, sampler := range []stats.SamplerVersion{stats.SamplerV1, stats.SamplerV2, stats.SamplerV3} {
-		refText, refJSON := renderAll(t, 1, sampler)
-		if len(refText) == 0 || len(refJSON) == 0 {
-			t.Fatalf("sampler %s: empty suite render", sampler)
-		}
-		for _, par := range []int{2, 8} {
-			text, js := renderAll(t, par, sampler)
-			if !bytes.Equal(text, refText) {
-				t.Errorf("sampler %s: text output at -par %d differs from -par 1 (%d vs %d bytes)",
-					sampler, par, len(text), len(refText))
-			}
-			if !bytes.Equal(js, refJSON) {
-				t.Errorf("sampler %s: JSON output at -par %d differs from -par 1 (%d vs %d bytes)",
-					sampler, par, len(js), len(refJSON))
-			}
-		}
+	refText, refJSON := renderAll(t, 1)
+	if len(refText) == 0 || len(refJSON) == 0 {
+		t.Fatal("empty suite render")
 	}
-}
-
-// TestSamplerRegimesProduceDistinctSuites: the three regimes draw distinct
-// deviate streams, so their Monte-Carlo artifacts must differ — a suite
-// that renders identically under v2 and v3 means the regime plumbing is
-// not reaching the draws.
-func TestSamplerRegimesProduceDistinctSuites(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders the Monte-Carlo experiments; skipped in -short")
-	}
-	render := func(sampler stats.SamplerVersion) []byte {
-		var exps []Experiment
-		for _, id := range []string{"accuracy", "ablation"} {
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exps = append(exps, e)
+	for _, par := range []int{2, 8} {
+		text, js := renderAll(t, par)
+		if !bytes.Equal(text, refText) {
+			t.Errorf("text output at -par %d differs from -par 1 (%d vs %d bytes)", par, len(text), len(refText))
 		}
-		var b bytes.Buffer
-		if err := WriteText(&b, Run(context.Background(), exps, Options{Par: 2, Sampler: sampler})); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(js, refJSON) {
+			t.Errorf("JSON output at -par %d differs from -par 1 (%d vs %d bytes)", par, len(js), len(refJSON))
 		}
-		return b.Bytes()
-	}
-	v1, v2, v3 := render(stats.SamplerV1), render(stats.SamplerV2), render(stats.SamplerV3)
-	if bytes.Equal(v1, v2) || bytes.Equal(v2, v3) || bytes.Equal(v1, v3) {
-		t.Fatal("two sampling regimes rendered byte-identical Monte-Carlo artifacts")
 	}
 }

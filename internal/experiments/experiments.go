@@ -16,19 +16,7 @@ import (
 	"time"
 
 	"repro/internal/report"
-	"repro/internal/stats"
 )
-
-// Env is the cross-cutting execution environment handed to every
-// experiment's Run function: configuration that is not part of the
-// experiment's identity but changes how its Monte-Carlo work draws.
-type Env struct {
-	// Sampler is the resolved Monte-Carlo sampling regime (SamplerV1,
-	// SamplerV2 or SamplerV3; never SamplerDefault). It governs the
-	// noise/defect studies' deviate streams — see the "Sampling regimes"
-	// section of DESIGN.md. Analytic experiments ignore it.
-	Sampler stats.SamplerVersion
-}
 
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
@@ -41,15 +29,13 @@ type Experiment struct {
 	// Run computes the experiment and returns its tables, one per panel.
 	// It honours ctx: cancellation is checked between work units (benchmark
 	// evaluations, Monte-Carlo trials, sweep points), so an in-flight run
-	// aborts promptly with ctx.Err(). env carries the resolved run
-	// environment (sampling regime).
-	Run func(ctx context.Context, env Env) ([]*report.Table, error)
+	// aborts promptly with ctx.Err().
+	Run func(ctx context.Context) ([]*report.Table, error)
 }
 
-// Render runs the experiment under the default environment (the
-// counter-based sampler v3) and writes its tables as aligned text.
+// Render runs the experiment and writes its tables as aligned text.
 func (e Experiment) Render(ctx context.Context, w io.Writer) error {
-	tables, err := e.Run(ctx, Env{Sampler: stats.SamplerDefault.Resolve()})
+	tables, err := e.Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -128,11 +114,6 @@ func (r Result) Document() *report.Document {
 type Options struct {
 	// Par is the worker-goroutine count; values < 1 run one worker.
 	Par int
-	// Sampler selects the Monte-Carlo sampling regime of the noise/defect
-	// studies; stats.SamplerDefault (the zero value) resolves to the
-	// counter-based v3. Pass stats.SamplerV1 or SamplerV2 to reproduce the
-	// earlier pinned byte streams.
-	Sampler stats.SamplerVersion
 }
 
 // Run executes the given experiments on opts.Par worker goroutines and
@@ -156,7 +137,6 @@ func Run(ctx context.Context, exps []Experiment, opts Options) []Result {
 	if par > len(exps) {
 		par = len(exps)
 	}
-	env := Env{Sampler: opts.Sampler.Resolve()}
 	results := make([]Result, len(exps))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -171,7 +151,7 @@ func Run(ctx context.Context, exps []Experiment, opts Options) []Result {
 					continue
 				}
 				start := time.Now()
-				tables, err := e.Run(ctx, env)
+				tables, err := e.Run(ctx)
 				results[i] = Result{
 					Experiment: e,
 					Tables:     tables,
@@ -246,10 +226,9 @@ func WriteJSON(w io.Writer, results []Result) error {
 	return report.WriteDocumentsJSON(w, docs)
 }
 
-// RunAll renders every registered experiment in ID order on one worker
-// under the default sampling regime (v3) — the classic serial harness
-// entry point. cmd/timely uses Run directly to control parallelism,
-// cancellation and the regime.
+// RunAll renders every registered experiment in ID order on one worker —
+// the classic serial harness entry point. cmd/timely uses Run directly to
+// control parallelism and cancellation.
 func RunAll(w io.Writer) error {
 	return WriteText(w, Run(context.Background(), All(), Options{Par: 1}))
 }

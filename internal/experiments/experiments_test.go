@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -254,7 +253,7 @@ func TestAccuracyDesignPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a classifier")
 	}
-	res, err := RunAccuracy(context.Background(), 2020, 3, stats.SamplerDefault)
+	res, err := RunAccuracy(context.Background(), 2020, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +272,7 @@ func TestNoiseSweepMonotoneTail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a classifier")
 	}
-	pts, err := RunNoiseSweep(context.Background(), 2020, []float64{10, 800}, stats.SamplerDefault)
+	pts, err := RunNoiseSweep(context.Background(), 2020, []float64{10, 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +316,7 @@ func TestDefectSweepDeclines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a CNN")
 	}
-	pts, err := DefectSweep(context.Background(), 5, []float64{0, 0.30}, stats.SamplerDefault)
+	pts, err := DefectSweep(context.Background(), 5, []float64{0, 0.30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,7 @@ func TestRunPreservesOrderAndCapturesErrors(t *testing.T) {
 	mk := func(id string, err error) Experiment {
 		return Experiment{
 			ID: id, Paper: id, Description: id,
-			Run: func(context.Context, Env) ([]*report.Table, error) {
+			Run: func(context.Context) ([]*report.Table, error) {
 				if err != nil {
 					return nil, err
 				}
@@ -487,7 +486,7 @@ func TestRunSkipsExperimentsAfterCancel(t *testing.T) {
 	ran := 0
 	cancelling := Experiment{
 		ID: "x", Paper: "x", Description: "cancels mid-run",
-		Run: func(context.Context, Env) ([]*report.Table, error) {
+		Run: func(context.Context) ([]*report.Table, error) {
 			ran++
 			cancel()
 			return []*report.Table{report.New("x", "h").Add("v")}, nil
@@ -495,7 +494,7 @@ func TestRunSkipsExperimentsAfterCancel(t *testing.T) {
 	}
 	never := Experiment{
 		ID: "y", Paper: "y", Description: "queued behind the cancel",
-		Run: func(context.Context, Env) ([]*report.Table, error) {
+		Run: func(context.Context) ([]*report.Table, error) {
 			ran++
 			return nil, nil
 		},

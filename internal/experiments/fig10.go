@@ -19,7 +19,7 @@ func Fig10a() []Share {
 // Fig10b returns TIMELY's sub-chip area breakdown.
 func Fig10b() []area.Share { return area.Breakdown() }
 
-func runFig10(context.Context, Env) ([]*report.Table, error) {
+func runFig10(context.Context) ([]*report.Table, error) {
 	a := report.New("Fig. 10(a): ReRAM crossbar area / chip area", "accelerator", "share")
 	for _, s := range Fig10a() {
 		a.Add(s.Name, report.Pct(s.Fraction))

@@ -43,7 +43,7 @@ func RunFig11(ctx context.Context) (Fig11Result, error) {
 	return r, nil
 }
 
-func runFig11(ctx context.Context, _ Env) ([]*report.Table, error) {
+func runFig11(ctx context.Context) ([]*report.Table, error) {
 	r, err := RunFig11(ctx)
 	if err != nil {
 		return nil, err

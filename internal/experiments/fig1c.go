@@ -38,7 +38,7 @@ func Fig1c() []Fig1cPoint {
 	return pts
 }
 
-func runFig1c(context.Context, Env) ([]*report.Table, error) {
+func runFig1c(context.Context) ([]*report.Table, error) {
 	t := report.New("Fig. 1(c): efficiency vs computational density (peak)",
 		"accelerator", "MAC bits", "TOPs/W", "TOPs/(s*mm^2)", "PIM", "source")
 	for _, p := range Fig1c() {

@@ -95,7 +95,7 @@ func Fig4c() (Fig4Breakdown, error) {
 	}, nil
 }
 
-func runFig4(context.Context, Env) ([]*report.Table, error) {
+func runFig4(context.Context) ([]*report.Table, error) {
 	ta := report.New("Fig. 4(a): # of CONV-layer accesses under PRIME-style execution",
 		"network", "inputs", "psum accesses")
 	for _, a := range Fig4a() {

@@ -66,7 +66,7 @@ func Fig5d() []Share {
 	}
 }
 
-func runFig5(context.Context, Env) ([]*report.Table, error) {
+func runFig5(context.Context) ([]*report.Table, error) {
 	t := report.New("Fig. 5(c): per-datum energy, existing R2PIM vs TIMELY",
 		"quantity", "existing (fJ)", "TIMELY (fJ)", "reduction")
 	for _, r := range Fig5c() {

@@ -122,7 +122,7 @@ func Fig8b(ctx context.Context) ([]Fig8bRow, error) {
 	return rows, nil
 }
 
-func runFig8a(ctx context.Context, _ Env) ([]*report.Table, error) {
+func runFig8a(ctx context.Context) ([]*report.Table, error) {
 	rows, geo, err := Fig8a(ctx)
 	if err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func runFig8a(ctx context.Context, _ Env) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-func runFig8b(ctx context.Context, _ Env) ([]*report.Table, error) {
+func runFig8b(ctx context.Context) ([]*report.Table, error) {
 	rows, err := Fig8b(ctx)
 	if err != nil {
 		return nil, err

@@ -68,7 +68,7 @@ func RunFig9(ctx context.Context) (*Fig9, error) {
 	return f, nil
 }
 
-func runFig9(ctx context.Context, _ Env) ([]*report.Table, error) {
+func runFig9(ctx context.Context) ([]*report.Table, error) {
 	f, err := RunFig9(ctx)
 	if err != nil {
 		return nil, err

@@ -46,7 +46,7 @@ func LayerProfile(name string) ([]LayerRow, error) {
 	return rows, nil
 }
 
-func runLayers(context.Context, Env) ([]*report.Table, error) {
+func runLayers(context.Context) ([]*report.Table, error) {
 	rows, err := LayerProfile("VGG-D")
 	if err != nil {
 		return nil, err

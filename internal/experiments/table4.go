@@ -52,7 +52,7 @@ func Table4() []Table4Row {
 	return rows
 }
 
-func runTable4(context.Context, Env) ([]*report.Table, error) {
+func runTable4(context.Context) ([]*report.Table, error) {
 	t := report.New("Table IV: peak performance comparison",
 		"accelerator", "MAC bits", "TOPs/W", "TIMELY eff. gain", "TOPs/(s*mm^2)", "TIMELY dens. gain")
 	for _, r := range Table4() {

@@ -37,7 +37,7 @@ func Table5() []Table5Row {
 	return rows
 }
 
-func runTable5(context.Context, Env) ([]*report.Table, error) {
+func runTable5(context.Context) ([]*report.Table, error) {
 	t := report.New("Table V: L1 input reads, VGG-D CONV1-6",
 		"layer", "PRIME", "TIMELY", "saved by")
 	for _, r := range Table5() {

@@ -1,17 +1,21 @@
 package reram
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-// TestInjectV3MatchesCount: the deferred-injection contract must hold for
-// counter-based generators exactly as it does for the serial regimes —
-// CountStuckFaults realises the same fault map and leaves the generator in
-// the same state as an injection from a clone, at every sweep rate, both
-// on a trial's main stream and on a slot substream (the form package core
-// actually hands this function under v3).
+// sweepRates are the defect ablation's stuck-at rates (the nonzero ones);
+// the distribution tests below run at every point.
+var sweepRates = []float64{0.001, 0.01, 0.05, 0.15, 0.30}
+
+// TestInjectV3MatchesCount: the deferred-injection contract — an injection
+// replayed from a clone realises exactly the fault map and cells the first
+// injection did, and leaves the generator in the same state, at every
+// sweep rate, both on a trial's main stream and on a slot substream (the
+// form package core actually hands this function).
 func TestInjectV3MatchesCount(t *testing.T) {
 	streams := map[string]func() *stats.RNG{
 		"trial-main": func() *stats.RNG { return stats.NewTrialRNG(17, 4) },
@@ -23,27 +27,45 @@ func TestInjectV3MatchesCount(t *testing.T) {
 		for _, rate := range append([]float64{0, 1}, sweepRates...) {
 			live := mk()
 			snap := live.Clone()
-			counted, err := CountStuckFaults(128*128, rate, live)
+			x, y := New(128, 4), New(128, 4)
+			first, err := x.InjectStuckFaults(rate, live)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := New(128, 4)
-			injected, err := x.InjectStuckFaults(rate, snap)
+			replayed, err := y.InjectStuckFaults(rate, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if counted != injected {
-				t.Fatalf("%s rate %v: counted %+v but injected %+v", name, rate, counted, injected)
+			if first != replayed {
+				t.Fatalf("%s rate %v: first injection %+v but replay %+v", name, rate, first, replayed)
 			}
 			if live.Uint64() != snap.Uint64() {
-				t.Fatalf("%s rate %v: count and inject consumed different deviate streams", name, rate)
+				t.Fatalf("%s rate %v: injection and replay consumed different deviate streams", name, rate)
+			}
+			var sa0, sa1 int
+			for r := 0; r < 128; r++ {
+				for c := 0; c < 128; c++ {
+					if x.IsFaulty(r, c) != y.IsFaulty(r, c) || x.Level(r, c) != y.Level(r, c) {
+						t.Fatalf("%s rate %v: replay differs at cell (%d,%d)", name, rate, r, c)
+					}
+					switch {
+					case !x.IsFaulty(r, c):
+					case x.Level(r, c) == 0:
+						sa0++
+					default:
+						sa1++
+					}
+				}
+			}
+			if sa0 != first.SA0 || sa1 != first.SA1 {
+				t.Fatalf("%s rate %v: fault map %+v disagrees with cells (%d/%d)", name, rate, first, sa0, sa1)
 			}
 		}
 	}
 }
 
-// TestInjectV3RateZeroDrawsNothing: v3 shares v2's O(faults) boundary — a
-// rate-0 injection consumes no deviates.
+// TestInjectV3RateZeroDrawsNothing: the O(faults) claim at its boundary —
+// a rate-0 injection consumes no deviates.
 func TestInjectV3RateZeroDrawsNothing(t *testing.T) {
 	r := stats.NewTrialRNG(5, 0)
 	ref := r.Clone()
@@ -52,12 +74,12 @@ func TestInjectV3RateZeroDrawsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Uint64() != ref.Uint64() {
-		t.Fatal("v3 rate-0 injection consumed deviates")
+		t.Fatal("rate-0 injection consumed deviates")
 	}
 }
 
-// TestFaultCountsV3BinomialMoments: realised v3 fault counts across
-// distinct substreams must match the Binomial(n, rate) mean and variance —
+// TestFaultCountsV3BinomialMoments: realised fault counts across distinct
+// substreams must match the Binomial(n, rate) mean and variance —
 // the keyed streams are independent draws, not copies.
 func TestFaultCountsV3BinomialMoments(t *testing.T) {
 	const n, reps = 4096, 3000
@@ -66,7 +88,7 @@ func TestFaultCountsV3BinomialMoments(t *testing.T) {
 		counts := make([]float64, reps)
 		for i := 0; i < reps; i++ {
 			rng := base.Substream(uint32(ri+1), uint32(i))
-			fm, err := CountStuckFaults(n, rate, rng)
+			fm, err := New(64, 4).InjectStuckFaults(rate, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,13 +117,12 @@ func TestFaultCountsV3BinomialMoments(t *testing.T) {
 }
 
 // TestStuckFaultCountMatchesInject: the count-only draw must return the
-// total an injection from the same generator state realises, under both
-// regimes that take the binomial count first, across the rate range.
+// total an injection from the same generator state realises, across the
+// rate range.
 func TestStuckFaultCountMatchesInject(t *testing.T) {
 	streams := map[string]func() *stats.RNG{
-		"v2":            func() *stats.RNG { return stats.NewRNGSampler(23, stats.SamplerV2) },
-		"v3-substream":  func() *stats.RNG { return stats.NewTrialRNG(23, 6).Substream(1, 40) },
-		"v3-trial-main": func() *stats.RNG { return stats.NewTrialRNG(23, 6) },
+		"substream":  func() *stats.RNG { return stats.NewTrialRNG(23, 6).Substream(1, 40) },
+		"trial-main": func() *stats.RNG { return stats.NewTrialRNG(23, 6) },
 	}
 	for name, mk := range streams {
 		for _, rate := range []float64{0, 0.001, 0.05, 0.3, 1} {
@@ -121,13 +142,103 @@ func TestStuckFaultCountMatchesInject(t *testing.T) {
 	}
 }
 
-// TestStuckFaultCountRejects: out-of-range rates and the v1 regime, whose
-// count is interleaved with the cell walk, are errors.
+// TestStuckFaultCountRejects: rates outside [0,1] are errors.
 func TestStuckFaultCountRejects(t *testing.T) {
-	if _, err := StuckFaultCount(64, 1.5, stats.NewTrialRNG(1, 0)); err == nil {
-		t.Fatal("rate 1.5 accepted")
+	for _, rate := range []float64{-0.1, 1.5} {
+		if _, err := StuckFaultCount(64, rate, stats.NewTrialRNG(1, 0)); err == nil {
+			t.Fatalf("rate %v accepted", rate)
+		}
 	}
-	if _, err := StuckFaultCount(64, 0.1, stats.NewRNGSampler(1, stats.SamplerV1)); err == nil {
-		t.Fatal("v1 generator accepted")
+}
+
+// bernoulliFaults is the per-cell reference the sublinear injection must
+// match in distribution: each of n cells faults independently with
+// probability rate, and each fault is SA0 or SA1 with probability ½. It
+// adds every faulted cell to the position histogram pos (cell index
+// bucketed into len(pos) equal ranges) and returns the polarity counts.
+func bernoulliFaults(n int, rate float64, rng *stats.RNG, pos []float64) FaultMap {
+	var fm FaultMap
+	for i := 0; i < n; i++ {
+		if rng.Float64() >= rate {
+			continue
+		}
+		pos[i*len(pos)/n]++
+		if rng.Float64() < 0.5 {
+			fm.SA0++
+		} else {
+			fm.SA1++
+		}
+	}
+	return fm
+}
+
+// homogeneity is the chi-square statistic of the hypothesis that two
+// binned samples share one distribution (df = bins − 1).
+func homogeneity(a, b []float64) float64 {
+	var ta, tb float64
+	for i := range a {
+		ta += a[i]
+		tb += b[i]
+	}
+	obs := append(append([]float64(nil), a...), b...)
+	exp := make([]float64, 0, len(obs))
+	for _, tot := range []float64{ta, tb} {
+		for i := range a {
+			exp = append(exp, tot*(a[i]+b[i])/(ta+tb))
+		}
+	}
+	return stats.ChiSquare(obs, exp)
+}
+
+// TestFaultDrawsMatchBernoulliReference: at every sweep rate the
+// binomial-count / Floyd-position / per-fault-polarity injection must be
+// indistinguishable from the per-cell Bernoulli reference — a two-sample
+// KS test on the per-crossbar fault totals, and chi-square homogeneity
+// tests on the pooled SA0/SA1 split and on the fault-position histogram.
+func TestFaultDrawsMatchBernoulliReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the reference walks every cell")
+	}
+	const b, reps, bins = 128, 400, 16
+	const n = b * b
+	// chi-square 0.999 critical values at 1 and bins−1 = 15 df.
+	const critSplit, critPos = 10.83, 37.70
+	for ri, rate := range sweepRates {
+		ref := stats.NewRNG(31 + uint64(ri))
+		base := stats.NewTrialRNG(37, uint32(ri))
+		refTot, injTot := make([]float64, reps), make([]float64, reps)
+		refPos, injPos := make([]float64, bins), make([]float64, bins)
+		var refSplit, injSplit [2]float64
+		for i := 0; i < reps; i++ {
+			rf := bernoulliFaults(n, rate, ref, refPos)
+			x := New(b, 4)
+			fm, err := x.InjectStuckFaults(rate, base.Substream(1, uint32(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < n; c++ {
+				if x.IsFaulty(c/b, c%b) {
+					injPos[c*bins/n]++
+				}
+			}
+			refTot[i], injTot[i] = float64(rf.Total()), float64(fm.Total())
+			refSplit[0] += float64(rf.SA0)
+			refSplit[1] += float64(rf.SA1)
+			injSplit[0] += float64(fm.SA0)
+			injSplit[1] += float64(fm.SA1)
+		}
+		if d, limit := stats.KSTwoSample(refTot, injTot), stats.KSThreshold(0.001, reps, reps); d > limit {
+			t.Errorf("rate %v: fault-total KS %.4f exceeds %.4f", rate, d, limit)
+		}
+		if x2 := homogeneity(refSplit[:], injSplit[:]); x2 > critSplit {
+			t.Errorf("rate %v: SA0/SA1 split chi-square %.2f exceeds %.2f", rate, x2, critSplit)
+		}
+		if x2 := homogeneity(refPos, injPos); x2 > critPos {
+			t.Errorf("rate %v: position histogram chi-square %.2f exceeds %.2f", rate, x2, critPos)
+		}
+		// Sanity on the reference itself: its mean total is n·rate.
+		if m, sd := stats.Mean(refTot), math.Sqrt(n*rate*(1-rate)/reps); math.Abs(m-n*rate) > 5*sd {
+			t.Fatalf("rate %v: reference mean total %.1f, want %.1f", rate, m, n*rate)
+		}
 	}
 }

@@ -214,32 +214,3 @@ func TestFlatCacheInvalidation(t *testing.T) {
 		t.Fatalf("faulted dot = %v, want %v", got, want)
 	}
 }
-
-// TestCountStuckFaultsMatchesInject verifies the count-only walk consumes
-// the identical random sequence and produces the identical fault map as a
-// real injection from the same generator state.
-func TestCountStuckFaultsMatchesInject(t *testing.T) {
-	for _, rate := range []float64{0, 0.001, 0.01, 0.05, 0.15, 0.30, 1} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			rngA := stats.NewRNG(seed)
-			rngB := stats.NewRNG(seed)
-			const b = 64
-			x := New(b, 4)
-			fmInject, err := x.InjectStuckFaults(rate, rngA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmCount, err := CountStuckFaults(b*b, rate, rngB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmInject != fmCount {
-				t.Fatalf("rate %v seed %d: inject %+v != count %+v", rate, seed, fmInject, fmCount)
-			}
-			// Both walks must leave the generators in the same state.
-			if a, b := rngA.Float64(), rngB.Float64(); a != b {
-				t.Fatalf("rate %v seed %d: post-walk draws differ: %v vs %v", rate, seed, a, b)
-			}
-		}
-	}
-}

@@ -5,11 +5,12 @@ import (
 	"sort"
 )
 
-// Goodness-of-fit statistics. The sampler-v2 regime changes the exact
-// deviate streams, so its defense is statistical: the fault-count and
-// noise distributions under v2 must be indistinguishable from v1 at the
-// test sizes the suite uses. These helpers implement the two classical
-// tests the regime-equivalence tests apply.
+// Goodness-of-fit statistics. The sublinear fault and noise draws do not
+// reproduce the deviates of a naive per-cell Bernoulli walk or of
+// Box-Muller, so their defense is statistical: the fault-count, polarity,
+// position and noise distributions must be indistinguishable from those
+// references at the test sizes the suite uses. These helpers implement the
+// two classical tests the distribution tests apply.
 
 // KSTwoSample returns the two-sample Kolmogorov–Smirnov statistic
 // D = sup |F_a(x) − F_b(x)| over the empirical CDFs of a and b. Both

@@ -2,12 +2,12 @@ package stats
 
 import "fmt"
 
-// Sampler v3 is the counter-based regime: the uniform bit source is
+// The Monte-Carlo trial streams (sampler v3) draw their uniform bits from
 // Philox4x32-10 (Salmon, Moraes, Dror & Shaw, "Parallel Random Numbers: As
 // Easy as 1, 2, 3", SC'11 — the Random123 reference implementation), a
-// keyed bijection on a 128-bit counter. Unlike the splitmix64 stream of
-// v1/v2, any position of a v3 stream is computable in O(1) from its
-// coordinates alone, so Monte-Carlo substreams can be *keyed* instead of
+// keyed bijection on a 128-bit counter. Unlike the serial splitmix64
+// stream of NewRNG, any position of a trial stream is computable in O(1)
+// from its coordinates alone, so Monte-Carlo substreams can be *keyed* instead of
 // *split*: the generator for (seed, trial, grid slot) is constructed
 // directly, without consuming or cloning any other stream. That is what
 // makes trial-level fan-out byte-stable at any parallelism — worker count
@@ -25,10 +25,9 @@ import "fmt"
 // The 64-bit study seed is the Philox key. Distinct (seed, trial, stream)
 // triples therefore enumerate disjoint counter sets — substreams can never
 // overlap, for adjacent trials or any other pair — and each substream
-// yields 2^65 uint64s before its block counter wraps. The derived-deviate
-// algorithms on top of the bit source are exactly the v2 set (Ziggurat
-// Gaussians, Lemire bounded Intn, binomial + Floyd fault draws); only the
-// uniform source and the keying differ.
+// yields 2^65 uint64s before its block counter wraps. On top of the bit
+// source run Ziggurat Gaussians, Lemire bounded Intn and the binomial +
+// Floyd fault draws.
 
 // Philox4x32 round constants: the two 32-bit multipliers and the Weyl key
 // schedule increments of the reference implementation.
@@ -65,13 +64,13 @@ func philoxRound(c0, c1, c2, c3, k0, k1 uint32) (uint32, uint32, uint32, uint32)
 	return uint32(p1>>32) ^ c1 ^ k0, uint32(p1), uint32(p0>>32) ^ c3 ^ k1, uint32(p0)
 }
 
-// philoxInit resets the receiver to the v3 substream (seed, trial, stream):
+// philoxInit resets the receiver to the substream (seed, trial, stream):
 // Philox key = seed, block counter 0, empty output buffer.
 func (r *RNG) philoxInit(seed uint64, trial, stream uint32) {
 	*r = RNG{
-		sampler: SamplerV3,
-		key:     [2]uint32{uint32(seed), uint32(seed >> 32)},
-		ctr:     [4]uint32{0, 0, stream, trial},
+		philox: true,
+		key:    [2]uint32{uint32(seed), uint32(seed >> 32)},
+		ctr:    [4]uint32{0, 0, stream, trial},
 	}
 }
 
@@ -82,7 +81,7 @@ func (r *RNG) philoxInit(seed uint64, trial, stream uint32) {
 // written out for exactly four lanes.
 const philoxLanes = 4
 
-// philoxNext serves the next 64 bits of a v3 stream: each 128-bit block
+// philoxNext serves the next 64 bits of a trial stream: each 128-bit block
 // yields two uint64s (words 0|1 then 2|3), and the block counter in counter
 // words 0-1 advances by one as each block starts being served. The buffer
 // holds the blocks at counters ctr, ctr+1, ... computed ahead by
@@ -136,21 +135,19 @@ func (r *RNG) philoxRefill() {
 	r.bufn = 2 * philoxLanes
 }
 
-// NewTrialRNG returns the trial-th substream of the v3 counter-based study
+// NewTrialRNG returns the trial-th substream of the counter-based study
 // keyed by seed: the Philox stream with counter coordinates (seed, trial,
 // stream 0). Every trial's generator is constructed independently — no
 // other stream is consumed or cloned — so a study can evaluate its trials
 // in any order, on any number of workers, and every draw is identical to a
-// serial run. (Under v1/v2 the splitmix64 stream is inherently serial;
-// callers there derive per-trial seeds additively instead. See the
-// Sampling regimes section of DESIGN.md.)
+// serial run (see the Sampling section of DESIGN.md).
 func NewTrialRNG(seed uint64, trial uint32) *RNG {
 	r := &RNG{}
 	r.philoxInit(seed, trial, 0)
 	return r
 }
 
-// Substream lanes partition a v3 generator's stream-id word so different
+// Substream lanes partition a trial generator's stream-id word so different
 // draw purposes on the same (seed, trial) can never collide: the main
 // stream (noise draws during compute) is stream id 0, and each
 // (lane, index) pair owns the id lane<<24|index.
@@ -161,18 +158,19 @@ const (
 	SubstreamIndexes = 1 << 24
 )
 
-// Substream returns the (lane, index) substream of a v3 generator: a fresh
+// Substream returns the (lane, index) substream of a trial generator: a fresh
 // generator with the same seed key and trial word, stream id
 // lane<<24|index, and its block counter at zero. Lanes must be in
 // [1, SubstreamLanes) — lane 0 is the main stream — and indexes in
 // [0, SubstreamIndexes). The receiver is not advanced; calling Substream
 // any number of times, in any order, returns generators whose streams are
 // disjoint from each other and from the receiver's by construction. It
-// panics on a non-v3 generator (v1/v2 splitmix streams have no substream
-// coordinates) or an out-of-range lane/index.
+// panics on a NewRNG generator (the serial splitmix64 stream has no
+// substream coordinates; check Philox first) or an out-of-range
+// lane/index.
 func (r *RNG) Substream(lane, index uint32) *RNG {
-	if r.sampler != SamplerV3 {
-		panic(fmt.Sprintf("stats: Substream on a %v generator (substreams need the v3 counter-based regime)", r.Sampler()))
+	if !r.philox {
+		panic("stats: Substream on a serial NewRNG generator (substreams need the counter-based trial stream)")
 	}
 	if lane == 0 || lane >= SubstreamLanes || index >= SubstreamIndexes {
 		panic(fmt.Sprintf("stats: Substream(%d, %d) out of range", lane, index))

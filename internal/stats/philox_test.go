@@ -139,14 +139,6 @@ func TestSubstreamKeying(t *testing.T) {
 	if b := r.Substream(3, 17).Uint64(); b == a1 {
 		t.Fatal("adjacent substream lanes collide on first draw")
 	}
-	// NewTrialRNG(seed, trial) and NewRNGSampler(seed, v3) agree at trial 0.
-	x := NewRNGSampler(123, SamplerV3)
-	y := NewTrialRNG(123, 0)
-	for i := 0; i < 8; i++ {
-		if x.Uint64() != y.Uint64() {
-			t.Fatal("NewRNGSampler(seed, v3) is not NewTrialRNG(seed, 0)")
-		}
-	}
 	for _, bad := range [][2]uint32{{0, 0}, {1 << 8, 0}, {1, 1 << 24}} {
 		func() {
 			defer func() {
@@ -157,14 +149,14 @@ func TestSubstreamKeying(t *testing.T) {
 			r.Substream(bad[0], bad[1])
 		}()
 	}
-	// Substreams need counter coordinates: v1/v2 generators must refuse.
+	// Substreams need counter coordinates: NewRNG generators must refuse.
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Substream on a v2 generator did not panic")
+				t.Error("Substream on a NewRNG generator did not panic")
 			}
 		}()
-		NewRNGSampler(1, SamplerV2).Substream(1, 0)
+		NewRNG(1).Substream(1, 0)
 	}()
 }
 
@@ -224,37 +216,32 @@ func TestPhiloxSubstreamUniform(t *testing.T) {
 	}
 }
 
-// TestV3DeviateAlgorithmsAreV2: the v3 regime changes the bit source and
-// keying, not the derived-deviate algorithms — Intn must be Lemire
-// (exactly uniform) and Norm the Ziggurat, reported through Sampler().
+// TestV3DeviateAlgorithmsAreV2: the trial stream's derived deviates are
+// the sublinear set — Intn is Lemire (exactly uniform) and Norm the
+// Ziggurat — over the Philox bits, and a clone replays all of them.
 func TestV3DeviateAlgorithmsAreV2(t *testing.T) {
 	r := NewTrialRNG(5, 0)
-	if r.Sampler() != SamplerV3 {
-		t.Fatalf("Sampler() = %v, want v3", r.Sampler())
+	if !r.Philox() {
+		t.Fatal("NewTrialRNG does not draw the Philox stream")
 	}
 	// Clone must replay the identical stream, mid-block buffer included.
 	r.Uint64() // leave one buffered uint64
 	cl := r.Clone()
 	for i := 0; i < 17; i++ {
 		if r.Uint64() != cl.Uint64() {
-			t.Fatal("v3 clone diverged")
+			t.Fatal("trial-stream clone diverged")
 		}
 	}
 	if r.Intn(10) != cl.Intn(10) || r.Norm() != cl.Norm() || r.Binomial(1000, 0.01) != cl.Binomial(1000, 0.01) {
-		t.Fatal("v3 clone diverged on derived deviates")
+		t.Fatal("trial-stream clone diverged on derived deviates")
 	}
-	// SetSampler round-trip re-keys deterministically.
-	s := NewRNGSampler(42, SamplerV2)
-	s.SetSampler(SamplerV3)
-	if s.Sampler() != SamplerV3 {
-		t.Fatal("SetSampler(v3) did not switch")
-	}
-	if got, want := s.Uint64(), NewTrialRNG(42, 0).Uint64(); got != want {
-		t.Fatalf("SetSampler(v3) stream = %x, want re-keyed trial stream %x", got, want)
-	}
-	s.SetSampler(SamplerV2)
-	if got, want := s.Uint64(), NewRNGSampler(42, SamplerV2).Uint64(); got != want {
-		t.Fatal("SetSampler back to v2 did not restore the splitmix seed")
+	for i := 0; i < 100; i++ {
+		if got, want := r.Intn(97), int(cl.intnLemire(97)); got != want {
+			t.Fatalf("Intn draw %d = %d; want Lemire %d", i, got, want)
+		}
+		if got, want := r.Norm(), cl.normZiggurat(); got != want {
+			t.Fatalf("Norm draw %d = %v; want Ziggurat %v", i, got, want)
+		}
 	}
 }
 

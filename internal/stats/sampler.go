@@ -6,44 +6,31 @@ import (
 	"math/bits"
 )
 
-// SamplerVersion selects one of the simulator's Monte-Carlo sampling
-// regimes. A regime is a *stream contract*: given the same seed, every
-// generator of that regime draws the same deviates in the same order, so
-// realised fault maps, noise sequences and therefore artifact bytes are
-// reproducible per (seed, regime).
+// SamplerVersion names the Monte-Carlo stream contract: given the same
+// seed, every fault and noise draw of a study draws the same deviates in
+// the same order, so realised fault maps, noise sequences and therefore
+// artifact bytes are reproducible per seed. One contract remains,
+// SamplerV3: exact Binomial(n, rate) fault counts with Floyd's sampling for
+// the positions, Ziggurat Gaussians and Lemire bounded Intn, over Philox
+// substreams keyed by (seed, trial, grid slot), so any trial — and any
+// crossbar's fault draws within a trial — is computable independently with
+// byte-stable results at any parallelism (see philox.go, NewTrialRNG,
+// Substream).
 //
-//   - SamplerV1 is the legacy regime the original goldens were captured
-//     under: one Bernoulli deviate per crossbar cell for fault injection
-//     (O(cells) per draw), Box-Muller Gaussians, and modulo-reduced Intn.
-//   - SamplerV2 is the sublinear regime: an exact Binomial(n, rate) count
-//     draw followed by Floyd's sampling without replacement for fault
-//     positions (O(faults) per crossbar), Ziggurat Gaussians in the noise
-//     hot path, and Lemire bounded-rejection Intn (no modulo bias).
-//   - SamplerV3 is the counter-based regime: the v2 deviate algorithms over
-//     a Philox4x32-10 bit source whose substreams are keyed by
-//     (seed, trial, grid slot) instead of split from one serial stream, so
-//     any trial — and any crossbar's fault draws within a trial — is
-//     computable independently with byte-stable results at any parallelism
-//     (see philox.go, NewTrialRNG, Substream).
-//
-// All regimes are statistically equivalent (the distributional tests in
-// this package and in internal/reram defend that); they differ only in
-// cost and in the exact deviate stream. SamplerDefault resolves to v3.
+// The per-cell Bernoulli / Box-Muller regime "v1" and the serial-splitmix
+// regime "v2" are retired: ParseSamplerVersion rejects their spellings and
+// names d9a0b33 as the last commit that supports them.
 type SamplerVersion uint8
 
 const (
-	// SamplerDefault resolves to the package default regime (currently v3).
-	SamplerDefault SamplerVersion = iota
-	// SamplerV1 is the legacy per-cell Bernoulli / Box-Muller regime.
-	SamplerV1
-	// SamplerV2 is the sublinear binomial / Ziggurat regime.
-	SamplerV2
-	// SamplerV3 is the counter-based Philox substream regime.
-	SamplerV3
+	// SamplerDefault resolves to SamplerV3.
+	SamplerDefault SamplerVersion = 0
+	// SamplerV3 is the counter-based Philox substream contract.
+	SamplerV3 SamplerVersion = 3
 )
 
-// Resolve maps SamplerDefault to the concrete default regime (v3) and
-// returns every explicit version unchanged.
+// Resolve maps SamplerDefault to SamplerV3 and returns every other value
+// unchanged.
 func (v SamplerVersion) Resolve() SamplerVersion {
 	if v == SamplerDefault {
 		return SamplerV3
@@ -51,85 +38,37 @@ func (v SamplerVersion) Resolve() SamplerVersion {
 	return v
 }
 
-// String returns "v1", "v2" or "v3" ("default" for the unresolved zero
-// value).
+// String returns "v3" ("default" for the unresolved zero value).
 func (v SamplerVersion) String() string {
 	switch v {
 	case SamplerDefault:
 		return "default"
-	case SamplerV1:
-		return "v1"
-	case SamplerV2:
-		return "v2"
 	case SamplerV3:
 		return "v3"
 	}
 	return fmt.Sprintf("sampler(%d)", uint8(v))
 }
 
-// ParseSamplerVersion parses the CLI/API spelling of a sampling regime:
-// "v1", "v2", "v3", or "" for the default.
+// ParseSamplerVersion parses the CLI/API spelling of the Monte-Carlo
+// stream contract: "v3", or "" for the default. The retired spellings "v1"
+// and "v2" fail with an error that names the last commit supporting them.
 func ParseSamplerVersion(s string) (SamplerVersion, error) {
 	switch s {
 	case "":
 		return SamplerDefault, nil
-	case "v1":
-		return SamplerV1, nil
-	case "v2":
-		return SamplerV2, nil
 	case "v3":
 		return SamplerV3, nil
+	case "v1", "v2":
+		return 0, fmt.Errorf("stats: sampler %q is retired (d9a0b33 is the last commit that supports v1 and v2); want v3", s)
 	}
-	return 0, fmt.Errorf("stats: unknown sampler version %q (want v1, v2 or v3)", s)
+	return 0, fmt.Errorf("stats: unknown sampler version %q (want v3)", s)
 }
 
-// NewRNGSampler returns a generator seeded with seed that samples under the
-// given regime (SamplerDefault resolves to v3; a v3 generator is the
-// trial-0 main stream, NewTrialRNG(seed, 0)). NewRNG and the RNG zero
-// value keep the legacy v1 regime so existing deviate streams stay
-// byte-stable.
-func NewRNGSampler(seed uint64, v SamplerVersion) *RNG {
-	if v.Resolve() == SamplerV3 {
-		return NewTrialRNG(seed, 0)
-	}
-	return &RNG{state: seed, sampler: v.Resolve()}
-}
-
-// SetSampler switches the generator's sampling regime in place
-// (SamplerDefault resolves to v3). It returns the receiver for chaining.
-// Switching between v1 and v2 mid-stream is allowed — their uniform bit
-// stream is shared; only the derived-deviate algorithms change. Switching
-// into or out of v3 re-keys the generator (the splitmix64 state becomes
-// the Philox seed or vice versa, at trial 0, stream 0, block 0), because
-// the two bit sources have no shared position.
-func (r *RNG) SetSampler(v SamplerVersion) *RNG {
-	v = v.Resolve()
-	switch {
-	case v == r.sampler:
-	case v == SamplerV3:
-		r.philoxInit(r.state, 0, 0)
-	case r.sampler == SamplerV3:
-		*r = RNG{state: uint64(r.key[0]) | uint64(r.key[1])<<32, sampler: v}
-	default:
-		r.sampler = v
-	}
-	return r
-}
-
-// Sampler reports the generator's sampling regime (SamplerV1 for the zero
-// value and NewRNG-built generators).
-func (r *RNG) Sampler() SamplerVersion {
-	if r.sampler >= SamplerV2 {
-		return r.sampler
-	}
-	return SamplerV1
-}
-
-// intnLemire is the v2 bounded uniform: Lemire's multiply-shift rejection
-// (Fast Random Integer Generation in an Interval, 2019). Unlike the v1
-// modulo reduction it is exactly uniform over [0,n) — the raw 64-bit draw
-// is mapped through a 128-bit multiply and the small biased low fraction
-// (at most n of 2^64 values) is rejected and redrawn.
+// intnLemire is the trial-stream bounded uniform: Lemire's multiply-shift
+// rejection (Fast Random Integer Generation in an Interval, 2019). Unlike
+// the NewRNG modulo reduction it is exactly uniform over [0,n) — the raw
+// 64-bit draw is mapped through a 128-bit multiply and the small biased
+// low fraction (at most n of 2^64 values) is rejected and redrawn.
 func (r *RNG) intnLemire(n uint64) uint64 {
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
@@ -190,9 +129,9 @@ func (r *RNG) SampleK(n, k int, visit func(pos int)) {
 // generator state, so cloned generators replay identical draws. It panics
 // on n < 0 or p outside [0,1].
 //
-// This is the sampler-v2 fault-count draw: one Binomial per crossbar
-// replaces one Bernoulli per cell, collapsing O(cells) work to O(1) plus
-// O(faults) position sampling.
+// This is the fault-count draw: one Binomial per crossbar replaces one
+// Bernoulli per cell, collapsing O(cells) work to O(1) plus O(faults)
+// position sampling.
 func (r *RNG) Binomial(n int, p float64) int {
 	if n < 0 || p < 0 || p > 1 || math.IsNaN(p) {
 		panic(fmt.Sprintf("stats: Binomial(%d, %v) out of range", n, p))
@@ -357,12 +296,12 @@ func signedBits(x float64, sign uint64) float64 {
 	return math.Float64frombits(math.Float64bits(x) | sign)
 }
 
-// normZiggurat is the v2 standard-normal sampler. The common case spends
-// one 64-bit draw: 7 bits pick the layer, 1 bit the sign, and the top 53
-// bits the position; a position inside the layer's rectangle is accepted
-// with one integer compare (~98.8 % of draws). Edge positions take the
-// wedge test against the true density, and layer 0 falls through to
-// Marsaglia's exact tail sampler beyond r.
+// normZiggurat is the trial-stream standard-normal sampler. The common
+// case spends one 64-bit draw: 7 bits pick the layer, 1 bit the sign, and
+// the top 53 bits the position; a position inside the layer's rectangle
+// is accepted with one integer compare (~98.8 % of draws). Edge positions
+// take the wedge test against the true density, and layer 0 falls through
+// to Marsaglia's exact tail sampler beyond r.
 func (r *RNG) normZiggurat() float64 {
 	for {
 		u := r.Uint64()

@@ -2,79 +2,74 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
 // --- SamplerVersion plumbing ---
 
 func TestSamplerVersionParseAndResolve(t *testing.T) {
-	cases := []struct {
-		in   string
-		want SamplerVersion
-	}{
-		{"", SamplerDefault},
-		{"v1", SamplerV1},
-		{"v2", SamplerV2},
-		{"v3", SamplerV3},
+	for in, want := range map[string]SamplerVersion{"": SamplerDefault, "v3": SamplerV3} {
+		got, err := ParseSamplerVersion(in)
+		if err != nil || got != want {
+			t.Errorf("ParseSamplerVersion(%q) = %v, %v; want %v", in, got, err, want)
+		}
 	}
-	for _, c := range cases {
-		got, err := ParseSamplerVersion(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseSamplerVersion(%q) = %v, %v; want %v", c.in, got, err, c.want)
+	for _, retired := range []string{"v1", "v2"} {
+		if _, err := ParseSamplerVersion(retired); err == nil || !strings.Contains(err.Error(), "d9a0b33") {
+			t.Errorf("ParseSamplerVersion(%q) err = %v; want the retirement error naming d9a0b33", retired, err)
 		}
 	}
 	if _, err := ParseSamplerVersion("v4"); err == nil {
 		t.Error("ParseSamplerVersion(v4) succeeded; want error")
 	}
-	if SamplerDefault.Resolve() != SamplerV3 {
-		t.Errorf("SamplerDefault resolves to %v; want v3", SamplerDefault.Resolve())
-	}
-	if SamplerV1.Resolve() != SamplerV1 || SamplerV2.Resolve() != SamplerV2 ||
-		SamplerV3.Resolve() != SamplerV3 {
-		t.Error("explicit versions must resolve to themselves")
+	if SamplerDefault.Resolve() != SamplerV3 || SamplerV3.Resolve() != SamplerV3 {
+		t.Errorf("SamplerDefault/SamplerV3 resolve to %v/%v; want v3", SamplerDefault.Resolve(), SamplerV3.Resolve())
 	}
 	var zero RNG
-	if zero.Sampler() != SamplerV1 {
-		t.Errorf("zero-value RNG samples %v; want v1", zero.Sampler())
+	if zero.Philox() || NewRNG(1).Philox() {
+		t.Error("zero-value and NewRNG generators must draw the splitmix64 stream")
 	}
-	if NewRNGSampler(1, SamplerDefault).Sampler() != SamplerV3 {
-		t.Error("NewRNGSampler(SamplerDefault) must resolve to v3")
+	if !NewTrialRNG(1, 0).Philox() {
+		t.Error("NewTrialRNG must draw the Philox trial stream")
 	}
 }
 
-// TestV1StreamByteStable pins the legacy streams: NewRNG draws must not
-// change when the sampler machinery evolves (the v1 goldens depend on it).
+// TestV1StreamByteStable pins the NewRNG stream: training and dataset
+// synthesis draw from it, so its bytes must not change when the trial
+// stream machinery evolves.
 func TestV1StreamByteStable(t *testing.T) {
 	r := NewRNG(42)
 	wantU := []uint64{13679457532755275413, 2949826092126892291, 5139283748462763858}
 	for i, w := range wantU {
 		if got := r.Uint64(); got != w {
-			t.Fatalf("v1 Uint64 draw %d = %d; want %d", i, got, w)
+			t.Fatalf("NewRNG Uint64 draw %d = %d; want %d", i, got, w)
 		}
 	}
-	// Intn under v1 is the historical modulo reduction of the next draw.
+	// Intn on NewRNG is the historical modulo reduction of the next draw.
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {
 		if got, want := a.Intn(97), int(b.Uint64()%97); got != want {
-			t.Fatalf("v1 Intn draw %d = %d; want modulo %d", i, got, want)
+			t.Fatalf("NewRNG Intn draw %d = %d; want modulo %d", i, got, want)
 		}
 	}
-	// Norm under v1 is Box-Muller.
+	// Norm on NewRNG is Box-Muller.
 	c, d := NewRNG(9), NewRNG(9)
 	for i := 0; i < 100; i++ {
 		if got, want := c.Norm(), d.normBoxMuller(); got != want {
-			t.Fatalf("v1 Norm draw %d = %v; want Box-Muller %v", i, got, want)
+			t.Fatalf("NewRNG Norm draw %d = %v; want Box-Muller %v", i, got, want)
 		}
 	}
 }
 
-// TestCloneCarriesSampler: replaying from a clone must reproduce the v2
-// deviates exactly (the deferred fault-injection contract).
+// TestCloneCarriesSampler: replaying from a clone must reproduce the trial
+// stream's deviates exactly (the deferred fault-injection contract).
 func TestCloneCarriesSampler(t *testing.T) {
-	r := NewRNGSampler(11, SamplerV2)
+	r := NewTrialRNG(11, 0)
+	r.Norm()
 	cl := r.Clone()
-	if cl.Sampler() != SamplerV2 {
-		t.Fatal("clone dropped the sampler version")
+	if !cl.Philox() {
+		t.Fatal("clone dropped the bit source")
 	}
 	for i := 0; i < 64; i++ {
 		if a, b := r.Norm(), cl.Norm(); a != b {
@@ -83,10 +78,10 @@ func TestCloneCarriesSampler(t *testing.T) {
 	}
 }
 
-// --- Lemire bounded Intn (v2) ---
+// --- Lemire bounded Intn (trial stream) ---
 
 func TestIntnLemireBounds(t *testing.T) {
-	r := NewRNGSampler(3, SamplerV2)
+	r := NewTrialRNG(3, 0)
 	for _, n := range []int{1, 2, 3, 7, 97, 1 << 20} {
 		for i := 0; i < 2000; i++ {
 			v := r.Intn(n)
@@ -103,12 +98,12 @@ func TestIntnLemireBounds(t *testing.T) {
 	r.Intn(0)
 }
 
-// TestIntnLemireUniform: chi-square over a small modulus; the v2 reduction
-// must be uniform (the v1 modulo bias at this sample size is far below the
+// TestIntnLemireUniform: chi-square over a small modulus; the Lemire
+// reduction must be uniform (the modulo bias at this sample size is far below the
 // test's power — this guards gross mapping errors, not the bias itself).
 func TestIntnLemireUniform(t *testing.T) {
 	const n, draws = 13, 130000
-	r := NewRNGSampler(5, SamplerV2)
+	r := NewTrialRNG(5, 0)
 	obs := make([]float64, n)
 	for i := 0; i < draws; i++ {
 		obs[r.Intn(n)]++
@@ -127,7 +122,7 @@ func TestIntnLemireUniform(t *testing.T) {
 // below 2^63, where nearly half of all raw draws are rejected.
 func TestIntnLemireRejection(t *testing.T) {
 	n := int(uint64(1)<<63 - 25)
-	r := NewRNGSampler(17, SamplerV2)
+	r := NewTrialRNG(17, 0)
 	for i := 0; i < 1000; i++ {
 		if v := r.Intn(n); v < 0 || v >= n {
 			t.Fatalf("Intn(2^63-25) = %d out of range", v)
@@ -138,7 +133,7 @@ func TestIntnLemireRejection(t *testing.T) {
 // --- Floyd's SampleK ---
 
 func TestSampleKProperties(t *testing.T) {
-	r := NewRNGSampler(23, SamplerV2)
+	r := NewTrialRNG(23, 0)
 	for _, tc := range []struct{ n, k int }{
 		{10, 0}, {10, 1}, {10, 10}, {1000, 37}, {1 << 16, 500},
 		// Past the bitset bound, the map path must behave identically.
@@ -164,7 +159,7 @@ func TestSampleKProperties(t *testing.T) {
 // interleaved draws replay from clones.
 func TestSampleKDrawCount(t *testing.T) {
 	for _, k := range []int{1, 5, 50, 100} {
-		a := NewRNGSampler(99, SamplerV2)
+		a := NewTrialRNG(99, 0)
 		b := a.Clone()
 		a.SampleK(100, k, func(int) {})
 		for i := 0; i < k; i++ {
@@ -180,7 +175,7 @@ func TestSampleKDrawCount(t *testing.T) {
 // algorithm yields a uniform k-subset).
 func TestSampleKUniform(t *testing.T) {
 	const n, k, reps = 20, 5, 40000
-	r := NewRNGSampler(31, SamplerV2)
+	r := NewTrialRNG(31, 0)
 	obs := make([]float64, n)
 	for i := 0; i < reps; i++ {
 		r.SampleK(n, k, func(pos int) { obs[pos]++ })
@@ -209,7 +204,7 @@ func binomialPMF(n int, p float64) []float64 {
 }
 
 func TestBinomialEdgeCases(t *testing.T) {
-	r := NewRNGSampler(1, SamplerV2)
+	r := NewTrialRNG(1, 0)
 	if got := r.Binomial(0, 0.5); got != 0 {
 		t.Errorf("Binomial(0, .5) = %d", got)
 	}
@@ -243,7 +238,7 @@ func TestBinomialEdgeCases(t *testing.T) {
 // exact PMF, chi-square per configuration.
 func TestBinomialInversionPMF(t *testing.T) {
 	const draws = 60000
-	r := NewRNGSampler(7, SamplerV2)
+	r := NewTrialRNG(7, 0)
 	for _, tc := range []struct {
 		n int
 		p float64
@@ -287,7 +282,7 @@ func TestBinomialInversionPMF(t *testing.T) {
 // binomial mean and variance (the fault-count acceptance criterion).
 func TestBinomialBTRSMoments(t *testing.T) {
 	const draws = 40000
-	r := NewRNGSampler(13, SamplerV2)
+	r := NewTrialRNG(13, 0)
 	for _, tc := range []struct {
 		n int
 		p float64
@@ -318,7 +313,7 @@ func TestBinomialBTRSMoments(t *testing.T) {
 // histogram must match the true distribution, not just its moments.
 func TestBinomialBTRSExactPMF(t *testing.T) {
 	const n, p, draws = 120, 0.2, 120000 // n·p = 24 → BTRS path
-	r := NewRNGSampler(19, SamplerV2)
+	r := NewTrialRNG(19, 0)
 	obs := make([]float64, n+1)
 	for i := 0; i < draws; i++ {
 		obs[r.Binomial(n, p)]++
@@ -372,10 +367,10 @@ func TestZigguratTablesClose(t *testing.T) {
 }
 
 // TestZigguratMoments: mean, variance, skewness and excess kurtosis of the
-// v2 Gaussian against the standard normal.
+// Ziggurat Gaussian against the standard normal.
 func TestZigguratMoments(t *testing.T) {
 	const draws = 400000
-	r := NewRNGSampler(29, SamplerV2)
+	r := NewTrialRNG(29, 0)
 	var m1, m2, m3, m4 float64
 	for i := 0; i < draws; i++ {
 		x := r.Norm()
@@ -400,17 +395,17 @@ func TestZigguratMoments(t *testing.T) {
 	}
 }
 
-// TestZigguratVsBoxMullerKS: two-sample KS between the regimes' Gaussians —
+// TestZigguratVsBoxMullerKS: two-sample KS between the two sources' Gaussians —
 // the noise-model equivalence the accuracy study relies on.
 func TestZigguratVsBoxMullerKS(t *testing.T) {
 	const n = 200000
-	v1 := NewRNG(37)
-	v2 := NewRNGSampler(41, SamplerV2)
+	bm := NewRNG(37)
+	zig := NewTrialRNG(41, 0)
 	a := make([]float64, n)
 	b := make([]float64, n)
 	for i := 0; i < n; i++ {
-		a[i] = v1.Norm()
-		b[i] = v2.Norm()
+		a[i] = bm.Norm()
+		b[i] = zig.Norm()
 	}
 	d := KSTwoSample(a, b)
 	if limit := KSThreshold(0.001, n, n); d > limit {
@@ -422,7 +417,7 @@ func TestZigguratVsBoxMullerKS(t *testing.T) {
 // mass (~2·Φ(−3.44) ≈ 5.8e-4) and produce finite values.
 func TestZigguratTail(t *testing.T) {
 	const draws = 2000000
-	r := NewRNGSampler(43, SamplerV2)
+	r := NewTrialRNG(43, 0)
 	tail := 0
 	for i := 0; i < draws; i++ {
 		x := r.Norm()
@@ -529,19 +524,10 @@ func TestChiSquare(t *testing.T) {
 	ChiSquare([]float64{1}, []float64{1, 2})
 }
 
-// --- benchmarks: the regime cost claims ---
+// --- benchmarks: the deviate cost claims ---
 
 func BenchmarkNormBoxMuller(b *testing.B) {
 	r := NewRNG(1)
-	s := 0.0
-	for i := 0; i < b.N; i++ {
-		s += r.Norm()
-	}
-	_ = s
-}
-
-func BenchmarkNormZiggurat(b *testing.B) {
-	r := NewRNGSampler(1, SamplerV2)
 	s := 0.0
 	for i := 0; i < b.N; i++ {
 		s += r.Norm()
@@ -559,7 +545,7 @@ func BenchmarkIntnModulo(b *testing.B) {
 }
 
 func BenchmarkIntnLemire(b *testing.B) {
-	r := NewRNGSampler(1, SamplerV2)
+	r := NewTrialRNG(1, 0)
 	s := 0
 	for i := 0; i < b.N; i++ {
 		s += r.Intn(65536)
@@ -568,7 +554,7 @@ func BenchmarkIntnLemire(b *testing.B) {
 }
 
 func BenchmarkBinomialLowRate(b *testing.B) {
-	r := NewRNGSampler(1, SamplerV2)
+	r := NewTrialRNG(1, 0)
 	s := 0
 	for i := 0; i < b.N; i++ {
 		s += r.Binomial(65536, 0.001)
@@ -576,13 +562,12 @@ func BenchmarkBinomialLowRate(b *testing.B) {
 	_ = s
 }
 
-// BenchmarkUint64 isolates the raw bit-source cost the regimes pay under
-// every deviate: one splitmix64 round per word (v1/v2) vs one ten-round
-// Philox4x32 block per two words (v3).
+// BenchmarkUint64 isolates the raw bit-source cost under every deviate:
+// one splitmix64 round per word (NewRNG) vs one ten-round Philox4x32 block
+// per two words (trial stream).
 func BenchmarkUint64(b *testing.B) {
-	for _, v := range []SamplerVersion{SamplerV1, SamplerV3} {
-		b.Run("sampler="+v.String(), func(b *testing.B) {
-			r := NewRNGSampler(1, v)
+	for name, r := range map[string]*RNG{"splitmix": NewRNG(1), "philox": NewTrialRNG(1, 0)} {
+		b.Run("source="+name, func(b *testing.B) {
 			var s uint64
 			for i := 0; i < b.N; i++ {
 				s += r.Uint64()
@@ -592,9 +577,9 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
-// BenchmarkNormPhilox measures the v3 Gaussian hot path: Ziggurat deviates
-// fed by the counter-based bit source (compare BenchmarkNormZiggurat for
-// the same algorithm on splitmix64 bits).
+// BenchmarkNormPhilox measures the trial-stream Gaussian hot path:
+// Ziggurat deviates fed by the counter-based bit source (compare
+// BenchmarkNormBoxMuller on the NewRNG stream).
 func BenchmarkNormPhilox(b *testing.B) {
 	r := NewTrialRNG(1, 0)
 	s := 0.0

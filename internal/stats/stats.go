@@ -3,14 +3,14 @@
 // Philox4x32-10 PRNGs, Gaussian sampling for circuit-noise injection,
 // geometric means for the paper's summary rows, Monte-Carlo utilities, and
 // the goodness-of-fit statistics (Kolmogorov–Smirnov, Pearson chi-square)
-// that defend the sampling regimes' statistical equivalence.
+// that defend the fault and noise draws against reference distributions.
 //
 // Everything is deterministic given a seed so experiments and tests are
-// exactly reproducible. Deviate algorithms are versioned: see
-// SamplerVersion for the v1 (legacy, byte-stable), v2 (sublinear binomial
-// fault draws, Ziggurat Gaussians, Lemire bounded Intn) and v3
-// (counter-based Philox substreams keyed by (seed, trial, slot), the
-// trial-parallel default) regimes.
+// exactly reproducible. An RNG draws from one of two bit sources: the
+// serial splitmix64 stream of NewRNG, which trains the classifiers and
+// synthesises their datasets, and the counter-based Philox trial stream of
+// NewTrialRNG, keyed by (seed, trial, slot), which carries every
+// Monte-Carlo fault and noise draw (see SamplerVersion).
 package stats
 
 import (
@@ -21,33 +21,33 @@ import (
 // RNG is a deterministic pseudo-random generator. The zero value is a valid
 // generator seeded with 0; prefer NewRNG for explicit seeding.
 //
-// An RNG samples under one of three regimes (see SamplerVersion): the zero
-// value and NewRNG keep the legacy v1 regime, so every pre-existing deviate
-// stream stays byte-stable; NewRNGSampler and SetSampler opt into the
-// sublinear v2 regime (Ziggurat Gaussians, Lemire Intn, and the
-// Binomial/SampleK fault-draw machinery) or the counter-based v3 regime
-// (the v2 deviate algorithms over a Philox4x32-10 bit source with keyed
-// substreams; see philox.go, NewTrialRNG and Substream).
+// The bit source fixes the deviate algorithms. NewRNG generators (and the
+// zero value) run the serial splitmix64 stream with Box-Muller Gaussians
+// and modulo-reduced Intn; training and dataset synthesis depend on those
+// exact streams, so they stay byte-stable. NewTrialRNG and Substream
+// generators run the Philox4x32-10 counter stream with Ziggurat Gaussians
+// and Lemire bounded Intn (see philox.go); Binomial and SampleK build the
+// fault draws on top of either.
 type RNG struct {
-	// state is the splitmix64 state (v1/v2 bit source).
+	// state is the splitmix64 state (NewRNG bit source).
 	state uint64
-	// key/ctr are the Philox key and 128-bit counter (v3 bit source); buf
-	// holds the blocks of the last refill, and its last bufn uint64s are
-	// not yet served.
+	// key/ctr are the Philox key and 128-bit counter (trial bit source);
+	// buf holds the blocks of the last refill, and its last bufn uint64s
+	// are not yet served.
 	key  [2]uint32
 	ctr  [4]uint32
 	buf  [2 * philoxLanes]uint64
 	bufn uint8
-	// cached spare Gaussian deviate (Box-Muller generates pairs; v1 only)
+	// cached spare Gaussian deviate (Box-Muller generates pairs)
 	spare    float64
 	hasSpare bool
-	// sampler selects the bit source and deviate algorithms; the zero value
-	// samples v1.
-	sampler SamplerVersion
+	// philox selects the counter-based bit source and its deviate
+	// algorithms; the zero value draws splitmix64.
+	philox bool
 }
 
-// NewRNG returns a generator seeded with seed, sampling under the legacy
-// v1 regime (see NewRNGSampler for regime selection).
+// NewRNG returns a generator seeded with seed on the serial splitmix64
+// stream (NewTrialRNG builds the Monte-Carlo trial streams).
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // Clone returns an independent generator that will produce exactly the same
@@ -59,10 +59,15 @@ func (r *RNG) Clone() *RNG {
 	return &cp
 }
 
+// Philox reports whether the generator draws from the counter-based trial
+// stream (NewTrialRNG, Substream) rather than the serial NewRNG stream.
+func (r *RNG) Philox() bool { return r.philox }
+
 // Uint64 returns the next 64 pseudo-random bits: the splitmix64 stream
-// under v1/v2, the Philox4x32-10 counter stream under v3.
+// for NewRNG generators, the Philox4x32-10 counter stream for trial
+// generators.
 func (r *RNG) Uint64() uint64 {
-	if r.sampler == SamplerV3 {
+	if r.philox {
 		return r.philoxNext()
 	}
 	r.state += 0x9e3779b97f4a7c15
@@ -77,32 +82,32 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Intn returns a uniform integer in [0,n). It panics if n <= 0. Under the
-// v1 regime it keeps the historical modulo reduction (slightly biased for
-// n not dividing 2^64, preserved for stream stability); under v2/v3 it
-// uses Lemire's bounded rejection, which is exactly uniform.
+// Intn returns a uniform integer in [0,n). It panics if n <= 0. NewRNG
+// generators keep the historical modulo reduction (slightly biased for n
+// not dividing 2^64, preserved for stream stability); trial generators use
+// Lemire's bounded rejection, which is exactly uniform.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn with non-positive n")
 	}
-	if r.sampler >= SamplerV2 {
+	if r.philox {
 		return int(r.intnLemire(uint64(n)))
 	}
 	return int(r.Uint64() % uint64(n))
 }
 
-// Norm returns a standard-normal deviate: Box-Muller under the v1 regime,
-// the Ziggurat method under v2/v3 (~4x fewer cycles per deviate in the
-// noise hot path; see the distribution-equivalence tests).
+// Norm returns a standard-normal deviate: Box-Muller for NewRNG
+// generators, the Ziggurat method for trial generators (~4x fewer cycles
+// per deviate in the noise hot path).
 func (r *RNG) Norm() float64 {
-	if r.sampler >= SamplerV2 {
+	if r.philox {
 		return r.normZiggurat()
 	}
 	return r.normBoxMuller()
 }
 
-// normBoxMuller is the legacy polar Box-Muller sampler (generates pairs,
-// caching the spare).
+// normBoxMuller is the polar Box-Muller sampler (generates pairs, caching
+// the spare).
 func (r *RNG) normBoxMuller() float64 {
 	if r.hasSpare {
 		r.hasSpare = false

@@ -102,7 +102,7 @@ func TestCNNBatchIdentity(t *testing.T) {
 	mapFaulty := func() *AnalogCNN {
 		t.Helper()
 		a, err := cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: stats.NewRNG(91)},
+			Noise:         &analog.Noise{RNG: stats.NewTrialRNG(91, 0)},
 			InterfaceBits: 24,
 		}, 0.001)
 		if err != nil {

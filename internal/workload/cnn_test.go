@@ -99,7 +99,7 @@ func TestAnalogCNNFaultResilience(t *testing.T) {
 	base := cnn.AccuracyInt(test)
 	accAt := func(rate float64) float64 {
 		a, err := cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: stats.NewRNG(55)},
+			Noise:         &analog.Noise{RNG: stats.NewTrialRNG(55, 0)},
 			InterfaceBits: 24,
 		}, rate)
 		if err != nil {
@@ -147,7 +147,7 @@ func TestProgrammedKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := func(seed uint64) core.Options {
-		return core.Options{Noise: &analog.Noise{RNG: stats.NewRNGSampler(seed, stats.SamplerV3)}, InterfaceBits: 24}
+		return core.Options{Noise: &analog.Noise{RNG: stats.NewTrialRNG(seed, 0)}, InterfaceBits: 24}
 	}
 	clean, err := cnn.MapAnalog(core.IdealOptions(nil), 0)
 	if err != nil {

@@ -187,7 +187,7 @@ func fuseFunctional(ctx context.Context, reqs []*EvalRequest, vals []*EvalResult
 		for i, f := range fs {
 			seeds[i] = f.seed(defaultMLPSeed)
 		}
-		rs, err := experiments.AnalogMLPAccuracyBatch(ctx, seeds, cfg.Trials, cfg.NoisePS, fs[0].sampler())
+		rs, err := experiments.AnalogMLPAccuracyBatch(ctx, seeds, cfg.Trials, cfg.NoisePS)
 		if err != nil {
 			for i := range errs {
 				errs[i] = err
@@ -202,7 +202,7 @@ func fuseFunctional(ctx context.Context, reqs []*EvalRequest, vals []*EvalResult
 		for i, f := range fs {
 			seeds[i] = f.seed(defaultCNNSeed)
 		}
-		rs, err := experiments.AnalogCNNAccuracyBatch(ctx, seeds, cfg.Trials, cfg.FaultRate, fs[0].sampler())
+		rs, err := experiments.AnalogCNNAccuracyBatch(ctx, seeds, cfg.Trials, cfg.FaultRate)
 		if err != nil {
 			for i := range errs {
 				errs[i] = err

@@ -35,12 +35,6 @@ func newFunctional(cfg *Config) (Backend, error) {
 	return &functional{cfg: *cfg}, nil
 }
 
-// sampler returns the configured sampling regime (the counter-based v3
-// unless WithSampler chose otherwise).
-func (f *functional) sampler() stats.SamplerVersion {
-	return f.cfg.Sampler.Resolve()
-}
-
 // Name implements Backend.
 func (f *functional) Name() string { return "functional" }
 
@@ -76,7 +70,7 @@ func (f *functional) Evaluate(ctx context.Context, network string) (*EvalResult,
 			return nil, fmt.Errorf("%w: fault injection applies to the \"cnn\" workload, not %q",
 				ErrInvalidOption, network)
 		}
-		r, err := experiments.AnalogMLPAccuracy(ctx, f.seed(defaultMLPSeed), f.cfg.Trials, f.cfg.NoisePS, f.sampler())
+		r, err := experiments.AnalogMLPAccuracy(ctx, f.seed(defaultMLPSeed), f.cfg.Trials, f.cfg.NoisePS, stats.SamplerV3)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +80,7 @@ func (f *functional) Evaluate(ctx context.Context, network string) (*EvalResult,
 			return nil, fmt.Errorf("%w: timing noise applies to the \"mlp\" workload, not %q",
 				ErrInvalidOption, network)
 		}
-		r, err := experiments.AnalogCNNAccuracy(ctx, f.seed(defaultCNNSeed), f.cfg.Trials, f.cfg.FaultRate, f.sampler())
+		r, err := experiments.AnalogCNNAccuracy(ctx, f.seed(defaultCNNSeed), f.cfg.Trials, f.cfg.FaultRate)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +108,7 @@ func mlpAccuracyStats(r *experiments.AccuracyResult) *AccuracyStats {
 		CascadeErrorPS: r.CascadeErrorPS,
 		MarginPS:       r.MarginPS,
 		Trials:         r.Trials,
-		Sampler:        r.Sampler.String(),
+		Sampler:        stats.SamplerV3.String(),
 	}
 }
 
@@ -129,6 +123,6 @@ func cnnAccuracyStats(r *experiments.DefectResult) *AccuracyStats {
 		LossPP:    (r.IntAcc - r.AnalogAcc) * 100,
 		Faults:    r.Faults,
 		Trials:    r.Trials,
-		Sampler:   r.Sampler.String(),
+		Sampler:   stats.SamplerV3.String(),
 	}
 }

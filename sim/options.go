@@ -29,10 +29,6 @@ type Config struct {
 	Seed uint64
 	// Trials is the Monte-Carlo repeat count (functional).
 	Trials int
-	// Sampler is the Monte-Carlo sampling regime (functional); the
-	// counter-based v3 by default, v1/v2 for the earlier byte-pinned
-	// streams.
-	Sampler stats.SamplerVersion
 	// Images is the image count the event-driven simulation pushes through
 	// the pipeline (timing); 0 keeps the backend default.
 	Images int
@@ -87,7 +83,6 @@ func defaultConfig() Config {
 		Chips:   1,
 		NoisePS: params.DefaultXSubBufSigma,
 		Trials:  5,
-		Sampler: stats.SamplerV3,
 	}
 }
 
@@ -226,25 +221,20 @@ func WithTraceSink(fn func(TraceSpan)) Option {
 	}
 }
 
-// WithSampler selects the functional backend's Monte-Carlo sampling regime
-// by name: "v3" (the default) keys a counter-based Philox generator by the
-// study's (seed, trial, grid slot) coordinates, so every trial's stream is
-// independently computable and results are byte-stable at any worker
-// count; "v2" draws realised fault maps with sublinear O(faults) binomial
-// sampling and circuit noise through a Ziggurat Gaussian from serial
-// splitmix streams; "v1" reproduces the legacy per-cell Bernoulli /
-// Box-Muller deviate streams byte for byte (the regime the original
-// goldens were captured under). The regimes are statistically equivalent —
-// equal seeds give different deviates but the same fault-count and noise
-// distributions — so sweeps are comparable across them; pick v1/v2 only
-// when exact reproducibility of their pinned streams matters.
+// WithSampler names the functional backend's Monte-Carlo stream contract.
+// Only "v3" (and "" for the default, also v3) is accepted: a counter-based
+// Philox generator keyed by the study's (seed, trial, grid slot)
+// coordinates, so every trial's stream is independently computable and
+// results are byte-stable at any worker count. The retired "v1" and "v2"
+// fail with ErrInvalidOption naming d9a0b33, the last commit that supports
+// them. The option selects nothing; it validates a request that pins the
+// contract explicitly, and like every functional option it is rejected by
+// the other backends.
 func WithSampler(version string) Option {
 	return func(c *Config) error {
-		v, err := stats.ParseSamplerVersion(version)
-		if err != nil {
-			return fmt.Errorf("%w: sampler must be \"v1\", \"v2\" or \"v3\", got %q", ErrInvalidOption, version)
+		if _, err := stats.ParseSamplerVersion(version); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidOption, err)
 		}
-		c.Sampler = v.Resolve()
 		c.mark(optSampler)
 		return nil
 	}

@@ -141,9 +141,8 @@ type EvalRequest struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Trials is the Monte-Carlo repeat count (functional).
 	Trials int `json:"trials,omitempty"`
-	// Sampler selects the Monte-Carlo sampling regime (functional):
-	// "v3" (the counter-based default), or "v1"/"v2" for the earlier
-	// byte-pinned streams; see WithSampler.
+	// Sampler names the Monte-Carlo stream contract (functional): "v3" or
+	// empty; the retired "v1"/"v2" are rejected. See WithSampler.
 	Sampler string `json:"sampler,omitempty"`
 	// Images is the image count the event-driven simulation pushes through
 	// the pipeline (timing); see WithImages.
@@ -226,8 +225,7 @@ type AccuracyStats struct {
 	Faults int `json:"faults,omitempty"`
 	// Trials is the Monte-Carlo repeat count.
 	Trials int `json:"trials"`
-	// Sampler is the sampling regime the trials drew under
-	// ("v1"/"v2"/"v3").
+	// Sampler is the stream contract the trials drew under (always "v3").
 	Sampler string `json:"sampler,omitempty"`
 }
 
