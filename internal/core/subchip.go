@@ -24,7 +24,9 @@
 // integer arithmetic — 8-bit DTC codes times integer cell levels, summed
 // exactly, quantised by a shift — and ForwardBatch pushes whole input
 // blocks through the integer matrix–matrix kernel instead, bit-identical to
-// the float path. Sub-chips are not safe for concurrent use.
+// the float path. Where that quantiser is the identity (the 24-bit
+// interface) a layer is one integer product with its cached effective
+// weights. Sub-chips are not safe for concurrent use.
 package core
 
 import (
@@ -304,6 +306,13 @@ type MappedLayer struct {
 	colsPerArm int
 	// physCols is the total bit-cell column count (D·2·colsPerArm).
 	physCols int
+	// weff caches the effective weights of a lossless layer (see
+	// effectiveWeights), row-major Rows × D. weffGen is the crossbar write
+	// stamp it was built at (0: never built); a nil weff under a current
+	// stamp caches the verdict that the layer's quantiser is not the
+	// identity.
+	weff    []int
+	weffGen uint64
 }
 
 // physColsPerWeight returns the physical bit-cell columns one weight
@@ -611,22 +620,19 @@ func (q *quantiser) code(total int64) int {
 // integer arithmetic end to end: with integral crossbars and no noise an
 // 8-bit DTC code times an integer level is an integer, the X-subBuf copies
 // and P-subBuf mirrors are identities, and the I-adder sum of the column
-// totals is exact in any order. The blocked integer kernel
-// (reram.DotLevelsBatch) produces every crossbar's column sums, grid rows
-// add in int64, and the quantiser maps each total to the code the float
-// charging + TDC stage would produce — so the psums are bit-identical to
-// per-wave execution.
+// totals is exact in any order. A lossless layer (effectiveWeights) folds
+// the whole datapath into one integer product with its effective weights;
+// any other layer runs the blocked integer kernel (reram.DotLevelsBatch)
+// for every crossbar's column sums, adds the grid rows in int64 and maps
+// each total to the code the float charging + TDC stage would produce.
+// Either way the psums are bit-identical to per-wave execution.
 func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 	s := m.sc
-	cfg := s.cfg
 	rows, d := m.Rows, m.D
-	q := m.quantiser()
+	weff := m.effectiveWeights()
 	dtcLevels := s.dtc.Levels()
 	for base := 0; base < nvec; base += batchBlock {
-		n := nvec - base
-		if n > batchBlock {
-			n = batchBlock
-		}
+		n := min(nvec-base, batchBlock)
 		// DTC conversion: without noise or INL the delay is the code
 		// itself in TDel units, whichever grid column it reaches. The DTC
 		// has params.DTCBits = 8 bits, so every valid code fits a uint8.
@@ -638,48 +644,11 @@ func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 			}
 			codes[i] = uint8(code)
 		}
-		// Blocked integer dots: one kernel call per crossbar covers the
-		// whole block. Layout: dots[(gr·n + v)·physCols + gcol].
-		dots := grow(&s.ar.dots, m.gridRowsUsed*n*m.physCols)
-		for gr := 0; gr < m.gridRowsUsed; gr++ {
-			lo := gr * cfg.B
-			hi := min(lo+cfg.B, rows)
-			for gc := 0; gc < m.gridColsUsed; gc++ {
-				c0 := gc * cfg.B
-				nc := min(m.physCols-c0, cfg.B)
-				s.Crossbar(gr, gc).DotLevelsBatch(codes[lo:], n, rows, hi-lo, nc,
-					dots[gr*n*m.physCols+c0:], m.physCols)
-			}
-		}
-		// I-adder: fold the lower grid rows' sums into grid row 0. Then
-		// quantise and recombine; globalCol numbers the columns
-		// channel-major, arm, nibble, so one linear walk visits them in
-		// recombination order.
-		for v := 0; v < n; v++ {
-			totals := dots[v*m.physCols : (v+1)*m.physCols]
-			for gr := 1; gr < m.gridRowsUsed; gr++ {
-				lower := dots[(gr*n+v)*m.physCols : (gr*n+v+1)*m.physCols]
-				for g, t := range lower[:len(totals)] {
-					totals[g] += t
-				}
-			}
-			o := out[(base+v)*d : (base+v+1)*d]
-			for di := range o {
-				acc := 0
-				for arm := 0; arm < armsPerWeight; arm++ {
-					armDot := 0
-					for _, total := range totals[:m.colsPerArm] {
-						armDot = armDot<<uint(cfg.CellBits) + q.code(total)
-					}
-					totals = totals[m.colsPerArm:]
-					if arm == 0 {
-						acc += armDot
-					} else {
-						acc -= armDot
-					}
-				}
-				o[di] = acc << uint(m.ScaleShift)
-			}
+		o := out[base*d : (base+n)*d]
+		if weff != nil {
+			m.gemm(codes, n, weff, o)
+		} else {
+			m.quantiseBlock(codes, n, o)
 		}
 		// Ledger accounting, aggregated to the same totals n per-wave
 		// Computes would produce (all counts are integral, so the float
@@ -704,6 +673,163 @@ func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 		}
 	}
 	return nil
+}
+
+// quantiseBlock computes n waves' psums through the charging + TDC stage:
+// one DotLevelsBatch call per crossbar for the whole block, the grid rows'
+// column sums folded by the I-adder, then a quantised code per column and
+// the shift-and-add recombination of the nibble columns and arms.
+func (m *MappedLayer) quantiseBlock(codes []uint8, n int, out []int) {
+	s := m.sc
+	cfg := s.cfg
+	rows := m.Rows
+	q := m.quantiser()
+	// Layout: dots[(gr·n + v)·physCols + gcol].
+	dots := grow(&s.ar.dots, m.gridRowsUsed*n*m.physCols)
+	for gr := 0; gr < m.gridRowsUsed; gr++ {
+		lo := gr * cfg.B
+		hi := min(lo+cfg.B, rows)
+		for gc := 0; gc < m.gridColsUsed; gc++ {
+			c0 := gc * cfg.B
+			nc := min(m.physCols-c0, cfg.B)
+			s.Crossbar(gr, gc).DotLevelsBatch(codes[lo:], n, rows, hi-lo, nc,
+				dots[gr*n*m.physCols+c0:], m.physCols)
+		}
+	}
+	// I-adder: fold the lower grid rows' sums into grid row 0. Then
+	// quantise and recombine; globalCol numbers the columns channel-major,
+	// arm, nibble, so one linear walk visits them in recombination order.
+	for v := 0; v < n; v++ {
+		totals := dots[v*m.physCols : (v+1)*m.physCols]
+		for gr := 1; gr < m.gridRowsUsed; gr++ {
+			lower := dots[(gr*n+v)*m.physCols : (gr*n+v+1)*m.physCols]
+			for g, t := range lower[:len(totals)] {
+				totals[g] += t
+			}
+		}
+		o := out[v*m.D : (v+1)*m.D]
+		for di := range o {
+			acc := 0
+			for arm := 0; arm < armsPerWeight; arm++ {
+				armDot := 0
+				for _, total := range totals[:m.colsPerArm] {
+					armDot = armDot<<uint(cfg.CellBits) + q.code(total)
+				}
+				totals = totals[m.colsPerArm:]
+				if arm == 0 {
+					acc += armDot
+				} else {
+					acc -= armDot
+				}
+			}
+			o[di] = acc << uint(m.ScaleShift)
+		}
+	}
+}
+
+// gemm computes n waves' psums as one integer matrix product with the
+// layer's effective weights: out[v·D + d] = Σ_r codes[v·Rows + r]·weff[r·D + d].
+// Four weight rows share each pass over a psum vector; integer sums are
+// exact, so the grouping is free.
+func (m *MappedLayer) gemm(codes []uint8, n int, weff []int, out []int) {
+	rows, d := m.Rows, m.D
+	for v := 0; v < n; v++ {
+		o := out[v*d : (v+1)*d]
+		clear(o)
+		cv := codes[v*rows : (v+1)*rows]
+		r := 0
+		for ; r+4 <= rows; r += 4 {
+			c0, c1, c2, c3 := int(cv[r]), int(cv[r+1]), int(cv[r+2]), int(cv[r+3])
+			if c0|c1|c2|c3 == 0 {
+				continue
+			}
+			w0 := weff[r*d : (r+1)*d][:len(o)]
+			w1 := weff[(r+1)*d : (r+2)*d][:len(o)]
+			w2 := weff[(r+2)*d : (r+3)*d][:len(o)]
+			w3 := weff[(r+3)*d : (r+4)*d][:len(o)]
+			for j := range o {
+				o[j] += c0*w0[j] + c1*w1[j] + c2*w2[j] + c3*w3[j]
+			}
+		}
+		for ; r < rows; r++ {
+			c := int(cv[r])
+			if c == 0 {
+				continue
+			}
+			w := weff[r*d : (r+1)*d][:len(o)]
+			for j, wj := range w {
+				o[j] += c * wj
+			}
+		}
+	}
+}
+
+// effectiveWeights returns the layer's effective-weight matrix when its
+// charging + TDC stage is provably the identity, and nil otherwise. That
+// holds when ScaleShift is 0 (one TDC LSB is one dot unit, so the quantiser
+// neither scales nor rounds) and no column total can reach the clamp:
+// 255·Σ levels ≤ maxCode for every column the layer reads, checked on the
+// read-back levels, stuck-at cells included. Then every column code equals
+// its exact total, and the shift-and-add of the nibble columns and arms
+// is linear, so psum[d] = Σ_r code[r]·Weff[r][d] with
+// Weff[r][d] = Σ_arm ±Σ_nib level << CellBits·(colsPerArm−1−nib), the
+// signed weight as actually programmed.
+//
+// The matrix (or the verdict that the layer is lossy) is cached and
+// rebuilt whenever a crossbar the layer reads has been written since:
+// the cache is keyed by the sum of their write generations, which only
+// grow, so any Program, fault injection, variation or IR-drop change
+// moves it.
+func (m *MappedLayer) effectiveWeights() []int {
+	if m.ScaleShift != 0 {
+		return nil
+	}
+	s := m.sc
+	cfg := s.cfg
+	stamp := uint64(1)
+	for gr := 0; gr < m.gridRowsUsed; gr++ {
+		for gc := 0; gc < m.gridColsUsed; gc++ {
+			stamp += s.Crossbar(gr, gc).Generation()
+		}
+	}
+	if stamp == m.weffGen {
+		return m.weff
+	}
+	m.weffGen = stamp
+	m.weff = nil
+	weff := make([]int, m.Rows*m.D)
+	colSums := grow(&s.ar.dots, m.physCols)
+	clear(colSums)
+	for r := 0; r < m.Rows; r++ {
+		gr, lr := r/cfg.B, r%cfg.B
+		for d := 0; d < m.D; d++ {
+			w := 0
+			for arm := 0; arm < armsPerWeight; arm++ {
+				mag := 0
+				for nib := 0; nib < m.colsPerArm; nib++ {
+					gcol := m.globalCol(d, arm, nib)
+					level := int(s.Crossbar(gr, gcol/cfg.B).Level(lr, gcol%cfg.B))
+					colSums[gcol] += int64(level)
+					mag = mag<<uint(cfg.CellBits) + level
+				}
+				if arm == 0 {
+					w += mag
+				} else {
+					w -= mag
+				}
+			}
+			weff[r*m.D+d] = w
+		}
+	}
+	// The largest total a column can reach is 255 times its level sum.
+	maxCode := int64(m.chargingUnit().MaxCode())
+	for _, cs := range colSums {
+		if 255*cs > maxCode {
+			return nil
+		}
+	}
+	m.weff = weff
+	return weff
 }
 
 // AppendLevels appends to dst the programmed level of every cell the layer

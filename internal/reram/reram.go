@@ -17,9 +17,10 @@
 // The noise-free datapath is exact integer arithmetic, so its batched
 // kernel DotLevelsBatch reads the programmed levels instead, packed several
 // columns to a machine word. Any state mutation (Program, ApplyVariation,
-// SetIRDrop, fault injection) invalidates both caches; each is rebuilt only
-// for the row prefix a kernel actually touches. Crossbars are not safe for
-// concurrent use.
+// SetIRDrop, fault injection) invalidates both caches — each is rebuilt only
+// for the row prefix a kernel actually touches — and advances the write
+// Generation, which lets readers outside the package keep caches of their
+// own. Crossbars are not safe for concurrent use.
 package reram
 
 import (
@@ -56,6 +57,8 @@ type Crossbar struct {
 	packedRows, packedWidth, packedWords int
 	// acc is DotLevelsBatch's per-vector lane accumulator scratch.
 	acc []uint64
+	// gen counts state mutations (see Generation).
+	gen uint64
 	// scaled and dots are kernel scratch reused by SubRangedDot so the
 	// recombining decoders stay allocation-free.
 	scaled []float64
@@ -74,8 +77,19 @@ func New(b, cellBits int) *Crossbar {
 // MaxLevel returns the highest programmable level.
 func (x *Crossbar) MaxLevel() uint8 { return uint8(int(1)<<x.CellBits - 1) }
 
-// invalidate drops the cached conductance matrix and packed levels.
-func (x *Crossbar) invalidate() { x.flatRows, x.packedRows = 0, 0 }
+// invalidate drops the cached conductance matrix and packed levels and
+// advances the write generation.
+func (x *Crossbar) invalidate() {
+	x.flatRows, x.packedRows = 0, 0
+	x.gen++
+}
+
+// Generation returns the crossbar's write generation: a counter that every
+// state mutation (Program, ApplyVariation, SetIRDrop, fault injection or
+// clearing) advances and nothing else touches. A cache derived from the
+// array's levels or conductances is current while the generation it was
+// built at still holds.
+func (x *Crossbar) Generation() uint64 { return x.gen }
 
 // Program writes one cell. It returns an error if the coordinates are out
 // of range or the level exceeds the cell's capability.

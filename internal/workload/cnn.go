@@ -101,6 +101,34 @@ func (c *CNN) features(img *tensor.Int) *tensor.Int {
 	return tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
 }
 
+// calibrate sets FeatShift to the least shift that brings the largest conv
+// psum over imgs within 8 bits and returns every image's feature vector,
+// convolving each image once. Requantisation (shift, then clamp to
+// [0, 255]) is monotone, so max pooling the raw psums first and
+// requantising the pooled maxima gives the same codes as features.
+func (c *CNN) calibrate(imgs []*tensor.Int) [][]float64 {
+	pooled := make([]*tensor.Int, len(imgs))
+	maxPsum := int32(0)
+	for i, img := range imgs {
+		conv := tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad)
+		for _, v := range conv.Data {
+			if v > maxPsum {
+				maxPsum = v
+			}
+		}
+		pooled[i] = tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
+	}
+	c.FeatShift = 0
+	for maxPsum>>uint(c.FeatShift) > 255 {
+		c.FeatShift++
+	}
+	feats := make([][]float64, len(imgs))
+	for i, p := range pooled {
+		feats[i] = featVec(tensor.RequantizeShift(p, c.FeatShift, 255))
+	}
+	return feats
+}
+
 // featVec flattens a feature tensor into normalised float64s for the head
 // (codes scaled into [0,1] so the SGD head trains stably; the head's input
 // quantiser recovers 8-bit codes from the same scale).
@@ -118,28 +146,10 @@ func (c *CNN) Train(rng *stats.RNG, train *ImageDataset, hidden, epochs int, lr 
 	if train.Len() == 0 {
 		return 0, fmt.Errorf("workload: empty training set")
 	}
-	// Calibrate the requantisation shift over the training set.
-	maxPsum := int32(0)
-	for _, img := range train.X {
-		conv := tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad)
-		for _, v := range conv.Data {
-			if v > maxPsum {
-				maxPsum = v
-			}
-		}
-	}
-	c.FeatShift = 0
-	for maxPsum>>uint(c.FeatShift) > 255 {
-		c.FeatShift++
-	}
-	// Extract features and train the float head.
-	feats := &Dataset{Dim: 0, Classes: train.Classes}
-	for i, img := range train.X {
-		v := featVec(c.features(img))
-		feats.Dim = len(v)
-		feats.X = append(feats.X, v)
-		feats.Y = append(feats.Y, train.Y[i])
-	}
+	// Calibrate the requantisation shift over the training set and extract
+	// the features the float head trains on.
+	feats := &Dataset{X: c.calibrate(train.X), Y: append([]int(nil), train.Y...), Classes: train.Classes}
+	feats.Dim = len(feats.X[0])
 	c.headFloat = NewMLP(rng, feats.Dim, hidden, train.Classes)
 	loss := c.headFloat.Train(feats, rng, epochs, lr)
 	q, err := Quantize(c.headFloat, feats, 8)

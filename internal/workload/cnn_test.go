@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/params"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 func trainedCNN(t *testing.T, seed uint64) (*CNN, *ImageDataset, *ImageDataset) {
@@ -207,5 +208,34 @@ func TestProgrammedKey(t *testing.T) {
 	}
 	if inside == 0 || outside == 0 {
 		t.Fatalf("draws covered %d inside-fault and %d outside-fault cases, want both", inside, outside)
+	}
+}
+
+// TestCalibrateMatchesFeatures: the one-convolution calibration pass picks
+// the shift the two-pass reference picks (largest conv psum over every
+// image, not just the pooled ones) and returns, per image, exactly the
+// feature vector the integer path computes — pooling the raw psums before
+// requantising changes no code. Odd 11×11 images leave a conv row and
+// column outside every pooling window.
+func TestCalibrateMatchesFeatures(t *testing.T) {
+	for _, size := range []int{12, 11} {
+		rng := stats.NewRNG(41)
+		imgs := SyntheticImages(rng, 40, size, 4, 0.2).X
+		c := NewCNN(rng, 8, 7)
+		feats := c.calibrate(imgs)
+		maxPsum := int32(0)
+		for _, img := range imgs {
+			for _, v := range tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad).Data {
+				maxPsum = max(maxPsum, v)
+			}
+		}
+		if maxPsum>>uint(c.FeatShift) > 255 || (c.FeatShift > 0 && maxPsum>>uint(c.FeatShift-1) <= 255) {
+			t.Fatalf("size %d: shift %d is not the least that fits max psum %d in 8 bits", size, c.FeatShift, maxPsum)
+		}
+		for i, img := range imgs {
+			if want := featVec(c.features(img)); !sameBits(feats[i], want) {
+				t.Fatalf("size %d image %d: calibration features differ from the integer path", size, i)
+			}
+		}
 	}
 }

@@ -226,27 +226,11 @@ func (n *ConvNet) Quantize(rng *stats.RNG, calib *ImageDataset, tuneEpochs int, 
 		code := int(math.Round(w / maxAbs * 127))
 		c.Filters.Data[i] = int32(code)
 	}
-	// Calibrate the feature shift over the calibration images.
-	maxPsum := int32(0)
-	for _, img := range calib.X {
-		conv := tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad)
-		for _, v := range conv.Data {
-			if v > maxPsum {
-				maxPsum = v
-			}
-		}
-	}
-	c.FeatShift = 0
-	for maxPsum>>uint(c.FeatShift) > 255 {
-		c.FeatShift++
-	}
-	// Fine-tune a copy of the float head on the quantised features, then
+	// Calibrate the feature shift over the calibration images, then
+	// fine-tune a copy of the float head on the quantised features and
 	// quantise it.
-	feats := &Dataset{Dim: n.D * n.poolH * n.poolW, Classes: calib.Classes}
-	for i, img := range calib.X {
-		feats.X = append(feats.X, featVec(c.features(img)))
-		feats.Y = append(feats.Y, calib.Y[i])
-	}
+	feats := &Dataset{Dim: n.D * n.poolH * n.poolW, Classes: calib.Classes,
+		X: c.calibrate(calib.X), Y: append([]int(nil), calib.Y...)}
 	head := n.Head.clone()
 	head.Train(feats, rng, tuneEpochs, tuneLR)
 	q, err := Quantize(head, feats, 8)

@@ -169,6 +169,44 @@ func TestStepSkipsOnlyTheInputGradient(t *testing.T) {
 	}
 }
 
+// TestStepSkipsDeadUnits: with a third of the hidden units forced dead
+// (negative bias, non-positive incoming weights, non-negative inputs) their
+// layer-0 deltas are exactly zero, and step, which skips those rows, still
+// leaves weights, biases and losses bit-identical to the naive reference,
+// which updates every row. The dead rows stay exactly as initialised.
+func TestStepSkipsDeadUnits(t *testing.T) {
+	const steps, lr = 200, 0.05
+	for _, sizes := range sgdShapes {
+		kill := func(m *MLP) {
+			for o := 0; o < sizes[1]; o += 3 {
+				for i := range m.W[0][o] {
+					m.W[0][o][i] = -math.Abs(m.W[0][o][i])
+				}
+				m.B[0][o] = -1
+			}
+		}
+		a := NewMLP(stats.NewRNG(31), sizes...)
+		ref := NewMLP(stats.NewRNG(31), sizes...)
+		kill(a)
+		kill(ref)
+		dead := append([]float64(nil), a.W[0][0]...)
+		xs, ys := sgdSamples(stats.NewRNG(32), sizes, steps)
+		for s := range xs {
+			la := a.step(xs[s], ys[s], lr)
+			lr0, _ := naiveSGD(ref, xs[s], ys[s], lr)
+			if math.Float64bits(la) != math.Float64bits(lr0) {
+				t.Fatalf("sizes %v step %d: loss %v, reference %v", sizes, s, la, lr0)
+			}
+		}
+		if !sameParams(a, ref) {
+			t.Fatalf("sizes %v: parameters differ from the reference after %d steps", sizes, steps)
+		}
+		if !sameBits(a.W[0][0], dead) || a.B[0][0] != -1 {
+			t.Fatalf("sizes %v: a dead unit's row was updated", sizes)
+		}
+	}
+}
+
 // TestTrainEmptyDataset: both trainers return a zero loss, not NaN, on a
 // dataset with no samples.
 func TestTrainEmptyDataset(t *testing.T) {

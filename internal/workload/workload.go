@@ -288,21 +288,35 @@ func (m *MLP) sgd(x []float64, y int, lr float64, inputGrad bool) (float64, []fl
 		w, b, in := m.W[l], m.B[l], acts[l]
 		if l == 0 && !inputGrad {
 			// Weights and biases only: the input gradient has no reader.
-			o := 0
-			for ; o+2 <= len(w); o += 2 {
-				lg0, lg1 := lr*delta[o], lr*delta[o+1]
-				b[o] -= lg0
-				b[o+1] -= lg1
-				r0, r1 := w[o][:len(in)], w[o+1][:len(in)]
+			// A row whose delta is zero (a dead ReLU unit) would subtract
+			// ±0 (lr·0 times a finite input) from every weight and bias,
+			// which leaves any value but −0 bit-unchanged — and parameters
+			// are never −0: they start from 0 + Gauss or 0, and exact
+			// cancellation rounds to +0 — so only live rows are updated,
+			// two at a time.
+			pend := -1
+			for o, g := range delta[:len(w)] {
+				if g == 0 {
+					continue
+				}
+				if pend < 0 {
+					pend = o
+					continue
+				}
+				lg0, lg1 := lr*delta[pend], lr*g
+				b[pend] -= lg0
+				b[o] -= lg1
+				r0, r1 := w[pend][:len(in)], w[o][:len(in)]
 				for i, v := range in {
 					r0[i] -= lg0 * v
 					r1[i] -= lg1 * v
 				}
+				pend = -1
 			}
-			for ; o < len(w); o++ {
-				lg := lr * delta[o]
-				b[o] -= lg
-				row := w[o][:len(in)]
+			if pend >= 0 {
+				lg := lr * delta[pend]
+				b[pend] -= lg
+				row := w[pend][:len(in)]
 				for i, v := range in {
 					row[i] -= lg * v
 				}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/stats"
 )
 
 // Serving-side batch support: request identity keys for timelyd's
@@ -32,9 +33,11 @@ import (
 // explicitly-set field and an unset one are different classes, because
 // backends reject options foreign to them only when explicitly set (an
 // explicit bits on the functional backend is a 400; an unset one is not).
-// Inline specs are compiled (and validated) here, so a handler can reject
-// a malformed spec before admission; the same validation failures
-// Evaluate would report are returned.
+// The one exception is the sampler on the functional backend, which
+// accepts "" and "v3" alike: it keys resolved (see samplerKey). Inline
+// specs are compiled (and validated) here, so a handler can reject a
+// malformed spec before admission; the same validation failures Evaluate
+// would report are returned.
 func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	if r.Backend == "" {
 		return "", "", fmt.Errorf("%w: request names no backend", ErrUnknownBackend)
@@ -70,7 +73,7 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	} else {
 		b.WriteString("|fault=-")
 	}
-	fmt.Fprintf(&b, "|trials=%d|sampler=%q|images=%d", r.Trials, r.Sampler, r.Images)
+	fmt.Fprintf(&b, "|trials=%d|sampler=%q|images=%d", r.Trials, r.samplerKey(), r.Images)
 	if r.Seed != nil {
 		b.WriteString("|seed=set")
 	} else {
@@ -83,6 +86,23 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 		cacheKey = batchKey + "#-"
 	}
 	return cacheKey, batchKey, nil
+}
+
+// samplerKey is the sampler field's key spelling. The functional backend
+// accepts "" and "v3" alike and both select the one stream contract, so
+// both key as the resolved "v3": the two bodies share a cache entry and
+// fuse into one trial grid. Every other spelling keys raw — an explicit
+// sampler is a 400 on the other backends where an unset one is not, and
+// an unparsable one must reach Evaluate to fail there.
+func (r *EvalRequest) samplerKey() string {
+	if r.Backend != "functional" {
+		return r.Sampler
+	}
+	v, err := stats.ParseSamplerVersion(r.Sampler)
+	if err != nil {
+		return r.Sampler
+	}
+	return v.Resolve().String()
 }
 
 // RegistryFree reports whether the request's answer cannot depend on the

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -202,5 +204,55 @@ func TestEvaluateBatchPerRequestFallback(t *testing.T) {
 	}
 	if !errors.Is(errs[1], ErrUnknownNetwork) {
 		t.Errorf("member 1 error = %v, want ErrUnknownNetwork", errs[1])
+	}
+}
+
+// TestKeysResolveFunctionalSampler: on the functional backend a body with
+// "sampler":"v3" and the same body without it select the same stream
+// contract, so they share both keys (one cache entry, one fused trial grid)
+// and evaluate to the same bytes, elapsed_ms aside. Where the spellings
+// behave differently the keys stay apart: an explicit sampler is a 400 on
+// an analytic backend, and a retired one is a 400 on the functional
+// backend.
+func TestKeysResolveFunctionalSampler(t *testing.T) {
+	keys := func(r *EvalRequest) (string, string) {
+		t.Helper()
+		c, b, err := r.Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, b
+	}
+	implicit := &EvalRequest{Backend: "functional", Network: "mlp", Trials: 2}
+	explicit := &EvalRequest{Backend: "functional", Network: "mlp", Trials: 2, Sampler: "v3"}
+	ci, bi := keys(implicit)
+	ce, be := keys(explicit)
+	if ci != ce || bi != be {
+		t.Errorf("explicit v3 keyed apart from the default:\n%s\n%s", ce, ci)
+	}
+	retired := &EvalRequest{Backend: "functional", Network: "mlp", Trials: 2, Sampler: "v1"}
+	if c, _ := keys(retired); c == ci {
+		t.Errorf("retired sampler shared the default's key: %s", c)
+	}
+	analytic, _ := keys(&EvalRequest{Backend: "timely", Network: "VGG-D"})
+	if c, _ := keys(&EvalRequest{Backend: "timely", Network: "VGG-D", Sampler: "v3"}); c == analytic {
+		t.Errorf("explicit sampler on an analytic backend shared the unset key: %s", c)
+	}
+	if testing.Short() {
+		return
+	}
+	var bodies [2][]byte
+	for i, r := range []*EvalRequest{implicit, explicit} {
+		res, err := Evaluate(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.ElapsedMS = 0
+		if bodies[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("explicit v3 response differs from the default:\n%s\n%s", bodies[1], bodies[0])
 	}
 }
