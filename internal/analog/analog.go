@@ -2,9 +2,11 @@
 // current-domain circuit blocks (§IV-B/C of the paper): DTCs and TDCs,
 // X-subBufs (time latches), P-subBufs (current mirrors), I-adders, and the
 // two-phase charging-unit + comparator stage whose transfer function is
-// Eq. 2. Each block is bit-exact in the noise-free limit and supports
-// Gaussian error injection matching the paper's Monte-Carlo methodology
-// (§VI-B "Accuracy").
+// Eq. 2. Each block is bit-exact in the noise-free limit and takes its
+// Gaussian error as an already-drawn term e, so a caller can draw a wave's
+// errors in one pass and apply them in order (the paper's Monte-Carlo
+// methodology, §VI-B "Accuracy"). A noisy caller forms each term with
+// ErrorTerm; an ideal caller passes 0.
 //
 // Conventions: time signals are float64 picoseconds; "charge" is the
 // dimensionless dot-product value Σ xᵢ·gᵢ accumulated by a crossbar column,
@@ -22,7 +24,9 @@ import (
 )
 
 // Noise configures Gaussian circuit-error injection. A nil *Noise (or one
-// with zero sigmas) is ideal. RNG must be non-nil when any sigma is set.
+// with zero sigmas, or a nil RNG) is ideal. The blocks never read it: the
+// functional executor draws each block's error from RNG at its sigma and
+// hands the term to the block.
 type Noise struct {
 	// XSubBufSigma is the per-hop time error ε of one X-subBuf in ps.
 	XSubBufSigma float64
@@ -71,11 +75,12 @@ func (n *Noise) Deterministic() bool {
 		n.ComparatorSigma == 0 && n.TDCSigma == 0 && n.DTCSigma == 0
 }
 
-func (n *Noise) gauss(sigma float64) float64 {
-	if n == nil || sigma == 0 || n.RNG == nil {
-		return 0
-	}
-	return n.RNG.Gauss(0, sigma)
+// ErrorTerm forms the error of one block from a standard-normal deviate z
+// exactly as stats.RNG.Gauss(0, sigma) does: 0 + σ·z, so a −0 deviate
+// yields +0. The product is rounded on its own before the sum, so no
+// target can fuse it into the signal the term is later added to.
+func ErrorTerm(sigma, z float64) float64 {
+	return 0 + float64(sigma*z)
 }
 
 // DTC converts a digital code into a time delay: T = code · TDel
@@ -101,10 +106,10 @@ func NewDTC() DTC { return DTC{Bits: params.DTCBits, TDel: params.TDel} }
 // Levels returns the code count 2^Bits.
 func (d DTC) Levels() int { return 1 << d.Bits }
 
-// Convert maps code to its time delay, injecting DTC jitter if configured.
-// It returns an error for out-of-range codes: feeding an unrepresentable
-// code is a mapping bug, not a saturation condition.
-func (d DTC) Convert(code int, n *Noise) (float64, error) {
+// Convert maps code to its time delay plus the DTC jitter e (ps). It
+// returns an error for out-of-range codes: feeding an unrepresentable code
+// is a mapping bug, not a saturation condition.
+func (d DTC) Convert(code int, e float64) (float64, error) {
 	if code < 0 || code >= d.Levels() {
 		return 0, fmt.Errorf("analog: DTC code %d out of [0,%d)", code, d.Levels())
 	}
@@ -112,18 +117,11 @@ func (d DTC) Convert(code int, n *Noise) (float64, error) {
 	if d.INL != 0 {
 		t += inlBow(d.INL, float64(code)/float64(d.Levels()-1)) * d.TDel
 	}
-	t += n.gauss(noiseSigmaDTC(n))
+	t += e
 	if t < 0 {
 		t = 0
 	}
 	return t, nil
-}
-
-func noiseSigmaDTC(n *Noise) float64 {
-	if n == nil {
-		return 0
-	}
-	return n.DTCSigma
 }
 
 // TDC converts a time delay back into a digital code by counting unit
@@ -142,11 +140,10 @@ func NewTDC() TDC { return TDC{Bits: params.DTCBits, TDel: params.TDel} }
 // Levels returns the code count 2^Bits.
 func (t TDC) Levels() int { return 1 << t.Bits }
 
-// Convert quantises delay to the nearest code with saturation.
-func (t TDC) Convert(delay float64, n *Noise) int {
-	if n != nil {
-		delay += n.gauss(n.TDCSigma)
-	}
+// Convert quantises delay plus the sampling jitter e (ps) to the nearest
+// code with saturation.
+func (t TDC) Convert(delay, e float64) int {
+	delay += e
 	pos := delay / t.TDel
 	if t.INL != 0 {
 		pos -= inlBow(t.INL, pos/float64(t.Levels()-1))
@@ -180,24 +177,14 @@ func RoundCode(x float64) int {
 // cascaded hops accumulate √k·ε (§VI-B).
 type XSubBuf struct{}
 
-// Propagate copies the time signal through one X-subBuf hop.
-func (XSubBuf) Propagate(t float64, n *Noise) float64 {
-	out := t
-	if n != nil {
-		out += n.gauss(n.XSubBufSigma)
-	}
+// Propagate copies the time signal through one X-subBuf hop that adds the
+// error e (ps).
+func (XSubBuf) Propagate(t, e float64) float64 {
+	out := t + e
 	if out < 0 {
 		return 0
 	}
 	return out
-}
-
-// PropagateChain applies hops consecutive X-subBuf copies.
-func (x XSubBuf) PropagateChain(t float64, hops int, n *Noise) float64 {
-	for i := 0; i < hops; i++ {
-		t = x.Propagate(t, n)
-	}
-	return t
 }
 
 // PSubBuf is the NMOS current-mirror buffer under each crossbar
@@ -207,12 +194,9 @@ func (x XSubBuf) PropagateChain(t float64, hops int, n *Noise) float64 {
 type PSubBuf struct{}
 
 // Mirror copies charge (the time-integrated column current) through the
-// current mirror, applying a multiplicative gain error.
-func (PSubBuf) Mirror(charge float64, n *Noise) float64 {
-	if n == nil || n.PSubBufRelSigma == 0 || n.RNG == nil {
-		return charge
-	}
-	return charge * (1 + n.RNG.Gauss(0, n.PSubBufRelSigma))
+// current mirror, applying the relative gain error e.
+func (PSubBuf) Mirror(charge, e float64) float64 {
+	return charge * (1 + e)
 }
 
 // IAdder sums the column currents of vertically stacked crossbars
@@ -269,10 +253,10 @@ func (c ChargingUnit) MaxCode() int {
 	return int(1)<<bits - 1
 }
 
-// Output converts the accumulated dot value into an output time delay,
-// saturating at full range (the comparator cannot fire later than T̃) and
-// injecting comparator jitter.
-func (c ChargingUnit) Output(dot float64, n *Noise) float64 {
+// Output converts the accumulated dot value into an output time delay plus
+// the comparator jitter e (ps), saturating at full range (the comparator
+// cannot fire later than T̃).
+func (c ChargingUnit) Output(dot, e float64) float64 {
 	if c.FullScale <= 0 {
 		panic("analog: ChargingUnit with non-positive FullScale")
 	}
@@ -283,9 +267,7 @@ func (c ChargingUnit) Output(dot float64, n *Noise) float64 {
 	if ratio := c.CapRatio; ratio != 0 && ratio != 1 {
 		t /= ratio
 	}
-	if n != nil {
-		t += n.gauss(n.ComparatorSigma)
-	}
+	t += e
 	if t < 0 {
 		return 0
 	}

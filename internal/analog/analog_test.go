@@ -12,7 +12,7 @@ import (
 func TestDTCIdeal(t *testing.T) {
 	d := NewDTC()
 	for _, code := range []int{0, 1, 127, 255} {
-		tm, err := d.Convert(code, nil)
+		tm, err := d.Convert(code, 0)
 		if err != nil {
 			t.Fatalf("Convert(%d): %v", code, err)
 		}
@@ -24,10 +24,10 @@ func TestDTCIdeal(t *testing.T) {
 
 func TestDTCRangeError(t *testing.T) {
 	d := NewDTC()
-	if _, err := d.Convert(256, nil); err == nil {
+	if _, err := d.Convert(256, 0); err == nil {
 		t.Errorf("DTC accepted code 256")
 	}
-	if _, err := d.Convert(-1, nil); err == nil {
+	if _, err := d.Convert(-1, 0); err == nil {
 		t.Errorf("DTC accepted code -1")
 	}
 }
@@ -35,11 +35,11 @@ func TestDTCRangeError(t *testing.T) {
 func TestTDCRoundTrip(t *testing.T) {
 	d, c := NewDTC(), NewTDC()
 	for code := 0; code < 256; code++ {
-		tm, err := d.Convert(code, nil)
+		tm, err := d.Convert(code, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Convert(tm, nil); got != code {
+		if got := c.Convert(tm, 0); got != code {
 			t.Errorf("round trip %d -> %v ps -> %d", code, tm, got)
 		}
 	}
@@ -47,31 +47,35 @@ func TestTDCRoundTrip(t *testing.T) {
 
 func TestTDCSaturation(t *testing.T) {
 	c := NewTDC()
-	if got := c.Convert(1e9, nil); got != 255 {
+	if got := c.Convert(1e9, 0); got != 255 {
 		t.Errorf("late edge = %d, want 255", got)
 	}
-	if got := c.Convert(-100, nil); got != 0 {
+	if got := c.Convert(-100, 0); got != 0 {
 		t.Errorf("early edge = %d, want 0", got)
 	}
 }
 
 func TestTDCHalfLSBRounding(t *testing.T) {
 	c := NewTDC()
-	if got := c.Convert(params.TDel*10+params.TDel*0.4, nil); got != 10 {
+	if got := c.Convert(params.TDel*10+params.TDel*0.4, 0); got != 10 {
 		t.Errorf("0.4 LSB rounds to %d, want 10", got)
 	}
-	if got := c.Convert(params.TDel*10+params.TDel*0.6, nil); got != 11 {
+	if got := c.Convert(params.TDel*10+params.TDel*0.6, 0); got != 11 {
 		t.Errorf("0.6 LSB rounds to %d, want 11", got)
 	}
 }
 
 func TestXSubBufIdealIsIdentity(t *testing.T) {
 	var x XSubBuf
-	if got := x.Propagate(1234.5, nil); got != 1234.5 {
+	if got := x.Propagate(1234.5, 0); got != 1234.5 {
 		t.Errorf("ideal X-subBuf changed the signal: %v", got)
 	}
-	if got := x.PropagateChain(1234.5, 12, nil); got != 1234.5 {
-		t.Errorf("ideal 12-hop chain changed the signal: %v", got)
+	tm := 1234.5
+	for hop := 0; hop < 12; hop++ {
+		tm = x.Propagate(tm, 0)
+	}
+	if tm != 1234.5 {
+		t.Errorf("ideal 12-hop chain changed the signal: %v", tm)
 	}
 }
 
@@ -80,11 +84,15 @@ func TestXSubBufCascadeErrorScalesSqrtK(t *testing.T) {
 	// 12-hop chain should be ≈ √12·ε.
 	var x XSubBuf
 	eps := 10.0
-	n := &Noise{XSubBufSigma: eps, RNG: stats.NewRNG(3)}
+	rng := stats.NewRNG(3)
 	const trials = 20000
 	errs := make([]float64, trials)
 	for i := range errs {
-		errs[i] = x.PropagateChain(5000, params.MaxCascadedXSubBufs, n) - 5000
+		tm := 5000.0
+		for hop := 0; hop < params.MaxCascadedXSubBufs; hop++ {
+			tm = x.Propagate(tm, ErrorTerm(eps, rng.Norm()))
+		}
+		errs[i] = tm - 5000
 	}
 	got := stats.StdDev(errs)
 	want := CascadeErrorBound(params.MaxCascadedXSubBufs, eps)
@@ -95,9 +103,9 @@ func TestXSubBufCascadeErrorScalesSqrtK(t *testing.T) {
 
 func TestXSubBufNonNegative(t *testing.T) {
 	var x XSubBuf
-	n := &Noise{XSubBufSigma: 1000, RNG: stats.NewRNG(1)}
+	rng := stats.NewRNG(1)
 	for i := 0; i < 1000; i++ {
-		if got := x.Propagate(1, n); got < 0 {
+		if got := x.Propagate(1, ErrorTerm(1000, rng.Norm())); got < 0 {
 			t.Fatalf("negative time signal %v", got)
 		}
 	}
@@ -105,18 +113,18 @@ func TestXSubBufNonNegative(t *testing.T) {
 
 func TestPSubBufIdeal(t *testing.T) {
 	var p PSubBuf
-	if got := p.Mirror(42, nil); got != 42 {
+	if got := p.Mirror(42, 0); got != 42 {
 		t.Errorf("ideal mirror = %v, want 42", got)
 	}
 }
 
 func TestPSubBufGainErrorStats(t *testing.T) {
 	var p PSubBuf
-	n := &Noise{PSubBufRelSigma: 0.01, RNG: stats.NewRNG(7)}
+	rng := stats.NewRNG(7)
 	const trials = 20000
 	outs := make([]float64, trials)
 	for i := range outs {
-		outs[i] = p.Mirror(100, n)
+		outs[i] = p.Mirror(100, ErrorTerm(0.01, rng.Norm()))
 	}
 	if m := stats.Mean(outs); math.Abs(m-100) > 0.05 {
 		t.Errorf("mirror mean = %v, want ≈100", m)
@@ -143,8 +151,8 @@ func TestChargingUnitEq2(t *testing.T) {
 	cu := NewChargingUnit(255 * 16) // dot full scale
 	tdc := NewTDC()
 	for _, dot := range []float64{0, 16, 160, 255 * 16} {
-		out := cu.Output(dot, nil)
-		code := tdc.Convert(out, nil)
+		out := cu.Output(dot, 0)
+		code := tdc.Convert(out, 0)
 		want := int(math.Round(dot / 16))
 		if code != want {
 			t.Errorf("dot %v -> code %d, want %d", dot, code, want)
@@ -155,10 +163,10 @@ func TestChargingUnitEq2(t *testing.T) {
 func TestChargingUnitSaturates(t *testing.T) {
 	cu := NewChargingUnit(100)
 	full := 255 * params.TDel
-	if got := cu.Output(1e9, nil); got != full {
+	if got := cu.Output(1e9, 0); got != full {
 		t.Errorf("over-range output = %v, want %v", got, full)
 	}
-	if got := cu.Output(-5, nil); got != 0 {
+	if got := cu.Output(-5, 0); got != 0 {
 		t.Errorf("negative dot output = %v, want 0", got)
 	}
 }
@@ -167,7 +175,7 @@ func TestChargingUnitCapRatio(t *testing.T) {
 	// The LSB column's Cc/2 capacitor doubles its time gain (§IV-C).
 	msb := ChargingUnit{FullScale: 1000, CapRatio: 1, TDel: params.TDel}
 	lsb := ChargingUnit{FullScale: 1000, CapRatio: 0.5, TDel: params.TDel}
-	if got, want := lsb.Output(100, nil), 2*msb.Output(100, nil); got != want {
+	if got, want := lsb.Output(100, 0), 2*msb.Output(100, 0); got != want {
 		t.Errorf("Cc/2 output = %v, want %v (2x the Cc output)", got, want)
 	}
 }
@@ -178,7 +186,7 @@ func TestChargingUnitPanicsOnZeroFullScale(t *testing.T) {
 			t.Errorf("zero FullScale accepted")
 		}
 	}()
-	ChargingUnit{FullScale: 0, TDel: params.TDel}.Output(1, nil)
+	ChargingUnit{FullScale: 0, TDel: params.TDel}.Output(1, 0)
 }
 
 // Property: the full analog chain DTC -> X-subBuf hops -> charging -> TDC is
@@ -193,16 +201,18 @@ func TestAnalogChainExactProperty(t *testing.T) {
 		dot := 0.0
 		want := 0.0
 		for i := range codes {
-			tm, err := d.Convert(int(codes[i]), nil)
+			tm, err := d.Convert(int(codes[i]), 0)
 			if err != nil {
 				return false
 			}
-			tm = x.PropagateChain(tm, int(hops%12), nil)
+			for hop := 0; hop < int(hops%12); hop++ {
+				tm = x.Propagate(tm, 0)
+			}
 			g := float64(levels[i] % 16)
 			dot += tm / params.TDel * g
 			want += float64(codes[i]) * g
 		}
-		code := c.Convert(cu.Output(dot, nil), nil)
+		code := c.Convert(cu.Output(dot, 0), 0)
 		return code == int(math.Round(want/scale))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -215,14 +225,14 @@ func TestDTCINLBow(t *testing.T) {
 	bowed := DTC{Bits: 8, TDel: params.TDel, INL: 0.5}
 	// Endpoints are exact; mid-scale deviates by the peak INL.
 	for _, code := range []int{0, 255} {
-		ti, _ := ideal.Convert(code, nil)
-		tb, _ := bowed.Convert(code, nil)
+		ti, _ := ideal.Convert(code, 0)
+		tb, _ := bowed.Convert(code, 0)
 		if math.Abs(ti-tb) > 1e-9 {
 			t.Errorf("endpoint code %d moved by INL: %v vs %v", code, tb, ti)
 		}
 	}
-	tiMid, _ := ideal.Convert(128, nil)
-	tbMid, _ := bowed.Convert(128, nil)
+	tiMid, _ := ideal.Convert(128, 0)
+	tbMid, _ := bowed.Convert(128, 0)
 	dev := (tbMid - tiMid) / params.TDel
 	if math.Abs(dev-0.5) > 0.01 {
 		t.Errorf("mid-scale INL deviation = %.3f LSB, want ≈0.5", dev)
@@ -233,7 +243,7 @@ func TestDTCINLPreservesMonotonicity(t *testing.T) {
 	d := DTC{Bits: 8, TDel: params.TDel, INL: 0.9}
 	prev := -1.0
 	for code := 0; code < 256; code++ {
-		tm, err := d.Convert(code, nil)
+		tm, err := d.Convert(code, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,12 +258,12 @@ func TestTDCINLShiftsMidScale(t *testing.T) {
 	ideal := NewTDC()
 	bowed := TDC{Bits: 8, TDel: params.TDel, INL: 1.0}
 	mid := 128 * params.TDel
-	ci, cb := ideal.Convert(mid, nil), bowed.Convert(mid, nil)
+	ci, cb := ideal.Convert(mid, 0), bowed.Convert(mid, 0)
 	if cb >= ci {
 		t.Errorf("positive TDC bow should read mid-scale early: %d vs %d", cb, ci)
 	}
 	// Endpoints unaffected.
-	if bowed.Convert(0, nil) != 0 || bowed.Convert(255*params.TDel, nil) != 255 {
+	if bowed.Convert(0, 0) != 0 || bowed.Convert(255*params.TDel, 0) != 255 {
 		t.Errorf("TDC INL moved the endpoints")
 	}
 }
@@ -264,11 +274,11 @@ func TestMatchedINLCancels(t *testing.T) {
 	d := DTC{Bits: 8, TDel: params.TDel, INL: 0.8}
 	c := TDC{Bits: 8, TDel: params.TDel, INL: 0.8}
 	for code := 0; code < 256; code += 5 {
-		tm, err := d.Convert(code, nil)
+		tm, err := d.Convert(code, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Convert(tm, nil); got != code {
+		if got := c.Convert(tm, 0); got != code {
 			t.Errorf("matched-INL round trip %d -> %d", code, got)
 		}
 	}
@@ -288,9 +298,28 @@ func TestDefaultNoiseDeterministic(t *testing.T) {
 	a, b := DefaultNoise(42), DefaultNoise(42)
 	var x XSubBuf
 	for i := 0; i < 100; i++ {
-		if x.Propagate(100, a) != x.Propagate(100, b) {
+		ea, eb := ErrorTerm(a.XSubBufSigma, a.RNG.Norm()), ErrorTerm(b.XSubBufSigma, b.RNG.Norm())
+		if x.Propagate(100, ea) != x.Propagate(100, eb) {
 			t.Fatalf("same-seed noise diverged at step %d", i)
 		}
+	}
+	if a.Deterministic() || !(&Noise{XSubBufSigma: 1}).Deterministic() {
+		t.Fatal("Deterministic must be false exactly when some sigma has an RNG to draw from")
+	}
+}
+
+// TestErrorTermMatchesGauss: an error term is what stats.RNG.Gauss(0, σ)
+// returns for the same deviate, bit for bit, and a −0 deviate gives +0.
+func TestErrorTermMatchesGauss(t *testing.T) {
+	a, b := stats.NewTrialRNG(9, 1), stats.NewTrialRNG(9, 1)
+	for i := 0; i < 1000; i++ {
+		sigma := float64(i%7) * 0.37
+		if got, want := ErrorTerm(sigma, a.Norm()), b.Gauss(0, sigma); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: ErrorTerm %v, Gauss %v", i, got, want)
+		}
+	}
+	if e := ErrorTerm(2.5, math.Copysign(0, -1)); math.Signbit(e) {
+		t.Fatalf("ErrorTerm of a -0 deviate = %v; want +0", e)
 	}
 }
 

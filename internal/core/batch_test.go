@@ -279,7 +279,7 @@ func TestQuantiserExhaustive(t *testing.T) {
 			m := &MappedLayer{sc: s, ScaleShift: shift}
 			q, cu := m.quantiser(), m.chargingUnit()
 			for total := int64(0); total <= int64(255*colSum); total++ {
-				want := s.tdc.Convert(cu.Output(float64(total), nil), nil)
+				want := s.tdc.Convert(cu.Output(float64(total), 0), 0)
 				if got := q.code(total); got != want {
 					t.Fatalf("ifBits %d shift %d total %d: integer code %d, float code %d",
 						ifBits, shift, total, got, want)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/analog"
 	"repro/internal/params"
 	"repro/internal/stats"
 	"repro/internal/tensor"
@@ -42,8 +43,40 @@ func BenchmarkConvForward(b *testing.B) {
 // image's 144 patches and the 288→32 head layer, one vector at a time as
 // per-image inference drives it and in blocks of 64 — at the lossless
 // 24-bit interface (one integer product with the effective weights) and
-// at the Table II 8-bit interface (per-column quantisation).
+// at the Table II 8-bit interface (per-column quantisation). The noisy
+// cases are the §VI-B study's 16→48 and 48→4 layers at design-point noise
+// with the 12-hop input cascade, one wave per call as the study drives
+// them: the bulk Gaussian fill and the wave kernel.
 func BenchmarkForwardBatch(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		d, rows int
+	}{
+		{"noisy/fc16x48", 48, 16},
+		{"noisy/fc48x4", 4, 48},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := params.DefaultTimely(8)
+			w := randomDense(stats.NewRNG(3), c.d, c.rows, cfg.WeightBits)
+			m, err := NewSubChip(Options{
+				Noise:         analog.DefaultNoiseRNG(stats.NewTrialRNG(2020, 0)),
+				InterfaceBits: 24,
+				InputHops:     params.MaxCascadedXSubBufs,
+			}).MapDense(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := randomBatch(stats.NewRNG(4), 1, c.rows)
+			out := make([]int, c.d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.ForwardBatch(in, 1, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, c := range []struct {
 		name          string
 		d, rows, nvec int

@@ -20,7 +20,9 @@
 // IR drop configured, ForwardBatch runs strictly ordered per-wave Compute
 // calls through the float flat-conductance kernels of package reram, so RNG
 // draw sequences (and therefore artifact bytes) are identical to repeated
-// Compute calls. Noise-free on integral crossbars, the datapath is exact
+// Compute calls; each such wave draws all its Gaussian deviates in one bulk
+// fill before it runs, because their number depends on the sigmas and the
+// layer's shape alone. Noise-free on integral crossbars, the datapath is exact
 // integer arithmetic — 8-bit DTC codes times integer cell levels, summed
 // exactly, quantised by a shift — and ForwardBatch pushes whole input
 // blocks through the integer matrix–matrix kernel instead, bit-identical to
@@ -82,18 +84,18 @@ const (
 )
 
 // arena is the per-sub-chip scratch reused across waves: DTC time ladders,
-// pre-scaled inputs, per-crossbar column dots, I-adder contributions and the
-// layer executors' im2col/psum staging. Buffers only grow; a steady-state
-// wave allocates nothing.
+// pre-scaled inputs, per-crossbar column dots, a noisy wave's drawn
+// deviates and the layer executors' im2col/psum staging. Buffers only grow;
+// a steady-state wave allocates nothing.
 type arena struct {
-	timesAt  []float64
-	scaled   []float64
-	colDots  []float64
-	contribs []float64
-	inputs   []int
-	psums    []int
-	// codes and dots stage the deterministic path's integer DTC codes and
-	// per-crossbar column sums.
+	timesAt []float64
+	scaled  []float64
+	colDots []float64
+	devs    []float64
+	inputs  []int
+	psums   []int
+	// codes stages range-checked 8-bit DTC codes; dots the deterministic
+	// path's per-crossbar integer column sums.
 	codes []uint8
 	dots  []int64
 }
@@ -132,7 +134,6 @@ type SubChip struct {
 	tdc  analog.TDC
 	xbuf analog.XSubBuf
 	pbuf analog.PSubBuf
-	iadd analog.IAdder
 
 	ar arena
 }
@@ -426,37 +427,115 @@ func (m *MappedLayer) Compute(inputs []int) ([]int, error) {
 	if len(inputs) != m.Rows {
 		return nil, fmt.Errorf("core: %d inputs for %d mapped rows", len(inputs), m.Rows)
 	}
-	psums := make([]int, m.D)
-	if err := m.computeInto(inputs, psums); err != nil {
+	codes, err := m.sc.dtcCodes(inputs)
+	if err != nil {
 		return nil, err
 	}
+	psums := make([]int, m.D)
+	m.computeInto(codes, psums)
 	return psums, nil
 }
 
-// computeInto is the allocation-free wave executor behind Compute: the same
-// operation — and, with noise configured, RNG draw — sequence as the
-// original per-wave path, with the per-column crossbar reads replaced by one
-// flat DotColumns pass per crossbar (the dots are deterministic, so hoisting
-// them ahead of the mirror/comparator draws changes nothing).
-func (m *MappedLayer) computeInto(inputs []int, psums []int) error {
+// dtcCodes checks that every input is a code of the sub-chip's DTC and
+// stages them as bytes in the arena. Nothing is drawn or counted before the
+// check, so a rejected input leaves the noise stream and the ledger as they
+// were.
+func (s *SubChip) dtcCodes(inputs []int) ([]uint8, error) {
+	levels := s.dtc.Levels()
+	codes := grow(&s.ar.codes, len(inputs))
+	for i, code := range inputs {
+		if code < 0 || code >= levels {
+			return nil, fmt.Errorf("analog: DTC code %d out of [0,%d)", code, levels)
+		}
+		codes[i] = uint8(code)
+	}
+	return codes, nil
+}
+
+// sigmas are the error sigmas a wave draws at: the noise configuration's,
+// or all zero when there is no noise or no RNG to draw from.
+type sigmas struct{ dtc, x, p, c, tdc float64 }
+
+func (s *SubChip) sigmas() sigmas {
+	n := s.noise
+	if n == nil || n.RNG == nil {
+		return sigmas{}
+	}
+	return sigmas{n.DTCSigma, n.XSubBufSigma, n.PSubBufRelSigma, n.ComparatorSigma, n.TDCSigma}
+}
+
+// drawn is 1 when a block with this sigma draws a deviate per use, else 0.
+func drawn(sigma float64) int {
+	if sigma != 0 {
+		return 1
+	}
+	return 0
+}
+
+// deviates is the number of Gaussian deviates one wave draws: a DTC jitter
+// and hops X-subBuf errors per row, an X-subBuf error per row for every
+// further grid column, and per physical column a P-subBuf gain error for
+// every grid row but the bottom one, a comparator and a TDC jitter. It
+// depends on the sigmas and the layer's shape alone, never on the data.
+func (m *MappedLayer) deviates(sg sigmas) int {
+	hops := max(m.sc.inputHops, 0)
+	dx := drawn(sg.x)
+	return m.Rows*(drawn(sg.dtc)+hops*dx) + (m.gridColsUsed-1)*m.Rows*dx +
+		m.physCols*((m.gridRowsUsed-1)*drawn(sg.p)+drawn(sg.c)+drawn(sg.tdc))
+}
+
+// errTerms hands out a wave's pre-drawn deviates in draw order as the error
+// terms of the blocks that use them.
+type errTerms struct {
+	z []float64
+	i int
+}
+
+// next returns the error term of a block with this sigma: the next deviate
+// scaled by it, or 0 without consuming one when the sigma is zero.
+func (e *errTerms) next(sigma float64) float64 {
+	if sigma == 0 {
+		return 0
+	}
+	z := e.z[e.i]
+	e.i++
+	return analog.ErrorTerm(sigma, z)
+}
+
+// computeInto is the one wave executor for every noise configuration. The
+// number of deviates a wave draws depends only on the sigmas and the
+// layer's shape, so it draws them first, in one NormFill into the arena,
+// and then applies them in the order the blocks use them: per row the DTC
+// jitter then the input-hop errors, then the X-subBuf errors of each
+// further grid column, then per physical column (channel, arm, nibble) the
+// P-subBuf gain errors top to bottom, the comparator and the TDC jitter.
+// That is the order one Norm call per block use would draw them, so the
+// psums are those of a draw-per-block executor. With zero sigmas nothing
+// is drawn. The per-column crossbar reads are one flat DotColumns pass per
+// crossbar (the dots are deterministic, so hoisting them ahead of the
+// mirror and comparator changes nothing). codes are valid DTC codes.
+func (m *MappedLayer) computeInto(codes []uint8, psums []int) {
 	s := m.sc
 	cfg := s.cfg
 	rows := m.Rows
+	sg := s.sigmas()
+	errs := errTerms{z: grow(&s.ar.devs, m.deviates(sg))}
+	if len(errs.z) > 0 {
+		s.noise.RNG.NormFill(errs.z)
+	}
 
 	// DTC conversion of the input vector (per-row times), plus the optional
 	// input-hop cascade. Energy for these conversions is attributed by the
-	// caller (O2IR converts once per input, not once per wave).
+	// caller (O2IR converts once per input, not once per wave). An 8-bit
+	// code is always in the DTC's range.
 	timesAt := grow(&s.ar.timesAt, m.gridColsUsed*rows)
 	t0 := timesAt[:rows]
-	for i, code := range inputs {
-		t, err := s.dtc.Convert(code, s.noise)
-		if err != nil {
-			return err
+	for i, code := range codes {
+		t, _ := s.dtc.Convert(int(code), errs.next(sg.dtc))
+		for h := 0; h < s.inputHops; h++ {
+			t = s.xbuf.Propagate(t, errs.next(sg.x))
 		}
-		t0[i] = s.xbuf.PropagateChain(t, s.inputHops, s.noise)
-	}
-	if s.inputHops > 0 {
-		s.add(energy.XSubBufOp, energy.ClassInput, float64(s.inputHops*rows))
+		t0[i] = t
 	}
 	// Propagate the times across the grid columns through X-subBufs.
 	// timesAt[gc·rows:] holds the signal as seen by grid column gc; column 0
@@ -465,15 +544,12 @@ func (m *MappedLayer) computeInto(inputs []int, psums []int) error {
 		prev := timesAt[(gc-1)*rows : gc*rows]
 		next := timesAt[gc*rows : (gc+1)*rows]
 		for i, t := range prev {
-			next[i] = s.xbuf.Propagate(t, s.noise)
+			next[i] = s.xbuf.Propagate(t, errs.next(sg.x))
 		}
-		s.add(energy.XSubBufOp, energy.ClassInput, float64(rows))
 	}
-	s.add(energy.CrossbarOp, energy.ClassCompute, float64(m.gridRowsUsed*m.gridColsUsed))
 
-	// Pre-scale times into code units once per wave (the old path divided by
-	// TDel per element *per column*) and gather every used column dot of
-	// every crossbar in one row-major kernel pass each.
+	// Pre-scale times into code units once per wave and gather every used
+	// column dot of every crossbar in one row-major kernel pass each.
 	scaled := grow(&s.ar.scaled, m.gridColsUsed*rows)
 	for i, t := range timesAt {
 		scaled[i] = t / params.TDel
@@ -481,48 +557,37 @@ func (m *MappedLayer) computeInto(inputs []int, psums []int) error {
 	colDots := grow(&s.ar.colDots, m.gridRowsUsed*m.physCols)
 	for gr := 0; gr < m.gridRowsUsed; gr++ {
 		lo := gr * cfg.B
-		hi := lo + cfg.B
-		if hi > rows {
-			hi = rows
-		}
+		hi := min(lo+cfg.B, rows)
 		for gc := 0; gc < m.gridColsUsed; gc++ {
 			c0 := gc * cfg.B
-			nc := m.physCols - c0
-			if nc > cfg.B {
-				nc = cfg.B
-			}
+			nc := min(m.physCols-c0, cfg.B)
 			s.Crossbar(gr, gc).DotColumns(scaled[gc*rows+lo:gc*rows+hi], 0, nc,
 				colDots[gr*m.physCols+c0:gr*m.physCols+c0+nc])
 		}
 	}
 
+	// Per column: gather the current from every vertical crossbar, each
+	// through its own P-subBuf mirror (§V: not cascaded; the bottom
+	// crossbar feeds the I-adder directly), sum in grid-row order, then
+	// charge, compare and convert. globalCol numbers the columns channel,
+	// arm, nibble, so one linear walk visits them in recombination order.
 	cu := m.chargingUnit()
-	contribs := grow(&s.ar.contribs, m.gridRowsUsed)
-	for d := 0; d < m.D; d++ {
+	last := m.gridRowsUsed - 1
+	gcol := 0
+	for d := range psums {
 		acc := 0
 		for arm := 0; arm < armsPerWeight; arm++ {
 			armDot := 0
 			for nib := 0; nib < m.colsPerArm; nib++ {
-				gcol := m.globalCol(d, arm, nib)
-				// Gather the column current from every vertical crossbar,
-				// each through its own P-subBuf mirror (§V: not cascaded;
-				// the bottom crossbar feeds the I-adder directly).
-				for gr := 0; gr < m.gridRowsUsed; gr++ {
-					dot := colDots[gr*m.physCols+gcol]
-					if gr < m.gridRowsUsed-1 {
-						dot = s.pbuf.Mirror(dot, s.noise)
-					}
-					contribs[gr] = dot
+				total := 0.0
+				for gr := 0; gr < last; gr++ {
+					total += s.pbuf.Mirror(colDots[gr*m.physCols+gcol], errs.next(sg.p))
 				}
-				if n := m.gridRowsUsed - 1; n > 0 {
-					s.add(energy.PSubBufOp, energy.ClassPsum, float64(n))
-				}
-				total := s.iadd.Sum(contribs...)
-				s.add(energy.IAdderOp, energy.ClassPsum, 1)
-				code := s.tdc.Convert(cu.Output(total, s.noise), s.noise)
-				s.add(energy.ChargingOp, energy.ClassPsum, 1)
-				s.add(energy.TDCConv, energy.ClassPsum, 1)
-				armDot = armDot<<uint(cfg.CellBits) + code
+				total += colDots[last*m.physCols+gcol]
+				ec := errs.next(sg.c)
+				et := errs.next(sg.tdc)
+				armDot = armDot<<uint(cfg.CellBits) + s.tdc.Convert(cu.Output(total, ec), et)
+				gcol++
 			}
 			if arm == 0 {
 				acc += armDot
@@ -531,35 +596,73 @@ func (m *MappedLayer) computeInto(inputs []int, psums []int) error {
 			}
 		}
 		psums[d] = acc << uint(m.ScaleShift)
-		// Digital recombination: one shift-and-add per column sample.
-		s.add(energy.ShiftAddOp, energy.ClassDigital, float64(m.physColsPerWeight()))
 	}
-	return nil
+	m.countWaves(1)
+}
+
+// countWaves adds the ledger counts of n waves: the X-subBuf hops, the
+// crossbar activations, per column sample its P-subBuf mirrors, I-adder,
+// charging and TDC operations, and the digital shift-and-add per sample.
+// Every count is integral, so the float sums are exact in any grouping and
+// one call per block of waves totals what one call per wave would.
+func (m *MappedLayer) countWaves(n int) {
+	s := m.sc
+	if s.ledger == nil {
+		return
+	}
+	fn := float64(n)
+	if s.inputHops > 0 {
+		s.add(energy.XSubBufOp, energy.ClassInput, fn*float64(s.inputHops*m.Rows))
+	}
+	if m.gridColsUsed > 1 {
+		s.add(energy.XSubBufOp, energy.ClassInput, fn*float64((m.gridColsUsed-1)*m.Rows))
+	}
+	s.add(energy.CrossbarOp, energy.ClassCompute, fn*float64(m.gridRowsUsed*m.gridColsUsed))
+	samples := fn * float64(m.physCols)
+	if m.gridRowsUsed > 1 {
+		s.add(energy.PSubBufOp, energy.ClassPsum, samples*float64(m.gridRowsUsed-1))
+	}
+	s.add(energy.IAdderOp, energy.ClassPsum, samples)
+	s.add(energy.ChargingOp, energy.ClassPsum, samples)
+	s.add(energy.TDCConv, energy.ClassPsum, samples)
+	s.add(energy.ShiftAddOp, energy.ClassDigital, samples)
 }
 
 // ForwardBatch runs nvec input vectors (flat, vector-major: vector v at
 // inputs[v·Rows : (v+1)·Rows]) through the analog path, writing the signed
-// psums to out[v·D : (v+1)·D]. It amortises the sub-chip's scratch arena —
-// and, when the noise configuration is deterministic, whole blocks of waves
-// through the matrix–matrix crossbar kernel — across the batch. With
-// randomness configured the waves execute strictly in order, so the RNG draw
-// sequence (and every result) is identical to nvec successive Compute calls.
+// psums to out[v·D : (v+1)·D]. It is ForwardCodes behind a range check:
+// any input that is not a DTC code fails the whole batch before a wave
+// runs, with the DTC's range error.
 func (m *MappedLayer) ForwardBatch(inputs []int, nvec int, out []int) error {
-	if nvec < 0 || len(inputs) != nvec*m.Rows {
+	codes, err := m.sc.dtcCodes(inputs)
+	if err != nil {
+		return err
+	}
+	return m.ForwardCodes(codes, nvec, out)
+}
+
+// ForwardCodes runs nvec vectors of 8-bit DTC codes (flat, vector-major)
+// through the analog path, writing the signed psums to out[v·D : (v+1)·D].
+// It amortises the sub-chip's scratch arena — and, when the noise
+// configuration is deterministic, whole blocks of waves through the
+// matrix–matrix crossbar kernel — across the batch. With randomness
+// configured the waves execute strictly in order, so the RNG draw sequence
+// (and every result) is identical to nvec successive Compute calls.
+func (m *MappedLayer) ForwardCodes(codes []uint8, nvec int, out []int) error {
+	if nvec < 0 || len(codes) != nvec*m.Rows {
 		return fmt.Errorf("core: %d batched inputs for %d waves of %d mapped rows",
-			len(inputs), nvec, m.Rows)
+			len(codes), nvec, m.Rows)
 	}
 	if len(out) != nvec*m.D {
 		return fmt.Errorf("core: batch output %d for %d waves of %d channels",
 			len(out), nvec, m.D)
 	}
 	if m.BatchDeterministic() {
-		return m.forwardBatchDet(inputs, nvec, out)
+		m.forwardBatchDet(codes, nvec, out)
+		return nil
 	}
 	for v := 0; v < nvec; v++ {
-		if err := m.computeInto(inputs[v*m.Rows:(v+1)*m.Rows], out[v*m.D:(v+1)*m.D]); err != nil {
-			return err
-		}
+		m.computeInto(codes[v*m.Rows:(v+1)*m.Rows], out[v*m.D:(v+1)*m.D])
 	}
 	return nil
 }
@@ -626,53 +729,22 @@ func (q *quantiser) code(total int64) int {
 // for every crossbar's column sums, adds the grid rows in int64 and maps
 // each total to the code the float charging + TDC stage would produce.
 // Either way the psums are bit-identical to per-wave execution.
-func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
-	s := m.sc
+func (m *MappedLayer) forwardBatchDet(codes []uint8, nvec int, out []int) {
 	rows, d := m.Rows, m.D
 	weff := m.effectiveWeights()
-	dtcLevels := s.dtc.Levels()
 	for base := 0; base < nvec; base += batchBlock {
 		n := min(nvec-base, batchBlock)
-		// DTC conversion: without noise or INL the delay is the code
-		// itself in TDel units, whichever grid column it reaches. The DTC
-		// has params.DTCBits = 8 bits, so every valid code fits a uint8.
-		in := inputs[base*rows : (base+n)*rows]
-		codes := grow(&s.ar.codes, len(in))
-		for i, code := range in {
-			if code < 0 || code >= dtcLevels {
-				return fmt.Errorf("analog: DTC code %d out of [0,%d)", code, dtcLevels)
-			}
-			codes[i] = uint8(code)
-		}
+		// Without noise or INL a DTC delay is the code itself in TDel
+		// units, whichever grid column it reaches.
+		c := codes[base*rows : (base+n)*rows]
 		o := out[base*d : (base+n)*d]
 		if weff != nil {
-			m.gemm(codes, n, weff, o)
+			m.gemm(c, n, weff, o)
 		} else {
-			m.quantiseBlock(codes, n, o)
+			m.quantiseBlock(c, n, o)
 		}
-		// Ledger accounting, aggregated to the same totals n per-wave
-		// Computes would produce (all counts are integral, so the float
-		// sums are exact regardless of grouping).
-		if s.ledger != nil {
-			fn := float64(n)
-			if s.inputHops > 0 {
-				s.add(energy.XSubBufOp, energy.ClassInput, fn*float64(s.inputHops*rows))
-			}
-			if m.gridColsUsed > 1 {
-				s.add(energy.XSubBufOp, energy.ClassInput, fn*float64((m.gridColsUsed-1)*rows))
-			}
-			s.add(energy.CrossbarOp, energy.ClassCompute, fn*float64(m.gridRowsUsed*m.gridColsUsed))
-			groups := fn * float64(d*armsPerWeight*m.colsPerArm)
-			if m.gridRowsUsed > 1 {
-				s.add(energy.PSubBufOp, energy.ClassPsum, groups*float64(m.gridRowsUsed-1))
-			}
-			s.add(energy.IAdderOp, energy.ClassPsum, groups)
-			s.add(energy.ChargingOp, energy.ClassPsum, groups)
-			s.add(energy.TDCConv, energy.ClassPsum, groups)
-			s.add(energy.ShiftAddOp, energy.ClassDigital, fn*float64(d*m.physColsPerWeight()))
-		}
+		m.countWaves(n)
 	}
-	return nil
 }
 
 // quantiseBlock computes n waves' psums through the charging + TDC stage:

@@ -66,6 +66,21 @@ func AnalogMLPAccuracy(ctx context.Context, seed uint64, trials int, epsPS float
 	return rs[0], nil
 }
 
+// studyOptions are the mapping options of one §VI-B Monte-Carlo trial:
+// the design-point noise with X-subBuf error epsPS (ps), drawn from rng,
+// the 24-bit interface and the worst-case 12-hop input cascade (§V). The
+// accuracy study, the noise sweep and BenchmarkAccuracyTrial all map
+// through it, so the benchmark times the waves the study runs.
+func studyOptions(rng *stats.RNG, epsPS float64) core.Options {
+	noise := analog.DefaultNoiseRNG(rng)
+	noise.XSubBufSigma = epsPS
+	return core.Options{
+		Noise:         noise,
+		InterfaceBits: 24,
+		InputHops:     params.MaxCascadedXSubBufs,
+	}
+}
+
 // RunNoiseSweep sweeps the X-subBuf error ε and reports analog accuracy —
 // the ablation behind the paper's choice of ε, cascade limit and margin.
 // The classifier is memoized per seed, shared with RunAccuracy.
@@ -80,14 +95,7 @@ func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64) ([]Nois
 	pts := make([]NoiseSweepPoint, len(epsilons))
 	err = parallelEach(ctx, len(epsilons), func(i int) error {
 		eps := epsilons[i]
-		noise := &analog.Noise{
-			XSubBufSigma:    eps,
-			PSubBufRelSigma: params.DefaultPSubBufRelSigma,
-			ComparatorSigma: params.DefaultComparatorSigma,
-			RNG:             stats.NewTrialRNG(seed+1, 0),
-		}
-		a, err := q.MapAnalog(core.Options{Noise: noise, InterfaceBits: 24,
-			InputHops: params.MaxCascadedXSubBufs})
+		a, err := q.MapAnalog(studyOptions(stats.NewTrialRNG(seed+1, 0), eps))
 		if err != nil {
 			return err
 		}

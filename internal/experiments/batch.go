@@ -51,13 +51,7 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 	accs := make([]float64, len(seeds)*trials)
 	err = parallelEach(ctx, len(accs), func(i int) error {
 		m, trial := i/trials, i%trials
-		noise := analog.DefaultNoiseRNG(stats.NewTrialRNG(seeds[m], uint32(trial)))
-		noise.XSubBufSigma = epsPS
-		a, err := tms[m].q.MapAnalog(core.Options{
-			Noise:         noise,
-			InterfaceBits: 24,
-			InputHops:     params.MaxCascadedXSubBufs, // worst-case cascade (§V)
-		})
+		a, err := tms[m].q.MapAnalog(studyOptions(stats.NewTrialRNG(seeds[m], uint32(trial)), epsPS))
 		if err != nil {
 			return err
 		}

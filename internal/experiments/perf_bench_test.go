@@ -6,14 +6,16 @@ import (
 
 	"repro/internal/analog"
 	"repro/internal/core"
+	"repro/internal/params"
 	"repro/internal/stats"
 )
 
 // BenchmarkAccuracyTrial measures one Monte-Carlo trial of the §VI-B
-// accuracy study: mapping the memoized quantised classifier onto
-// functional sub-chips and evaluating the held-out test split through the
-// analog path at the design-point noise (the Ziggurat Gaussian hot path).
-// Training is memoized outside the timed loop.
+// accuracy study exactly as AnalogMLPAccuracyBatch runs it: mapping the
+// memoized quantised classifier onto functional sub-chips with the study's
+// options (design-point noise, 24-bit interface, 12 input hops) and
+// evaluating the held-out test split through AccuracyBatch — the noisy
+// wave and its Gaussian draws. Training is memoized outside the timed loop.
 func BenchmarkAccuracyTrial(b *testing.B) {
 	tm, err := accuracyMLP(2020)
 	if err != nil {
@@ -21,14 +23,11 @@ func BenchmarkAccuracyTrial(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a, err := tm.q.MapAnalog(core.Options{
-			Noise:         analog.DefaultNoiseRNG(stats.NewTrialRNG(2020, uint32(i))),
-			InterfaceBits: 24,
-		})
+		a, err := tm.q.MapAnalog(studyOptions(stats.NewTrialRNG(2020, uint32(i)), params.DefaultXSubBufSigma))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.Accuracy(tm.test); err != nil {
+		if _, err := a.AccuracyBatch(tm.test); err != nil {
 			b.Fatal(err)
 		}
 	}

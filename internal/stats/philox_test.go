@@ -289,3 +289,108 @@ func TestPhiloxCloneAtEveryOffset(t *testing.T) {
 		}
 	}
 }
+
+// wordsServed is the number of 64-bit words a trial generator has served
+// since block 0: each started block advances the counter by one and yields
+// two words, and an odd count leaves an odd number of words buffered.
+func wordsServed(r *RNG) uint64 {
+	return 2*(uint64(r.ctr[0])|uint64(r.ctr[1])<<32) - uint64(r.bufn&1)
+}
+
+// normFillMatches fills from a and draws the same number of Norm deviates
+// from b, in the given split lengths, and fails unless every deviate is
+// bit-identical and both generators end in the same state.
+func normFillMatches(t *testing.T, a, b *RNG, splits []int) {
+	t.Helper()
+	for _, n := range splits {
+		got := make([]float64, n)
+		a.NormFill(got)
+		for i, g := range got {
+			if want := b.Norm(); math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("split %v: NormFill deviate %d = %v, Norm gives %v", splits, i, g, want)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("split %v: generator state after NormFill(%d) differs from %d Norm calls", splits, n, n)
+		}
+	}
+	if a.Uint64() != b.Uint64() || a.Float64() != b.Float64() || a.Norm() != b.Norm() {
+		t.Fatalf("split %v: the draws after NormFill diverge", splits)
+	}
+}
+
+// TestNormFillMatchesNorm: NormFill yields exactly the deviates, and leaves
+// exactly the generator state, of successive Norm calls on both bit
+// sources — for fill lengths that cross the Philox refill boundary at every
+// offset, and for odd lengths that leave or consume a pending Box-Muller
+// spare. Over a million trial-stream deviates it must take the Ziggurat's
+// wedge and tail paths, not just the rectangle.
+func TestNormFillMatchesNorm(t *testing.T) {
+	splits := []int{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 2*philoxLanes + 1, 63, 64, 65, 1000}
+	for _, src := range []struct {
+		name string
+		new  func() *RNG
+	}{
+		{"splitmix", func() *RNG { return NewRNG(99) }},
+		{"philox", func() *RNG { return NewTrialRNG(99, 4) }},
+		{"substream", func() *RNG { return NewTrialRNG(99, 4).Substream(3, 7) }},
+		{"counter-carry", func() *RNG {
+			r := NewTrialRNG(99, 4)
+			r.ctr[0] = 0xffffffff - 2*philoxLanes
+			return r
+		}},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			for lead := 0; lead <= 2*philoxLanes; lead++ {
+				a, b := src.new(), src.new()
+				for i := 0; i < lead; i++ {
+					a.Uint64()
+					b.Uint64()
+				}
+				normFillMatches(t, a, b, splits)
+			}
+			// A spare pending before the fill (Box-Muller leaves one
+			// after an odd number of deviates).
+			a, b := src.new(), src.new()
+			a.Norm()
+			b.Norm()
+			normFillMatches(t, a, b, []int{3, 1, 4, 1, 5, 9, 2, 6})
+		})
+	}
+
+	r, ref := NewTrialRNG(2021, 0), NewTrialRNG(2021, 0)
+	const n = 1 << 20
+	got := make([]float64, n)
+	r.NormFill(got)
+	wedge, tail := 0, 0
+	for i, g := range got {
+		before := wordsServed(ref)
+		want := ref.Norm()
+		if math.Float64bits(g) != math.Float64bits(want) {
+			t.Fatalf("deviate %d: NormFill %v, Norm %v", i, g, want)
+		}
+		switch words := wordsServed(ref) - before; {
+		case math.Abs(want) > zigR:
+			tail++
+		case words > 1:
+			wedge++
+		}
+	}
+	if *r != *ref {
+		t.Fatal("generator state after a 2^20 fill differs from 2^20 Norm calls")
+	}
+	if wedge == 0 || tail == 0 {
+		t.Fatalf("2^20 deviates took the wedge %d and the tail %d times; want both > 0", wedge, tail)
+	}
+}
+
+// BenchmarkNormFill measures bulk trial-stream Gaussians as the noisy wave
+// draws them, in fills of 976 (one §VI-B first-layer wave); compare
+// BenchmarkNormPhilox, one Norm call per deviate.
+func BenchmarkNormFill(b *testing.B) {
+	r := NewTrialRNG(1, 0)
+	buf := make([]float64, 976)
+	for i := 0; i < b.N; i += len(buf) {
+		r.NormFill(buf[:min(len(buf), b.N-i)])
+	}
+}

@@ -302,9 +302,13 @@ func signedBits(x float64, sign uint64) float64 {
 // is accepted with one integer compare (~98.8 % of draws). Edge positions
 // take the wedge test against the true density, and layer 0 falls through
 // to Marsaglia's exact tail sampler beyond r.
-func (r *RNG) normZiggurat() float64 {
+func (r *RNG) normZiggurat() float64 { return r.zigFrom(r.Uint64()) }
+
+// zigFrom finishes the Ziggurat draw whose first 64-bit word u has already
+// been drawn, drawing any further words the wedge test, the tail or a
+// rejection needs.
+func (r *RNG) zigFrom(u uint64) float64 {
 	for {
-		u := r.Uint64()
 		i := int(u & (zigLayers - 1))
 		j := u >> 11 // disjoint from the layer (bits 0-6) and sign (bit 7)
 		sign := (u & (1 << 7)) << 56
@@ -336,5 +340,58 @@ func (r *RNG) normZiggurat() float64 {
 		if zigF[i]+r.Float64()*(zigF[i+1]-zigF[i]) < math.Exp(-0.5*x*x) {
 			return signedBits(x, sign)
 		}
+		u = r.Uint64()
 	}
+}
+
+// NormFill writes len(dst) standard-normal deviates into dst: exactly the
+// values of len(dst) successive Norm calls, in order, and it leaves the
+// generator in exactly the state those calls would. On the trial stream it
+// accepts the Ziggurat rectangle case straight from the Philox refill
+// buffer, committing the served words to the generator state once per run
+// of accepted words, so the common deviate pays no call chain. A word that
+// misses its rectangle is served and finished by the same code as Norm.
+func (r *RNG) NormFill(dst []float64) {
+	if !r.philox {
+		for i := range dst {
+			dst[i] = r.normBoxMuller()
+		}
+		return
+	}
+	for k := 0; k < len(dst); {
+		if r.bufn == 0 {
+			r.philoxRefill()
+		}
+		words := r.buf[len(r.buf)-int(r.bufn):]
+		if len(words) > len(dst)-k {
+			words = words[:len(dst)-k]
+		}
+		n := 0
+		for _, u := range words {
+			i := u & (zigLayers - 1)
+			j := u >> 11
+			if j >= zigK[i] {
+				break
+			}
+			dst[k+n] = signedBits(float64(j)*zigW[i], (u&(1<<7))<<56)
+			n++
+		}
+		r.philoxSkip(n)
+		k += n
+		if n < len(words) {
+			dst[k] = r.zigFrom(r.philoxNext())
+			k++
+		}
+	}
+}
+
+// philoxSkip marks the next n buffered words as served, n ≤ bufn: the
+// state philoxNext leaves after n calls, the block counter advanced once
+// per block that starts being served.
+func (r *RNG) philoxSkip(n int) {
+	w := len(r.buf) - int(r.bufn)
+	r.bufn -= uint8(n)
+	c := uint64(r.ctr[0]) | uint64(r.ctr[1])<<32
+	c += uint64((w+n+1)/2 - (w+1)/2)
+	r.ctr[0], r.ctr[1] = uint32(c), uint32(c>>32)
 }

@@ -256,9 +256,16 @@ func Im2ColIntoInts(in *Int, z, g, stride, pad int, dst []int) (rows, e, f int) 
 	return im2colFill(in, z, g, stride, pad, dst)
 }
 
-// im2colFill is the shared patch-major unrolling behind both Im2ColInto
+// Im2ColIntoCodes is Im2ColInto writing 8-bit codes — the DTC input the
+// functional executor's ForwardCodes consumes — for an input whose every
+// element is in [0, 255]; other values wrap, so callers check first.
+func Im2ColIntoCodes(in *Int, z, g, stride, pad int, dst []uint8) (rows, e, f int) {
+	return im2colFill(in, z, g, stride, pad, dst)
+}
+
+// im2colFill is the shared patch-major unrolling behind the Im2ColInto
 // variants.
-func im2colFill[T int32 | int](in *Int, z, g, stride, pad int, dst []T) (rows, e, f int) {
+func im2colFill[T int32 | int | uint8](in *Int, z, g, stride, pad int, dst []T) (rows, e, f int) {
 	rows, e, f = Im2ColDims(in, z, g, stride, pad)
 	if len(dst) < rows*e*f {
 		panic(fmt.Sprintf("tensor: im2col buffer %d shorter than %d", len(dst), rows*e*f))

@@ -146,7 +146,7 @@ func (a *AnalogCNN) Programmed() string {
 }
 
 // AccuracyBatch evaluates the analog pipeline over a dataset: each image's
-// patches take one conv ForwardBatch wave (already a matrix–matrix pass),
+// patches take one conv ForwardCodes pass (already a matrix–matrix pass),
 // and blocks of images go through the head's layer-major batched path. The
 // returned accuracy is identical to Accuracy's; when BatchSafe is false it
 // falls back to the per-image path outright.
@@ -155,18 +155,26 @@ func (a *AnalogCNN) AccuracyBatch(d *ImageDataset) (float64, error) {
 		return a.Accuracy(d)
 	}
 	preds := make([]int, d.Len())
-	feats := make([][]float64, 0, predictBlock)
+	feats := make([][]float64, predictBlock)
+	// One feature buffer serves every block; it is replaced, never
+	// resized in place, so a block's earlier vectors stay intact.
+	var buf []float64
 	for base := 0; base < d.Len(); base += predictBlock {
 		n := min(d.Len()-base, predictBlock)
-		feats = feats[:0]
-		for _, img := range d.X[base : base+n] {
-			feat, err := a.features(img)
-			if err != nil {
+		off := 0
+		for i, img := range d.X[base : base+n] {
+			dim := a.featLen(img)
+			if len(buf) < off+dim {
+				buf = make([]float64, max(predictBlock*dim, off+dim))
+				off = 0
+			}
+			feats[i] = buf[off : off+dim : off+dim]
+			off += dim
+			if err := a.features(img, feats[i]); err != nil {
 				return 0, err
 			}
-			feats = append(feats, feat)
 		}
-		if err := a.head.PredictBatch(feats, preds[base:base+n]); err != nil {
+		if err := a.head.PredictBatch(feats[:n], preds[base:base+n]); err != nil {
 			return 0, err
 		}
 	}

@@ -184,10 +184,12 @@ type AnalogCNN struct {
 	head     *AnalogMLP
 	faultMap int // total stuck cells injected (0 when clean)
 
-	// Per-instance scratch reused across Predict calls (an AnalogCNN is
-	// driven by one goroutine at a time).
-	inputs []int
-	psums  []int
+	// Per-instance scratch reused across images (an AnalogCNN is driven by
+	// one goroutine at a time): the conv bank's input codes and psums, and
+	// Predict's feature vector.
+	codes []uint8
+	psums []int
+	feat  []float64
 }
 
 // MapAnalog programs the conv filter bank and the head. faultRate > 0
@@ -229,39 +231,85 @@ func (a *AnalogCNN) Faults() int { return a.faultMap }
 // the mapped crossbars, digital requantisation + pooling, then the analog
 // head.
 func (a *AnalogCNN) Predict(img *tensor.Int) (int, error) {
-	feat, err := a.features(img)
-	if err != nil {
+	n := a.featLen(img)
+	if cap(a.feat) < n {
+		a.feat = make([]float64, n)
+	}
+	feat := a.feat[:n]
+	if err := a.features(img, feat); err != nil {
 		return 0, err
 	}
 	return a.head.Predict(feat)
 }
 
-// features runs one image's patches through the mapped conv bank in a
-// single ForwardBatch wave, then requantises and pools the psums into the
-// head's input vector.
-func (a *AnalogCNN) features(img *tensor.Int) ([]float64, error) {
+// featLen is the length of img's feature vector: every filter's pooled map.
+func (a *AnalogCNN) featLen(img *tensor.Int) int {
 	c := a.cnn
-	rows, e, f := tensor.Im2ColDims(img, c.Filters.Z, c.Filters.G, c.Stride, c.Pad)
-	if cap(a.inputs) < rows*e*f {
-		a.inputs = make([]int, rows*e*f)
+	_, e, f := tensor.Im2ColDims(img, c.Filters.Z, c.Filters.G, c.Stride, c.Pad)
+	return c.Filters.D * tensor.ConvOut(e, c.PoolK, c.PoolS, 0) * tensor.ConvOut(f, c.PoolK, c.PoolS, 0)
+}
+
+// features runs one image's patches through the mapped conv bank in a
+// single ForwardCodes pass and writes the head's input vector into feat
+// (featLen long): per filter and pooling window, the largest psum,
+// requantised into an 8-bit code and scaled into [0,1]. Requantisation
+// (shift, then clamp) is monotone, so pooling the raw psums first gives
+// the codes of requantising every psum and then pooling — the integer
+// path of CNN.features.
+func (a *AnalogCNN) features(img *tensor.Int, feat []float64) error {
+	c := a.cnn
+	z, g, d := c.Filters.Z, c.Filters.G, c.Filters.D
+	rows, e, f := tensor.Im2ColDims(img, z, g, c.Stride, c.Pad)
+	if cap(a.psums) < e*f*d {
+		a.psums = make([]int, e*f*d)
 	}
-	inputs := a.inputs[:rows*e*f]
-	tensor.Im2ColIntoInts(img, c.Filters.Z, c.Filters.G, c.Stride, c.Pad, inputs)
-	if cap(a.psums) < e*f*c.Filters.D {
-		a.psums = make([]int, e*f*c.Filters.D)
+	psums := a.psums[:e*f*d]
+	var err error
+	if pixelCodes(img) {
+		if cap(a.codes) < rows*e*f {
+			a.codes = make([]uint8, rows*e*f)
+		}
+		codes := a.codes[:rows*e*f]
+		tensor.Im2ColIntoCodes(img, z, g, c.Stride, c.Pad, codes)
+		err = a.convMap.ForwardCodes(codes, e*f, psums)
+	} else {
+		// Some pixel is not an 8-bit code: ForwardBatch's range check
+		// reports the first one a patch reads, as the DTC would.
+		inputs := make([]int, rows*e*f)
+		tensor.Im2ColIntoInts(img, z, g, c.Stride, c.Pad, inputs)
+		err = a.convMap.ForwardBatch(inputs, e*f, psums)
 	}
-	psums := a.psums[:e*f*c.Filters.D]
-	if err := a.convMap.ForwardBatch(inputs, e*f, psums); err != nil {
-		return nil, err
+	if err != nil {
+		return err
 	}
-	conv := tensor.NewInt(c.Filters.D, e, f)
-	for p := 0; p < e*f; p++ {
-		for d := 0; d < c.Filters.D; d++ {
-			conv.Data[d*e*f+p] = int32(psums[p*c.Filters.D+d])
+	k, s := c.PoolK, c.PoolS
+	pe, pf := tensor.ConvOut(e, k, s, 0), tensor.ConvOut(f, k, s, 0)
+	for ch := 0; ch < d; ch++ {
+		for y := 0; y < pe; y++ {
+			for x := 0; x < pf; x++ {
+				m := int32(math.MinInt32)
+				for i := 0; i < k; i++ {
+					for j := 0; j < k; j++ {
+						if v := int32(psums[((y*s+i)*f+x*s+j)*d+ch]); v > m {
+							m = v
+						}
+					}
+				}
+				feat[(ch*pe+y)*pf+x] = float64(min(max(m>>uint(c.FeatShift), 0), 255)) / 255
+			}
 		}
 	}
-	tensor.RequantizeShift(conv, c.FeatShift, 255)
-	return featVec(tensor.MaxPool2D(conv, c.PoolK, c.PoolS)), nil
+	return nil
+}
+
+// pixelCodes reports whether every pixel of img is an 8-bit code.
+func pixelCodes(img *tensor.Int) bool {
+	for _, v := range img.Data {
+		if uint32(v) > 255 {
+			return false
+		}
+	}
+	return true
 }
 
 // Accuracy evaluates the analog pipeline over a dataset.

@@ -71,6 +71,58 @@ func TestAnalogCNNMatchesIntegerIdeal(t *testing.T) {
 	}
 }
 
+// TestAnalogCNNFeaturesMatchInteger: in ideal mode the analog feature
+// vector — pooled straight from the conv psums — equals the integer
+// path's requantise-then-pool features, value for value, through Predict's
+// and AccuracyBatch's scratch alike.
+func TestAnalogCNNFeaturesMatchInteger(t *testing.T) {
+	cnn, _, test := trainedCNN(t, 7)
+	a, err := cnn.MapAnalog(core.IdealOptions(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, img := range test.X[:20] {
+		want := featVec(cnn.features(img))
+		got := make([]float64, a.featLen(img))
+		if err := a.features(img, got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("image %d: %d features, integer path %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("image %d feature %d: analog %v, integer %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestAnalogCNNRejectsNonCodePixels: a pixel outside [0, 255] fails with
+// the DTC's range error naming the first such pixel a patch reads — here
+// (1,0), read by the first patch, before (0,5) earlier in raster order.
+func TestAnalogCNNRejectsNonCodePixels(t *testing.T) {
+	cnn, _, test := trainedCNN(t, 7)
+	a, err := cnn.MapAnalog(core.IdealOptions(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := test.X[0].Clone()
+	img.Set(0, 0, 5, 300)
+	img.Set(0, 1, 0, -4)
+	want := "analog: DTC code -4 out of [0,256)"
+	if _, err := a.Predict(img); err == nil || err.Error() != want {
+		t.Fatalf("Predict error = %v; want %q", err, want)
+	}
+	bad := &ImageDataset{X: []*tensor.Int{test.X[1], img}, Y: []int{0, 0}, Size: test.Size, Classes: test.Classes}
+	if _, err := a.AccuracyBatch(bad); err == nil || err.Error() != want {
+		t.Fatalf("AccuracyBatch error = %v; want %q", err, want)
+	}
+	if _, err := a.Predict(test.X[1]); err != nil {
+		t.Fatalf("a valid image after a rejected one: %v", err)
+	}
+}
+
 // TestAnalogCNNDesignPointNoise: the conv pipeline keeps its accuracy at the
 // paper's design-point circuit noise.
 func TestAnalogCNNDesignPointNoise(t *testing.T) {
