@@ -12,6 +12,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// convLayer compiles a single-convolution network and returns its layer.
+func convLayer(t *testing.T, c, h, w, d, k, stride, pad int) model.Layer {
+	t.Helper()
+	n, err := (&model.Spec{Name: "t", Input: model.Dims{C: c, H: h, W: w},
+		Layers: []model.LayerSpec{{Name: "conv", Kind: "conv", Filters: d, Kernel: k, Stride: stride, Pad: pad}},
+	}).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n.Layers[0]
+}
+
 // countSingleInstance counts layer on the analytic model mapped the way the
 // functional executor maps it: differential signed weights use 2× the
 // sub-ranged columns, and one instance (no O2IR vertical copies) slides
@@ -51,7 +63,7 @@ func TestFunctionalMatchesAnalyticCounts(t *testing.T) {
 	}
 
 	// Analytic run on the same layer with the matching scheme.
-	layer := model.NewBuilder("t", c, h, w).Conv("conv", d, k, stride, pad).Build().Layers[0]
+	layer := convLayer(t, c, h, w, d, k, stride, pad)
 	anaLed := energy.NewLedger(nil)
 	countSingleInstance(layer, anaLed)
 
@@ -89,7 +101,7 @@ func TestFunctionalMatchesAnalyticMultiColumn(t *testing.T) {
 	if _, err := core.RunConv(core.IdealOptions(funcLed), in, f, stride, pad, false); err != nil {
 		t.Fatal(err)
 	}
-	layer := model.NewBuilder("t", c, h, w).Conv("conv", d, k, stride, pad).Build().Layers[0]
+	layer := convLayer(t, c, h, w, d, k, stride, pad)
 	anaLed := energy.NewLedger(nil)
 	countSingleInstance(layer, anaLed)
 	for _, comp := range []energy.Component{

@@ -6,11 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Cache is a concurrency-safe LRU result cache with hit/miss/eviction
-// counters — the persistent spec-hash-keyed result store in front of the
-// batch queue. A limit <= 0 disables it entirely (Get always misses
-// without counting, Put is a no-op), which is how the unbatched baseline
-// configuration turns caching off.
+// Cache is a concurrency-safe LRU cache with hit/miss/eviction counters —
+// the one LRU of the repository. It is the persistent spec-hash-keyed
+// result store in front of the batch queue, and under GetOrPut the store
+// behind the experiment suite's once-per-key memos. A limit <= 0 disables
+// it entirely (Get always misses without counting, Put is a no-op), which
+// is how the unbatched baseline configuration turns caching off.
 type Cache[V any] struct {
 	limit int
 
@@ -87,6 +88,12 @@ func (c *Cache[V]) Put(key string, val V) {
 		c.ll.MoveToFront(el)
 		return
 	}
+	c.insert(key, val)
+}
+
+// insert adds a new key as the most recently used entry and evicts from
+// the cold end past the limit. c.mu must be held.
+func (c *Cache[V]) insert(key string, val V) {
 	c.entries[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.limit {
 		back := c.ll.Back()
@@ -94,6 +101,39 @@ func (c *Cache[V]) Put(key string, val V) {
 		c.ll.Remove(back)
 		c.evictions.Add(1)
 	}
+}
+
+// GetOrPut returns the value cached under key, refreshing its recency
+// (loaded = true); on a miss it stores val under key, evicting past the
+// limit, and returns it (loaded = false). The lookup and the insert are
+// one atomic step, so concurrent callers for one key all get the value
+// the first of them stored. A disabled cache stores nothing and returns
+// val.
+func (c *Cache[V]) GetOrPut(key string, val V) (actual V, loaded bool) {
+	if c.limit <= 0 {
+		return val, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
+		c.hits.Add(1)
+		return el.Value.(*cacheEntry[V]).val, true
+	}
+	c.misses.Add(1)
+	c.insert(key, val)
+	return val, false
+}
+
+// Clear drops every entry; the lifetime counters keep their values.
+func (c *Cache[V]) Clear() {
+	if c.limit <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	clear(c.entries)
 }
 
 // Len returns the current entry count.

@@ -95,3 +95,37 @@ func TestCacheDisabled(t *testing.T) {
 		t.Errorf("Len = %d, want 0", c.Len())
 	}
 }
+
+// TestCacheGetOrPut: a miss stores the offered value, a hit returns the
+// stored one and refreshes its recency, both are counted, and a disabled
+// cache hands the offered value back without storing it.
+func TestCacheGetOrPut(t *testing.T) {
+	c := NewCache[int](2)
+	if v, loaded := c.GetOrPut("a", 1); v != 1 || loaded {
+		t.Errorf("GetOrPut(a, 1) on a miss = (%d, %v), want (1, false)", v, loaded)
+	}
+	if v, loaded := c.GetOrPut("a", 2); v != 1 || !loaded {
+		t.Errorf("GetOrPut(a, 2) on a hit = (%d, %v), want (1, true)", v, loaded)
+	}
+	c.Put("b", 3)
+	c.GetOrPut("a", 0) // a is now more recent than b
+	c.GetOrPut("c", 4) // evicts b
+	if _, ok := c.Peek("b"); ok {
+		t.Error("b survived although GetOrPut refreshed a past it")
+	}
+	if hits, misses, evictions := c.Stats(); hits != 2 || misses != 2 || evictions != 1 {
+		t.Errorf("stats = (%d, %d, %d), want (2, 2, 1)", hits, misses, evictions)
+	}
+	c.Clear()
+	if c.Len() != 0 {
+		t.Errorf("Len after Clear = %d, want 0", c.Len())
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Error("Clear kept a")
+	}
+	off := NewCache[int](0)
+	if v, loaded := off.GetOrPut("a", 5); v != 5 || loaded || off.Len() != 0 {
+		t.Errorf("disabled GetOrPut = (%d, %v) with Len %d, want (5, false) with Len 0", v, loaded, off.Len())
+	}
+	off.Clear()
+}

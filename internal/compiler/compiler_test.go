@@ -80,9 +80,12 @@ func TestCompile(t *testing.T) {
 }
 
 func TestCompileStrictRejectsHugeLayer(t *testing.T) {
-	b := model.NewBuilder("big", 512, 14, 14)
-	b.Conv("huge", 512, 3, 1, 1) // rows 4608 > 4096
-	n := b.Build()
+	n, err := (&model.Spec{Name: "big", Input: model.Dims{C: 512, H: 14, W: 14},
+		Layers: []model.LayerSpec{{Name: "huge", Kind: "conv", Filters: 512, Kernel: 3, Pad: 1}}, // rows 4608 > 4096
+	}).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Compile(n, params.DefaultTimely(8), true); err == nil {
 		t.Errorf("strict compile accepted a multi-sub-chip layer")
 	}

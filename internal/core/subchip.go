@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/analog"
 	"repro/internal/energy"
@@ -159,9 +158,6 @@ func NewSubChip(opt Options) *SubChip {
 		tdc:       analog.TDC{Bits: ifBits, TDel: params.TDel},
 	}
 }
-
-// Config returns the sub-chip's architecture configuration.
-func (s *SubChip) Config() params.TimelyConfig { return s.cfg }
 
 // xbar returns the crossbar in grid slot i, materialising it on first touch
 // (IR-drop configuration applied, deferred fault injections replayed from
@@ -939,10 +935,4 @@ func (m *MappedLayer) QuantizationBound() float64 {
 		weightSum += math.Pow(2, float64(m.sc.cfg.CellBits*(m.colsPerArm-1-nib)))
 	}
 	return float64(armsPerWeight) * weightSum * 0.5 * float64(int64(1)<<m.ScaleShift)
-}
-
-// ScaleBits reports how many low bits of a psum are below the quantisation
-// floor (useful for choosing requantisation shifts).
-func (m *MappedLayer) ScaleBits() int {
-	return m.ScaleShift + bits.Len(uint(armsPerWeight*m.colsPerArm)) - 1
 }

@@ -89,7 +89,7 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64) ([]DefectPoi
 		faults int
 	}
 	units := make([]unit, len(rates)*draws)
-	var accs memo[float64]
+	accs := newMemo[float64](len(units))
 	err = parallelEach(ctx, len(units), func(i int) error {
 		rate, d := rates[i/draws], i%draws
 		a, err := cnn.MapAnalog(core.Options{
@@ -99,7 +99,7 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64) ([]DefectPoi
 		if err != nil {
 			return err
 		}
-		acc, err := defectAccuracy(&accs, a, test)
+		acc, err := defectAccuracy(accs, a, test)
 		if err != nil {
 			return err
 		}
@@ -137,21 +137,6 @@ type DefectResult struct {
 	Faults int
 	// Trials is the fault-map draw count.
 	Trials int
-}
-
-// AnalogCNNAccuracy maps the synthetic-image CNN (memoized per seed, shared
-// with DefectSweep) onto faulty crossbars at one stuck-at rate and measures
-// the analog accuracy over trials independent fault-map draws. Draw d uses
-// the same RNG stream DefectSweep gives its d-th draw, so the facade and
-// the ablation experiment agree exactly at equal (seed, rate, draws).
-func AnalogCNNAccuracy(ctx context.Context, seed uint64, trials int, faultRate float64) (*DefectResult, error) {
-	// A one-member batch: the fused executor (batch.go) IS the single path,
-	// so service-batched and standalone evaluations share every code path.
-	rs, err := AnalogCNNAccuracyBatch(ctx, []uint64{seed}, trials, faultRate)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
 }
 
 // SchemePoint compares the signed-weight encodings.

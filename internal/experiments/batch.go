@@ -17,9 +17,9 @@ import (
 // one wave instead of queueing member-by-member, and each mapped model
 // evaluates its test set through the image-batched matrix–matrix path
 // (workload.AccuracyBatch). Per-trial RNG streams are keyed by (seed,
-// trial) alone (stats.NewTrialRNG), so the fusion cannot change any draw: each member's result is byte-identical to
-// running it alone. The single-seed entry points delegate here with a
-// one-member batch.
+// trial) alone (stats.NewTrialRNG), so the fusion cannot change any draw:
+// each member's result is byte-identical to running it alone. A single
+// seed is a one-member batch.
 
 // AnalogMLPAccuracyBatch runs the §VI-B accuracy study for every seed in
 // one fused grid at shared (trials, epsPS). Results are returned in seed
@@ -90,9 +90,13 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 	return out, nil
 }
 
-// AnalogCNNAccuracyBatch runs the defect study for every seed in one
-// fused grid at shared (trials, faultRate). Results are returned in seed
-// order, each byte-identical to AnalogCNNAccuracy at that seed.
+// AnalogCNNAccuracyBatch maps each seed's synthetic-image CNN (memoized
+// per seed, shared with DefectSweep) onto faulty crossbars at one stuck-at
+// rate and measures the analog accuracy over trials independent fault-map
+// draws, all seeds in one fused grid. Results are returned in seed order,
+// each byte-identical to a one-seed call. Draw d uses the same RNG stream
+// DefectSweep gives its d-th draw, so the facade and the ablation
+// experiment agree exactly at equal (seed, rate, draws).
 func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, faultRate float64) ([]*DefectResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: empty seed batch")
@@ -122,6 +126,9 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 	var accs []memo[float64]
 	if trials > 1 {
 		accs = make([]memo[float64], len(seeds))
+		for m := range accs {
+			accs[m] = newMemo[float64](trials)
+		}
 	}
 	err = parallelEach(ctx, len(units), func(i int) error {
 		m, d := i/trials, i%trials
@@ -136,7 +143,7 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		if accs == nil {
 			acc, err = a.AccuracyBatch(tcs[m].test)
 		} else {
-			acc, err = defectAccuracy(&accs[m], a, tcs[m].test)
+			acc, err = defectAccuracy(accs[m], a, tcs[m].test)
 		}
 		if err != nil {
 			return err
@@ -174,9 +181,10 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 // call and one trained model: within it, mapping options are fixed, so a
 // BatchSafe mapped CNN's accuracy is a function of AnalogCNN.Programmed
 // alone, and draws whose faults leave the read cells identical share the
-// first such draw's evaluation. Fault injection and every RNG stream are
-// untouched — the memo only skips repeated test-set passes.
-func defectAccuracy(accs *memo[float64], a *workload.AnalogCNN, test *workload.ImageDataset) (float64, error) {
+// first such draw's evaluation. accs is capped at the call's draw count,
+// so it never evicts. Fault injection and every RNG stream are untouched —
+// the memo only skips repeated test-set passes.
+func defectAccuracy(accs memo[float64], a *workload.AnalogCNN, test *workload.ImageDataset) (float64, error) {
 	if !a.BatchSafe() {
 		return a.AccuracyBatch(test)
 	}

@@ -64,12 +64,12 @@ func TestBatchedDefectByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for m, seed := range seeds {
-			single, err := AnalogCNNAccuracy(ctx, seed, trials, 0.001)
+			single, err := AnalogCNNAccuracyBatch(ctx, []uint64{seed}, trials, 0.001)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(batch[m], single) {
-				t.Errorf("CNN par=%d seed=%d: batched %+v != single %+v", par, seed, batch[m], single)
+			if !reflect.DeepEqual(batch[m], single[0]) {
+				t.Errorf("CNN par=%d seed=%d: batched %+v != single %+v", par, seed, batch[m], single[0])
 			}
 		}
 	}
@@ -127,10 +127,11 @@ func TestDefectRateZeroRegimeIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := AnalogCNNAccuracy(context.Background(), 5, 3, 0)
+	rs, err := AnalogCNNAccuracyBatch(context.Background(), []uint64{5}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.Faults != 0 {
 		t.Fatalf("rate-0 study realised %d faults", r.Faults)
 	}

@@ -9,96 +9,73 @@ package experiments
 // is safe.
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/accel"
+	"repro/internal/batchq"
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// memo is a sync.Once-per-key cache with LRU eviction: the first Do for a
-// key computes, every other caller (including concurrent ones) waits and
-// shares the result. When a cap is given, inserting past it evicts the
-// least-recently-used entry instead of refusing to store — a hot key keeps
-// hitting through an arbitrarily long scan of cold keys.
+// memo is a sync.Once-per-key cache over one bounded LRU (batchq.Cache):
+// the first Do for a key computes, every other caller (including
+// concurrent ones) waits and shares the result. Every memo has a cap, so
+// a client-controlled key space (unique spec hashes, seeds, chip counts)
+// churns the cold end instead of growing the process, while a hot key
+// keeps hitting through an arbitrarily long scan of cold keys. An entry
+// evicted while still computing keeps serving the callers already
+// attached to it; only future lookups recompute.
 type memo[V any] struct {
-	mu      sync.Mutex
-	ll      *list.List // of *memoEntry[V]; front = most recently used
-	entries map[string]*list.Element
-
-	evictions atomic.Int64
+	lru *batchq.Cache[*memoEntry[V]]
 }
 
 type memoEntry[V any] struct {
-	key  string
 	once sync.Once
 	val  V
 	err  error
 }
 
-func (m *memo[V]) Do(key string, f func() (V, error)) (V, error) {
-	return m.DoCapped(key, 0, f)
+// newMemo returns a memo holding at most limit entries.
+func newMemo[V any](limit int) memo[V] {
+	return memo[V]{lru: batchq.NewCache[*memoEntry[V]](limit)}
 }
 
-// DoCapped is Do with an entry budget (0 = unlimited): past the cap the
-// least-recently-used entry is evicted to make room. It bounds caches whose
-// key space a client controls — a stream of unique spec-hash evaluations
-// churns the cold end of the cache while hot entries keep sharing. An entry
-// evicted while still computing keeps serving the callers already attached
-// to it; only future lookups recompute.
-func (m *memo[V]) DoCapped(key string, limit int, f func() (V, error)) (V, error) {
-	m.mu.Lock()
-	if m.entries == nil {
-		m.ll = list.New()
-		m.entries = map[string]*list.Element{}
-	}
-	var e *memoEntry[V]
-	if el, ok := m.entries[key]; ok {
-		m.ll.MoveToFront(el)
-		e = el.Value.(*memoEntry[V])
-	} else {
-		e = &memoEntry[V]{key: key}
-		m.entries[key] = m.ll.PushFront(e)
-		for limit > 0 && m.ll.Len() > limit {
-			back := m.ll.Back()
-			delete(m.entries, back.Value.(*memoEntry[V]).key)
-			m.ll.Remove(back)
-			m.evictions.Add(1)
-		}
-	}
-	m.mu.Unlock()
+func (m memo[V]) Do(key string, f func() (V, error)) (V, error) {
+	e, _ := m.lru.GetOrPut(key, &memoEntry[V]{})
 	e.once.Do(func() { e.val, e.err = f() })
 	return e.val, e.err
 }
 
-// Evictions returns the lifetime LRU eviction count.
-func (m *memo[V]) Evictions() int64 { return m.evictions.Load() }
-
-func (m *memo[V]) reset() {
-	m.mu.Lock()
-	m.ll = nil
-	m.entries = nil
-	m.mu.Unlock()
-}
+// Memo caps. Each sits above the distinct keys one process inserts in
+// `timely all` (15 networks, 132 evaluations, 1 MLP seed, 1 CNN seed) and
+// in the timelybench workloads (at most ~720 evaluations per serve-hit
+// replica over a 25 s run, and 2 seeds of each trained model in the
+// serve-sweep server), so neither ever evicts. Past its cap a
+// client-controlled key stream (seeds, chip counts, spec hashes)
+// recomputes its cold keys instead of growing the process.
+const (
+	networkEntries = 32   // Table III benchmarks
+	evalEntries    = 4096 // zoo and spec evaluations, one budget for both
+	mlpEntries     = 4    // trained §VI-B classifiers, ~420 KB each
+	cnnEntries     = 4    // trained defect-study CNNs, ~530 KB each
+)
 
 var (
-	networkCache memo[*model.Network]
-	evalCache    memo[*accel.Result]
-	mlpCache     memo[*trainedMLP]
-	cnnCache     memo[*trainedCNN]
+	networkCache = newMemo[*model.Network](networkEntries)
+	evalCache    = newMemo[*accel.Result](evalEntries)
+	mlpCache     = newMemo[*trainedMLP](mlpEntries)
+	cnnCache     = newMemo[*trainedCNN](cnnEntries)
 )
 
 // ResetCaches drops every memoized input so the next run recomputes from
 // scratch. The benchmarks use it to time cold executions.
 func ResetCaches() {
-	networkCache.reset()
-	evalCache.reset()
-	mlpCache.reset()
-	cnnCache.reset()
+	networkCache.lru.Clear()
+	evalCache.lru.Clear()
+	mlpCache.lru.Clear()
+	cnnCache.lru.Clear()
 }
 
 // network returns the memoized Table III benchmark. The returned Network is
@@ -142,20 +119,12 @@ func Eval(backend string, bits, chips int, network string) (*accel.Result, error
 	return nil, fmt.Errorf("experiments: unknown analytic backend %q", backend)
 }
 
-// maxSpecEvalEntries bounds the eval cache when the key is
-// client-controlled (unique custom specs): past the cap, the
-// least-recently-used entry is evicted to make room.
-const maxSpecEvalEntries = 4096
-
 // EvalSpec returns the memoized analytic evaluation of a custom compiled
 // network at the shared design point, keyed by the canonical spec hash of
 // its layer table (model.Network.SpecHash) rather than its name: two
 // differently-named or differently-spelled specs that compile to the same
 // network share one cache entry, and a custom network can never collide
-// with a Table III benchmark's entry. The memoization is capped with LRU
-// eviction — a client streaming unique specs churns the cold end of the
-// cache rather than growing the process without bound, while hot specs
-// keep hitting.
+// with a Table III benchmark's entry.
 func EvalSpec(backend string, bits, chips int, n *model.Network) (*accel.Result, error) {
 	var acc accel.Accelerator
 	key := fmt.Sprintf("%s/%d/spec:%s", backend, chips, n.SpecHash())
@@ -170,7 +139,7 @@ func EvalSpec(backend string, bits, chips int, n *model.Network) (*accel.Result,
 	default:
 		return nil, fmt.Errorf("experiments: unknown analytic backend %q", backend)
 	}
-	return evalCache.DoCapped(key, maxSpecEvalEntries, func() (*accel.Result, error) {
+	return evalCache.Do(key, func() (*accel.Result, error) {
 		return acc.Evaluate(n)
 	})
 }

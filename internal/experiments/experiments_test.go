@@ -7,8 +7,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/energy"
@@ -408,40 +406,6 @@ func TestRunPreservesOrderAndCapturesErrors(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "=== a — a ===") {
 		t.Errorf("sections before the failure were not written: %q", buf.String())
-	}
-}
-
-func TestMemoComputesOncePerKey(t *testing.T) {
-	var m memo[int]
-	var calls atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := m.Do("k", func() (int, error) {
-				calls.Add(1)
-				return 42, nil
-			})
-			if v != 42 || err != nil {
-				t.Errorf("Do = %d, %v", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Errorf("compute ran %d times, want 1", calls.Load())
-	}
-	if _, err := m.Do("fail", func() (int, error) { return 0, errors.New("x") }); err == nil {
-		t.Errorf("error not propagated")
-	}
-	// Errors are memoized too (deterministic inputs): the failure sticks.
-	if _, err := m.Do("fail", func() (int, error) { return 1, nil }); err == nil {
-		t.Errorf("memoized error was recomputed")
-	}
-	m.reset()
-	if v, _ := m.Do("fail", func() (int, error) { return 7, nil }); v != 7 {
-		t.Errorf("reset did not clear entries")
 	}
 }
 

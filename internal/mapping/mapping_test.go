@@ -10,10 +10,18 @@ import (
 
 func cfg8() params.TimelyConfig { return params.DefaultTimely(8) }
 
+// firstLayer compiles a network of the given input shape and layers and
+// returns its first layer.
+func firstLayer(c, h, w int, layers ...model.LayerSpec) model.Layer {
+	n, err := (&model.Spec{Name: "t", Input: model.Dims{C: c, H: h, W: w}, Layers: layers}).Compile()
+	if err != nil {
+		panic(err)
+	}
+	return n.Layers[0]
+}
+
 func convLayer(c, h, w, d, k, s, pad int) model.Layer {
-	b := model.NewBuilder("t", c, h, w)
-	b.Conv("conv", d, k, s, pad)
-	return b.Build().Layers[0]
+	return firstLayer(c, h, w, model.LayerSpec{Name: "conv", Kind: "conv", Filters: d, Kernel: k, Stride: s, Pad: pad})
 }
 
 func TestPlaceSmallConvFitsOneSubChip(t *testing.T) {
@@ -75,9 +83,7 @@ func TestPlaceWideLayerColSplit(t *testing.T) {
 }
 
 func TestPlaceFC(t *testing.T) {
-	b := model.NewBuilder("t", 512, 7, 7)
-	b.FC("fc6", 4096)
-	l := b.Build().Layers[0]
+	l := firstLayer(512, 7, 7, model.LayerSpec{Name: "fc6", Kind: "fc", Units: 4096})
 	p := PlaceO2IR(l, cfg8())
 	// rows = 25088 → RowSplit ceil(25088/4096) = 7; cols = 8192 → 3.
 	if p.RowSplit != 7 || p.ColSplit != 3 {
@@ -114,14 +120,14 @@ func TestVerticalCopiesBoundedByE(t *testing.T) {
 }
 
 func TestPlacePanicsOnPool(t *testing.T) {
-	b := model.NewBuilder("t", 3, 8, 8)
-	b.MaxPool(2, 2, 0)
+	l := firstLayer(3, 8, 8, model.LayerSpec{Kind: "maxpool", Kernel: 2, Stride: 2},
+		model.LayerSpec{Kind: "fc", Units: 2}) // a spec needs a weighted layer
 	defer func() {
 		if recover() == nil {
 			t.Errorf("placing a pool layer did not panic")
 		}
 	}()
-	PlaceO2IR(b.Build().Layers[0], cfg8())
+	PlaceO2IR(l, cfg8())
 }
 
 func TestLowerVGGD(t *testing.T) {

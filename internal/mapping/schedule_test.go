@@ -99,9 +99,7 @@ func TestScheduleReuseFactorGrowsWithKernel(t *testing.T) {
 }
 
 func TestScheduleErrors(t *testing.T) {
-	b := model.NewBuilder("t", 4, 8, 8)
-	b.FC("fc", 10)
-	p := PlaceO2IR(b.Build().Layers[0], params.DefaultTimely(8))
+	p := PlaceO2IR(firstLayer(4, 8, 8, model.LayerSpec{Name: "fc", Kind: "fc", Units: 10}), params.DefaultTimely(8))
 	if _, err := BuildSchedule(p); err == nil {
 		t.Errorf("scheduling an FC layer accepted")
 	}

@@ -44,7 +44,7 @@ func (k Kind) String() string {
 }
 
 // Layer is one network layer with both its configuration and the derived
-// input/output dimensions (filled by the builder). Parameter names follow
+// input/output dimensions (filled by Spec.Compile). Parameter names follow
 // Table I of the paper: C/H/W input channel/height/width, D output channels,
 // Z/G filter height/width, S stride, E/F output height/width.
 type Layer struct {
@@ -181,97 +181,3 @@ func (n *Network) TotalParams() int64 {
 }
 
 func convOut(n, k, s, p int) int { return (n+2*p-k)/s + 1 }
-
-// Builder constructs a Network, propagating dimensions layer to layer.
-type Builder struct {
-	net     Network
-	c, h, w int // cursor: current activation dims
-	err     error
-}
-
-// NewBuilder starts a network with the given input shape.
-func NewBuilder(name string, c, h, w int) *Builder {
-	return &Builder{net: Network{Name: name, InC: c, InH: h, InW: w}, c: c, h: h, w: w}
-}
-
-// Cursor returns the current activation shape.
-func (b *Builder) Cursor() (c, h, w int) { return b.c, b.h, b.w }
-
-// SetCursor overrides the propagated shape (used after branch merges).
-func (b *Builder) SetCursor(c, h, w int) *Builder {
-	b.c, b.h, b.w = c, h, w
-	return b
-}
-
-// Conv appends a convolution consuming the cursor shape.
-func (b *Builder) Conv(name string, d, k, s, pad int) *Builder {
-	return b.ConvRect(name, d, k, k, s, pad)
-}
-
-// ConvRect appends a convolution with a possibly non-square kernel.
-func (b *Builder) ConvRect(name string, d, z, g, s, pad int) *Builder {
-	l := Layer{Name: name, Kind: KindConv, C: b.c, H: b.h, W: b.w,
-		D: d, Z: z, G: g, S: s, Pad: pad}
-	l.E = convOut(b.h, z, s, pad)
-	l.F = convOut(b.w, g, s, pad)
-	if l.E <= 0 || l.F <= 0 {
-		b.fail("conv %s produces empty output %dx%d", name, l.E, l.F)
-		return b
-	}
-	b.net.Layers = append(b.net.Layers, l)
-	b.c, b.h, b.w = d, l.E, l.F
-	return b
-}
-
-// ConvAt appends a convolution with an explicit input shape, leaving the
-// cursor at its output (used for parallel branches).
-func (b *Builder) ConvAt(name string, inC, inH, inW, d, k, s, pad int) *Builder {
-	b.SetCursor(inC, inH, inW)
-	return b.Conv(name, d, k, s, pad)
-}
-
-// FC appends a fully-connected layer over the flattened cursor.
-func (b *Builder) FC(name string, d int) *Builder {
-	l := Layer{Name: name, Kind: KindFC, C: b.c, H: b.h, W: b.w,
-		D: d, Z: b.h, G: b.w, S: 1, E: 1, F: 1}
-	b.net.Layers = append(b.net.Layers, l)
-	b.c, b.h, b.w = d, 1, 1
-	return b
-}
-
-// MaxPool appends max pooling (kernel k, stride s, padding pad).
-func (b *Builder) MaxPool(k, s, pad int) *Builder { return b.pool(KindMaxPool, k, s, pad) }
-
-// AvgPool appends average pooling.
-func (b *Builder) AvgPool(k, s, pad int) *Builder { return b.pool(KindAvgPool, k, s, pad) }
-
-func (b *Builder) pool(kind Kind, k, s, pad int) *Builder {
-	name := fmt.Sprintf("%s%d", kind, len(b.net.Layers))
-	l := Layer{Name: name, Kind: kind, C: b.c, H: b.h, W: b.w,
-		Z: k, G: k, S: s, Pad: pad}
-	l.E = convOut(b.h, k, s, pad)
-	l.F = convOut(b.w, k, s, pad)
-	if l.E <= 0 || l.F <= 0 {
-		b.fail("pool produces empty output %dx%d", l.E, l.F)
-		return b
-	}
-	b.net.Layers = append(b.net.Layers, l)
-	b.h, b.w = l.E, l.F
-	return b
-}
-
-func (b *Builder) fail(format string, args ...any) {
-	if b.err == nil {
-		b.err = fmt.Errorf("model %s: "+format, append([]any{b.net.Name}, args...)...)
-	}
-}
-
-// Build finalises the network. It panics on construction errors, since the
-// zoo is static and an invalid network is a programming bug.
-func (b *Builder) Build() *Network {
-	if b.err != nil {
-		panic(b.err)
-	}
-	n := b.net
-	return &n
-}

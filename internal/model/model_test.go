@@ -213,12 +213,3 @@ func TestLayerStringHasName(t *testing.T) {
 		}
 	}
 }
-
-func TestBuilderPanicsOnEmptyOutput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("builder accepted an impossible layer")
-		}
-	}()
-	NewBuilder("bad", 1, 4, 4).Conv("huge", 1, 9, 1, 0).Build()
-}

@@ -57,9 +57,9 @@ func (d Dims) inRange() bool {
 //
 // Fields foreign to the kind (Units on a conv, Filters on an fc, ...) are
 // validation errors rather than silently ignored. Name is optional; an
-// unnamed layer is auto-named kind+index ("conv0", "maxpool5"), matching
-// the builder's pool naming. Input, when present, overrides the propagated
-// input shape — the linearised form of a branch.
+// unnamed layer is auto-named kind+index ("conv0", "maxpool5"). Input,
+// when present, overrides the propagated input shape — the linearised form
+// of a branch.
 type LayerSpec struct {
 	Name string `json:"name,omitempty"`
 	Kind string `json:"kind"`
@@ -131,13 +131,12 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // autoName is the default name of an unnamed layer: kind plus its index in
-// the layer table (the rule Builder uses for pools).
+// the layer table.
 func autoName(k Kind, index int) string { return fmt.Sprintf("%s%d", k, index) }
 
 // Compile validates the spec and builds the network, inferring every
 // layer's input from its predecessor's output (or its explicit Input
-// override) exactly as the imperative Builder does. All errors are
-// *SpecError values.
+// override). All errors are *SpecError values.
 func (s *Spec) Compile() (*Network, error) {
 	fail := func(layer int, name, field, format string, args ...any) error {
 		return &SpecError{Spec: s.Name, Layer: layer, Name: name, Field: field,
@@ -254,7 +253,7 @@ func (s *Spec) Compile() (*Network, error) {
 			if ls.Units <= 0 || ls.Units > maxSpecDim {
 				return nil, fail(i, name, "units", "fc requires units in [1,%d], got %d", maxSpecDim, ls.Units)
 			}
-			// Mirror Builder.FC: the kernel spans the flattened input.
+			// The kernel spans the flattened input.
 			l = Layer{Name: name, Kind: KindFC, C: cur.C, H: cur.H, W: cur.W,
 				D: ls.Units, Z: cur.H, G: cur.W, S: 1, E: 1, F: 1}
 			cur = Dims{C: l.D, H: 1, W: 1}

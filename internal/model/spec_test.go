@@ -287,8 +287,8 @@ func TestSpecErrorText(t *testing.T) {
 	}
 }
 
-// TestSpecAutoNames proves unnamed layers get the builder's kind+index
-// names, so hand-written specs and zoo tables agree on pool naming.
+// TestSpecAutoNames proves unnamed layers get kind+index names, so
+// hand-written specs and zoo tables agree on pool naming.
 func TestSpecAutoNames(t *testing.T) {
 	s := &Spec{Name: "t", Input: Dims{C: 1, H: 8, W: 8},
 		Layers: []LayerSpec{

@@ -224,11 +224,6 @@ func (c TimelyConfig) InputPasses() int {
 // CrossbarsPerSubChip returns the crossbar count of one sub-chip.
 func (c TimelyConfig) CrossbarsPerSubChip() int { return c.GridRows * c.GridCols }
 
-// Crossbars returns the total crossbar count of the deployment.
-func (c TimelyConfig) Crossbars() int {
-	return c.Chips * c.SubChips * c.CrossbarsPerSubChip()
-}
-
 // RowCapacity is the logical dot-product row capacity of one sub-chip.
 func (c TimelyConfig) RowCapacity() int { return c.GridRows * c.B }
 

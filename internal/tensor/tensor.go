@@ -314,23 +314,3 @@ func saturate32(v int64) int32 {
 	}
 	return int32(v)
 }
-
-// Float is a dense float64 tensor in CHW order, used by the pure-Go trainer.
-type Float struct {
-	Shape Shape
-	Data  []float64
-}
-
-// NewFloat allocates a zeroed float tensor.
-func NewFloat(c, h, w int) *Float {
-	if c <= 0 || h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %dx%dx%d", c, h, w))
-	}
-	return &Float{Shape: Shape{c, h, w}, Data: make([]float64, c*h*w)}
-}
-
-// At returns the element at (c,h,w).
-func (t *Float) At(c, h, w int) float64 { return t.Data[(c*t.Shape.H+h)*t.Shape.W+w] }
-
-// Set stores v at (c,h,w).
-func (t *Float) Set(c, h, w int, v float64) { t.Data[(c*t.Shape.H+h)*t.Shape.W+w] = v }

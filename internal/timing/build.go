@@ -252,12 +252,6 @@ func Build(n *model.Network, cfg params.TimelyConfig, opt Options) (*Machine, er
 	return m, nil
 }
 
-// Commands returns the compiled command count.
-func (m *Machine) Commands() int { return len(m.cmds) }
-
-// Units returns the machine's exclusive-unit count.
-func (m *Machine) Units() int { return len(m.units) }
-
 // AnalyticCyclesPerImage is the closed-form steady-state bottleneck the
 // analytic TIMELY model reports for the same placement and duplication:
 // max over stages of waves/instances.

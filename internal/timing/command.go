@@ -148,18 +148,6 @@ func NewConstraints(cfg params.TimelyConfig) Constraints {
 	return c
 }
 
-// BottleneckPS is the physical initiation interval of the intra pipeline:
-// the slowest of the five stages' unit occupancies per wave.
-func (c Constraints) BottleneckPS() int64 {
-	worst := int64(0)
-	for k := KindInputLoad; k <= KindOutputWrite; k++ {
-		if c.PerWavePS[k] > worst {
-			worst = c.PerWavePS[k]
-		}
-	}
-	return worst
-}
-
 // TransferPS returns the occupancy of moving n 8-bit values over a channel
 // of the given lane width (LocalLanes or HyperLanes).
 func (c Constraints) TransferPS(values, lanes int64) int64 {

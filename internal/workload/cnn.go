@@ -80,8 +80,6 @@ type CNN struct {
 	FeatShift int
 	// Head is the trained classifier over flattened features.
 	Head *QuantMLP
-	// headFloat keeps the float head for accuracy reference.
-	headFloat *MLP
 }
 
 // NewCNN builds the feature extractor with d random 3×3 filters (codes in
@@ -150,9 +148,9 @@ func (c *CNN) Train(rng *stats.RNG, train *ImageDataset, hidden, epochs int, lr 
 	// the features the float head trains on.
 	feats := &Dataset{X: c.calibrate(train.X), Y: append([]int(nil), train.Y...), Classes: train.Classes}
 	feats.Dim = len(feats.X[0])
-	c.headFloat = NewMLP(rng, feats.Dim, hidden, train.Classes)
-	loss := c.headFloat.Train(feats, rng, epochs, lr)
-	q, err := Quantize(c.headFloat, feats, 8)
+	head := NewMLP(rng, feats.Dim, hidden, train.Classes)
+	loss := head.Train(feats, rng, epochs, lr)
+	q, err := Quantize(head, feats, 8)
 	if err != nil {
 		return 0, err
 	}

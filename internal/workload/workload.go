@@ -241,30 +241,14 @@ func (m *MLP) TrainWithNoise(d *Dataset, rng *stats.RNG, epochs int, lr, actSigm
 	return loss
 }
 
-// step performs one SGD update and returns the sample loss. The loss
-// gradient with respect to the input is never formed: nothing reads it.
-func (m *MLP) step(x []float64, y int, lr float64) float64 {
-	loss, _ := m.sgd(x, y, lr, false)
-	return loss
-}
-
-// stepWithInputGrad performs one SGD update and additionally returns the
-// loss gradient with respect to the input vector (un-gated — upstream
-// layers apply their own activation derivative), which lets convolutional
-// front-ends backpropagate through the head. The returned slice is instance
-// scratch, valid until the next pass.
-func (m *MLP) stepWithInputGrad(x []float64, y int, lr float64) (float64, []float64) {
-	return m.sgd(x, y, lr, true)
-}
-
-// sgd is the one SGD body behind step and stepWithInputGrad: a forward
+// step performs one SGD update and returns the sample loss: a forward
 // pass, softmax cross-entropy, and a backward pass that updates every
-// weight and bias in place. Each layer's input gradient accumulates over
-// output rows in ascending order from the pre-update weights; rows are
-// fused in pairs, and prev[i] + g0·a0 + g1·a1 is the same left-to-right
-// fold as two single-row passes. Layer 0's input gradient is formed only
-// when inputGrad is set; otherwise it returns nil.
-func (m *MLP) sgd(x []float64, y int, lr float64, inputGrad bool) (float64, []float64) {
+// weight and bias in place. Each hidden layer's input gradient accumulates
+// over output rows in ascending order from the pre-update weights; rows
+// are fused in pairs, and prev[i] + g0·a0 + g1·a1 is the same
+// left-to-right fold as two single-row passes. The loss gradient with
+// respect to the network input is never formed: nothing reads it.
+func (m *MLP) step(x []float64, y int, lr float64) float64 {
 	acts := m.forward(x)
 	out := acts[len(acts)-1]
 	probs := m.softmaxInto(out)
@@ -286,7 +270,7 @@ func (m *MLP) sgd(x []float64, y int, lr float64, inputGrad bool) (float64, []fl
 	delta[y] -= 1
 	for l := len(m.W) - 1; l >= 0; l-- {
 		w, b, in := m.W[l], m.B[l], acts[l]
-		if l == 0 && !inputGrad {
+		if l == 0 {
 			// Weights and biases only: the input gradient has no reader.
 			// A row whose delta is zero (a dead ReLU unit) would subtract
 			// ±0 (lr·0 times a finite input) from every weight and bias,
@@ -321,7 +305,7 @@ func (m *MLP) sgd(x []float64, y int, lr float64, inputGrad bool) (float64, []fl
 					row[i] -= lg * v
 				}
 			}
-			return loss, nil
+			return loss
 		}
 		prev := other[:len(in)]
 		for i := range prev {
@@ -352,9 +336,6 @@ func (m *MLP) sgd(x []float64, y int, lr float64, inputGrad bool) (float64, []fl
 				row[i] = ri - lg*v
 			}
 		}
-		if l == 0 {
-			return loss, prev
-		}
 		// ReLU derivative of the hidden activation.
 		for i, v := range in {
 			if v <= 0 {
@@ -363,7 +344,7 @@ func (m *MLP) sgd(x []float64, y int, lr float64, inputGrad bool) (float64, []fl
 		}
 		delta, other = prev, delta[:cap(delta)]
 	}
-	return loss, nil
+	return loss
 }
 
 // softmaxInto computes softmax(xs) into the instance probability scratch.

@@ -205,7 +205,6 @@ func TestAccuracyEmptyDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv := NewConvNet(rng, 12, 4, 8, 4)
 
 	noClusters := &Dataset{Dim: 16, Classes: 4}
 	noImages := &ImageDataset{Size: 12, Classes: 4}
@@ -229,7 +228,6 @@ func TestAccuracyEmptyDataset(t *testing.T) {
 		{"CNN.AccuracyInt", func() float64 { return cnn.AccuracyInt(noImages) }},
 		{"AnalogCNN.Accuracy", withErr(func() (float64, error) { return acnn.Accuracy(noImages) })},
 		{"AnalogCNN.AccuracyBatch", withErr(func() (float64, error) { return acnn.AccuracyBatch(noImages) })},
-		{"ConvNet.Accuracy", func() float64 { return conv.Accuracy(noImages) }},
 	} {
 		if got := tc.acc(); got != 0 {
 			t.Errorf("%s on an empty dataset = %v, want 0", tc.name, got)

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/stats"
 )
@@ -153,8 +151,9 @@ func EvaluateBatch(ctx context.Context, reqs []*EvalRequest) ([]*EvalResult, []e
 }
 
 // fuseFunctional attempts the fused functional path. It reports false when
-// the group does not qualify (wrong backend or network, single member,
-// heterogeneous, or an error path the per-request loop reports better).
+// the group does not qualify (wrong backend or network, single member, or
+// heterogeneous); a qualifying group runs as one evaluateSeeds call, and a
+// failure of that call is every member's error.
 func fuseFunctional(ctx context.Context, reqs []*EvalRequest, vals []*EvalResult, errs []error) ([]*EvalResult, bool) {
 	if len(reqs) < 2 || reqs[0].Backend != "functional" || reqs[0].Spec != nil {
 		return nil, false
@@ -173,7 +172,8 @@ func fuseFunctional(ctx context.Context, reqs []*EvalRequest, vals []*EvalResult
 			return nil, false
 		}
 	}
-	fs := make([]*functional, len(reqs))
+	var f0 *functional
+	seeds := make([]uint64, len(reqs))
 	for i, r := range reqs {
 		b, err := Open(r.Backend, r.options()...)
 		if err != nil {
@@ -183,56 +183,17 @@ func fuseFunctional(ctx context.Context, reqs []*EvalRequest, vals []*EvalResult
 		if !ok {
 			return nil, false
 		}
-		fs[i] = f
+		if f0 == nil {
+			f0 = f
+		}
+		seeds[i] = f.seed(network)
 	}
-	cfg := &fs[0].cfg
-	// The same applicability rejections Evaluate performs; on violation the
-	// per-request loop reproduces the exact error for every member.
-	if network == "mlp" && cfg.IsSet(optFaultRate) {
-		return nil, false
-	}
-	if network == "cnn" && cfg.IsSet(optNoise) {
-		return nil, false
-	}
-	if err := ctx.Err(); err != nil {
+	rs, err := f0.evaluateSeeds(ctx, network, seeds)
+	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
 		return vals, true
 	}
-	start := time.Now()
-	seeds := make([]uint64, len(fs))
-	switch network {
-	case "mlp":
-		for i, f := range fs {
-			seeds[i] = f.seed(defaultMLPSeed)
-		}
-		rs, err := experiments.AnalogMLPAccuracyBatch(ctx, seeds, cfg.Trials, cfg.NoisePS)
-		if err != nil {
-			for i := range errs {
-				errs[i] = err
-			}
-			return vals, true
-		}
-		for i, r := range rs {
-			vals[i] = &EvalResult{Backend: "functional", Network: network,
-				Accuracy: mlpAccuracyStats(r), ElapsedMS: elapsedMS(start)}
-		}
-	case "cnn":
-		for i, f := range fs {
-			seeds[i] = f.seed(defaultCNNSeed)
-		}
-		rs, err := experiments.AnalogCNNAccuracyBatch(ctx, seeds, cfg.Trials, cfg.FaultRate)
-		if err != nil {
-			for i := range errs {
-				errs[i] = err
-			}
-			return vals, true
-		}
-		for i, r := range rs {
-			vals[i] = &EvalResult{Backend: "functional", Network: network,
-				Accuracy: cnnAccuracyStats(r), ElapsedMS: elapsedMS(start)}
-		}
-	}
-	return vals, true
+	return rs, true
 }

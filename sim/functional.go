@@ -42,12 +42,15 @@ func (f *functional) Name() string { return "functional" }
 func (f *functional) Networks() []string { return []string{"cnn", "mlp"} }
 
 // seed returns the Monte-Carlo base seed: the explicit one, or the
-// workload's experiment-suite default.
-func (f *functional) seed(def uint64) uint64 {
-	if f.cfg.IsSet(optSeed) {
+// network's experiment-suite default.
+func (f *functional) seed(network string) uint64 {
+	switch {
+	case f.cfg.IsSet(optSeed):
 		return f.cfg.Seed
+	case network == "cnn":
+		return defaultCNNSeed
 	}
-	return def
+	return defaultMLPSeed
 }
 
 // Evaluate implements Backend.
@@ -59,43 +62,65 @@ func (f *functional) seed(def uint64) uint64 {
 // timing noise does not apply). Both are averaged over WithTrials
 // independent Monte-Carlo draws and are deterministic per seed.
 func (f *functional) Evaluate(ctx context.Context, network string) (*EvalResult, error) {
+	out, err := f.evaluateSeeds(ctx, network, []uint64{f.seed(network)})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// evaluateSeeds runs one workload under f's configuration for every seed
+// as one fused trial grid (experiments.AnalogMLPAccuracyBatch /
+// AnalogCNNAccuracyBatch), one result per seed in order. It is the one
+// functional path: a single request is a group of one, and a fused
+// service group (EvaluateBatch) passes its members' seeds, so batched
+// responses cannot drift from unbatched ones. Every result reports the
+// group's wall clock as ElapsedMS.
+func (f *functional) evaluateSeeds(ctx context.Context, network string, seeds []uint64) ([]*EvalResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	out := &EvalResult{Backend: "functional", Network: network}
+	var acc []*AccuracyStats
 	switch network {
 	case "mlp":
 		if f.cfg.IsSet(optFaultRate) {
 			return nil, fmt.Errorf("%w: fault injection applies to the \"cnn\" workload, not %q",
 				ErrInvalidOption, network)
 		}
-		r, err := experiments.AnalogMLPAccuracy(ctx, f.seed(defaultMLPSeed), f.cfg.Trials, f.cfg.NoisePS, stats.SamplerV3)
+		rs, err := experiments.AnalogMLPAccuracyBatch(ctx, seeds, f.cfg.Trials, f.cfg.NoisePS)
 		if err != nil {
 			return nil, err
 		}
-		out.Accuracy = mlpAccuracyStats(r)
+		for _, r := range rs {
+			acc = append(acc, mlpAccuracyStats(r))
+		}
 	case "cnn":
 		if f.cfg.IsSet(optNoise) {
 			return nil, fmt.Errorf("%w: timing noise applies to the \"mlp\" workload, not %q",
 				ErrInvalidOption, network)
 		}
-		r, err := experiments.AnalogCNNAccuracy(ctx, f.seed(defaultCNNSeed), f.cfg.Trials, f.cfg.FaultRate)
+		rs, err := experiments.AnalogCNNAccuracyBatch(ctx, seeds, f.cfg.Trials, f.cfg.FaultRate)
 		if err != nil {
 			return nil, err
 		}
-		out.Accuracy = cnnAccuracyStats(r)
+		for _, r := range rs {
+			acc = append(acc, cnnAccuracyStats(r))
+		}
 	default:
 		return nil, fmt.Errorf("%w: %q (the functional backend runs \"mlp\" or \"cnn\")",
 			ErrUnknownNetwork, network)
 	}
-	out.ElapsedMS = elapsedMS(start)
+	elapsed := elapsedMS(start)
+	out := make([]*EvalResult, len(acc))
+	for i, a := range acc {
+		out[i] = &EvalResult{Backend: "functional", Network: network, Accuracy: a, ElapsedMS: elapsed}
+	}
 	return out, nil
 }
 
 // mlpAccuracyStats converts the §VI-B accuracy study's result to the wire
-// form — one assembly shared by the single and group evaluation paths, so
-// batched responses cannot drift from unbatched ones.
+// form.
 func mlpAccuracyStats(r *experiments.AccuracyResult) *AccuracyStats {
 	return &AccuracyStats{
 		Float:          r.FloatAcc,
