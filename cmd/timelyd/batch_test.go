@@ -128,40 +128,108 @@ func TestSingleflightHammer(t *testing.T) {
 	}
 }
 
-// TestBatchedSeedsFuseAndMatchSolo: two functional requests differing only
-// in seed gather into ONE group (one admission, one batch of two) and each
-// member's response matches what a batching-disabled server computes for
-// it alone, wall clock excepted.
+// holdSlot takes the server's only compute slot, so evaluate groups queue
+// behind it until the returned release is called.
+func holdSlot(t *testing.T, srv *server) (release func()) {
+	t.Helper()
+	if conc, _ := srv.limiter.Capacity(); conc != 1 {
+		t.Fatalf("holdSlot needs a one-slot server, have %d slots", conc)
+	}
+	g, err := srv.limiter.Acquire(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Release
+}
+
+// awaitQueue blocks until at least batched evaluate requests have entered
+// batch groups as distinct jobs and at least coalesced have joined one.
+func awaitQueue(t *testing.T, srv *server, batched, coalesced int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, b, c := srv.evalQueue.Stats()
+		if b >= batched && c >= coalesced {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d distinct and %d coalesced requests, want %d and %d", b, c, batched, coalesced)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// evaluateDirect is the unbatched reference for an evaluate body: the
+// bytes sim.Evaluate's result encodes to, exactly as the server writes
+// them, with elapsed_ms normalized.
+func evaluateDirect(t *testing.T, body string) string {
+	t.Helper()
+	var req sim.EvalRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Evaluate(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return normElapsed(string(raw) + "\n")
+}
+
+// normElapsed zeroes the one wall-clock field of an EvalResult body.
+func normElapsed(body string) string {
+	return elapsedRe.ReplaceAllString(body, `"elapsed_ms": 0`)
+}
+
+// functionalBody is a functional MLP request; bodies differing only in
+// seed share a batch key, so they fuse.
+func functionalBody(seed int) string {
+	return fmt.Sprintf(`{"backend":"functional","network":"mlp","trials":2,"seed":%d}`, seed)
+}
+
+// TestBatchedSeedsFuseAndMatchSolo: functional requests differing only in
+// seed that queue behind a busy slot gather into ONE group (one
+// admission, one batch), and each member's response is the bytes
+// sim.Evaluate gives for it alone, wall clock excepted. A byte-identical
+// request queued alongside coalesces and gets the same bytes.
 func TestBatchedSeedsFuseAndMatchSolo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the functional MLP")
 	}
 	cfg := quietConfig()
-	cfg.BatchWindow = 300 * time.Millisecond
+	cfg.MaxConcurrent = 1
 	srv := newServer(cfg)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	bodyFor := func(seed int) string {
-		return fmt.Sprintf(`{"backend":"functional","network":"mlp","trials":2,"seed":%d}`, seed)
-	}
+	bodies := []string{functionalBody(2020), functionalBody(2021), functionalBody(2021)}
+	release := holdSlot(t, srv)
 	var wg sync.WaitGroup
-	batched := make([]evalResponse, 2)
-	for i := 0; i < 2; i++ {
+	batched := make([]evalResponse, len(bodies))
+	for i, body := range bodies {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			batched[i] = postEvalFull(t, ts, bodyFor(2020+i))
-		}(i)
+			batched[i] = postEvalFull(t, ts, body)
+		}()
 	}
+	// Two distinct jobs queued, plus the duplicate coalesced onto one.
+	awaitQueue(t, srv, 2, 1)
+	release()
 	wg.Wait()
+
+	statuses := map[string]int{}
 	for i, r := range batched {
 		if r.status != http.StatusOK {
 			t.Fatalf("member %d: status %d body %s", i, r.status, r.body)
 		}
-		if r.cacheStatus != "miss" {
-			t.Errorf("member %d: Cache-Status %q, want miss (distinct seeds never dedup)", i, r.cacheStatus)
-		}
+		statuses[r.cacheStatus]++
+	}
+	if statuses["miss"] != 2 || statuses["coalesced"] != 1 {
+		t.Errorf("Cache-Status counts = %v, want 2 miss + 1 coalesced", statuses)
 	}
 	batches, batchedReqs, _ := srv.evalQueue.Stats()
 	if batches != 1 || batchedReqs != 2 {
@@ -170,29 +238,51 @@ func TestBatchedSeedsFuseAndMatchSolo(t *testing.T) {
 	if got := srv.metrics.Admitted.Load(); got != 1 {
 		t.Errorf("Admitted = %d, want 1 — the group shares one slot", got)
 	}
+	for i, body := range bodies {
+		if got, want := normElapsed(batched[i].body), evaluateDirect(t, body); got != want {
+			t.Errorf("member %d: batched response diverged from sim.Evaluate:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+}
 
-	// A server with batching, coalescing and caching all off answers each
-	// request alone; the payloads must agree field for field.
-	solo := quietConfig()
-	solo.BatchWindow = -1
-	solo.BatchMax = 1
-	solo.CacheEntries = -1
-	solo.NoCoalesce = true
-	tsSolo := httptest.NewServer(newServer(solo))
-	defer tsSolo.Close()
-	for i := 0; i < 2; i++ {
-		want := postEvalFull(t, tsSolo, bodyFor(2020+i))
-		if want.status != http.StatusOK {
-			t.Fatalf("solo member %d: status %d body %s", i, want.status, want.body)
-		}
-		if want.cacheStatus != "miss" {
-			t.Errorf("solo member %d: Cache-Status %q, want miss", i, want.cacheStatus)
-		}
-		got := withoutElapsed(t, batched[i].body)
-		if fmt.Sprint(got) != fmt.Sprint(withoutElapsed(t, want.body)) {
-			t.Errorf("member %d: batched response diverged from solo:\n%s\nvs\n%s",
-				i, batched[i].body, want.body)
-		}
+// TestAbandonedGroupAnswersLiveClient: a request that arrives after every
+// waiter of the group gathering its batch key has left still gets a full
+// answer. Seed A's client gives up while its group waits for the held
+// slot; seed B, posted next, must not inherit that group's cancellation
+// (an empty 200 booked as client_gone) but get sim.Evaluate's bytes.
+func TestAbandonedGroupAnswersLiveClient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the functional MLP")
+	}
+	cfg := quietConfig()
+	cfg.MaxConcurrent = 1
+	srv := newServer(cfg)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	release := holdSlot(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/evaluate",
+		strings.NewReader(functionalBody(3030)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if _, err := ts.Client().Do(req); !strings.Contains(fmt.Sprint(err), "deadline") {
+		t.Fatalf("client A: err = %v, want its own deadline", err)
+	}
+
+	done := make(chan evalResponse, 1)
+	go func() { done <- postEvalFull(t, ts, functionalBody(3031)) }()
+	awaitQueue(t, srv, 2, 0)
+	release()
+	b := <-done
+	if b.status != http.StatusOK || b.cacheStatus != "miss" {
+		t.Fatalf("client B: status %d Cache-Status %q body %q, want a 200 miss", b.status, b.cacheStatus, b.body)
+	}
+	if got, want := normElapsed(b.body), evaluateDirect(t, functionalBody(3031)); got != want {
+		t.Errorf("client B body diverged from sim.Evaluate:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -244,39 +334,6 @@ func TestCancelledWaiterSparesSurvivors(t *testing.T) {
 	}
 }
 
-// TestNoCoalesceComputesEveryRequest: the baseline configuration really is
-// a baseline — identical concurrent requests each take their own slot.
-func TestNoCoalesceComputesEveryRequest(t *testing.T) {
-	cfg := chaosConfig(t, "route=/v1/evaluate,latency=200ms")
-	cfg.NoCoalesce = true
-	cfg.BatchWindow = -1
-	cfg.BatchMax = 1
-	cfg.CacheEntries = -1
-	srv := newServer(cfg)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	const body = `{"backend":"timely","network":"CNN-1","chips":7}`
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if r := postEvalFull(t, ts, body); r.status != http.StatusOK || r.cacheStatus != "miss" {
-				t.Errorf("status %d Cache-Status %q, want 200 miss", r.status, r.cacheStatus)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := srv.metrics.Admitted.Load(); got != 3 {
-		t.Errorf("Admitted = %d, want 3 (no dedup in the baseline)", got)
-	}
-	_, _, coalesced := srv.evalQueue.Stats()
-	if coalesced != 0 {
-		t.Errorf("coalesced_requests = %d, want 0", coalesced)
-	}
-}
-
 // TestEvalGroupTakesPublishedBody: a job that missed the result cache but
 // whose key was published before its group ran takes the published body
 // instead of computing again (a request that reaches the queue just after
@@ -295,7 +352,7 @@ func TestEvalGroupTakesPublishedBody(t *testing.T) {
 	published := []byte("published\n")
 	srv.evalCache.Put(jobs[0].cacheKey, published)
 
-	bodies, errs := srv.runEvalGroup(context.Background(), jobs[:1])
+	bodies, errs := srv.runEvalGroup(context.Background(), func() []*evalJob { return jobs[:1] })
 	if errs[0] != nil || string(bodies[0]) != string(published) {
 		t.Fatalf("cached job: body %q err %v, want the published body", bodies[0], errs[0])
 	}
@@ -303,7 +360,7 @@ func TestEvalGroupTakesPublishedBody(t *testing.T) {
 		t.Errorf("Admitted = %d for a group answered from the cache, want 0", got)
 	}
 
-	bodies, errs = srv.runEvalGroup(context.Background(), jobs)
+	bodies, errs = srv.runEvalGroup(context.Background(), func() []*evalJob { return jobs })
 	if errs[0] != nil || string(bodies[0]) != string(published) {
 		t.Errorf("mixed group, cached job: body %q err %v", bodies[0], errs[0])
 	}

@@ -40,13 +40,14 @@
 // (rule syntax: route=/v1/evaluate,latency=50ms,error=3,panic=7).
 //
 // Serving-side batching (see DESIGN.md "Cross-request batching & result
-// cache"): /v1/evaluate responses are cached in an LRU keyed by the
-// request's cache key (spec hash + design options + seed); byte-identical
-// concurrent requests compute once and fan out (singleflight); compatible
-// requests differing only in seed gather for -batch-window (or until
-// -batch-max) and execute as ONE fused group evaluation under ONE
-// admission slot. Every evaluate response carries a Cache-Status header:
-// hit, miss or coalesced.
+// cache"): /v1/evaluate responses are cached in a 4096-entry LRU keyed by
+// the request's cache key (spec hash + design options + seed);
+// byte-identical concurrent requests compute once and fan out
+// (singleflight); compatible requests differing only in seed that wait
+// for the same compute slot (up to 32 of them) execute as ONE fused group
+// evaluation under ONE admission slot, while a request that finds a slot
+// free computes at once. Every evaluate response carries a Cache-Status
+// header: hit, miss or coalesced.
 //
 // Cluster mode (see DESIGN.md "Cluster mode"): -peers lists every
 // replica's host:port (identically on every replica) and -self names
@@ -75,10 +76,6 @@
 //	-queue-depth N           bounded wait queue (default 8×max-concurrent)
 //	-queue-wait <dur>        max time queued before shedding (default 10s)
 //	-chaos <spec>            deterministic fault injection (default off)
-//	-batch-window <dur>      evaluate batching gather window (default 2ms; 0 = no gathering)
-//	-batch-max N             max requests fused into one evaluate batch (default 32)
-//	-cache-entries N         evaluate result cache and body memo size (default 4096; 0 = off)
-//	-coalesce                singleflight+batching on /v1/evaluate (default true)
 //	-peers <a,b,c>           every replica's host:port, self included (default standalone)
 //	-self <host:port>        this replica's entry in -peers (required with -peers)
 //	-probe-interval <dur>    per-peer /readyz probe spacing (default 1s; 0 = no probes)
@@ -116,10 +113,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "compute requests queued beyond that before 429s (default 8x max-concurrent)")
 	queueWait := flag.Duration("queue-wait", 10*time.Second, "max time a request may queue before shedding with 503")
 	chaosSpec := flag.String("chaos", "", "deterministic fault injection rules, e.g. route=/v1/evaluate,latency=50ms,error=3,panic=7")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "evaluate batching gather window (0 = fire immediately)")
-	batchMax := flag.Int("batch-max", 32, "max requests fused into one evaluate batch")
-	cacheEntries := flag.Int("cache-entries", 4096, "evaluate result cache entries (0 = cache off)")
-	coalesce := flag.Bool("coalesce", true, "singleflight de-dup + batching on /v1/evaluate")
 	peers := flag.String("peers", "", "comma-separated host:port of every replica, self included (empty = standalone)")
 	self := flag.String("self", "", "this replica's entry in -peers (required with -peers)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "per-peer /readyz probe spacing (0 = no probes)")
@@ -155,16 +148,6 @@ func main() {
 	} else if *self != "" {
 		log.Fatalf("timelyd: -self given without -peers")
 	}
-	// The serverConfig encodes "explicitly disabled" as negative (its 0
-	// means "default"); the flags use the friendlier 0-disables spelling.
-	window := *batchWindow
-	if window <= 0 {
-		window = -1
-	}
-	entries := *cacheEntries
-	if entries <= 0 {
-		entries = -1
-	}
 	srv := newServer(serverConfig{
 		Par:               *par,
 		EvaluateTimeout:   *evalTimeout,
@@ -172,10 +155,6 @@ func main() {
 		MaxConcurrent:     *maxConc,
 		QueueDepth:        *queueDepth,
 		MaxQueueWait:      *queueWait,
-		BatchWindow:       window,
-		BatchMax:          *batchMax,
-		CacheEntries:      entries,
-		NoCoalesce:        !*coalesce,
 		Chaos:             chaos,
 		Cluster:           clu,
 	})
@@ -196,10 +175,9 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	conc, depth := srv.limiter.Capacity()
-	log.Printf("timelyd: listening on %s (par=%d, max-concurrent=%d, queue-depth=%d, queue-wait=%s, timeout=%s, evaluate-timeout=%s, batch-window=%s, batch-max=%d, cache-entries=%d, coalesce=%t, chaos=%s)",
+	log.Printf("timelyd: listening on %s (par=%d, max-concurrent=%d, queue-depth=%d, queue-wait=%s, timeout=%s, evaluate-timeout=%s, chaos=%s)",
 		*addr, srv.cfg.Par, conc, depth, srv.cfg.MaxQueueWait,
-		srv.cfg.ExperimentTimeout, srv.cfg.EvaluateTimeout,
-		*batchWindow, srv.cfg.BatchMax, *cacheEntries, *coalesce, chaos)
+		srv.cfg.ExperimentTimeout, srv.cfg.EvaluateTimeout, chaos)
 
 	select {
 	case err := <-errc:

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/batchq"
 	"repro/internal/cluster"
 )
 
@@ -114,9 +115,9 @@ func TestEvaluateMemoKeepsBodyContract(t *testing.T) {
 // whose answer was evicted computes again, and every request still
 // consults the result cache exactly once.
 func TestEvaluateMemoEvictedResult(t *testing.T) {
-	cfg := quietConfig()
-	cfg.CacheEntries = 1
-	srv := newServer(cfg)
+	srv := newServer(quietConfig())
+	srv.evalCache = batchq.NewCache[[]byte](1)
+	srv.bodyKeys = batchq.NewCache[evalKeys](1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	if status, raw := post(t, ts, "/v1/networks", "application/json", tinySpecJSON("memo-evict")); status != http.StatusOK {
@@ -150,25 +151,6 @@ func TestEvaluateMemoEvictedResult(t *testing.T) {
 	if m["cache_misses"] != 3 || m["cache_hits"] != 1 || m["decode_skipped"] != 1 {
 		t.Errorf("after the repeat: cache_misses %d cache_hits %d decode_skipped %d, want 3 1 1",
 			m["cache_misses"], m["cache_hits"], m["decode_skipped"])
-	}
-}
-
-// TestEvaluateMemoOffWithoutCache: with caching disabled there is no
-// memo either, and repeats compute.
-func TestEvaluateMemoOffWithoutCache(t *testing.T) {
-	cfg := quietConfig()
-	cfg.CacheEntries = -1
-	srv := newServer(cfg)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	body := memoBody("memo-disabled")
-	for i := 0; i < 2; i++ {
-		if r := postEvalFull(t, ts, body); r.status != http.StatusOK || r.cacheStatus != "miss" {
-			t.Errorf("#%d: status %d cache %q, want 200 miss", i, r.status, r.cacheStatus)
-		}
-	}
-	if srv.bodyKeys != nil {
-		t.Error("memo allocated with caching disabled")
 	}
 }
 
@@ -243,15 +225,13 @@ func FuzzEvaluateBodyTwice(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	cfg := quietConfig()
-	cfg.BatchWindow = -1 // no gather wait: a miss costs its compute only
-	srv := newServer(cfg)
+	srv := newServer(quietConfig())
 	send := func(body []byte) (int, string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(string(body)))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
-		return rec.Code, elapsedRe.ReplaceAllString(rec.Body.String(), `"elapsed_ms": 0`)
+		return rec.Code, normElapsed(rec.Body.String())
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var probe struct{ Backend string }

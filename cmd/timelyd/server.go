@@ -45,25 +45,6 @@ type serverConfig struct {
 	// MaxQueueWait bounds how long one request may wait for a slot
 	// before shedding with 503.
 	MaxQueueWait time.Duration
-	// BatchWindow is the gather window of the evaluate batching layer:
-	// compatible requests arriving within it group into one shared
-	// evaluation. 0 means the default (2ms); negative disables gathering
-	// (every request fires its own group immediately).
-	BatchWindow time.Duration
-	// BatchMax caps the distinct requests per batch group; a full group
-	// fires without waiting out the window. 0 means the default (32).
-	BatchMax int
-	// CacheEntries sizes the LRU result cache keyed by the request's
-	// cache key (spec hash + design options + seed), and the memo of
-	// evaluate body digests in front of it. 0 means the default (4096);
-	// negative disables both.
-	CacheEntries int
-	// NoCoalesce disables singleflight de-duplication: byte-identical
-	// concurrent requests each compute (they may still gather into one
-	// group as distinct members). Combined with a negative BatchWindow
-	// and BatchMax 1 it yields the pre-batching baseline the benchmark
-	// harness compares against.
-	NoCoalesce bool
 	// Cluster optionally shards the evaluate keyspace across replicas:
 	// a request whose batch key is owned by a healthy peer is proxied
 	// there (see handleEvaluate). nil means standalone.
@@ -89,19 +70,18 @@ func (c *serverConfig) fillDefaults() {
 	if c.MaxQueueWait == 0 {
 		c.MaxQueueWait = 10 * time.Second
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 32
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 4096
-	}
 	if c.Logger == nil {
 		c.Logger = log.Default()
 	}
 }
+
+// Evaluate batching sizes. evalBatchMax caps the distinct requests one
+// group fuses; evalCacheEntries sizes the result cache and the body memo
+// in front of it.
+const (
+	evalBatchMax     = 32
+	evalCacheEntries = 4096
+)
 
 // server is the timelyd request handler. All of its state is read-only
 // after construction except the atomic admission/drain state in the
@@ -126,8 +106,7 @@ type server struct {
 	evalQueue *batchq.Queue[*evalJob, []byte]
 	// bodyKeys memoizes the keys of registry-free evaluate bodies by the
 	// SHA-256 digest of their raw bytes, so a repeated body is answered
-	// from evalCache without being decoded or keyed again. nil when
-	// caching is disabled.
+	// from evalCache without being decoded or keyed again.
 	bodyKeys *batchq.Cache[evalKeys]
 	// peerOwnedHits counts cache hits on keys another replica owns
 	// (/metricz cache_hits_peer_owned).
@@ -177,16 +156,9 @@ func newServer(cfg serverConfig) *server {
 		started: time.Now(),
 	}
 	s.evalClass = serve.Class{Name: "evaluate", Timeout: cfg.EvaluateTimeout}
-	s.evalCache = batchq.NewCache[[]byte](cfg.CacheEntries)
-	if cfg.CacheEntries > 0 {
-		s.bodyKeys = batchq.NewCache[evalKeys](cfg.CacheEntries)
-	}
-	window := cfg.BatchWindow
-	if window < 0 {
-		window = 0
-	}
-	s.evalQueue = batchq.New(context.Background(), window, cfg.BatchMax,
-		!cfg.NoCoalesce, s.runEvalGroup)
+	s.evalCache = batchq.NewCache[[]byte](evalCacheEntries)
+	s.bodyKeys = batchq.NewCache[evalKeys](evalCacheEntries)
+	s.evalQueue = batchq.New(context.Background(), evalBatchMax, s.runEvalGroup)
 	cheap := func(h http.HandlerFunc) http.Handler {
 		return cfg.Chaos.Wrap(h)
 	}
@@ -481,7 +453,8 @@ func (s *server) decodeStrict(w http.ResponseWriter, raw []byte, v any) bool {
 //     compute the same way,
 //  4. join the coalescing queue: byte-identical in-flight requests share
 //     one computation (Cache-Status: coalesced), compatible requests that
-//     differ only in seed batch into one fused group evaluation.
+//     differ only in seed and wait for the same compute slot batch into
+//     one fused group evaluation.
 //
 // Every request consults the result cache exactly once, so cache_hits
 // and cache_misses keep counting requests. The group executor
@@ -492,19 +465,16 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var digest string
+	sum := sha256.Sum256(raw)
+	digest := string(sum[:])
 	looked := false // the result cache was consulted through the memo
-	if s.bodyKeys != nil {
-		sum := sha256.Sum256(raw)
-		digest = string(sum[:])
-		if k, ok := s.bodyKeys.Get(digest); ok {
-			s.markEvalClass(r)
-			if s.serveCached(w, k.cacheKey, k.batchKey) {
-				s.decodeSkipped.Add(1)
-				return
-			}
-			looked = true
+	if k, ok := s.bodyKeys.Get(digest); ok {
+		s.markEvalClass(r)
+		if s.serveCached(w, k.cacheKey, k.batchKey) {
+			s.decodeSkipped.Add(1)
+			return
 		}
+		looked = true
 	}
 	var req sim.EvalRequest
 	if !s.decodeStrict(w, raw, &req) {
@@ -517,7 +487,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	registryFree := req.RegistryFree()
-	if digest != "" && registryFree {
+	if registryFree {
 		s.bodyKeys.Put(digest, evalKeys{cacheKey: cacheKey, batchKey: batchKey})
 	}
 	c := s.cfg.Cluster
@@ -606,41 +576,54 @@ func (e *shedError) Unwrap() error { return e.err }
 // writeEvalError maps a batching-path failure onto the wire. Three cases
 // beyond the classic compute errors:
 //
+//   - the shared computation was cancelled, in the queue or in compute,
+//     but THIS client is still connected → a retryable 503, never the
+//     silent 499 path, which would leave a listening client an empty 200.
+//     batchq never hands a live waiter an abandoned group, so this guards
+//     the contract rather than a known path;
 //   - the group was shed at admission → every waiter gets the uniform
 //     queue-phase shed body (each waiter books its own shed metric: the
 //     counters track requests, not groups);
-//   - the shared computation was cancelled but THIS client is still
-//     connected (it joined a group in the instant its last other waiter
-//     departed) → a retryable 503, not a phantom 499;
 //   - everything else → writeComputeError, same as the unbatched server.
 func (s *server) writeEvalError(w http.ResponseWriter, r *http.Request, err error) {
-	var shed *shedError
-	if errors.As(err, &shed) {
-		serve.WriteShed(w, r, s.limiter, s.metrics, s.logger, shed.err)
-		return
-	}
 	if errors.Is(err, context.Canceled) && r.Context().Err() == nil {
 		serve.MarkOutcome(r.Context(), "shed")
 		serve.WriteError(w, s.logger, http.StatusServiceUnavailable, "queue", time.Second,
 			errors.New("shared computation was abandoned; retry"))
 		return
 	}
+	var shed *shedError
+	if errors.As(err, &shed) {
+		serve.WriteShed(w, r, s.limiter, s.metrics, s.logger, shed.err)
+		return
+	}
 	s.writeComputeError(w, r, err)
 }
 
-// runEvalGroup is the batchq executor: it runs ONE group of coalesced
-// evaluate requests under a single admission slot and returns each
-// member's finished response body. Members whose body the result cache
-// already holds take it without computing; a group of only those needs
-// no slot. The slot is acquired with the evaluate
-// deadline class; on shed every member fails with the same wrapped
-// admission error. Chaos latency is applied inside the slot (matching
-// where Chaos.Wrap ran when the handler held the slot itself), the fused
-// evaluation runs under the class budget minus queue wait, and each
-// successful body is published to the result cache.
-func (s *server) runEvalGroup(ctx context.Context, jobs []*evalJob) ([][]byte, []error) {
+// runEvalGroup is the batchq executor: it runs ONE group of evaluate
+// requests under a single admission slot and returns each member's
+// finished response body. It acquires the slot with the evaluate deadline
+// class first and seals the group only then, so every request that
+// queued behind the slot meanwhile joins this group; on shed every member
+// fails with the same wrapped admission error. Members whose body the
+// result cache already holds take it without computing, and the slot is
+// booked as an admission only when something computes. Chaos latency is
+// applied inside the slot (matching where Chaos.Wrap ran when the handler
+// held the slot itself), the fused evaluation runs under the class budget
+// minus queue wait, and each successful body is published to the result
+// cache.
+func (s *server) runEvalGroup(ctx context.Context, seal func() []*evalJob) ([][]byte, []error) {
+	g, err := s.limiter.Acquire(ctx, s.evalClass.Timeout)
+	jobs := seal()
 	bodies := make([][]byte, len(jobs))
 	errs := make([]error, len(jobs))
+	if err != nil {
+		for i := range errs {
+			errs[i] = &shedError{err: err}
+		}
+		return bodies, errs
+	}
+	defer g.Release()
 	// A request can miss the result cache and reach the queue just after
 	// the group computing its key published the body and left, too late
 	// to coalesce. Its job takes the published body: computing again
@@ -656,14 +639,6 @@ func (s *server) runEvalGroup(ctx context.Context, jobs []*evalJob) ([][]byte, [
 	if len(todo) == 0 {
 		return bodies, errs
 	}
-	g, err := s.limiter.Acquire(ctx, s.evalClass.Timeout)
-	if err != nil {
-		for _, i := range todo {
-			errs[i] = &shedError{err: err}
-		}
-		return bodies, errs
-	}
-	defer g.Release()
 	s.metrics.Admitted.Add(1)
 	s.metrics.QueueWaitNanos.Add(int64(g.Wait))
 	if s.evalClass.Timeout > 0 {

@@ -1,19 +1,24 @@
 // Package batchq is the serving-side request-coalescing layer behind
-// timelyd's POST /v1/evaluate: a bounded gather queue that groups
-// compatible in-flight requests into one shared execution, plus
+// timelyd's POST /v1/evaluate: a queue that fuses compatible requests
+// waiting for the same compute slot into one shared execution, plus
 // singleflight de-duplication of byte-identical requests and an LRU
 // result cache (cache.go).
 //
 // Requests enter through Do with two keys. The batch key names the
 // equivalence class whose members may execute as ONE group computation
 // (for the evaluation service: everything but the Monte-Carlo seed); the
-// job key names an exact computation (batch key + seed). Within a gather
-// window, jobs sharing a batch key accumulate into one group; when the
-// window expires — or the group reaches the batch cap — the group fires
-// and the queue's Run callback executes all of its jobs together.
-// Requests whose job key matches an in-flight job (gathering OR
-// executing) do not enqueue new work at all: they coalesce onto the
-// existing job and share its result, the classic singleflight shape.
+// job key names an exact computation (batch key + seed). The first job of
+// a batch key opens a group and starts its executor, the queue's Run
+// callback, at once: no timer holds it back. The executor first waits for
+// whatever its computation needs (for timelyd, an admission slot), then
+// calls seal, which closes the group and hands it every job that joined
+// in the meantime. An idle server thus computes each request at once,
+// while a busy one fuses the requests that queue behind the slot. A group
+// that reaches the batch cap stops gathering; the next job of its batch
+// key opens a new group. Requests whose job key matches an in-flight job
+// (gathering OR executing) do not enqueue new work at all: they coalesce
+// onto the existing job and share its result, the classic singleflight
+// shape.
 //
 // The group computation runs on its own goroutine under a context
 // derived from the queue's base context, NOT from any individual
@@ -21,15 +26,14 @@
 // wait, and the shared computation is cancelled only when the LAST
 // waiter on the group has departed. This is what makes coalescing safe
 // under impatient clients — one 499 must never poison the result the
-// surviving waiters get.
+// surviving waiters get. An abandoned group is never joined: a later
+// request with its batch key opens a fresh group instead.
 package batchq
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Outcome classifies how a Do call obtained its result.
@@ -44,26 +48,25 @@ const (
 	Coalesced
 )
 
-// Run executes one fired group. reqs holds the group's distinct jobs in
-// arrival order; the callback returns one value and one error per job
-// (a nil error slice means every job succeeded). ctx is the group's
-// context: it is cancelled when every waiter has departed, and callers
-// are expected to derive their compute deadline from it.
-type Run[T, V any] func(ctx context.Context, reqs []T) ([]V, []error)
+// Run executes one group. It starts as soon as the group opens; seal
+// closes the group to new jobs and returns their requests in arrival
+// order, so Run calls it once it is ready to compute (and before it
+// returns, on failure too). The callback returns one value and one error
+// per sealed request (a nil error slice means every job succeeded). ctx
+// is the group's context: it is cancelled when every waiter has departed,
+// and callers are expected to derive their compute deadline from it.
+type Run[T, V any] func(ctx context.Context, seal func() []T) ([]V, []error)
 
 // Queue is the coalescing batch queue. One instance serves concurrent
 // Do calls; the zero value is not usable — construct with New.
 type Queue[T, V any] struct {
 	base     context.Context
-	window   time.Duration
 	maxBatch int
-	coalesce bool
 	run      Run[T, V]
 
 	mu        sync.Mutex
-	gathering map[string]*group[T, V] // batch key → group still in its window
+	gathering map[string]*group[T, V] // batch key → group not yet sealed or full
 	inflight  map[string]*job[T, V]   // job key → gathering or executing job
-	seq       uint64                  // synthetic job keys when coalescing is off
 
 	batches   atomic.Int64 // groups executed
 	batched   atomic.Int64 // requests that entered a group as a distinct job
@@ -81,39 +84,29 @@ type job[T, V any] struct {
 	err  error
 }
 
-// group is one gather-window's worth of jobs sharing a batch key.
+// group is the jobs of one batch key gathered while their executor waits.
 type group[T, V any] struct {
 	key    string
 	ctx    context.Context
 	cancel context.CancelFunc
-	jobs   []*job[T, V] // immutable once fired
+	jobs   []*job[T, V] // appended only while the group is in Queue.gathering
 	// waiters counts live Do calls (leaders and coalesced joiners) still
 	// waiting on any job of this group; guarded by Queue.mu. When it
 	// drops to zero the group context is cancelled.
 	waiters int
-	fired   bool
-	timer   *time.Timer
 }
 
-// New builds a queue. window is the gather window (<= 0 fires every
-// group on its first job — no gathering); maxBatch caps the distinct
-// jobs per group (values < 1 are treated as 1); coalesce enables
-// singleflight de-duplication by job key (off, every request is its own
-// job — the configuration that reproduces the unbatched per-request
-// path). Group computations derive their context from base, which
-// should outlive every Do call (typically context.Background()).
-func New[T, V any](base context.Context, window time.Duration, maxBatch int, coalesce bool, run Run[T, V]) *Queue[T, V] {
+// New builds a queue. maxBatch caps the distinct jobs per group (values
+// < 1 are treated as 1). Group computations derive their context from
+// base, which should outlive every Do call (typically
+// context.Background()).
+func New[T, V any](base context.Context, maxBatch int, run Run[T, V]) *Queue[T, V] {
 	if base == nil {
 		base = context.Background()
 	}
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
 	return &Queue[T, V]{
 		base:      base,
-		window:    window,
-		maxBatch:  maxBatch,
-		coalesce:  coalesce,
+		maxBatch:  max(maxBatch, 1),
 		run:       run,
 		gathering: map[string]*group[T, V]{},
 		inflight:  map[string]*job[T, V]{},
@@ -121,89 +114,76 @@ func New[T, V any](base context.Context, window time.Duration, maxBatch int, coa
 }
 
 // Do submits one request and blocks until its result is available or ctx
-// fires. Requests sharing a batch key gather into one group; requests
-// sharing a job key coalesce onto one computation. A ctx cancellation
-// abandons only this caller's wait — the shared computation keeps
-// running for the other waiters and is cancelled only when the last one
-// departs.
+// fires. Requests sharing a batch key gather into one group while its
+// executor waits; requests sharing a job key coalesce onto one
+// computation. A ctx cancellation abandons only this caller's wait — the
+// shared computation keeps running for the other waiters and is cancelled
+// only when the last one departs.
 func (q *Queue[T, V]) Do(ctx context.Context, batchKey, jobKey string, req T) (V, Outcome, error) {
 	q.mu.Lock()
-	if q.coalesce {
-		// Singleflight: a byte-identical job already gathering or executing
-		// serves this request too. A group whose every waiter already
-		// departed is abandoned — its context is cancelled — so it cannot
-		// be joined.
-		if j, ok := q.inflight[jobKey]; ok && j.g.ctx.Err() == nil {
-			j.g.waiters++
-			q.coalesced.Add(1)
-			q.mu.Unlock()
-			return q.wait(ctx, j, Coalesced)
-		}
-	} else {
-		// De-duplication off: give every request a unique job identity so
-		// nothing ever coalesces (the unbatched-baseline configuration).
-		q.seq++
-		jobKey = "\x00" + strconv.FormatUint(q.seq, 10)
+	// Singleflight: a byte-identical job already gathering or executing
+	// serves this request too. A group whose every waiter already departed
+	// is abandoned — its context is cancelled, under mu — so it is neither
+	// coalesced onto nor gathered into.
+	if j, ok := q.inflight[jobKey]; ok && j.g.ctx.Err() == nil {
+		j.g.waiters++
+		q.coalesced.Add(1)
+		q.mu.Unlock()
+		return q.wait(ctx, j, Coalesced)
 	}
 	g := q.gathering[batchKey]
-	if g == nil {
-		g = q.newGroupLocked(batchKey)
+	if g == nil || g.ctx.Err() != nil {
+		g = q.openLocked(batchKey)
 	}
 	j := &job[T, V]{key: jobKey, req: req, g: g, done: make(chan struct{})}
 	g.jobs = append(g.jobs, j)
 	g.waiters++
 	q.inflight[jobKey] = j
 	q.batched.Add(1)
-	if q.window <= 0 || len(g.jobs) >= q.maxBatch {
-		q.fireLocked(g)
+	if len(g.jobs) >= q.maxBatch {
+		q.closeLocked(g)
 	}
 	q.mu.Unlock()
 	return q.wait(ctx, j, Computed)
 }
 
-// newGroupLocked opens a gather window for a batch key. Caller holds mu.
-func (q *Queue[T, V]) newGroupLocked(batchKey string) *group[T, V] {
+// openLocked opens a group for a batch key and starts its executor, which
+// cannot seal it before the caller, holding mu, has added its job.
+func (q *Queue[T, V]) openLocked(batchKey string) *group[T, V] {
 	gctx, cancel := context.WithCancel(q.base)
 	g := &group[T, V]{key: batchKey, ctx: gctx, cancel: cancel}
 	q.gathering[batchKey] = g
-	if q.window > 0 && q.maxBatch > 1 {
-		g.timer = time.AfterFunc(q.window, func() {
-			q.mu.Lock()
-			q.fireLocked(g)
-			q.mu.Unlock()
-		})
-	}
+	q.batches.Add(1)
+	go q.execute(g)
 	return g
 }
 
-// fireLocked closes the group's gather window and starts its execution.
-// Caller holds mu; firing is idempotent (the window timer and the
-// batch-cap path can race onto the same group).
-func (q *Queue[T, V]) fireLocked(g *group[T, V]) {
-	if g.fired {
-		return
-	}
-	g.fired = true
-	if g.timer != nil {
-		g.timer.Stop()
-	}
+// closeLocked stops g gathering; a later job of its batch key opens a new
+// group. Caller holds mu; closing twice is harmless.
+func (q *Queue[T, V]) closeLocked(g *group[T, V]) {
 	if q.gathering[g.key] == g {
 		delete(q.gathering, g.key)
 	}
-	q.batches.Add(1)
-	go q.execute(g)
 }
 
-// execute runs one fired group and fans the per-job results out to every
-// waiter. It owns g.jobs exclusively: Do stops appending once the group
-// left the gathering map.
-func (q *Queue[T, V]) execute(g *group[T, V]) {
+// seal closes g and returns its requests in arrival order.
+func (q *Queue[T, V]) seal(g *group[T, V]) []T {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closeLocked(g)
 	reqs := make([]T, len(g.jobs))
 	for i, j := range g.jobs {
 		reqs[i] = j.req
 	}
-	vals, errs := q.run(g.ctx, reqs)
+	return reqs
+}
+
+// execute runs one group and fans the per-job results out to every
+// waiter. Once the group is closed it owns g.jobs exclusively.
+func (q *Queue[T, V]) execute(g *group[T, V]) {
+	vals, errs := q.run(g.ctx, func() []T { return q.seal(g) })
 	q.mu.Lock()
+	q.closeLocked(g)
 	for i, j := range g.jobs {
 		if i < len(vals) {
 			j.val = vals[i]
@@ -236,13 +216,14 @@ func (q *Queue[T, V]) wait(ctx context.Context, j *job[T, V], o Outcome) (V, Out
 	}
 }
 
-// depart records a waiter abandoning its group mid-flight.
+// depart records a waiter abandoning its group mid-flight. The last one
+// cancels the group under mu, so Do never joins a group in the instant
+// between its last waiter leaving and its cancellation.
 func (q *Queue[T, V]) depart(g *group[T, V]) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	g.waiters--
-	last := g.waiters <= 0
-	q.mu.Unlock()
-	if last {
+	if g.waiters <= 0 {
 		g.cancel()
 	}
 }

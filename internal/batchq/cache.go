@@ -2,6 +2,7 @@ package batchq
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -9,9 +10,7 @@ import (
 // Cache is a concurrency-safe LRU cache with hit/miss/eviction counters —
 // the one LRU of the repository. It is the persistent spec-hash-keyed
 // result store in front of the batch queue, and under GetOrPut the store
-// behind the experiment suite's once-per-key memos. A limit <= 0 disables
-// it entirely (Get always misses without counting, Put is a no-op), which
-// is how the unbatched baseline configuration turns caching off.
+// behind the experiment suite's once-per-key memos.
 type Cache[V any] struct {
 	limit int
 
@@ -29,23 +28,18 @@ type cacheEntry[V any] struct {
 	val V
 }
 
-// NewCache builds an LRU cache holding at most limit entries; limit <= 0
-// disables caching.
+// NewCache builds an LRU cache holding at most limit entries. A limit
+// below 1 is a programming error and panics.
 func NewCache[V any](limit int) *Cache[V] {
-	c := &Cache[V]{limit: limit}
-	if limit > 0 {
-		c.ll = list.New()
-		c.entries = make(map[string]*list.Element)
+	if limit < 1 {
+		panic(fmt.Sprintf("batchq: cache limit %d, want at least 1", limit))
 	}
-	return c
+	return &Cache[V]{limit: limit, ll: list.New(), entries: make(map[string]*list.Element)}
 }
 
 // Get returns the cached value for key, refreshing its recency.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	var zero V
-	if c.limit <= 0 {
-		return zero, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -62,9 +56,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // and without refreshing its recency.
 func (c *Cache[V]) Peek(key string) (V, bool) {
 	var zero V
-	if c.limit <= 0 {
-		return zero, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -78,9 +69,6 @@ func (c *Cache[V]) Peek(key string) (V, bool) {
 // past the limit. Storing an existing key refreshes its value and
 // recency.
 func (c *Cache[V]) Put(key string, val V) {
-	if c.limit <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -107,12 +95,8 @@ func (c *Cache[V]) insert(key string, val V) {
 // (loaded = true); on a miss it stores val under key, evicting past the
 // limit, and returns it (loaded = false). The lookup and the insert are
 // one atomic step, so concurrent callers for one key all get the value
-// the first of them stored. A disabled cache stores nothing and returns
-// val.
+// the first of them stored.
 func (c *Cache[V]) GetOrPut(key string, val V) (actual V, loaded bool) {
-	if c.limit <= 0 {
-		return val, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -127,9 +111,6 @@ func (c *Cache[V]) GetOrPut(key string, val V) (actual V, loaded bool) {
 
 // Clear drops every entry; the lifetime counters keep their values.
 func (c *Cache[V]) Clear() {
-	if c.limit <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
@@ -138,9 +119,6 @@ func (c *Cache[V]) Clear() {
 
 // Len returns the current entry count.
 func (c *Cache[V]) Len() int {
-	if c.limit <= 0 {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

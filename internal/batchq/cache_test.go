@@ -75,30 +75,25 @@ func TestCachePeek(t *testing.T) {
 	if hits, misses, _ := c.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("Peek counted %d hits and %d misses", hits, misses)
 	}
-	if _, ok := NewCache[int](0).Peek("a"); ok {
-		t.Error("disabled cache returned a value")
-	}
 }
 
-// TestCacheDisabled pins the -cache-entries 0 baseline: no storage, no
-// counter movement.
-func TestCacheDisabled(t *testing.T) {
-	c := NewCache[int](0)
-	c.Put("a", 1)
-	if _, ok := c.Get("a"); ok {
-		t.Error("disabled cache returned a hit")
-	}
-	if hits, misses, evictions := c.Stats(); hits != 0 || misses != 0 || evictions != 0 {
-		t.Errorf("disabled cache counted (%d, %d, %d)", hits, misses, evictions)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
+// TestNewCacheRejectsNoRoom: a cache with room for nothing is a
+// programming error, not a mode.
+func TestNewCacheRejectsNoRoom(t *testing.T) {
+	for _, limit := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCache(%d) did not panic", limit)
+				}
+			}()
+			NewCache[int](limit)
+		}()
 	}
 }
 
 // TestCacheGetOrPut: a miss stores the offered value, a hit returns the
-// stored one and refreshes its recency, both are counted, and a disabled
-// cache hands the offered value back without storing it.
+// stored one and refreshes its recency, and both are counted.
 func TestCacheGetOrPut(t *testing.T) {
 	c := NewCache[int](2)
 	if v, loaded := c.GetOrPut("a", 1); v != 1 || loaded {
@@ -123,9 +118,4 @@ func TestCacheGetOrPut(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("Clear kept a")
 	}
-	off := NewCache[int](0)
-	if v, loaded := off.GetOrPut("a", 5); v != 5 || loaded || off.Len() != 0 {
-		t.Errorf("disabled GetOrPut = (%d, %v) with Len %d, want (5, false) with Len 0", v, loaded, off.Len())
-	}
-	off.Clear()
 }

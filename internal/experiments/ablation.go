@@ -89,7 +89,7 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64) ([]DefectPoi
 		faults int
 	}
 	units := make([]unit, len(rates)*draws)
-	accs := newMemo[float64](len(units))
+	accs := newMemo[float64](max(len(units), 1)) // an empty sweep still needs a cap of 1
 	err = parallelEach(ctx, len(units), func(i int) error {
 		rate, d := rates[i/draws], i%draws
 		a, err := cnn.MapAnalog(core.Options{
