@@ -99,6 +99,7 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64) ([]DefectPoi
 		if err != nil {
 			return err
 		}
+		defer a.Release()
 		acc, err := defectAccuracy(accs, a, test)
 		if err != nil {
 			return err

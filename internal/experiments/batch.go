@@ -139,6 +139,7 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		if err != nil {
 			return err
 		}
+		defer a.Release()
 		var acc float64
 		if accs == nil {
 			acc, err = a.AccuracyBatch(tcs[m].test)

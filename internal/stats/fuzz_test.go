@@ -45,3 +45,15 @@ func FuzzNormFill(f *testing.F) {
 		normFillMatches(t, mk(), mk(), []int{int(n1 % 4096), int(n2 % 4096)})
 	})
 }
+
+// FuzzPhiloxRefill: for any key, block counter, stream id and trial word,
+// one refill computes exactly the four philoxBlock reference blocks.
+func FuzzPhiloxRefill(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint32(0), uint32(0))
+	f.Add(uint64(0xffffffffffffffff), uint64(0xffffffffffffffff), uint32(0xffffffff), uint32(0xffffffff))
+	f.Add(uint64(2020), uint64(0xfffffffe), uint32(1<<24|7), uint32(3))
+	f.Fuzz(func(t *testing.T, seed, counter uint64, stream, trial uint32) {
+		refillMatchesBlocks(t, [4]uint32{uint32(counter), uint32(counter >> 32), stream, trial},
+			[2]uint32{uint32(seed), uint32(seed >> 32)})
+	})
+}

@@ -44,7 +44,7 @@ const (
 // counter under a 64-bit key and returns the four 32-bit output words. It
 // matches the Random123 reference implementation bit for bit (the
 // known-answer tests pin the published vectors), and it is the one-block
-// reference the interleaved refill is tested against.
+// reference both builds of philoxRefill4 are tested against.
 func philoxBlock(c [4]uint32, k [2]uint32) [4]uint32 {
 	for i := 0; i < philoxRounds; i++ {
 		if i > 0 {
@@ -77,8 +77,8 @@ func (r *RNG) philoxInit(seed uint64, trial, stream uint32) {
 // philoxLanes is the number of consecutive blocks one buffer refill
 // computes. Their ten-round chains are independent, so running them side
 // by side lets the multiplies of one block overlap the latency of the
-// others instead of waiting on a single serial chain. philoxRefill is
-// written out for exactly four lanes.
+// others instead of waiting on a single serial chain. Both builds of
+// philoxRefill4 are written out for exactly four lanes.
 const philoxLanes = 4
 
 // philoxNext serves the next 64 bits of a trial stream: each 128-bit block
@@ -103,35 +103,11 @@ func (r *RNG) philoxNext() uint64 {
 }
 
 // philoxRefill fills the buffer with the philoxLanes blocks starting at
-// the current counter, their round chains interleaved. It leaves the
-// counter alone: philoxNext advances it per consumed block.
+// the current counter (philoxRefill4: the SSE2 kernel on amd64, the
+// interleaved Go rounds elsewhere). It leaves the counter alone:
+// philoxNext advances it per consumed block.
 func (r *RNG) philoxRefill() {
-	n := uint64(r.ctr[0]) | uint64(r.ctr[1])<<32
-	s, t := r.ctr[2], r.ctr[3]
-	a0, a1, a2, a3 := uint32(n), uint32(n>>32), s, t
-	n++
-	b0, b1, b2, b3 := uint32(n), uint32(n>>32), s, t
-	n++
-	c0, c1, c2, c3 := uint32(n), uint32(n>>32), s, t
-	n++
-	d0, d1, d2, d3 := uint32(n), uint32(n>>32), s, t
-	k0, k1 := r.key[0], r.key[1]
-	for i := 0; i < philoxRounds; i++ {
-		if i > 0 {
-			k0 += philoxW0
-			k1 += philoxW1
-		}
-		a0, a1, a2, a3 = philoxRound(a0, a1, a2, a3, k0, k1)
-		b0, b1, b2, b3 = philoxRound(b0, b1, b2, b3, k0, k1)
-		c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
-		d0, d1, d2, d3 = philoxRound(d0, d1, d2, d3, k0, k1)
-	}
-	r.buf = [2 * philoxLanes]uint64{
-		uint64(a0) | uint64(a1)<<32, uint64(a2) | uint64(a3)<<32,
-		uint64(b0) | uint64(b1)<<32, uint64(b2) | uint64(b3)<<32,
-		uint64(c0) | uint64(c1)<<32, uint64(c2) | uint64(c3)<<32,
-		uint64(d0) | uint64(d1)<<32, uint64(d2) | uint64(d3)<<32,
-	}
+	philoxRefill4(&r.buf, &r.ctr, &r.key)
 	r.bufn = 2 * philoxLanes
 }
 

@@ -272,6 +272,58 @@ func TestPhiloxRefillMatchesBlocks(t *testing.T) {
 	}
 }
 
+// refillMatchesBlocks fails unless one philoxRefill4 call at the given
+// counter and key writes the four philoxBlock reference blocks at
+// counters ctr..ctr+3, and leaves its counter and key arguments alone.
+func refillMatchesBlocks(t *testing.T, ctr [4]uint32, key [2]uint32) {
+	t.Helper()
+	var buf [2 * philoxLanes]uint64
+	c, k := ctr, key
+	philoxRefill4(&buf, &c, &k)
+	if c != ctr || k != key {
+		t.Fatalf("philoxRefill4 changed its arguments: ctr %08x -> %08x, key %08x -> %08x", ctr, c, key, k)
+	}
+	n := uint64(ctr[0]) | uint64(ctr[1])<<32
+	for j := uint64(0); j < philoxLanes; j++ {
+		m := n + j
+		o := philoxBlock([4]uint32{uint32(m), uint32(m >> 32), ctr[2], ctr[3]}, key)
+		want := [2]uint64{uint64(o[0]) | uint64(o[1])<<32, uint64(o[2]) | uint64(o[3])<<32}
+		if got := [2]uint64{buf[2*j], buf[2*j+1]}; got != want {
+			t.Fatalf("ctr %08x key %08x block +%d: got %016x, want %016x", ctr, key, j, got, want)
+		}
+	}
+}
+
+// TestPhiloxKernelMatchesBlocks: the refill kernel computes exactly the
+// philoxBlock reference blocks for random keys, stream ids and trial
+// words, with the block counter placed so that the carry from word 0
+// into word 1 (and the wrap of the whole 64-bit block counter) falls at
+// every lane of the refill, and at random counters.
+func TestPhiloxKernelMatchesBlocks(t *testing.T) {
+	rng := NewRNG(2020)
+	for i := 0; i < 200; i++ {
+		u := rng.Uint64()
+		key := [2]uint32{uint32(u), uint32(u >> 32)}
+		if i < 3 {
+			key = [2]uint32{0, 0}
+			if i == 1 {
+				key = [2]uint32{0xffffffff, 0xffffffff}
+			}
+		}
+		u = rng.Uint64()
+		stream, trial := uint32(u), uint32(u>>32)
+		hi := uint32(rng.Uint64())
+		for _, base := range []uint64{1 << 32, uint64(hi) << 32, 0} {
+			for off := uint64(0); off <= philoxLanes; off++ {
+				n := base - off
+				refillMatchesBlocks(t, [4]uint32{uint32(n), uint32(n >> 32), stream, trial}, key)
+			}
+		}
+		n := rng.Uint64()
+		refillMatchesBlocks(t, [4]uint32{uint32(n), uint32(n >> 32), stream, trial}, key)
+	}
+}
+
 // TestPhiloxCloneAtEveryOffset: a Clone taken at any position inside the
 // refill buffer replays the receiver's continuation exactly, so deferred
 // fault injection can snapshot a v3 stream mid-block.
@@ -392,5 +444,15 @@ func BenchmarkNormFill(b *testing.B) {
 	buf := make([]float64, 976)
 	for i := 0; i < b.N; i += len(buf) {
 		r.NormFill(buf[:min(len(buf), b.N-i)])
+	}
+}
+
+// BenchmarkPhiloxRefill measures one buffer refill: four Philox4x32-10
+// blocks, eight uint64s of the trial stream.
+func BenchmarkPhiloxRefill(b *testing.B) {
+	r := NewTrialRNG(1, 0)
+	for i := 0; i < b.N; i++ {
+		r.philoxRefill()
+		r.ctr[0] += philoxLanes
 	}
 }

@@ -96,6 +96,12 @@ func ConvOut(n, k, s, p int) int {
 // Eq. 1 in the paper): out[d][y][x] = Σ_c Σ_i Σ_j in[c][Sy+i-p][Sx+j-p] ·
 // w[d][c][i][j] + bias[d]. Out-of-bounds taps contribute zero (zero pad).
 // bias may be nil.
+//
+// It runs tap by tap: each weight is read once and added, times the input
+// rows it meets, into an int64 plane over the outputs whose tap lands
+// inside the input (convTapRange), so no tap is bounds-tested per output.
+// Integer sums are exact in any order (int64 addition wraps as a group),
+// so each output is the saturated sum of the per-output loop.
 func Conv2D(in *Int, w *Filter, bias []int32, stride, pad int) *Int {
 	if in.Shape.C != w.C {
 		panic(fmt.Sprintf("tensor: channel mismatch %d vs %d", in.Shape.C, w.C))
@@ -103,37 +109,65 @@ func Conv2D(in *Int, w *Filter, bias []int32, stride, pad int) *Int {
 	if bias != nil && len(bias) != w.D {
 		panic("tensor: bias length mismatch")
 	}
-	e := ConvOut(in.Shape.H, w.Z, stride, pad)
-	f := ConvOut(in.Shape.W, w.G, stride, pad)
+	h, wd := in.Shape.H, in.Shape.W
+	e := ConvOut(h, w.Z, stride, pad)
+	f := ConvOut(wd, w.G, stride, pad)
 	out := NewInt(w.D, e, f)
+	acc := make([]int64, e*f)
 	for d := 0; d < w.D; d++ {
 		var b int64
 		if bias != nil {
 			b = int64(bias[d])
 		}
-		for y := 0; y < e; y++ {
-			for x := 0; x < f; x++ {
-				acc := b
-				for c := 0; c < w.C; c++ {
-					for i := 0; i < w.Z; i++ {
-						hy := y*stride + i - pad
-						if hy < 0 || hy >= in.Shape.H {
+		for k := range acc {
+			acc[k] = b
+		}
+		for c := 0; c < w.C; c++ {
+			plane := in.Data[c*h*wd : (c+1)*h*wd]
+			taps := w.Data[(d*w.C+c)*w.Z*w.G : (d*w.C+c+1)*w.Z*w.G]
+			for i := 0; i < w.Z; i++ {
+				y0, y1 := convTapRange(i, e, h, stride, pad)
+				for j, wv := range taps[i*w.G : (i+1)*w.G] {
+					x0, x1 := convTapRange(j, f, wd, stride, pad)
+					if wv == 0 || x0 > x1 {
+						continue
+					}
+					for y := y0; y <= y1; y++ {
+						dst := acc[y*f+x0 : y*f+x1+1]
+						src := plane[(y*stride+i-pad)*wd+x0*stride+j-pad:]
+						if stride == 1 {
+							src = src[:len(dst)]
+							for k, v := range src {
+								dst[k] += int64(v) * int64(wv)
+							}
 							continue
 						}
-						for j := 0; j < w.G; j++ {
-							wx := x*stride + j - pad
-							if wx < 0 || wx >= in.Shape.W {
-								continue
-							}
-							acc += int64(in.At(c, hy, wx)) * int64(w.At(d, c, i, j))
+						for k := range dst {
+							dst[k] += int64(src[k*stride]) * int64(wv)
 						}
 					}
 				}
-				out.Set(d, y, x, saturate32(acc))
 			}
+		}
+		for k, v := range acc {
+			out.Data[d*e*f+k] = saturate32(v)
 		}
 	}
 	return out
+}
+
+// convTapRange returns the outputs o in [lo, hi] of an n-output axis whose
+// tap at kernel offset k reads inside an input extent of size:
+// 0 ≤ o·stride + k − pad < size. lo > hi when none does.
+func convTapRange(k, n, size, stride, pad int) (lo, hi int) {
+	last := size - 1 + pad - k
+	if last < 0 {
+		return 0, -1
+	}
+	if first := pad - k; first > 0 {
+		lo = (first + stride - 1) / stride
+	}
+	return lo, min(n-1, last/stride)
 }
 
 // FC computes a fully-connected layer out[d] = Σ_k in[k]·w[d][k] + bias[d].

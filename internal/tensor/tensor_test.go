@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,99 @@ func TestIm2ColMatchesConv(t *testing.T) {
 				t.Fatalf("im2col mismatch at d=%d p=%d: %d vs %d", d, p, acc, got)
 			}
 		}
+	}
+}
+
+// conv2DRef is the per-output reference loop Conv2D is checked against:
+// every tap read through the accessors and bounds-tested per output.
+func conv2DRef(in *Int, w *Filter, bias []int32, stride, pad int) *Int {
+	e := ConvOut(in.Shape.H, w.Z, stride, pad)
+	f := ConvOut(in.Shape.W, w.G, stride, pad)
+	out := NewInt(w.D, e, f)
+	for d := 0; d < w.D; d++ {
+		var b int64
+		if bias != nil {
+			b = int64(bias[d])
+		}
+		for y := 0; y < e; y++ {
+			for x := 0; x < f; x++ {
+				acc := b
+				for c := 0; c < w.C; c++ {
+					for i := 0; i < w.Z; i++ {
+						hy := y*stride + i - pad
+						if hy < 0 || hy >= in.Shape.H {
+							continue
+						}
+						for j := 0; j < w.G; j++ {
+							wx := x*stride + j - pad
+							if wx < 0 || wx >= in.Shape.W {
+								continue
+							}
+							acc += int64(in.At(c, hy, wx)) * int64(w.At(d, c, i, j))
+						}
+					}
+				}
+				out.Set(d, y, x, saturate32(acc))
+			}
+		}
+	}
+	return out
+}
+
+// TestConv2DMatchesReference: the tap-major Conv2D equals the per-output
+// reference loop on random shapes — several channels, stride 1 to 3, pad
+// 0 to 2 (taps that miss the input entirely included), with and without
+// bias, and with codes large enough that sums saturate both ways.
+func TestConv2DMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(2025)
+	checked, saturated := 0, 0
+	for n := 0; n < 2000; n++ {
+		c, d := 1+rng.Intn(3), 1+rng.Intn(3)
+		h, wd := 1+rng.Intn(9), 1+rng.Intn(9)
+		z, g := 1+rng.Intn(4), 1+rng.Intn(4)
+		stride, pad := 1+rng.Intn(3), rng.Intn(3)
+		if ConvOut(h, z, stride, pad) < 1 || ConvOut(wd, g, stride, pad) < 1 {
+			continue
+		}
+		mag := int32(256)
+		if n%4 == 0 {
+			mag = 1 << 30 // products near 2^60: sums saturate int32
+		}
+		in := NewInt(c, h, wd)
+		for i := range in.Data {
+			in.Data[i] = int32(rng.Intn(2*int(mag)) - int(mag))
+		}
+		w := NewFilter(d, c, z, g)
+		for i := range w.Data {
+			if rng.Intn(5) > 0 { // some zero weights
+				w.Data[i] = int32(rng.Intn(2*int(mag)) - int(mag))
+			}
+		}
+		var bias []int32
+		if rng.Intn(2) == 0 {
+			bias = make([]int32, d)
+			for i := range bias {
+				bias[i] = int32(rng.Intn(2*int(mag)) - int(mag))
+			}
+		}
+		want := conv2DRef(in, w, bias, stride, pad)
+		got := Conv2D(in, w, bias, stride, pad)
+		if got.Shape != want.Shape {
+			t.Fatalf("case %d: shape %v, want %v", n, got.Shape, want.Shape)
+		}
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("case %d (C%d D%d %dx%d k%dx%d s%d p%d bias %v): out[%d] = %d, want %d",
+					n, c, d, h, wd, z, g, stride, pad, bias != nil, i, got.Data[i], v)
+			}
+			if v == math.MaxInt32 || v == math.MinInt32 {
+				saturated++
+			}
+		}
+		checked++
+	}
+	if checked < 1000 || saturated == 0 {
+		t.Fatalf("checked %d shapes with %d saturated outputs; want ≥ 1000 and > 0", checked, saturated)
 	}
 }
 

@@ -130,19 +130,16 @@ func (a *AnalogCNN) BatchSafe() bool {
 	return a.convMap.BatchDeterministic() && a.head.BatchSafe()
 }
 
-// Programmed returns the programmed level of every cell each mapped layer
-// reads — the conv bank's, then each head layer's — as one string. It is a
-// valid identity only when BatchSafe holds: then the whole pipeline is a
-// pure function of these levels, so two AnalogCNNs mapped from the same CNN
-// under the same options with equal Programmed() classify every image the
-// same way. Stuck-at faults outside the cells a layer reads leave it
+// Programmed returns the programmed level of every cell the conv bank
+// reads, as one string. It is a valid identity only when BatchSafe holds:
+// then the whole pipeline is a pure function of the levels it reads, and
+// the head's are fixed by the CNN and the options (it never takes
+// faults), so two AnalogCNNs mapped from the same CNN under the same
+// options with equal Programmed() classify every image the same way.
+// Stuck-at faults outside the cells the conv bank reads leave it
 // unchanged.
 func (a *AnalogCNN) Programmed() string {
-	buf := a.convMap.AppendLevels(nil)
-	for _, m := range a.head.mapped {
-		buf = m.AppendLevels(buf)
-	}
-	return string(buf)
+	return string(a.convMap.AppendLevels(nil))
 }
 
 // AccuracyBatch evaluates the analog pipeline over a dataset: each image's

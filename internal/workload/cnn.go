@@ -3,8 +3,10 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/params"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -80,6 +82,26 @@ type CNN struct {
 	FeatShift int
 	// Head is the trained classifier over flattened features.
 	Head *QuantMLP
+
+	// heads holds mapped heads idle for reuse (see MapAnalog).
+	heads headPool
+}
+
+// headPool is a CNN's free list of mapped heads that draw nothing. A
+// mapped layer is not safe for concurrent use, so each head serves one
+// AnalogCNN at a time: the list never holds more heads than AnalogCNNs
+// were live at once.
+type headPool struct {
+	mu   sync.Mutex
+	free map[headKey][]*AnalogMLP
+}
+
+// headKey is everything a head that draws nothing is a function of: the
+// trained weights and the options that shape the mapping.
+type headKey struct {
+	q                 *QuantMLP
+	cfg               params.TimelyConfig
+	ifBits, inputHops int
 }
 
 // NewCNN builds the feature extractor with d random 3×3 filters (codes in
@@ -180,7 +202,8 @@ type AnalogCNN struct {
 	cnn      *CNN
 	convMap  *core.MappedLayer
 	head     *AnalogMLP
-	faultMap int // total stuck cells injected (0 when clean)
+	shared   *headKey // the head's free-list key; nil when it may draw
+	faultMap int      // total stuck cells injected (0 when clean)
 
 	// Per-instance scratch reused across images (an AnalogCNN is driven by
 	// one goroutine at a time): the conv bank's input codes and psums, and
@@ -193,6 +216,12 @@ type AnalogCNN struct {
 // MapAnalog programs the conv filter bank and the head. faultRate > 0
 // additionally pins that fraction of the conv sub-chip's cells as stuck-at
 // faults before programming (the defect ablation; requires opt.Noise).
+//
+// The head never takes faults. Under options that draw nothing in it (no
+// ledger, a deterministic noise configuration) it is a function of the
+// trained weights and the mapping geometry alone, whatever the noise RNG:
+// MapAnalog then takes a head an earlier AnalogCNN handed back through
+// Release, and maps a new one only when none is idle.
 func (c *CNN) MapAnalog(opt core.Options, faultRate float64) (*AnalogCNN, error) {
 	if c.Head == nil {
 		return nil, fmt.Errorf("workload: CNN not trained")
@@ -209,17 +238,56 @@ func (c *CNN) MapAnalog(opt core.Options, faultRate float64) (*AnalogCNN, error)
 }
 
 // mapOnto programs the conv bank onto sc (whose faults, already injected,
-// number faults) and the head onto fresh sub-chips built from opt.
+// number faults) and takes the head from takeHead.
 func (c *CNN) mapOnto(sc *core.SubChip, opt core.Options, faults int) (*AnalogCNN, error) {
 	convMap, err := sc.MapDense(core.FlattenFilter(c.Filters))
 	if err != nil {
 		return nil, err
 	}
-	head, err := c.Head.MapAnalog(opt)
+	head, shared, err := c.takeHead(opt)
 	if err != nil {
 		return nil, err
 	}
-	return &AnalogCNN{cnn: c, convMap: convMap, head: head, faultMap: faults}, nil
+	return &AnalogCNN{cnn: c, convMap: convMap, head: head, shared: shared, faultMap: faults}, nil
+}
+
+// takeHead returns the head to map under opt, and its free-list key when
+// it may be shared: an idle head from the free list, or a newly mapped one. A head
+// that draws nothing is mapped without the noise configuration, so it
+// holds no reference to any draw's RNG.
+func (c *CNN) takeHead(opt core.Options) (*AnalogMLP, *headKey, error) {
+	if opt.Ledger != nil || !opt.Noise.Deterministic() {
+		head, err := c.Head.MapAnalog(opt)
+		return head, nil, err
+	}
+	k := &headKey{q: c.Head, cfg: opt.Config, ifBits: opt.InterfaceBits, inputHops: opt.InputHops}
+	p := &c.heads
+	p.mu.Lock()
+	if free := p.free[*k]; len(free) > 0 {
+		head := free[len(free)-1]
+		p.free[*k] = free[:len(free)-1]
+		p.mu.Unlock()
+		return head, k, nil
+	}
+	p.mu.Unlock()
+	head, err := c.Head.MapAnalog(core.Options{Config: opt.Config, InterfaceBits: opt.InterfaceBits, InputHops: opt.InputHops})
+	return head, k, err
+}
+
+// Release hands the receiver's head back to its CNN for the next
+// MapAnalog, when the head draws nothing and so may serve another draw.
+// The AnalogCNN must not be used afterwards.
+func (a *AnalogCNN) Release() {
+	if k := a.shared; k != nil {
+		p := &a.cnn.heads
+		p.mu.Lock()
+		if p.free == nil {
+			p.free = make(map[headKey][]*AnalogMLP)
+		}
+		p.free[*k] = append(p.free[*k], a.head)
+		p.mu.Unlock()
+	}
+	a.head, a.shared, a.convMap = nil, nil, nil
 }
 
 // Faults returns the number of stuck cells injected at mapping time.

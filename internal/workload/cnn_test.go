@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analog"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/params"
 	"repro/internal/stats"
 	"repro/internal/tensor"
@@ -289,5 +290,108 @@ func TestCalibrateMatchesFeatures(t *testing.T) {
 				t.Fatalf("size %d image %d: calibration features differ from the integer path", size, i)
 			}
 		}
+	}
+}
+
+// TestSharedHeadDrawsNothing: a defect draw's head takes no faults and,
+// under zero sigmas, draws nothing. So heads mapped under two draws' RNGs
+// (and the pooled head, mapped without one) give the same psums on every
+// layer, and both RNGs stay at block 0. MapAnalog hands each live
+// AnalogCNN its own head, reuses a released one, and never shares a head
+// that counts into a ledger or draws noise.
+func TestSharedHeadDrawsNothing(t *testing.T) {
+	rng := stats.NewRNG(23)
+	cnn := NewCNN(rng, 8, 7)
+	if _, err := cnn.Train(rng, SyntheticImages(rng, 32, 12, 4, 0.05), 32, 1, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	opts := func(seed uint64) core.Options {
+		return core.Options{Noise: &analog.Noise{RNG: stats.NewTrialRNG(seed, 0)}, InterfaceBits: 24}
+	}
+	optA, optB := opts(1), opts(2)
+	headA, err := cnn.Head.MapAnalog(optA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headB, err := cnn.Head.MapAnalog(optB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cnn.MapAnalog(opts(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.shared == nil {
+		t.Fatal("a zero-sigma draw's head is not shareable")
+	}
+	for l, mA := range headA.mapped {
+		mB, mP := headB.mapped[l], a.head.mapped[l]
+		codes := make([]int, mA.Rows)
+		for v := 0; v < 16; v++ {
+			for i := range codes {
+				codes[i] = rng.Intn(256)
+			}
+			var psums [3][]int
+			for i, m := range []*core.MappedLayer{mA, mB, mP} {
+				psums[i] = make([]int, m.D)
+				if err := m.ForwardBatch(codes, 1, psums[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for d := range psums[0] {
+				if psums[0][d] != psums[1][d] || psums[0][d] != psums[2][d] {
+					t.Fatalf("layer %d input %d psum %d: draw A %d, draw B %d, pooled %d",
+						l, v, d, psums[0][d], psums[1][d], psums[2][d])
+				}
+			}
+		}
+	}
+	for seed, opt := range map[uint64]core.Options{1: optA, 2: optB} {
+		if *opt.Noise.RNG != *stats.NewTrialRNG(seed, 0) {
+			t.Fatalf("mapping and running the head moved draw %d's RNG", seed)
+		}
+	}
+
+	b, err := cnn.MapAnalog(opts(4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.head == a.head {
+		t.Fatal("two live AnalogCNNs share one head")
+	}
+	head := a.head
+	a.Release()
+	c, err := cnn.MapAnalog(opts(5), 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.head != head {
+		t.Fatal("MapAnalog mapped a new head although a released one was idle")
+	}
+	c.Release()
+	b.Release()
+	for name, opt := range map[string]core.Options{
+		"ledger": core.IdealOptions(energy.NewLedger(nil)),
+		"noisy":  {Noise: analog.DefaultNoiseRNG(stats.NewTrialRNG(6, 0)), InterfaceBits: 24},
+	} {
+		d, err := cnn.MapAnalog(opt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.shared != nil || d.head == head {
+			t.Fatalf("%s options: the head is shared", name)
+		}
+	}
+}
+
+// BenchmarkCalibrate measures the CNN's feature-shift calibration over the
+// defect study's 480 training images: one integer convolution per image.
+func BenchmarkCalibrate(b *testing.B) {
+	rng := stats.NewRNG(2020)
+	train, _ := SyntheticImages(rng, 600, 12, 4, 0.05).Split(0.8)
+	c := NewCNN(rng, 8, 7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.calibrate(train.X)
 	}
 }

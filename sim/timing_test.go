@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/params"
 )
 
 // timingJSON evaluates network on the timing backend and returns the
@@ -93,6 +96,49 @@ func TestTimingEvaluateReportsStats(t *testing.T) {
 	// The measured rate feeds the throughput-derived fields.
 	if res.PowerWatts <= 0 {
 		t.Errorf("PowerWatts = %v", res.PowerWatts)
+	}
+}
+
+// TestTimingVsAnalyticAcrossGamma pins where the event-driven and the
+// closed-form models part on VGG-D. A pipeline cycle is γ DTC conversions,
+// and every per-wave latency but the output write fits in it; the 160 ns
+// output write outlasts the cycle at γ < 160/25, so each wave then takes
+// the write's time, not a cycle. The measured initiation interval is the
+// analytic one times max(write, γ·conversion)/(γ·conversion), derived here
+// from internal/params, and the throughput gap follows from it. The pinned
+// figures guard the derivation itself.
+func TestTimingVsAnalyticAcrossGamma(t *testing.T) {
+	cases := []struct {
+		gamma                      int
+		cycles, analytic, deltaPct float64
+	}{
+		{4, 2150.4, 1344, -37.5},
+		{5, 1720.32, 1344, -21.875},
+		{6, 1433.6, 1344, -6.25},
+		{8, 1344, 1344, 0},
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	for _, c := range cases {
+		res, err := Evaluate(context.Background(), &EvalRequest{Backend: "timing", Network: "VGG-D", Gamma: c.gamma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := res.Timing
+		cycle := float64(c.gamma) * params.DTCConversionTime
+		want := ts.AnalyticCyclesPerImage * math.Max(params.LatencyOutputWrite, cycle) / cycle
+		if !near(ts.CyclesPerImage, want) {
+			t.Errorf("γ=%d: cycles/image %v, want analytic %v × max(%v, %v)/%v = %v",
+				c.gamma, ts.CyclesPerImage, ts.AnalyticCyclesPerImage, params.LatencyOutputWrite, cycle, cycle, want)
+		}
+		if delta := (ts.AnalyticCyclesPerImage/ts.CyclesPerImage - 1) * 100; !near(ts.ThroughputDeltaPct, delta) {
+			t.Errorf("γ=%d: throughput delta %v%%, want %v%% from the cycle counts", c.gamma, ts.ThroughputDeltaPct, delta)
+		}
+		if !near(ts.CyclesPerImage, c.cycles) || !near(ts.AnalyticCyclesPerImage, c.analytic) ||
+			math.Abs(ts.ThroughputDeltaPct-c.deltaPct) > 1e-9 {
+			t.Errorf("γ=%d: cycles/image %v, analytic %v, delta %v%%; pinned %v, %v, %v%%",
+				c.gamma, ts.CyclesPerImage, ts.AnalyticCyclesPerImage, ts.ThroughputDeltaPct,
+				c.cycles, c.analytic, c.deltaPct)
+		}
 	}
 }
 
