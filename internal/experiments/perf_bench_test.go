@@ -60,6 +60,7 @@ func BenchmarkDefectTrial(b *testing.B) {
 				if _, err := a.Accuracy(tc.test); err != nil {
 					b.Fatal(err)
 				}
+				a.Release()
 			}
 		})
 	}

@@ -252,9 +252,9 @@ func (c *CNN) mapOnto(sc *core.SubChip, opt core.Options, faults int) (*AnalogCN
 }
 
 // takeHead returns the head to map under opt, and its free-list key when
-// it may be shared: an idle head from the free list, or a newly mapped one. A head
-// that draws nothing is mapped without the noise configuration, so it
-// holds no reference to any draw's RNG.
+// it may be shared: an idle head from the free list, or a newly mapped
+// one. A head that draws nothing is mapped without the noise
+// configuration, so it holds no reference to any draw's RNG.
 func (c *CNN) takeHead(opt core.Options) (*AnalogMLP, *headKey, error) {
 	if opt.Ledger != nil || !opt.Noise.Deterministic() {
 		head, err := c.Head.MapAnalog(opt)
