@@ -36,7 +36,6 @@ func runEvaluate(args []string, stdout, stderr io.Writer) error {
 		fault    = fs.Float64("faultrate", 0, "stuck-at cell fraction (functional cnn)")
 		seed     = fs.Uint64("seed", 0, "Monte-Carlo base seed (functional)")
 		trials   = fs.Int("trials", 0, "Monte-Carlo repeats (functional; 0 = default)")
-		sampler  = fs.String("sampler", "", "Monte-Carlo stream contract: v3 (functional; empty = v3; v1 and v2 are retired)")
 		images   = fs.Int("images", 0, "images pushed through the event-driven simulation (timing; 0 = default)")
 		traceOut = fs.String("trace", "", "write the per-wave occupancy trace to this JSON file (timing)")
 		timeout  = fs.Duration("timeout", 0, "abort the evaluation after this long (0 = none)")
@@ -69,7 +68,6 @@ func runEvaluate(args []string, stdout, stderr io.Writer) error {
 		SubChips: *subChips,
 		Gamma:    *gamma,
 		Trials:   *trials,
-		Sampler:  *sampler,
 		Images:   *images,
 	}
 	// The pointer fields distinguish "flag absent" from an explicit zero

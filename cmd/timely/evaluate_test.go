@@ -124,29 +124,23 @@ func TestEvaluateFunctionalBackend(t *testing.T) {
 		t.Errorf("functional output:\n%s", out)
 	}
 	if !strings.Contains(out, "sampler") || !strings.Contains(out, "v3") {
-		t.Errorf("default sampler regime missing from output:\n%s", out)
-	}
-	v3 := runOut(t, "evaluate", "-network", "mlp", "-backend", "functional", "-trials", "2", "-noise", "0", "-sampler", "v3")
-	if !strings.Contains(v3, "v3") {
-		t.Errorf("explicit v3 regime missing from output:\n%s", v3)
+		t.Errorf("the v3 stream contract is missing from output:\n%s", out)
 	}
 }
 
-// TestEvaluateSamplerErrors: regime validation surfaces through the
-// evaluate subcommand for a bad spelling, a retired regime and an
-// inapplicable backend.
+// TestEvaluateSamplerErrors: the evaluate subcommand has no
+// stream-contract flag; every former spelling, v3 included, fails as an
+// undefined flag on any backend.
 func TestEvaluateSamplerErrors(t *testing.T) {
-	if err := run([]string{"evaluate", "-network", "mlp", "-backend", "functional", "-sampler", "v9"},
-		io.Discard, io.Discard); err == nil {
-		t.Error("invalid sampler accepted")
-	}
-	if err := run([]string{"evaluate", "-network", "cnn", "-backend", "functional", "-sampler", "v1"},
-		io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "d9a0b33") {
-		t.Errorf("retired sampler v1: err = %v, want the retirement error naming d9a0b33", err)
-	}
-	if err := run([]string{"evaluate", "-network", "VGG-D", "-backend", "timely", "-sampler", "v3"},
-		io.Discard, io.Discard); err == nil {
-		t.Error("sampler accepted on an analytic backend")
+	for _, args := range [][]string{
+		{"evaluate", "-network", "mlp", "-backend", "functional", "-sampler", "v3"},
+		{"evaluate", "-network", "cnn", "-backend", "functional", "-sampler", "v1"},
+		{"evaluate", "-network", "VGG-D", "-backend", "timely", "-sampler", "v3"},
+	} {
+		if err := run(args, io.Discard, io.Discard); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined: -sampler") {
+			t.Errorf("%v: err = %v, want the undefined-flag error", args, err)
+		}
 	}
 }
 

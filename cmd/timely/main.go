@@ -19,9 +19,6 @@
 //	-out <dir>              write one file per experiment into dir
 //	-par N                  run N experiments concurrently (default GOMAXPROCS)
 //	-timeout <dur>          abort the run after this long (e.g. 30s; 0 = none)
-//	-sampler v3             Monte-Carlo stream contract (v3, the only one:
-//	                        counter-based keyed generators; the retired
-//	                        v1/v2 exit 1 naming d9a0b33, their last commit)
 //	-v                      print a per-experiment timing summary to stderr
 //	-cpuprofile <file>      write a pprof CPU profile of the run
 //	-memprofile <file>      write a pprof heap profile taken after the run
@@ -49,7 +46,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/stats"
 	"repro/sim"
 )
 
@@ -66,7 +62,6 @@ type options struct {
 	outDir     string
 	par        int
 	timeout    time.Duration
-	sampler    string
 	vrbose     bool
 	cpuprofile string
 	memprofile string
@@ -94,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&opt.outDir, "out", "", "write one file per experiment into this directory")
 	fs.IntVar(&opt.par, "par", runtime.GOMAXPROCS(0), "number of experiments to run concurrently")
 	fs.DurationVar(&opt.timeout, "timeout", 0, "abort the run after this long (0 = no timeout)")
-	fs.StringVar(&opt.sampler, "sampler", "v3", "Monte-Carlo stream contract: v3 (counter-based, parallel-stable; v1 and v2 are retired)")
 	fs.BoolVar(&opt.vrbose, "v", false, "print a per-experiment timing summary to stderr")
 	fs.StringVar(&opt.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	fs.StringVar(&opt.memprofile, "memprofile", "", "write a pprof heap profile taken after the run to this file")
@@ -145,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "text", "csv", "json":
 	default:
 		return fmt.Errorf("unknown format %q (want text, csv or json)", opt.format)
-	}
-	if _, err := stats.ParseSamplerVersion(opt.sampler); err != nil {
-		return fmt.Errorf("-sampler: %w", err)
 	}
 	// The worker pool treats any par < 1 as one worker; clamp here so the
 	// timing summary and docs never see a nonsensical value either.
@@ -311,7 +302,6 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "  -out <dir>             write one file per experiment into dir")
 	fmt.Fprintln(w, "  -par N                 concurrent experiments (default GOMAXPROCS)")
 	fmt.Fprintln(w, "  -timeout <dur>         abort the run after this long (0 = none)")
-	fmt.Fprintln(w, "  -sampler v3            Monte-Carlo stream contract (v3 only; v1/v2 retired after d9a0b33)")
 	fmt.Fprintln(w, "  -v                     per-experiment timing summary on stderr")
 	fmt.Fprintln(w, "  -cpuprofile <file>     write a pprof CPU profile of the run")
 	fmt.Fprintln(w, "  -memprofile <file>     write a pprof heap profile after the run")

@@ -111,28 +111,20 @@ func TestListAndUnknown(t *testing.T) {
 	}
 }
 
-// TestSamplerFlag: the stream-contract flag validates its spelling,
-// accepts only v3 (the bytes of the default run), and the retired v1/v2
-// fail on both the experiment harness and the evaluate subcommand with an
-// error naming d9a0b33, the last commit that supports them.
+// TestSamplerFlag: the experiment harness has no stream-contract flag.
+// Every former spelling, v3 included, fails as an undefined flag, and the
+// usage text does not mention one.
 func TestSamplerFlag(t *testing.T) {
-	if err := run([]string{"table5", "-sampler", "v9"}, io.Discard, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "sampler") {
-		t.Errorf("unknown sampler accepted (err = %v)", err)
-	}
-	for _, args := range [][]string{
-		{"all", "-sampler", "v1"},
-		{"evaluate", "-network", "mlp", "-backend", "functional", "-sampler", "v2"},
-	} {
-		if err := run(args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "d9a0b33") {
-			t.Errorf("%v: err = %v, want the retirement error naming d9a0b33", args, err)
+	for _, v := range []string{"v3", "v1", ""} {
+		for _, args := range [][]string{{"all", "-sampler", v}, {"table5", "-sampler=" + v}} {
+			if err := run(args, io.Discard, io.Discard); err == nil ||
+				!strings.Contains(err.Error(), "flag provided but not defined: -sampler") {
+				t.Errorf("%v: err = %v, want the undefined-flag error", args, err)
+			}
 		}
 	}
-	if got, def := runOut(t, "table5", "-sampler", "v3"), runOut(t, "table5"); got != def {
-		t.Error("experiment bytes changed under -sampler v3")
-	}
-	if !strings.Contains(runOut(t, "-h"), "-sampler") {
-		t.Error("usage does not document -sampler")
+	if strings.Contains(runOut(t, "-h"), "sampler") {
+		t.Error("usage still documents -sampler")
 	}
 }
 

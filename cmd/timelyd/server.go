@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"mime"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -20,7 +22,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/serve"
-	"repro/internal/stats"
 	"repro/sim"
 )
 
@@ -732,21 +733,22 @@ func (s *server) handleExperimentIndex(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment regenerates one paper artifact under the admitted
 // request context (deadline class "experiment", minus any queue wait) and
-// writes it in the negotiated representation. The optional ?sampler=v3
-// query parameter names the Monte-Carlo stream contract (v3, the
-// counter-based keyed generator, is the only one); the retired v1 and v2
-// answer 400 naming d9a0b33, the last commit that supports them. The
-// artifact is rendered into a
-// buffer BEFORE any header is written, so a render failure surfaces as a
-// clean 500 instead of a 200 with a truncated body.
+// writes it in the negotiated representation. ?format is the one query
+// parameter; any other answers 400, as an unknown body field does on
+// evaluate. The artifact is rendered into a buffer BEFORE any header is
+// written, so a render failure surfaces as a clean 500 instead of a 200
+// with a truncated body.
 func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	format, err := pickFormat(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, err := stats.ParseSamplerVersion(r.URL.Query().Get("sampler")); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	q := r.URL.Query()
+	delete(q, "format")
+	if len(q) > 0 {
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Errorf("unknown query parameters %q (want only format)", slices.Sorted(maps.Keys(q))))
 		return
 	}
 	e, err := experiments.ByID(r.PathValue("id"))

@@ -501,37 +501,31 @@ func TestExperimentArtifact(t *testing.T) {
 	errorBody(t, body)
 }
 
-// TestExperimentSamplerParam: the ?sampler= query and the evaluate body's
-// "sampler" accept only v3 (the default's bytes); bad spellings and the
-// retired v1/v2 answer 400, the retired ones naming d9a0b33.
+// TestExperimentSamplerParam: no request names a Monte-Carlo stream
+// contract. An experiment answers 400 to any query parameter but format
+// (?sampler= included, whatever its value) before computing anything, and
+// an evaluate body carrying "sampler" is a 400 from the strict decoder.
 func TestExperimentSamplerParam(t *testing.T) {
 	ts := testServer(t)
-	_, def, _ := get(t, ts, "/v1/experiments/table5", "")
-	if status, body, _ := get(t, ts, "/v1/experiments/table5?sampler=v3", ""); status != http.StatusOK || body != def {
-		t.Errorf("sampler=v3: status %d, bytes changed=%v", status, body != def)
-	}
-	for _, v := range []string{"bogus", "v1", "v2"} {
-		status, body, _ := get(t, ts, "/v1/experiments/table5?sampler="+v, "")
+	for _, q := range []string{"sampler=v3", "sampler=v1", "sampler=", "foo=1", "format=csv&sampler=v3"} {
+		status, body, _ := get(t, ts, "/v1/experiments/ablation?"+q, "")
 		if status != http.StatusBadRequest {
-			t.Errorf("sampler=%s: status %d, want 400", v, status)
+			t.Errorf("?%s: status %d, want 400", q, status)
+			continue
 		}
-		if msg := errorBody(t, body); v != "bogus" && !strings.Contains(msg, "d9a0b33") {
-			t.Errorf("sampler=%s: error %q does not name d9a0b33", v, msg)
+		if msg := errorBody(t, body); !strings.Contains(msg, "unknown query parameters") {
+			t.Errorf("?%s: error %q does not name the unknown parameter", q, msg)
 		}
 	}
-	status, body := postEvaluate(t, ts, `{"backend":"functional","network":"mlp","trials":1,"sampler":"v1"}`)
-	if status != http.StatusBadRequest || !strings.Contains(errorBody(t, body), "d9a0b33") {
-		t.Errorf("evaluate with sampler v1: status %d, body %s; want 400 naming d9a0b33", status, body)
+	_, def, _ := get(t, ts, "/v1/experiments/table5", "text/csv")
+	if status, body, _ := get(t, ts, "/v1/experiments/table5?format=csv", ""); status != http.StatusOK || body != def {
+		t.Errorf("format=csv: status %d, bytes changed=%v", status, body != def)
 	}
-	if testing.Short() {
-		return
-	}
-	// An explicit "v3" is the default contract: same bytes, elapsed_ms aside.
-	norm := func(s string) string { return elapsedRe.ReplaceAllString(s, `"elapsed_ms": 0`) }
-	_, implicit := postEvaluate(t, ts, `{"backend":"functional","network":"cnn","trials":2,"fault_rate":0.01}`)
-	status, explicit := postEvaluate(t, ts, `{"backend":"functional","network":"cnn","trials":2,"fault_rate":0.01,"sampler":"v3"}`)
-	if status != http.StatusOK || norm(explicit) != norm(implicit) {
-		t.Errorf("sampler v3 body differs from the default:\n%s\nvs\n%s", explicit, implicit)
+	for _, v := range []string{"v3", "v1", ""} {
+		status, body := postEvaluate(t, ts, `{"backend":"functional","network":"mlp","trials":1,"sampler":"`+v+`"}`)
+		if status != http.StatusBadRequest || !strings.Contains(errorBody(t, body), `unknown field "sampler"`) {
+			t.Errorf("evaluate with sampler %q: status %d, body %s; want the unknown-field 400", v, status, body)
+		}
 	}
 }
 

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/analog"
 	"repro/internal/area"
-	"repro/internal/core"
 	"repro/internal/params"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 // Ablation studies beyond the paper's figures, covering the design choices
@@ -79,46 +76,17 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64) ([]DefectPoi
 	if err != nil {
 		return nil, err
 	}
-	cnn, test := tc.cnn, tc.test
 	const draws = 5
-	// Every (rate, draw) evaluation is independent — own fault map, own
-	// noise RNG derived from the draw index — so the grid runs on the
-	// worker budget and reduces in index order for identical output.
-	type unit struct {
-		acc    float64
-		faults int
-	}
-	units := make([]unit, len(rates)*draws)
-	accs := newMemo[float64](max(len(units), 1)) // an empty sweep still needs a cap of 1
-	err = parallelEach(ctx, len(units), func(i int) error {
-		rate, d := rates[i/draws], i%draws
-		a, err := cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: stats.NewTrialRNG(seed, uint32(d))},
-			InterfaceBits: 24,
-		}, rate)
-		if err != nil {
-			return err
-		}
-		defer a.Release()
-		acc, err := defectAccuracy(accs, a, test)
-		if err != nil {
-			return err
-		}
-		units[i] = unit{acc: acc, faults: a.Faults()}
-		return nil
+	accs := newMemo[float64](max(len(rates)*draws, 1)) // an empty sweep still needs a cap of 1
+	sums, err := runGrid(ctx, len(rates), draws, func(ri, d int) (draw, error) {
+		return defectDraw(tc, seed, d, rates[ri], accs)
 	})
 	if err != nil {
 		return nil, err
 	}
 	var pts []DefectPoint
-	for ri, rate := range rates {
-		sum, faults := 0.0, 0
-		for d := 0; d < draws; d++ {
-			u := units[ri*draws+d]
-			sum += u.acc
-			faults += u.faults
-		}
-		pts = append(pts, DefectPoint{Rate: rate, Faults: faults / draws, Accuracy: sum / draws})
+	for ri, s := range sums {
+		pts = append(pts, DefectPoint{Rate: rates[ri], Faults: s.faults, Accuracy: s.mean})
 	}
 	return pts, nil
 }

@@ -68,9 +68,8 @@ func AnalogMLPAccuracy(ctx context.Context, seed uint64, trials int, epsPS float
 
 // studyOptions are the mapping options of one §VI-B Monte-Carlo trial:
 // the design-point noise with X-subBuf error epsPS (ps), drawn from rng,
-// the 24-bit interface and the worst-case 12-hop input cascade (§V). The
-// accuracy study, the noise sweep and BenchmarkAccuracyTrial all map
-// through it, so the benchmark times the waves the study runs.
+// the 24-bit interface and the worst-case 12-hop input cascade (§V), as
+// noiseTrial maps them.
 func studyOptions(rng *stats.RNG, epsPS float64) core.Options {
 	noise := analog.DefaultNoiseRNG(rng)
 	noise.XSubBufSigma = epsPS
@@ -89,29 +88,21 @@ func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64) ([]Nois
 	if err != nil {
 		return nil, err
 	}
-	q, test := tm.q, tm.test
-	// Each ε point owns its noise RNG, so the sweep runs on the worker
-	// budget with results slotted by index.
-	pts := make([]NoiseSweepPoint, len(epsilons))
-	err = parallelEach(ctx, len(epsilons), func(i int) error {
-		eps := epsilons[i]
-		a, err := q.MapAnalog(studyOptions(stats.NewTrialRNG(seed+1, 0), eps))
-		if err != nil {
-			return err
-		}
-		acc, err := a.Accuracy(test)
-		if err != nil {
-			return err
-		}
-		pts[i] = NoiseSweepPoint{
-			EpsilonPS:    eps,
-			AnalogAcc:    acc,
-			WithinMargin: analog.CascadeErrorBound(params.MaxCascadedXSubBufs, eps) <= params.TDelMargin,
-		}
-		return nil
+	// Each ε point is one trial; every point draws the same noise stream.
+	sums, err := runGrid(ctx, len(epsilons), 1, func(i, _ int) (draw, error) {
+		acc, err := noiseTrial(tm, stats.NewTrialRNG(seed+1, 0), epsilons[i])
+		return draw{acc: acc}, err
 	})
 	if err != nil {
 		return nil, err
+	}
+	pts := make([]NoiseSweepPoint, len(epsilons))
+	for i, eps := range epsilons {
+		pts[i] = NoiseSweepPoint{
+			EpsilonPS:    eps,
+			AnalogAcc:    sums[i].mean,
+			WithinMargin: analog.CascadeErrorBound(params.MaxCascadedXSubBufs, eps) <= params.TDelMargin,
+		}
 	}
 	return pts, nil
 }

@@ -11,80 +11,47 @@ import (
 	"repro/internal/workload"
 )
 
-// Batched experiment executors: several requests that differ ONLY in their
-// Monte-Carlo seed run as one fused trial grid — members × trials units
-// through a single parallelEach — so a batch occupies the worker budget as
-// one wave instead of queueing member-by-member, and each mapped model
-// evaluates its test set through the image-batched matrix–matrix path
-// (workload.AccuracyBatch). Per-trial RNG streams are keyed by (seed,
-// trial) alone (stats.NewTrialRNG), so the fusion cannot change any draw:
-// each member's result is byte-identical to running it alone. A single
-// seed is a one-member batch.
+// The Monte-Carlo studies, one unit each. A §VI-B noise trial
+// (noiseTrial) and a §V defect draw (defectDraw) are the only places a
+// study maps a model and evaluates it; the seed-batched entry points and
+// the experiments' sweeps run them over a grid of members × trials
+// through one parallelEach (runGrid), so a batch occupies the worker
+// budget as one wave instead of queueing member by member. Every unit's
+// RNG stream is keyed by its (seed, trial) coordinates alone
+// (stats.NewTrialRNG), so neither the grid's shape nor the worker count
+// can change a draw: each member's result is byte-identical to running it
+// alone. A single seed is a one-member batch.
 
 // AnalogMLPAccuracyBatch runs the §VI-B accuracy study for every seed in
 // one fused grid at shared (trials, epsPS). Results are returned in seed
 // order, each byte-identical to AnalogMLPAccuracy at that seed.
 func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, epsPS float64) ([]*AccuracyResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiments: empty seed batch")
-	}
-	if trials < 1 {
-		return nil, fmt.Errorf("experiments: trials must be >= 1, got %d", trials)
-	}
-	// Train (or fetch) each member's classifier first — memoized per seed,
-	// shared across members and with the sweep experiments.
-	tms := make([]*trainedMLP, len(seeds))
-	err := parallelEach(ctx, len(seeds), func(m int) error {
-		tm, err := accuracyMLP(seeds[m])
-		if err != nil {
-			return err
-		}
-		tms[m] = tm
-		return nil
-	})
+	tms, err := trainEach(ctx, seeds, trials, accuracyMLP)
 	if err != nil {
 		return nil, err
 	}
-	// One wave over the full members × trials grid. Unit (m, t) is exactly
-	// the unit AnalogMLPAccuracy(seeds[m], ...) runs for trial t: the same
-	// trial-keyed RNG, the same mapping options, the same test set.
-	accs := make([]float64, len(seeds)*trials)
-	err = parallelEach(ctx, len(accs), func(i int) error {
-		m, trial := i/trials, i%trials
-		a, err := tms[m].q.MapAnalog(studyOptions(stats.NewTrialRNG(seeds[m], uint32(trial)), epsPS))
-		if err != nil {
-			return err
-		}
-		acc, err := a.AccuracyBatch(tms[m].test)
-		if err != nil {
-			return err
-		}
-		accs[i] = acc
-		return nil
+	sums, err := runGrid(ctx, len(seeds), trials, func(m, trial int) (draw, error) {
+		acc, err := noiseTrial(tms[m], stats.NewTrialRNG(seeds[m], uint32(trial)), epsPS)
+		return draw{acc: acc}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*AccuracyResult, len(seeds))
-	for m := range seeds {
+	for m, s := range sums {
 		tm := tms[m]
 		res := &AccuracyResult{
 			FloatAcc:       tm.m.Accuracy(tm.test),
 			IntAcc:         tm.q.AccuracyInt(tm.test),
+			AnalogAcc:      s.mean,
 			CascadeErrorPS: analog.CascadeErrorBound(params.MaxCascadedXSubBufs, epsPS),
 			MarginPS:       params.TDelMargin,
+			AccP10:         s.p10,
+			AccP50:         s.p50,
+			AccP90:         s.p90,
 			Trials:         trials,
 		}
-		member := accs[m*trials : (m+1)*trials]
-		sum := 0.0
-		for _, acc := range member {
-			sum += acc
-		}
-		res.AnalogAcc = sum / float64(trials)
 		res.Loss = res.IntAcc - res.AnalogAcc
-		var pcts [3]float64
-		stats.PercentilesInto(member, []float64{10, 50, 90}, pcts[:])
-		res.AccP10, res.AccP50, res.AccP90 = pcts[0], pcts[1], pcts[2]
 		out[m] = res
 	}
 	return out, nil
@@ -94,100 +61,151 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 // per seed, shared with DefectSweep) onto faulty crossbars at one stuck-at
 // rate and measures the analog accuracy over trials independent fault-map
 // draws, all seeds in one fused grid. Results are returned in seed order,
-// each byte-identical to a one-seed call. Draw d uses the same RNG stream
-// DefectSweep gives its d-th draw, so the facade and the ablation
-// experiment agree exactly at equal (seed, rate, draws).
+// each byte-identical to a one-seed call. Draw d is defectDraw's d-th draw,
+// as in DefectSweep, so the facade and the ablation experiment agree
+// exactly at equal (seed, rate, draws).
 func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, faultRate float64) ([]*DefectResult, error) {
+	tcs, err := trainEach(ctx, seeds, trials, defectCNN)
+	if err != nil {
+		return nil, err
+	}
+	// One draw per seed can never repeat, so a single-trial call skips the
+	// memo and its per-draw Programmed key.
+	accs := make([]memo[float64], len(seeds))
+	if trials > 1 {
+		for m := range accs {
+			accs[m] = newMemo[float64](trials)
+		}
+	}
+	sums, err := runGrid(ctx, len(seeds), trials, func(m, d int) (draw, error) {
+		return defectDraw(tcs[m], seeds[m], d, faultRate, accs[m])
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*DefectResult, len(seeds))
+	for m, s := range sums {
+		tc := tcs[m]
+		out[m] = &DefectResult{
+			IntAcc:    tc.cnn.AccuracyInt(tc.test),
+			AnalogAcc: s.mean,
+			AccP10:    s.p10,
+			AccP50:    s.p50,
+			AccP90:    s.p90,
+			Faults:    s.faults,
+			Trials:    trials,
+		}
+	}
+	return out, nil
+}
+
+// trainEach checks the shape of a seed batch and fetches each seed's
+// trained model through train (memoized per seed, so members and the
+// sweep experiments share it), training on the worker budget.
+func trainEach[T any](ctx context.Context, seeds []uint64, trials int, train func(uint64) (T, error)) ([]T, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: empty seed batch")
 	}
 	if trials < 1 {
 		return nil, fmt.Errorf("experiments: trials must be >= 1, got %d", trials)
 	}
-	tcs := make([]*trainedCNN, len(seeds))
-	err := parallelEach(ctx, len(seeds), func(m int) error {
-		tc, err := defectCNN(seeds[m])
-		if err != nil {
-			return err
-		}
-		tcs[m] = tc
-		return nil
-	})
-	if err != nil {
+	out := make([]T, len(seeds))
+	if err := parallelEach(ctx, len(seeds), func(m int) error {
+		v, err := train(seeds[m])
+		out[m] = v
+		return err
+	}); err != nil {
 		return nil, err
-	}
-	type unit struct {
-		acc    float64
-		faults int
-	}
-	units := make([]unit, len(seeds)*trials)
-	// One draw per seed can never repeat, so a single-trial call skips the
-	// memo and its per-draw Programmed key.
-	var accs []memo[float64]
-	if trials > 1 {
-		accs = make([]memo[float64], len(seeds))
-		for m := range accs {
-			accs[m] = newMemo[float64](trials)
-		}
-	}
-	err = parallelEach(ctx, len(units), func(i int) error {
-		m, d := i/trials, i%trials
-		a, err := tcs[m].cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: stats.NewTrialRNG(seeds[m], uint32(d))},
-			InterfaceBits: 24,
-		}, faultRate)
-		if err != nil {
-			return err
-		}
-		defer a.Release()
-		var acc float64
-		if accs == nil {
-			acc, err = a.AccuracyBatch(tcs[m].test)
-		} else {
-			acc, err = defectAccuracy(accs[m], a, tcs[m].test)
-		}
-		if err != nil {
-			return err
-		}
-		units[i] = unit{acc: acc, faults: a.Faults()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*DefectResult, len(seeds))
-	for m := range seeds {
-		tc := tcs[m]
-		res := &DefectResult{IntAcc: tc.cnn.AccuracyInt(tc.test), Trials: trials}
-		sum, faults := 0.0, 0
-		member := make([]float64, trials)
-		for d := 0; d < trials; d++ {
-			u := units[m*trials+d]
-			sum += u.acc
-			faults += u.faults
-			member[d] = u.acc
-		}
-		res.AnalogAcc = sum / float64(trials)
-		res.Faults = faults / trials
-		var pcts [3]float64
-		stats.PercentilesInto(member, []float64{10, 50, 90}, pcts[:])
-		res.AccP10, res.AccP50, res.AccP90 = pcts[0], pcts[1], pcts[2]
-		out[m] = res
 	}
 	return out, nil
 }
 
+// draw is one Monte-Carlo unit's outcome: its test accuracy and, for a
+// defect draw, the stuck cells its fault map realised.
+type draw struct {
+	acc    float64
+	faults int
+}
+
+// summary reduces one member's draws: the mean accuracy, its P10/P50/P90
+// (linear-interpolated, one sort via stats.PercentilesInto) and the mean
+// fault count, truncated.
+type summary struct {
+	mean, p10, p50, p90 float64
+	faults              int
+}
+
+// runGrid runs unit(m, t) for every member m < members and trial
+// t < trials as one wave on the worker budget, and summarises each
+// member's trials in trial order, so the result is the same at any worker
+// count.
+func runGrid(ctx context.Context, members, trials int, unit func(m, t int) (draw, error)) ([]summary, error) {
+	draws := make([]draw, members*trials)
+	if err := parallelEach(ctx, len(draws), func(i int) error {
+		d, err := unit(i/trials, i%trials)
+		draws[i] = d
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	out := make([]summary, members)
+	accs := make([]float64, trials)
+	for m := range out {
+		sum, faults := 0.0, 0
+		for t, d := range draws[m*trials : (m+1)*trials] {
+			sum += d.acc
+			faults += d.faults
+			accs[t] = d.acc
+		}
+		var pcts [3]float64
+		stats.PercentilesInto(accs, []float64{10, 50, 90}, pcts[:])
+		out[m] = summary{mean: sum / float64(trials), p10: pcts[0], p50: pcts[1], p90: pcts[2], faults: faults / trials}
+	}
+	return out, nil
+}
+
+// noiseTrial is one §VI-B Monte-Carlo trial: tm's quantised classifier
+// mapped under studyOptions with X-subBuf error epsPS and noise drawn from
+// rng, and its test accuracy. The accuracy study, the noise sweep and
+// BenchmarkAccuracyTrial all run it.
+func noiseTrial(tm *trainedMLP, rng *stats.RNG, epsPS float64) (float64, error) {
+	a, err := tm.q.MapAnalog(studyOptions(rng, epsPS))
+	if err != nil {
+		return 0, err
+	}
+	return a.Accuracy(tm.test)
+}
+
+// defectDraw is draw d of the §V defect study at one stuck-at rate: tc's
+// CNN mapped at the 24-bit interface onto a sub-chip whose faults come
+// from the trial stream stats.NewTrialRNG(seed, d), evaluated through
+// defectAccuracy's memo accs. DefectSweep, AnalogCNNAccuracyBatch and
+// BenchmarkDefectTrial all run it.
+func defectDraw(tc *trainedCNN, seed uint64, d int, rate float64, accs memo[float64]) (draw, error) {
+	a, err := tc.cnn.MapAnalog(core.Options{
+		Noise:         &analog.Noise{RNG: stats.NewTrialRNG(seed, uint32(d))},
+		InterfaceBits: 24,
+	}, rate)
+	if err != nil {
+		return draw{}, err
+	}
+	defer a.Release()
+	acc, err := defectAccuracy(accs, a, tc.test)
+	return draw{acc: acc, faults: a.Faults()}, err
+}
+
 // defectAccuracy is the accuracy of one fault-map draw of a defect study,
 // evaluated once per distinct programmed CNN. accs must be private to one
-// call and one trained model: within it, mapping options are fixed, so a
-// BatchSafe mapped CNN's accuracy is a function of AnalogCNN.Programmed
-// alone, and draws whose faults leave the read cells identical share the
-// first such draw's evaluation. accs is capped at the call's draw count,
-// so it never evicts. Fault injection and every RNG stream are untouched —
-// the memo only skips repeated test-set passes.
+// call and one trained model, or the zero memo, which evaluates every
+// draw. Within one call mapping options are fixed, so a BatchSafe mapped
+// CNN's accuracy is a function of AnalogCNN.Programmed alone, and draws
+// whose faults leave the read cells identical share the first such draw's
+// evaluation. accs is capped at the call's draw count, so it never
+// evicts. Fault injection and every RNG stream are untouched — the memo
+// only skips repeated test-set passes.
 func defectAccuracy(accs memo[float64], a *workload.AnalogCNN, test *workload.ImageDataset) (float64, error) {
-	if !a.BatchSafe() {
-		return a.AccuracyBatch(test)
+	if accs.lru == nil || !a.BatchSafe() {
+		return a.Accuracy(test)
 	}
-	return accs.Do(a.Programmed(), func() (float64, error) { return a.AccuracyBatch(test) })
+	return accs.Do(a.Programmed(), func() (float64, error) { return a.Accuracy(test) })
 }

@@ -18,8 +18,8 @@ import (
 // Substream).
 //
 // The per-cell Bernoulli / Box-Muller regime "v1" and the serial-splitmix
-// regime "v2" are retired: ParseSamplerVersion rejects their spellings and
-// names d9a0b33 as the last commit that supports them.
+// regime "v2" are retired; d9a0b33 is the last commit that supports them.
+// No input names a contract: results echo String's "v3".
 type SamplerVersion uint8
 
 const (
@@ -47,21 +47,6 @@ func (v SamplerVersion) String() string {
 		return "v3"
 	}
 	return fmt.Sprintf("sampler(%d)", uint8(v))
-}
-
-// ParseSamplerVersion parses the CLI/API spelling of the Monte-Carlo
-// stream contract: "v3", or "" for the default. The retired spellings "v1"
-// and "v2" fail with an error that names the last commit supporting them.
-func ParseSamplerVersion(s string) (SamplerVersion, error) {
-	switch s {
-	case "":
-		return SamplerDefault, nil
-	case "v3":
-		return SamplerV3, nil
-	case "v1", "v2":
-		return 0, fmt.Errorf("stats: sampler %q is retired (d9a0b33 is the last commit that supports v1 and v2); want v3", s)
-	}
-	return 0, fmt.Errorf("stats: unknown sampler version %q (want v3)", s)
 }
 
 // intnLemire is the trial-stream bounded uniform: Lemire's multiply-shift
@@ -184,9 +169,9 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 	fn := float64(n)
 	q := 1 - p
 	spq := math.Sqrt(fn * p * q)
-	b := 1.15 + 2.53*spq
-	a := -0.0873 + 0.0248*b + 0.01*p
-	c := fn*p + 0.5
+	b := 1.15 + float64(2.53*spq)
+	a := -0.0873 + float64(0.0248*b) + float64(0.01*p)
+	c := float64(fn*p) + 0.5
 	vr := 0.92 - 4.2/b
 	alpha := (2.83 + 5.1/b) * spq
 	lpq := p / q
@@ -195,7 +180,7 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 		u := r.Float64() - 0.5
 		v := r.Float64()
 		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + c)
+		k := math.Floor(float64((2*a/us+b)*u) + c)
 		if us >= 0.07 && v <= vr {
 			return int(k)
 		}
@@ -205,9 +190,9 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 		// Exact acceptance: log v against the transformed PMF ratio, with
 		// Stirling-series factorial tails.
 		v = math.Log(v * alpha / (a/(us*us) + b))
-		ub := (m+0.5)*math.Log((m+1)/(lpq*(fn-m+1))) +
-			(fn+1)*math.Log((fn-m+1)/(fn-k+1)) +
-			(k+0.5)*math.Log(lpq*(fn-k+1)/(k+1)) +
+		ub := float64((m+0.5)*math.Log((m+1)/(lpq*(fn-m+1)))) +
+			float64((fn+1)*math.Log((fn-m+1)/(fn-k+1))) +
+			float64((k+0.5)*math.Log(lpq*(fn-k+1)/(k+1))) +
 			stirlingTail(m) + stirlingTail(fn-m) - stirlingTail(k) - stirlingTail(fn-k)
 		if v <= ub {
 			return int(k)
@@ -337,7 +322,7 @@ func (r *RNG) zigFrom(u uint64) float64 {
 		}
 		// Wedge: accept x with probability proportional to the density
 		// overhang between the stacked rectangles.
-		if zigF[i]+r.Float64()*(zigF[i+1]-zigF[i]) < math.Exp(-0.5*x*x) {
+		if zigF[i]+float64(r.Float64()*(zigF[i+1]-zigF[i])) < math.Exp(-0.5*x*x) {
 			return signedBits(x, sign)
 		}
 		u = r.Uint64()

@@ -2,29 +2,17 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
 // --- SamplerVersion plumbing ---
 
-func TestSamplerVersionParseAndResolve(t *testing.T) {
-	for in, want := range map[string]SamplerVersion{"": SamplerDefault, "v3": SamplerV3} {
-		got, err := ParseSamplerVersion(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSamplerVersion(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, retired := range []string{"v1", "v2"} {
-		if _, err := ParseSamplerVersion(retired); err == nil || !strings.Contains(err.Error(), "d9a0b33") {
-			t.Errorf("ParseSamplerVersion(%q) err = %v; want the retirement error naming d9a0b33", retired, err)
-		}
-	}
-	if _, err := ParseSamplerVersion("v4"); err == nil {
-		t.Error("ParseSamplerVersion(v4) succeeded; want error")
-	}
+func TestSamplerVersionResolve(t *testing.T) {
 	if SamplerDefault.Resolve() != SamplerV3 || SamplerV3.Resolve() != SamplerV3 {
 		t.Errorf("SamplerDefault/SamplerV3 resolve to %v/%v; want v3", SamplerDefault.Resolve(), SamplerV3.Resolve())
+	}
+	if got := SamplerV3.String(); got != "v3" {
+		t.Errorf("SamplerV3.String() = %q; want the echoed spelling v3", got)
 	}
 	var zero RNG
 	if zero.Philox() || NewRNG(1).Philox() {

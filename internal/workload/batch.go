@@ -9,8 +9,8 @@ import "fmt"
 // deterministic crossbar kernel is bit-identical per wave regardless of
 // batch composition. With randomness configured the shared RNG stream
 // makes any reorder unsafe, so the batch entry points fall back to the
-// per-image path; either way the results equal the unbatched path byte
-// for byte.
+// per-image path; either way the results equal a Predict loop byte for
+// byte.
 
 // predictBlock bounds the scratch footprint of the image-batched paths:
 // images are processed in blocks of this many.
@@ -107,20 +107,26 @@ func (a *AnalogMLP) predictBlockDet(xs [][]float64, out []int) error {
 	return nil
 }
 
-// AccuracyBatch evaluates the analog pipeline over a dataset through the
-// image-batched path. The returned accuracy is identical to Accuracy's.
-func (a *AnalogMLP) AccuracyBatch(d *Dataset) (float64, error) {
+// Accuracy evaluates the analog pipeline over a dataset through
+// PredictBatch: layer-major blocks when BatchSafe, image by image
+// otherwise, so it scores exactly what Predict classifies.
+func (a *AnalogMLP) Accuracy(d *Dataset) (float64, error) {
 	preds := make([]int, d.Len())
 	if err := a.PredictBatch(d.X, preds); err != nil {
 		return 0, err
 	}
+	return score(preds, d.Y), nil
+}
+
+// score is the fraction of predictions that match their labels.
+func score(preds, labels []int) float64 {
 	hit := 0
 	for i, p := range preds {
-		if p == d.Y[i] {
+		if p == labels[i] {
 			hit++
 		}
 	}
-	return hitRate(hit, d.Len()), nil
+	return hitRate(hit, len(preds))
 }
 
 // BatchSafe reports whether cross-image batching is bit-identical for
@@ -142,16 +148,23 @@ func (a *AnalogCNN) Programmed() string {
 	return string(a.convMap.AppendLevels(nil))
 }
 
-// AccuracyBatch evaluates the analog pipeline over a dataset: each image's
-// patches take one conv ForwardCodes pass (already a matrix–matrix pass),
-// and blocks of images go through the head's layer-major batched path. The
-// returned accuracy is identical to Accuracy's; when BatchSafe is false it
-// falls back to the per-image path outright.
-func (a *AnalogCNN) AccuracyBatch(d *ImageDataset) (float64, error) {
-	if !a.BatchSafe() {
-		return a.Accuracy(d)
-	}
+// Accuracy evaluates the analog pipeline over a dataset, scoring exactly
+// what Predict classifies. When BatchSafe, each image's patches take one
+// conv ForwardCodes pass (already a matrix–matrix pass) and blocks of
+// images go through the head's layer-major batched path; otherwise every
+// image runs through Predict in order.
+func (a *AnalogCNN) Accuracy(d *ImageDataset) (float64, error) {
 	preds := make([]int, d.Len())
+	if !a.BatchSafe() {
+		for i, img := range d.X {
+			p, err := a.Predict(img)
+			if err != nil {
+				return 0, err
+			}
+			preds[i] = p
+		}
+		return score(preds, d.Y), nil
+	}
 	feats := make([][]float64, predictBlock)
 	// One feature buffer serves every block; it is replaced, never
 	// resized in place, so a block's earlier vectors stay intact.
@@ -175,11 +188,5 @@ func (a *AnalogCNN) AccuracyBatch(d *ImageDataset) (float64, error) {
 			return 0, err
 		}
 	}
-	hit := 0
-	for i, p := range preds {
-		if p == d.Y[i] {
-			hit++
-		}
-	}
-	return hitRate(hit, d.Len()), nil
+	return score(preds, d.Y), nil
 }

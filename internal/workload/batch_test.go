@@ -9,6 +9,23 @@ import (
 	"repro/internal/stats"
 )
 
+// predictLoop is the reference every Accuracy is checked against: one
+// Predict call per sample, in order.
+func predictLoop[X any](t *testing.T, predict func(X) (int, error), xs []X, ys []int) float64 {
+	t.Helper()
+	hit := 0
+	for i, x := range xs {
+		p, err := predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == ys[i] {
+			hit++
+		}
+	}
+	return hitRate(hit, len(xs))
+}
+
 // TestMLPBatchIdentityDeterministic: with a deterministic noise
 // configuration the layer-major blocked path must classify every sample
 // identically to per-sample Predict.
@@ -38,11 +55,8 @@ func TestMLPBatchIdentityDeterministic(t *testing.T) {
 			t.Fatalf("sample %d: batched %d, per-sample %d", i, preds[i], want)
 		}
 	}
-	accSeq, err := a.Accuracy(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accBatch, err := a.AccuracyBatch(test)
+	accSeq := predictLoop(t, a.Predict, test.X, test.Y)
+	accBatch, err := a.Accuracy(test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +66,9 @@ func TestMLPBatchIdentityDeterministic(t *testing.T) {
 }
 
 // TestMLPBatchIdentityNoisy: with randomness configured BatchSafe must be
-// false and AccuracyBatch must fall back to the exact per-sample path —
-// two identically-seeded mappings, one evaluated sequentially and one
-// batched, consume the same RNG stream and agree exactly.
+// false and Accuracy must fall back to the exact per-sample path — two
+// identically-seeded mappings, one evaluated by a Predict loop and one by
+// Accuracy, consume the same RNG stream and agree exactly.
 func TestMLPBatchIdentityNoisy(t *testing.T) {
 	m, train, test := trainedSetup(t, 22)
 	q, err := Quantize(m, train, 8)
@@ -78,12 +92,9 @@ func TestMLPBatchIdentityNoisy(t *testing.T) {
 	if a1.BatchSafe() {
 		t.Fatal("noisy mapping reported batch-safe — reordering would change RNG draws")
 	}
-	accSeq, err := a1.Accuracy(test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accSeq := predictLoop(t, a1.Predict, test.X, test.Y)
 	a2 := mapNoisy()
-	accBatch, err := a2.AccuracyBatch(test)
+	accBatch, err := a2.Accuracy(test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +125,8 @@ func TestCNNBatchIdentity(t *testing.T) {
 	if !a.BatchSafe() {
 		t.Fatal("zero-sigma defect mapping must be batch-safe")
 	}
-	accSeq, err := a.Accuracy(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accBatch, err := a.AccuracyBatch(test)
+	accSeq := predictLoop(t, a.Predict, test.X, test.Y)
+	accBatch, err := a.Accuracy(test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +150,9 @@ func TestCNNBatchIdentity(t *testing.T) {
 	if n1.BatchSafe() {
 		t.Fatal("noisy CNN mapping reported batch-safe")
 	}
-	nSeq, err := n1.Accuracy(test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nSeq := predictLoop(t, n1.Predict, test.X, test.Y)
 	n2 := mapNoisy()
-	nBatch, err := n2.AccuracyBatch(test)
+	nBatch, err := n2.Accuracy(test)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -377,18 +377,3 @@ func pixelCodes(img *tensor.Int) bool {
 	}
 	return true
 }
-
-// Accuracy evaluates the analog pipeline over a dataset.
-func (a *AnalogCNN) Accuracy(d *ImageDataset) (float64, error) {
-	hit := 0
-	for i, img := range d.X {
-		p, err := a.Predict(img)
-		if err != nil {
-			return 0, err
-		}
-		if p == d.Y[i] {
-			hit++
-		}
-	}
-	return hitRate(hit, d.Len()), nil
-}

@@ -75,7 +75,7 @@ func TestAnalogCNNMatchesIntegerIdeal(t *testing.T) {
 // TestAnalogCNNFeaturesMatchInteger: in ideal mode the analog feature
 // vector — pooled straight from the conv psums — equals the integer
 // path's requantise-then-pool features, value for value, through Predict's
-// and AccuracyBatch's scratch alike.
+// and Accuracy's scratch alike.
 func TestAnalogCNNFeaturesMatchInteger(t *testing.T) {
 	cnn, _, test := trainedCNN(t, 7)
 	a, err := cnn.MapAnalog(core.IdealOptions(nil), 0)
@@ -116,8 +116,8 @@ func TestAnalogCNNRejectsNonCodePixels(t *testing.T) {
 		t.Fatalf("Predict error = %v; want %q", err, want)
 	}
 	bad := &ImageDataset{X: []*tensor.Int{test.X[1], img}, Y: []int{0, 0}, Size: test.Size, Classes: test.Classes}
-	if _, err := a.AccuracyBatch(bad); err == nil || err.Error() != want {
-		t.Fatalf("AccuracyBatch error = %v; want %q", err, want)
+	if _, err := a.Accuracy(bad); err == nil || err.Error() != want {
+		t.Fatalf("Accuracy error = %v; want %q", err, want)
 	}
 	if _, err := a.Predict(test.X[1]); err != nil {
 		t.Fatalf("a valid image after a rejected one: %v", err)

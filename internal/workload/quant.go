@@ -227,21 +227,6 @@ func (a *AnalogMLP) Predict(x []float64) (int, error) {
 	return 0, nil
 }
 
-// Accuracy evaluates the analog pipeline on a dataset.
-func (a *AnalogMLP) Accuracy(d *Dataset) (float64, error) {
-	hit := 0
-	for i, x := range d.X {
-		p, err := a.Predict(x)
-		if err != nil {
-			return 0, err
-		}
-		if p == d.Y[i] {
-			hit++
-		}
-	}
-	return hitRate(hit, d.Len()), nil
-}
-
 func argmax64(xs []int64) int {
 	best, bi := xs[0], 0
 	for i, v := range xs {

@@ -205,6 +205,10 @@ func TestAccuracyEmptyDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noisyCNN, err := cnn.MapAnalog(core.Options{Noise: analog.DefaultNoise(3), InterfaceBits: 24}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	noClusters := &Dataset{Dim: 16, Classes: 4}
 	noImages := &ImageDataset{Size: 12, Classes: 4}
@@ -224,10 +228,9 @@ func TestAccuracyEmptyDataset(t *testing.T) {
 		{"MLP.Accuracy", func() float64 { return mlp.Accuracy(noClusters) }},
 		{"QuantMLP.AccuracyInt", func() float64 { return q.AccuracyInt(noClusters) }},
 		{"AnalogMLP.Accuracy", withErr(func() (float64, error) { return amlp.Accuracy(noClusters) })},
-		{"AnalogMLP.AccuracyBatch", withErr(func() (float64, error) { return amlp.AccuracyBatch(noClusters) })},
 		{"CNN.AccuracyInt", func() float64 { return cnn.AccuracyInt(noImages) }},
 		{"AnalogCNN.Accuracy", withErr(func() (float64, error) { return acnn.Accuracy(noImages) })},
-		{"AnalogCNN.AccuracyBatch", withErr(func() (float64, error) { return acnn.AccuracyBatch(noImages) })},
+		{"AnalogCNN.Accuracy (per image)", withErr(func() (float64, error) { return noisyCNN.Accuracy(noImages) })},
 	} {
 		if got := tc.acc(); got != 0 {
 			t.Errorf("%s on an empty dataset = %v, want 0", tc.name, got)

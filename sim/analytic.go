@@ -35,7 +35,7 @@ type timelyBackend struct {
 }
 
 func newTimely(cfg *Config) (Backend, error) {
-	if err := cfg.reject("timely", optNoise, optFaultRate, optSeed, optTrials, optSampler, optImages, optTrace); err != nil {
+	if err := cfg.reject("timely", optNoise, optFaultRate, optSeed, optTrials, optImages, optTrace); err != nil {
 		return nil, err
 	}
 	return &timelyBackend{analytic{name: "timely", cfg: *cfg}}, nil
@@ -47,7 +47,7 @@ func newTimely(cfg *Config) (Backend, error) {
 func newAnalytic(name string) Factory {
 	return func(cfg *Config) (Backend, error) {
 		if err := cfg.reject(name, optBits, optSubChips, optGamma,
-			optNoise, optFaultRate, optSeed, optTrials, optSampler, optImages, optTrace); err != nil {
+			optNoise, optFaultRate, optSeed, optTrials, optImages, optTrace); err != nil {
 			return nil, err
 		}
 		return &analytic{name: name, cfg: *cfg}, nil

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/model"
-	"repro/internal/stats"
 )
 
 // Serving-side batch support: request identity keys for timelyd's
@@ -31,11 +30,11 @@ import (
 // explicitly-set field and an unset one are different classes, because
 // backends reject options foreign to them only when explicitly set (an
 // explicit bits on the functional backend is a 400; an unset one is not).
-// The one exception is the sampler on the functional backend, which
-// accepts "" and "v3" alike: it keys resolved (see samplerKey). Inline
-// specs are compiled (and validated) here, so a handler can reject a
-// malformed spec before admission; the same validation failures Evaluate
-// would report are returned.
+// No component names a Monte-Carlo stream contract: every functional
+// evaluation draws from the one keyed Philox contract ("v3", echoed in
+// the result). Inline specs are compiled (and validated) here, so a
+// handler can reject a malformed spec before admission; the same
+// validation failures Evaluate would report are returned.
 func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	if r.Backend == "" {
 		return "", "", fmt.Errorf("%w: request names no backend", ErrUnknownBackend)
@@ -49,7 +48,7 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	}
 	var b strings.Builder
 	// Client-controlled free-form strings are %q-escaped so a crafted
-	// network name or sampler spelling cannot forge another request's key.
+	// network name cannot forge another request's key.
 	fmt.Fprintf(&b, "b=%q", r.Backend)
 	if r.Spec != nil {
 		n, cerr := r.Spec.Compile()
@@ -71,7 +70,7 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	} else {
 		b.WriteString("|fault=-")
 	}
-	fmt.Fprintf(&b, "|trials=%d|sampler=%q|images=%d", r.Trials, r.samplerKey(), r.Images)
+	fmt.Fprintf(&b, "|trials=%d|images=%d", r.Trials, r.Images)
 	if r.Seed != nil {
 		b.WriteString("|seed=set")
 	} else {
@@ -84,23 +83,6 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 		cacheKey = batchKey + "#-"
 	}
 	return cacheKey, batchKey, nil
-}
-
-// samplerKey is the sampler field's key spelling. The functional backend
-// accepts "" and "v3" alike and both select the one stream contract, so
-// both key as the resolved "v3": the two bodies share a cache entry and
-// fuse into one trial grid. Every other spelling keys raw — an explicit
-// sampler is a 400 on the other backends where an unset one is not, and
-// an unparsable one must reach Evaluate to fail there.
-func (r *EvalRequest) samplerKey() string {
-	if r.Backend != "functional" {
-		return r.Sampler
-	}
-	v, err := stats.ParseSamplerVersion(r.Sampler)
-	if err != nil {
-		return r.Sampler
-	}
-	return v.Resolve().String()
 }
 
 // RegistryFree reports whether the request's answer cannot depend on the

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/params"
-	"repro/internal/stats"
 )
 
 // Config is the resolved backend configuration a Factory receives. Fields
@@ -49,7 +48,6 @@ const (
 	optFaultRate = "fault_rate"
 	optSeed      = "seed"
 	optTrials    = "trials"
-	optSampler   = "sampler"
 	optImages    = "images"
 	optTrace     = "trace"
 )
@@ -217,25 +215,6 @@ func WithTraceSink(fn func(TraceSpan)) Option {
 		}
 		c.TraceSink = fn
 		c.mark(optTrace)
-		return nil
-	}
-}
-
-// WithSampler names the functional backend's Monte-Carlo stream contract.
-// Only "v3" (and "" for the default, also v3) is accepted: a counter-based
-// Philox generator keyed by the study's (seed, trial, grid slot)
-// coordinates, so every trial's stream is independently computable and
-// results are byte-stable at any worker count. The retired "v1" and "v2"
-// fail with ErrInvalidOption naming d9a0b33, the last commit that supports
-// them. The option selects nothing; it validates a request that pins the
-// contract explicitly, and like every functional option it is rejected by
-// the other backends.
-func WithSampler(version string) Option {
-	return func(c *Config) error {
-		if _, err := stats.ParseSamplerVersion(version); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidOption, err)
-		}
-		c.mark(optSampler)
 		return nil
 	}
 }

@@ -141,9 +141,6 @@ type EvalRequest struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Trials is the Monte-Carlo repeat count (functional).
 	Trials int `json:"trials,omitempty"`
-	// Sampler names the Monte-Carlo stream contract (functional): "v3" or
-	// empty; the retired "v1"/"v2" are rejected. See WithSampler.
-	Sampler string `json:"sampler,omitempty"`
 	// Images is the image count the event-driven simulation pushes through
 	// the pipeline (timing); see WithImages.
 	Images int `json:"images,omitempty"`
@@ -175,9 +172,6 @@ func (r *EvalRequest) options() []Option {
 	}
 	if r.Trials != 0 {
 		opts = append(opts, WithTrials(r.Trials))
-	}
-	if r.Sampler != "" {
-		opts = append(opts, WithSampler(r.Sampler))
 	}
 	if r.Images != 0 {
 		opts = append(opts, WithImages(r.Images))

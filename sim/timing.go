@@ -94,7 +94,7 @@ type timingBackend struct {
 }
 
 func newTiming(cfg *Config) (Backend, error) {
-	if err := cfg.reject("timing", optNoise, optFaultRate, optSeed, optTrials, optSampler); err != nil {
+	if err := cfg.reject("timing", optNoise, optFaultRate, optSeed, optTrials); err != nil {
 		return nil, err
 	}
 	return &timingBackend{energy: analytic{name: "timely", cfg: *cfg}, cfg: *cfg}, nil

@@ -200,7 +200,7 @@ func TestTimingDeterministicAcrossParAndRepeats(t *testing.T) {
 func TestTimingOptionApplicability(t *testing.T) {
 	// Monte-Carlo options have no meaning on the deterministic simulator.
 	for _, opt := range []Option{
-		WithNoise(10), WithFaultRate(0.01), WithSeed(7), WithTrials(3), WithSampler("v3"),
+		WithNoise(10), WithFaultRate(0.01), WithSeed(7), WithTrials(3),
 	} {
 		if _, err := Open("timing", opt); !errors.Is(err, ErrInvalidOption) {
 			t.Errorf("timing accepted a Monte-Carlo option (err = %v)", err)
