@@ -98,7 +98,7 @@ type DTC struct {
 
 // inlBow returns the parabolic INL deviation (in LSB) at normalised code
 // position c ∈ [0,1] for peak inl.
-func inlBow(inl, c float64) float64 { return inl * 4 * c * (1 - c) }
+func inlBow(inl, c float64) float64 { return float64(inl * 4 * c * (1 - c)) }
 
 // NewDTC returns the Table II DTC.
 func NewDTC() DTC { return DTC{Bits: params.DTCBits, TDel: params.TDel} }
@@ -113,9 +113,9 @@ func (d DTC) Convert(code int, e float64) (float64, error) {
 	if code < 0 || code >= d.Levels() {
 		return 0, fmt.Errorf("analog: DTC code %d out of [0,%d)", code, d.Levels())
 	}
-	t := float64(code) * d.TDel
+	t := float64(float64(code) * d.TDel)
 	if d.INL != 0 {
-		t += inlBow(d.INL, float64(code)/float64(d.Levels()-1)) * d.TDel
+		t += float64(inlBow(d.INL, float64(code)/float64(d.Levels()-1)) * d.TDel)
 	}
 	t += e
 	if t < 0 {
@@ -196,7 +196,7 @@ type PSubBuf struct{}
 // Mirror copies charge (the time-integrated column current) through the
 // current mirror, applying the relative gain error e.
 func (PSubBuf) Mirror(charge, e float64) float64 {
-	return charge * (1 + e)
+	return float64(charge * (1 + e))
 }
 
 // IAdder sums the column currents of vertically stacked crossbars

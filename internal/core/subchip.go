@@ -22,11 +22,12 @@
 // draw sequences (and therefore artifact bytes) are identical to repeated
 // Compute calls; each such wave draws all its Gaussian deviates in one bulk
 // fill before it runs, because their number depends on the sigmas and the
-// layer's shape alone. Noise-free on integral crossbars, the datapath is exact
-// integer arithmetic — 8-bit DTC codes times integer cell levels, summed
-// exactly, quantised by a shift — and ForwardBatch pushes whole input
-// blocks through the integer matrix–matrix kernel instead, bit-identical to
-// the float path. Where that quantiser is the identity (the 24-bit
+// layer's shape alone; ComputeLockstep shares one such fill among layers
+// that draw the same count from one stream. Noise-free on integral
+// crossbars, the datapath is exact integer arithmetic — 8-bit DTC codes
+// times integer cell levels, summed exactly, quantised by a shift — and
+// ForwardBatch pushes whole input blocks through the integer matrix–matrix
+// kernel instead, bit-identical to the float path. Where that quantiser is the identity (the 24-bit
 // interface) a layer is one integer product with its cached effective
 // weights. Sub-chips are not safe for concurrent use.
 package core
@@ -498,27 +499,41 @@ func (e *errTerms) next(sigma float64) float64 {
 	return analog.ErrorTerm(sigma, z)
 }
 
-// computeInto is the one wave executor for every noise configuration. The
-// number of deviates a wave draws depends only on the sigmas and the
-// layer's shape, so it draws them first, in one NormFill into the arena,
-// and then applies them in the order the blocks use them: per row the DTC
-// jitter then the input-hop errors, then the X-subBuf errors of each
-// further grid column, then per physical column (channel, arm, nibble) the
-// P-subBuf gain errors top to bottom, the comparator and the TDC jitter.
-// That is the order one Norm call per block use would draw them, so the
-// psums are those of a draw-per-block executor. With zero sigmas nothing
-// is drawn. The per-column crossbar reads are one flat DotColumns pass per
-// crossbar (the dots are deterministic, so hoisting them ahead of the
-// mirror and comparator changes nothing). codes are valid DTC codes.
+// computeInto is the one wave executor for every noise configuration: it
+// draws the wave's deviates, then applies them.
 func (m *MappedLayer) computeInto(codes []uint8, psums []int) {
+	sg := m.sc.sigmas()
+	m.apply(codes, psums, sg, m.draw(sg))
+}
+
+// draw is a wave's draw step. The number of deviates a wave draws depends
+// only on the sigmas and the layer's shape, so it draws them all at once,
+// in one NormFill into the arena, and returns them; with zero sigmas
+// nothing is drawn.
+func (m *MappedLayer) draw(sg sigmas) []float64 {
+	z := grow(&m.sc.ar.devs, m.deviates(sg))
+	if len(z) > 0 {
+		m.sc.noise.RNG.NormFill(z)
+	}
+	return z
+}
+
+// apply is a wave's apply step: it runs codes through the analog path with
+// the drawn deviates z (deviates(sg) of them) and writes the psums. It uses
+// them in the order the blocks do: per row the DTC jitter then the
+// input-hop errors, then the X-subBuf errors of each further grid column,
+// then per physical column (channel, arm, nibble) the P-subBuf gain errors
+// top to bottom, the comparator and the TDC jitter. That is the order one
+// Norm call per block use would draw them, so the psums are those of a
+// draw-per-block executor. The per-column crossbar reads are one flat
+// DotColumns pass per crossbar (the dots are deterministic, so hoisting
+// them ahead of the mirror and comparator changes nothing). codes are
+// valid DTC codes.
+func (m *MappedLayer) apply(codes []uint8, psums []int, sg sigmas, z []float64) {
 	s := m.sc
 	cfg := s.cfg
 	rows := m.Rows
-	sg := s.sigmas()
-	errs := errTerms{z: grow(&s.ar.devs, m.deviates(sg))}
-	if len(errs.z) > 0 {
-		s.noise.RNG.NormFill(errs.z)
-	}
+	errs := errTerms{z: z}
 
 	// DTC conversion of the input vector (per-row times), plus the optional
 	// input-hop cascade. Energy for these conversions is attributed by the
@@ -661,6 +676,52 @@ func (m *MappedLayer) ForwardCodes(codes []uint8, nvec int, out []int) error {
 		m.computeInto(codes[v*m.Rows:(v+1)*m.Rows], out[v*m.D:(v+1)*m.D])
 	}
 	return nil
+}
+
+// ComputeLockstep runs one wave on each of layers: layers[i] reads the DTC
+// codes codes[i] (Rows long) and writes its D psums to psums[i]. The
+// layers' noise must draw from one RNG, and a wave of each must draw the
+// same number of deviates; the wave's deviates are then drawn once and
+// that one draw is applied to every layer. A wave consumes the next
+// deviates(sg) deviates of the stream whatever it does with them, so each
+// layer's psums are those of one Compute on its own clone of the stream,
+// and the RNG ends where each clone would. Layers that share neither fail
+// before anything is drawn or counted.
+func ComputeLockstep(layers []*MappedLayer, codes [][]uint8, psums [][]int) error {
+	if len(codes) != len(layers) || len(psums) != len(layers) {
+		return fmt.Errorf("core: lockstep of %d layers with %d inputs and %d outputs",
+			len(layers), len(codes), len(psums))
+	}
+	if len(layers) == 0 {
+		return nil
+	}
+	lead := layers[0]
+	rng, n := lead.sc.noiseRNG(), lead.deviates(lead.sc.sigmas())
+	for i, m := range layers {
+		if len(codes[i]) != m.Rows || len(psums[i]) != m.D {
+			return fmt.Errorf("core: lockstep layer %d: %d inputs and %d outputs for %d rows and %d channels",
+				i, len(codes[i]), len(psums[i]), m.Rows, m.D)
+		}
+		if m.sc.noiseRNG() != rng {
+			return fmt.Errorf("core: lockstep layer %d draws from another RNG", i)
+		}
+		if k := m.deviates(m.sc.sigmas()); k != n {
+			return fmt.Errorf("core: lockstep layer %d draws %d deviates a wave, layer 0 %d", i, k, n)
+		}
+	}
+	z := lead.draw(lead.sc.sigmas())
+	for i, m := range layers {
+		m.apply(codes[i], psums[i], m.sc.sigmas(), z)
+	}
+	return nil
+}
+
+// noiseRNG is the generator the sub-chip's noise draws from, or nil.
+func (s *SubChip) noiseRNG() *stats.RNG {
+	if s.noise == nil {
+		return nil
+	}
+	return s.noise.RNG
 }
 
 // BatchDeterministic reports whether this mapped layer's batched forward

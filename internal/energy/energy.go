@@ -182,9 +182,11 @@ func NewLedger(units map[Component]float64) *Ledger {
 	return l
 }
 
-// Add records n operations of component c serving class cl.
+// Add records n operations of component c serving class cl. n is rounded
+// on its own, so a caller's count product inlined here never fuses into
+// the sum on any GOARCH.
 func (l *Ledger) Add(c Component, cl Class, n float64) {
-	l.counts[c][cl] += n
+	l.counts[c][cl] += float64(n)
 }
 
 // Count returns the operation count of component c across all classes.
@@ -202,12 +204,14 @@ func (l *Ledger) CountClass(c Component, cl Class) float64 { return l.counts[c][
 // Unit returns the unit energy of component c.
 func (l *Ledger) Unit(c Component) float64 { return l.units[c] }
 
-// Energy returns the energy of component c across all classes (fJ).
-func (l *Ledger) Energy(c Component) float64 { return l.Count(c) * l.units[c] }
+// Energy returns the energy of component c across all classes (fJ). It
+// and EnergyClass round their product, so the sums over components that
+// inline them never fuse it.
+func (l *Ledger) Energy(c Component) float64 { return float64(l.Count(c) * l.units[c]) }
 
 // EnergyClass returns the energy of component c serving class cl (fJ).
 func (l *Ledger) EnergyClass(c Component, cl Class) float64 {
-	return l.counts[c][cl] * l.units[c]
+	return float64(l.counts[c][cl] * l.units[c])
 }
 
 // Total returns the whole-ledger energy (fJ).

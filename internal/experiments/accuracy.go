@@ -9,6 +9,7 @@ import (
 	"repro/internal/params"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // AccuracyResult is the §VI-B accuracy study on the synthetic workload.
@@ -83,28 +84,67 @@ func studyOptions(rng *stats.RNG, epsPS float64) core.Options {
 // RunNoiseSweep sweeps the X-subBuf error ε and reports analog accuracy —
 // the ablation behind the paper's choice of ε, cascade limit and margin.
 // The classifier is memoized per seed, shared with RunAccuracy.
+//
+// Each ε point is one trial on the noise stream
+// stats.NewTrialRNG(seed+1, 0), the same stream for every point. A wave's
+// deviate count depends only on which sigmas are non-zero and on the
+// layer's shape, so every ε≠0 point draws exactly the deviates of every
+// other, and so does every ε=0 point. The points are grouped by that draw
+// signature; each group maps its points on one shared stream and scores
+// them in lockstep (workload.LockstepAccuracy), drawing each wave once for
+// the whole group. Every point's accuracy is still that of noiseTrial on
+// its own fresh stream. Each group is one unit of the worker budget.
 func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64) ([]NoiseSweepPoint, error) {
 	tm, err := accuracyMLP(seed)
 	if err != nil {
 		return nil, err
 	}
-	// Each ε point is one trial; every point draws the same noise stream.
-	sums, err := runGrid(ctx, len(epsilons), 1, func(i, _ int) (draw, error) {
-		acc, err := noiseTrial(tm, stats.NewTrialRNG(seed+1, 0), epsilons[i])
-		return draw{acc: acc}, err
-	})
-	if err != nil {
+	// The indices of the ε=0 points, then of the ε≠0 points.
+	var groups [2][]int
+	for i, eps := range epsilons {
+		g := 0
+		if eps != 0 {
+			g = 1
+		}
+		groups[g] = append(groups[g], i)
+	}
+	accs := make([]float64, len(epsilons))
+	if err := parallelEach(ctx, len(groups), func(g int) error {
+		return noiseGroup(tm, stats.NewTrialRNG(seed+1, 0), epsilons, groups[g], accs)
+	}); err != nil {
 		return nil, err
 	}
 	pts := make([]NoiseSweepPoint, len(epsilons))
 	for i, eps := range epsilons {
 		pts[i] = NoiseSweepPoint{
 			EpsilonPS:    eps,
-			AnalogAcc:    sums[i].mean,
+			AnalogAcc:    accs[i],
 			WithinMargin: analog.CascadeErrorBound(params.MaxCascadedXSubBufs, eps) <= params.TDelMargin,
 		}
 	}
 	return pts, nil
+}
+
+// noiseGroup maps tm's classifier under studyOptions at each ε of one
+// draw-signature group (epsilons[idx]), all on rng, and writes each
+// point's accuracy to accs[idx[k]], scored in lockstep.
+func noiseGroup(tm *trainedMLP, rng *stats.RNG, epsilons []float64, idx []int, accs []float64) error {
+	as := make([]*workload.AnalogMLP, len(idx))
+	for k, i := range idx {
+		a, err := tm.q.MapAnalog(studyOptions(rng, epsilons[i]))
+		if err != nil {
+			return err
+		}
+		as[k] = a
+	}
+	got, err := workload.LockstepAccuracy(as, tm.test)
+	if err != nil {
+		return err
+	}
+	for k, i := range idx {
+		accs[i] = got[k]
+	}
+	return nil
 }
 
 func runAccuracy(ctx context.Context) ([]*report.Table, error) {

@@ -12,15 +12,16 @@ import (
 )
 
 // The Monte-Carlo studies, one unit each. A §VI-B noise trial
-// (noiseTrial) and a §V defect draw (defectDraw) are the only places a
-// study maps a model and evaluates it; the seed-batched entry points and
-// the experiments' sweeps run them over a grid of members × trials
-// through one parallelEach (runGrid), so a batch occupies the worker
-// budget as one wave instead of queueing member by member. Every unit's
-// RNG stream is keyed by its (seed, trial) coordinates alone
-// (stats.NewTrialRNG), so neither the grid's shape nor the worker count
-// can change a draw: each member's result is byte-identical to running it
-// alone. A single seed is a one-member batch.
+// (noiseTrial), a §V defect draw (defectDraw) and the noise sweep's
+// lockstep group (noiseGroup) are the only places a study maps a model
+// and evaluates it; the seed-batched entry points and the defect sweep
+// run theirs over a grid of members × trials through one parallelEach
+// (runGrid), so a batch occupies the worker budget as one wave instead
+// of queueing member by member. Every unit's RNG stream is keyed by its
+// (seed, trial) coordinates alone (stats.NewTrialRNG), so neither the
+// grid's shape nor the worker count can change a draw: each member's
+// result is byte-identical to running it alone. A single seed is a
+// one-member batch.
 
 // AnalogMLPAccuracyBatch runs the §VI-B accuracy study for every seed in
 // one fused grid at shared (trials, epsPS). Results are returned in seed
@@ -166,8 +167,8 @@ func runGrid(ctx context.Context, members, trials int, unit func(m, t int) (draw
 
 // noiseTrial is one §VI-B Monte-Carlo trial: tm's quantised classifier
 // mapped under studyOptions with X-subBuf error epsPS and noise drawn from
-// rng, and its test accuracy. The accuracy study, the noise sweep and
-// BenchmarkAccuracyTrial all run it.
+// rng, and its test accuracy. The accuracy study and
+// BenchmarkAccuracyTrial run it; each noise-sweep point equals it.
 func noiseTrial(tm *trainedMLP, rng *stats.RNG, epsPS float64) (float64, error) {
 	a, err := tm.q.MapAnalog(studyOptions(rng, epsPS))
 	if err != nil {
@@ -190,7 +191,7 @@ func defectDraw(tc *trainedCNN, seed uint64, d int, rate float64, accs memo[floa
 		return draw{}, err
 	}
 	defer a.Release()
-	acc, err := defectAccuracy(accs, a, tc.test)
+	acc, err := defectAccuracy(accs, a, tc)
 	return draw{acc: acc, faults: a.Faults()}, err
 }
 
@@ -202,10 +203,11 @@ func defectDraw(tc *trainedCNN, seed uint64, d int, rate float64, accs memo[floa
 // whose faults leave the read cells identical share the first such draw's
 // evaluation. accs is capped at the call's draw count, so it never
 // evicts. Fault injection and every RNG stream are untouched — the memo
-// only skips repeated test-set passes.
-func defectAccuracy(accs memo[float64], a *workload.AnalogCNN, test *workload.ImageDataset) (float64, error) {
+// only skips repeated test-set passes. Every pass reads the patch codes
+// tc computed once for its test set.
+func defectAccuracy(accs memo[float64], a *workload.AnalogCNN, tc *trainedCNN) (float64, error) {
 	if accs.lru == nil || !a.BatchSafe() {
-		return a.Accuracy(test)
+		return a.Accuracy(tc.test, tc.patches)
 	}
-	return accs.Do(a.Programmed(), func() (float64, error) { return a.Accuracy(test) })
+	return accs.Do(a.Programmed(), func() (float64, error) { return a.Accuracy(tc.test, tc.patches) })
 }

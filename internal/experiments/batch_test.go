@@ -123,7 +123,7 @@ func TestDefectRateZeroRegimeIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := clean.Accuracy(tc.test)
+	want, err := clean.Accuracy(tc.test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

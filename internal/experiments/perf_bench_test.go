@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,5 +50,39 @@ func BenchmarkDefectTrial(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkNoiseSweep measures the §VI-B noise ablation at the suite's
+// nine ε points: RunNoiseSweep with the classifier trained outside the
+// timed loop, so each iteration is the two draw-signature groups mapped
+// and scored in lockstep.
+func BenchmarkNoiseSweep(b *testing.B) {
+	if _, err := accuracyMLP(2020); err != nil {
+		b.Fatal(err)
+	}
+	eps := []float64{0, 5, 10, 20, 50, 100, 200, 400, 800}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunNoiseSweep(context.Background(), 2020, eps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDefectSweep measures the stuck-at fault ablation at its six
+// rates: DefectSweep with the CNN (and its test set's patch codes) built
+// outside the timed loop, so each iteration is the 30 fault-map draws and
+// their memoised evaluations.
+func BenchmarkDefectSweep(b *testing.B) {
+	if _, err := defectCNN(5); err != nil {
+		b.Fatal(err)
+	}
+	rates := []float64{0, 0.001, 0.01, 0.05, 0.15, 0.30}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DefectSweep(context.Background(), 5, rates); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

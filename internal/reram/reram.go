@@ -193,7 +193,7 @@ func (x *Crossbar) ColumnDot(times []float64, col int, tdel float64) float64 {
 	dot := 0.0
 	for i, t := range times {
 		if gi := g[i*b+col]; gi != 0 {
-			dot += t / tdel * gi
+			dot += float64(t / tdel * gi)
 		}
 	}
 	return dot
@@ -226,7 +226,8 @@ func (x *Crossbar) DotColumns(scaled []float64, col0, ncols int, out []float64) 
 	// row-at-a-time accumulation, so results stay bit-identical while the
 	// out[] loads/stores amortise over four multiply-adds. Sparse quads
 	// (and the tail) fall back to the per-row fold, which skips zero
-	// inputs exactly like the original kernel.
+	// inputs exactly like the original kernel. Every product is rounded
+	// on its own (float64(...)), so no GOARCH fuses it into the sum.
 	rows := len(scaled)
 	i := 0
 	for ; i+3 < rows; i += 4 {
@@ -237,7 +238,7 @@ func (x *Crossbar) DotColumns(scaled []float64, col0, ncols int, out []float64) 
 			g2 := g[(i+2)*b+col0 : (i+2)*b+col0+ncols]
 			g3 := g[(i+3)*b+col0 : (i+3)*b+col0+ncols]
 			for j, gj := range g0 {
-				out[j] = out[j] + s0*gj + s1*g1[j] + s2*g2[j] + s3*g3[j]
+				out[j] = out[j] + float64(s0*gj) + float64(s1*g1[j]) + float64(s2*g2[j]) + float64(s3*g3[j])
 			}
 			continue
 		}
@@ -247,7 +248,7 @@ func (x *Crossbar) DotColumns(scaled []float64, col0, ncols int, out []float64) 
 			}
 			row := g[(i+q)*b+col0 : (i+q)*b+col0+ncols]
 			for j, gj := range row {
-				out[j] += s * gj
+				out[j] += float64(s * gj)
 			}
 		}
 	}
@@ -258,7 +259,7 @@ func (x *Crossbar) DotColumns(scaled []float64, col0, ncols int, out []float64) 
 		}
 		row := g[i*b+col0 : i*b+col0+ncols]
 		for j, gj := range row {
-			out[j] += s * gj
+			out[j] += float64(s * gj)
 		}
 	}
 }
@@ -436,7 +437,7 @@ func (x *Crossbar) SubRangedDot(times []float64, col0, weightBits int, tdel floa
 	dot := 0.0
 	for i, d := range dots {
 		shift := x.CellBits * (ncols - 1 - i)
-		dot += d * float64(int64(1)<<shift)
+		dot += float64(d * float64(int64(1)<<shift))
 	}
 	return dot
 }

@@ -111,5 +111,5 @@ func (x *Crossbar) SignedDotOffset(times []float64, col0, weightBits int, tdel f
 	ncols := (weightBits + x.CellBits - 1) / x.CellBits
 	enc := x.SubRangedDot(times, col0, weightBits, tdel)
 	sumX := x.ColumnDot(times, col0+ncols, tdel)
-	return enc - float64(int(1)<<(weightBits-1))*sumX
+	return enc - float64(float64(int(1)<<(weightBits-1))*sumX)
 }

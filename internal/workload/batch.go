@@ -1,6 +1,10 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Batched inference: when every mapped layer's noise configuration is
 // deterministic, inputs can be regrouped into matrix–matrix ForwardBatch
@@ -85,14 +89,7 @@ func (a *AnalogMLP) predictBlockDet(xs [][]float64, out []int) error {
 		}
 		if l == len(a.mapped)-1 {
 			for v := 0; v < n; v++ {
-				ps := psums[v*m.D : (v+1)*m.D]
-				best, bi := ps[0], 0
-				for i, p := range ps {
-					if p > best {
-						best, bi = p, i
-					}
-				}
-				out[v] = bi
+				out[v] = argmax(psums[v*m.D : (v+1)*m.D])
 			}
 			return nil
 		}
@@ -116,6 +113,83 @@ func (a *AnalogMLP) Accuracy(d *Dataset) (float64, error) {
 		return 0, err
 	}
 	return score(preds, d.Y), nil
+}
+
+// LockstepAccuracy scores every model of as on d, in as order, running
+// them in lockstep: each layer's wave of each image runs on every model
+// through one core.ComputeLockstep, which draws the wave's deviates once
+// for all of them. The models must be mapped from one QuantMLP with noise
+// that draws from one RNG and, layer by layer, the same number of
+// deviates a wave (options that differ only in the size of a non-zero
+// sigma, say). Each score is then the model's Accuracy on its own fresh
+// copy of that stream: a noisy model's Accuracy runs Predict image by
+// image, and a deterministic one draws nothing either way.
+func LockstepAccuracy(as []*AnalogMLP, d *Dataset) ([]float64, error) {
+	if len(as) == 0 {
+		return nil, nil
+	}
+	q := as[0].q
+	for _, a := range as[1:] {
+		if a.q != q {
+			return nil, fmt.Errorf("workload: lockstep models mapped from different QuantMLPs")
+		}
+	}
+	width := 0
+	for _, wl := range q.Weights {
+		width = max(width, len(wl))
+	}
+	layers := make([]*core.MappedLayer, len(as))
+	codes := make([][]uint8, len(as))
+	psums := make([][]int, len(as))
+	preds := make([][]int, len(as))
+	bufs := make([][]uint8, len(as))
+	for k := range as {
+		preds[k] = make([]int, d.Len())
+		bufs[k] = make([]uint8, width)
+	}
+	var in []uint8
+	for i, x := range d.X {
+		in = in[:0]
+		for _, f := range x {
+			c := q.InQ.Quantize(f)
+			if c < 0 || c > 255 {
+				return nil, fmt.Errorf("analog: DTC code %d out of [0,256)", c)
+			}
+			in = append(in, uint8(c))
+		}
+		for k := range codes {
+			codes[k] = in
+		}
+		for l := range q.Weights {
+			for k, a := range as {
+				m := a.mapped[l]
+				layers[k] = m
+				if cap(a.psums) < m.D {
+					a.psums = make([]int, m.D)
+				}
+				psums[k] = a.psums[:m.D]
+			}
+			if err := core.ComputeLockstep(layers, codes, psums); err != nil {
+				return nil, err
+			}
+			for k, ps := range psums {
+				if l == len(q.Weights)-1 {
+					preds[k][i] = argmax(ps)
+					continue
+				}
+				next := bufs[k][:len(ps)]
+				for j, p := range ps {
+					next[j] = uint8(requantCode(int64(p), q.Shifts[l]))
+				}
+				codes[k] = next
+			}
+		}
+	}
+	accs := make([]float64, len(as))
+	for k, p := range preds {
+		accs[k] = score(p, d.Y)
+	}
+	return accs, nil
 }
 
 // score is the fraction of predictions that match their labels.
@@ -149,15 +223,26 @@ func (a *AnalogCNN) Programmed() string {
 }
 
 // Accuracy evaluates the analog pipeline over a dataset, scoring exactly
-// what Predict classifies. When BatchSafe, each image's patches take one
-// conv ForwardCodes pass (already a matrix–matrix pass) and blocks of
-// images go through the head's layer-major batched path; otherwise every
-// image runs through Predict in order.
-func (a *AnalogCNN) Accuracy(d *ImageDataset) (float64, error) {
+// what Predict classifies. patches is nil or d's patch codes under the
+// receiver's CNN (CNN.PatchCodes), which then stand in for each image's
+// im2col. When BatchSafe, each image's patches take one conv ForwardCodes
+// pass (already a matrix–matrix pass) and blocks of images go through the
+// head's layer-major batched path; otherwise every image runs through
+// Predict in order.
+func (a *AnalogCNN) Accuracy(d *ImageDataset, patches [][]uint8) (float64, error) {
+	if patches != nil && len(patches) != d.Len() {
+		return 0, fmt.Errorf("workload: %d patch sets for %d images", len(patches), d.Len())
+	}
+	patch := func(i int) []uint8 {
+		if patches == nil {
+			return nil
+		}
+		return patches[i]
+	}
 	preds := make([]int, d.Len())
 	if !a.BatchSafe() {
 		for i, img := range d.X {
-			p, err := a.Predict(img)
+			p, err := a.predict(img, patch(i))
 			if err != nil {
 				return 0, err
 			}
@@ -180,7 +265,7 @@ func (a *AnalogCNN) Accuracy(d *ImageDataset) (float64, error) {
 			}
 			feats[i] = buf[off : off+dim : off+dim]
 			off += dim
-			if err := a.features(img, feats[i]); err != nil {
+			if err := a.features(img, patch(base+i), feats[i]); err != nil {
 				return 0, err
 			}
 		}

@@ -126,12 +126,16 @@ func TestCNNBatchIdentity(t *testing.T) {
 		t.Fatal("zero-sigma defect mapping must be batch-safe")
 	}
 	accSeq := predictLoop(t, a.Predict, test.X, test.Y)
-	accBatch, err := a.Accuracy(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accSeq != accBatch {
-		t.Fatalf("faulty-deterministic accuracy diverged: sequential %v, batched %v", accSeq, accBatch)
+	patches := cnn.PatchCodes(test)
+	for _, p := range [][][]uint8{nil, patches} {
+		accBatch, err := a.Accuracy(test, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accSeq != accBatch {
+			t.Fatalf("faulty-deterministic accuracy diverged (patches %t): sequential %v, batched %v",
+				p != nil, accSeq, accBatch)
+		}
 	}
 
 	mapNoisy := func() *AnalogCNN {
@@ -151,12 +155,13 @@ func TestCNNBatchIdentity(t *testing.T) {
 		t.Fatal("noisy CNN mapping reported batch-safe")
 	}
 	nSeq := predictLoop(t, n1.Predict, test.X, test.Y)
-	n2 := mapNoisy()
-	nBatch, err := n2.Accuracy(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nSeq != nBatch {
-		t.Fatalf("noisy CNN fallback diverged: sequential %v, batched %v", nSeq, nBatch)
+	for _, p := range [][][]uint8{nil, patches} {
+		nBatch, err := mapNoisy().Accuracy(test, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nSeq != nBatch {
+			t.Fatalf("noisy CNN fallback diverged (patches %t): sequential %v, batched %v", p != nil, nSeq, nBatch)
+		}
 	}
 }

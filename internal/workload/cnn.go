@@ -297,15 +297,40 @@ func (a *AnalogCNN) Faults() int { return a.faultMap }
 // the mapped crossbars, digital requantisation + pooling, then the analog
 // head.
 func (a *AnalogCNN) Predict(img *tensor.Int) (int, error) {
+	return a.predict(img, nil)
+}
+
+// predict is Predict reading the conv bank's input from patch, img's
+// patch codes (see CNN.PatchCodes), or from img itself when patch is nil.
+func (a *AnalogCNN) predict(img *tensor.Int, patch []uint8) (int, error) {
 	n := a.featLen(img)
 	if cap(a.feat) < n {
 		a.feat = make([]float64, n)
 	}
 	feat := a.feat[:n]
-	if err := a.features(img, feat); err != nil {
+	if err := a.features(img, patch, feat); err != nil {
 		return 0, err
 	}
 	return a.head.Predict(feat)
+}
+
+// PatchCodes returns, for every image of d, the 8-bit codes of its im2col
+// patches under c's conv geometry: the conv bank's input for that image,
+// which depends on the CNN's filter shape, stride and padding alone, never
+// on a mapping or a fault map. An image whose pixels are not all 8-bit
+// codes gets nil, and is read from its pixels, range check included. A
+// study that evaluates many mappings of c on one test set computes these
+// once and hands them to AnalogCNN.Accuracy.
+func (c *CNN) PatchCodes(d *ImageDataset) [][]uint8 {
+	out := make([][]uint8, d.Len())
+	for i, img := range d.X {
+		if pixelCodes(img) {
+			rows, e, f := tensor.Im2ColDims(img, c.Filters.Z, c.Filters.G, c.Stride, c.Pad)
+			out[i] = make([]uint8, rows*e*f)
+			tensor.Im2ColIntoCodes(img, c.Filters.Z, c.Filters.G, c.Stride, c.Pad, out[i])
+		}
+	}
+	return out
 }
 
 // featLen is the length of img's feature vector: every filter's pooled map.
@@ -321,8 +346,9 @@ func (a *AnalogCNN) featLen(img *tensor.Int) int {
 // requantised into an 8-bit code and scaled into [0,1]. Requantisation
 // (shift, then clamp) is monotone, so pooling the raw psums first gives
 // the codes of requantising every psum and then pooling — the integer
-// path of CNN.features.
-func (a *AnalogCNN) features(img *tensor.Int, feat []float64) error {
+// path of CNN.features. patch, when not nil, is img's patch codes
+// (CNN.PatchCodes) and saves the im2col.
+func (a *AnalogCNN) features(img *tensor.Int, patch []uint8, feat []float64) error {
 	c := a.cnn
 	z, g, d := c.Filters.Z, c.Filters.G, c.Filters.D
 	rows, e, f := tensor.Im2ColDims(img, z, g, c.Stride, c.Pad)
@@ -331,13 +357,15 @@ func (a *AnalogCNN) features(img *tensor.Int, feat []float64) error {
 	}
 	psums := a.psums[:e*f*d]
 	var err error
-	if pixelCodes(img) {
+	if patch == nil && pixelCodes(img) {
 		if cap(a.codes) < rows*e*f {
 			a.codes = make([]uint8, rows*e*f)
 		}
-		codes := a.codes[:rows*e*f]
-		tensor.Im2ColIntoCodes(img, z, g, c.Stride, c.Pad, codes)
-		err = a.convMap.ForwardCodes(codes, e*f, psums)
+		patch = a.codes[:rows*e*f]
+		tensor.Im2ColIntoCodes(img, z, g, c.Stride, c.Pad, patch)
+	}
+	if patch != nil {
+		err = a.convMap.ForwardCodes(patch, e*f, psums)
 	} else {
 		// Some pixel is not an 8-bit code: ForwardBatch's range check
 		// reports the first one a patch reads, as the DTC would.

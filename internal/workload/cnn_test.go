@@ -85,7 +85,7 @@ func TestAnalogCNNFeaturesMatchInteger(t *testing.T) {
 	for i, img := range test.X[:20] {
 		want := featVec(cnn.features(img))
 		got := make([]float64, a.featLen(img))
-		if err := a.features(img, got); err != nil {
+		if err := a.features(img, nil, got); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
@@ -116,8 +116,10 @@ func TestAnalogCNNRejectsNonCodePixels(t *testing.T) {
 		t.Fatalf("Predict error = %v; want %q", err, want)
 	}
 	bad := &ImageDataset{X: []*tensor.Int{test.X[1], img}, Y: []int{0, 0}, Size: test.Size, Classes: test.Classes}
-	if _, err := a.Accuracy(bad); err == nil || err.Error() != want {
-		t.Fatalf("Accuracy error = %v; want %q", err, want)
+	for _, patches := range [][][]uint8{nil, cnn.PatchCodes(bad)} {
+		if _, err := a.Accuracy(bad, patches); err == nil || err.Error() != want {
+			t.Fatalf("Accuracy error = %v; want %q", err, want)
+		}
 	}
 	if _, err := a.Predict(test.X[1]); err != nil {
 		t.Fatalf("a valid image after a rejected one: %v", err)
@@ -137,7 +139,7 @@ func TestAnalogCNNDesignPointNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Accuracy(test)
+	got, err := a.Accuracy(test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestAnalogCNNFaultResilience(t *testing.T) {
 		if rate > 0 && a.Faults() == 0 {
 			t.Fatalf("no faults injected at rate %v", rate)
 		}
-		acc, err := a.Accuracy(test)
+		acc, err := a.Accuracy(test, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -143,7 +143,7 @@ func (q *QuantMLP) PredictInt(x []float64) int {
 	for l := range q.Weights {
 		psums := intFC(codes, q.Weights[l])
 		if l == len(q.Weights)-1 {
-			return argmax64(psums)
+			return argmax(psums)
 		}
 		codes = requant(psums, q.Shifts[l])
 	}
@@ -207,13 +207,7 @@ func (a *AnalogMLP) Predict(x []float64) (int, error) {
 			return 0, err
 		}
 		if l == len(a.mapped)-1 {
-			best, bi := psums[0], 0
-			for i, v := range psums {
-				if v > best {
-					best, bi = v, i
-				}
-			}
-			return bi, nil
+			return argmax(psums), nil
 		}
 		// Requantise into the code scratch.
 		if cap(a.codes) < len(psums) {
@@ -227,7 +221,8 @@ func (a *AnalogMLP) Predict(x []float64) (int, error) {
 	return 0, nil
 }
 
-func argmax64(xs []int64) int {
+// argmax is the index of the first largest psum.
+func argmax[T int | int64](xs []T) int {
 	best, bi := xs[0], 0
 	for i, v := range xs {
 		if v > best {

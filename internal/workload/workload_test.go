@@ -229,8 +229,8 @@ func TestAccuracyEmptyDataset(t *testing.T) {
 		{"QuantMLP.AccuracyInt", func() float64 { return q.AccuracyInt(noClusters) }},
 		{"AnalogMLP.Accuracy", withErr(func() (float64, error) { return amlp.Accuracy(noClusters) })},
 		{"CNN.AccuracyInt", func() float64 { return cnn.AccuracyInt(noImages) }},
-		{"AnalogCNN.Accuracy", withErr(func() (float64, error) { return acnn.Accuracy(noImages) })},
-		{"AnalogCNN.Accuracy (per image)", withErr(func() (float64, error) { return noisyCNN.Accuracy(noImages) })},
+		{"AnalogCNN.Accuracy", withErr(func() (float64, error) { return acnn.Accuracy(noImages, nil) })},
+		{"AnalogCNN.Accuracy (per image)", withErr(func() (float64, error) { return noisyCNN.Accuracy(noImages, nil) })},
 	} {
 		if got := tc.acc(); got != 0 {
 			t.Errorf("%s on an empty dataset = %v, want 0", tc.name, got)
