@@ -65,19 +65,14 @@ func TestComputeLockstepMatchesClonedStreams(t *testing.T) {
 				}
 			}
 		}
-		codes := make([][]uint8, k)
 		psums := make([][]int, k)
 		for wave := 0; wave < 3; wave++ {
 			ins := make([][]int, k)
 			for j := range layers {
 				ins[j] = randomBatch(pick, 1, shape.rows)
-				codes[j] = make([]uint8, shape.rows)
-				for i, v := range ins[j] {
-					codes[j][i] = uint8(v)
-				}
 				psums[j] = make([]int, shape.d)
 			}
-			if err := ComputeLockstep(layers, codes, psums); err != nil {
+			if err := ComputeLockstep(layers, ins, psums); err != nil {
 				t.Fatalf("case %d: %v", c, err)
 			}
 			for j, ref := range refs {
@@ -111,8 +106,8 @@ func TestComputeLockstepMatchesClonedStreams(t *testing.T) {
 
 // TestComputeLockstepRejectsMixedGroups: a group whose layers draw
 // different deviate counts, or draw from different RNGs, or whose inputs
-// or outputs are mis-sized, fails before anything is drawn, computed or
-// counted.
+// or outputs are mis-sized or not DTC codes, fails before anything is
+// drawn, computed or counted.
 func TestComputeLockstepRejectsMixedGroups(t *testing.T) {
 	const d, rows = 8, 300
 	rng := stats.NewTrialRNG(9, 1)
@@ -122,13 +117,15 @@ func TestComputeLockstepRejectsMixedGroups(t *testing.T) {
 		opt := Options{Noise: lockstepNoise(stats.NewRNG(1), mask, r), Ledger: led, InterfaceBits: 8}
 		return mapRandom(t, opt, 3, d, rows)
 	}
-	codes := func(n int) [][]uint8 {
-		out := make([][]uint8, n)
+	codes := func(n int) [][]int {
+		out := make([][]int, n)
 		for i := range out {
-			out[i] = make([]uint8, rows)
+			out[i] = make([]int, rows)
 		}
 		return out
 	}
+	bad := codes(2)
+	bad[1][rows-1] = 256
 	psums := func(n int) [][]int {
 		out := make([][]int, n)
 		for i := range out {
@@ -140,7 +137,7 @@ func TestComputeLockstepRejectsMixedGroups(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		layers []*MappedLayer
-		codes  [][]uint8
+		codes  [][]int
 		psums  [][]int
 		want   string
 	}{
@@ -148,7 +145,9 @@ func TestComputeLockstepRejectsMixedGroups(t *testing.T) {
 		{"rng", []*MappedLayer{base, mk(0b01000, rng.Clone())}, codes(2), psums(2), "another RNG"},
 		{"nil rng", []*MappedLayer{base, mk(0b01000, nil)}, codes(2), psums(2), "another RNG"},
 		{"inputs", []*MappedLayer{base, base}, codes(1), psums(2), "with 1 inputs"},
-		{"rows", []*MappedLayer{base}, [][]uint8{make([]uint8, rows-1)}, psums(1), "inputs and"},
+		{"rows", []*MappedLayer{base}, [][]int{make([]int, rows-1)}, psums(1), "inputs for"},
+		{"channels", []*MappedLayer{base}, codes(1), [][]int{{7}}, "outputs for"},
+		{"code", []*MappedLayer{base, base}, bad, psums(2), "analog: DTC code 256 out of [0,256)"},
 	} {
 		ps := tc.psums
 		err := ComputeLockstep(tc.layers, tc.codes, ps)

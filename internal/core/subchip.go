@@ -438,15 +438,31 @@ func (m *MappedLayer) Compute(inputs []int) ([]int, error) {
 // check, so a rejected input leaves the noise stream and the ledger as they
 // were.
 func (s *SubChip) dtcCodes(inputs []int) ([]uint8, error) {
+	if err := s.checkCodes(inputs); err != nil {
+		return nil, err
+	}
+	return s.stageCodes(inputs), nil
+}
+
+// checkCodes returns the DTC's range error for the first input that is not
+// one of its codes.
+func (s *SubChip) checkCodes(inputs []int) error {
 	levels := s.dtc.Levels()
+	for _, code := range inputs {
+		if code < 0 || code >= levels {
+			return fmt.Errorf("analog: DTC code %d out of [0,%d)", code, levels)
+		}
+	}
+	return nil
+}
+
+// stageCodes copies checked inputs into the arena as bytes.
+func (s *SubChip) stageCodes(inputs []int) []uint8 {
 	codes := grow(&s.ar.codes, len(inputs))
 	for i, code := range inputs {
-		if code < 0 || code >= levels {
-			return nil, fmt.Errorf("analog: DTC code %d out of [0,%d)", code, levels)
-		}
 		codes[i] = uint8(code)
 	}
-	return codes, nil
+	return codes
 }
 
 // sigmas are the error sigmas a wave draws at: the noise configuration's,
@@ -678,19 +694,22 @@ func (m *MappedLayer) ForwardCodes(codes []uint8, nvec int, out []int) error {
 	return nil
 }
 
-// ComputeLockstep runs one wave on each of layers: layers[i] reads the DTC
-// codes codes[i] (Rows long) and writes its D psums to psums[i]. The
-// layers' noise must draw from one RNG, and a wave of each must draw the
-// same number of deviates; the wave's deviates are then drawn once and
-// that one draw is applied to every layer. A wave consumes the next
-// deviates(sg) deviates of the stream whatever it does with them, so each
-// layer's psums are those of one Compute on its own clone of the stream,
-// and the RNG ends where each clone would. Layers that share neither fail
-// before anything is drawn or counted.
-func ComputeLockstep(layers []*MappedLayer, codes [][]uint8, psums [][]int) error {
-	if len(codes) != len(layers) || len(psums) != len(layers) {
+// ComputeLockstep runs one wave on each of layers: layers[i] reads the
+// inputs inputs[i] (Rows DTC codes, 0..255) and writes its D signed psums
+// to psums[i], as Compute would. The layers' noise must draw from one RNG,
+// and a wave of each must draw the same number of deviates; the wave's
+// deviates are then drawn once and that one draw is applied to every
+// layer. A wave consumes the next deviates(sg) deviates of the stream
+// whatever it does with them, so each layer's psums are those of one
+// Compute on its own clone of the stream, and the RNG ends where each
+// clone would. A group that shares neither, or whose inputs or outputs are
+// mis-sized or not DTC codes, fails before anything is drawn or counted.
+// A group of one is one Compute; a BatchDeterministic layer runs the
+// integer matrix kernel, which draws nothing and gives the same psums.
+func ComputeLockstep(layers []*MappedLayer, inputs [][]int, psums [][]int) error {
+	if len(inputs) != len(layers) || len(psums) != len(layers) {
 		return fmt.Errorf("core: lockstep of %d layers with %d inputs and %d outputs",
-			len(layers), len(codes), len(psums))
+			len(layers), len(inputs), len(psums))
 	}
 	if len(layers) == 0 {
 		return nil
@@ -698,9 +717,14 @@ func ComputeLockstep(layers []*MappedLayer, codes [][]uint8, psums [][]int) erro
 	lead := layers[0]
 	rng, n := lead.sc.noiseRNG(), lead.deviates(lead.sc.sigmas())
 	for i, m := range layers {
-		if len(codes[i]) != m.Rows || len(psums[i]) != m.D {
-			return fmt.Errorf("core: lockstep layer %d: %d inputs and %d outputs for %d rows and %d channels",
-				i, len(codes[i]), len(psums[i]), m.Rows, m.D)
+		if len(inputs[i]) != m.Rows {
+			return fmt.Errorf("core: %d inputs for %d mapped rows", len(inputs[i]), m.Rows)
+		}
+		if len(psums[i]) != m.D {
+			return fmt.Errorf("core: %d outputs for %d channels", len(psums[i]), m.D)
+		}
+		if err := m.sc.checkCodes(inputs[i]); err != nil {
+			return err
 		}
 		if m.sc.noiseRNG() != rng {
 			return fmt.Errorf("core: lockstep layer %d draws from another RNG", i)
@@ -711,7 +735,12 @@ func ComputeLockstep(layers []*MappedLayer, codes [][]uint8, psums [][]int) erro
 	}
 	z := lead.draw(lead.sc.sigmas())
 	for i, m := range layers {
-		m.apply(codes[i], psums[i], m.sc.sigmas(), z)
+		codes := m.sc.stageCodes(inputs[i])
+		if m.BatchDeterministic() {
+			m.forwardBatchDet(codes, 1, psums[i])
+			continue
+		}
+		m.apply(codes, psums[i], m.sc.sigmas(), z)
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/params"
 	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // AccuracyResult is the §VI-B accuracy study on the synthetic workload.
@@ -70,7 +69,7 @@ func AnalogMLPAccuracy(ctx context.Context, seed uint64, trials int, epsPS float
 // studyOptions are the mapping options of one §VI-B Monte-Carlo trial:
 // the design-point noise with X-subBuf error epsPS (ps), drawn from rng,
 // the 24-bit interface and the worst-case 12-hop input cascade (§V), as
-// noiseTrial maps them.
+// noiseGroup maps them.
 func studyOptions(rng *stats.RNG, epsPS float64) core.Options {
 	noise := analog.DefaultNoiseRNG(rng)
 	noise.XSubBufSigma = epsPS
@@ -90,10 +89,12 @@ func studyOptions(rng *stats.RNG, epsPS float64) core.Options {
 // deviate count depends only on which sigmas are non-zero and on the
 // layer's shape, so every ε≠0 point draws exactly the deviates of every
 // other, and so does every ε=0 point. The points are grouped by that draw
-// signature; each group maps its points on one shared stream and scores
-// them in lockstep (workload.LockstepAccuracy), drawing each wave once for
-// the whole group. Every point's accuracy is still that of noiseTrial on
-// its own fresh stream. Each group is one unit of the worker budget.
+// signature, and each group is split into as many chunks as the worker
+// pool has slots (at most one per point). A chunk is one unit of the
+// worker budget: a noiseGroup on its own fresh stream, which maps its
+// points on that one stream and scores them in lockstep, drawing each wave
+// once for the whole chunk. Every point's accuracy is still that of its
+// one-point trial on its own fresh stream, at any worker count.
 func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64) ([]NoiseSweepPoint, error) {
 	tm, err := accuracyMLP(seed)
 	if err != nil {
@@ -108,9 +109,28 @@ func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64) ([]Nois
 		}
 		groups[g] = append(groups[g], i)
 	}
+	var chunks [][]int
+	slots := innerPool.Load().size
+	for _, g := range groups {
+		n := min(slots, len(g))
+		for c := 0; c < n; c++ {
+			chunks = append(chunks, g[c*len(g)/n:(c+1)*len(g)/n])
+		}
+	}
 	accs := make([]float64, len(epsilons))
-	if err := parallelEach(ctx, len(groups), func(g int) error {
-		return noiseGroup(tm, stats.NewTrialRNG(seed+1, 0), epsilons, groups[g], accs)
+	if err := parallelEach(ctx, len(chunks), func(c int) error {
+		eps := make([]float64, len(chunks[c]))
+		for k, i := range chunks[c] {
+			eps[k] = epsilons[i]
+		}
+		got, err := noiseGroup(tm, stats.NewTrialRNG(seed+1, 0), eps)
+		if err != nil {
+			return err
+		}
+		for k, i := range chunks[c] {
+			accs[i] = got[k]
+		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -123,28 +143,6 @@ func RunNoiseSweep(ctx context.Context, seed uint64, epsilons []float64) ([]Nois
 		}
 	}
 	return pts, nil
-}
-
-// noiseGroup maps tm's classifier under studyOptions at each ε of one
-// draw-signature group (epsilons[idx]), all on rng, and writes each
-// point's accuracy to accs[idx[k]], scored in lockstep.
-func noiseGroup(tm *trainedMLP, rng *stats.RNG, epsilons []float64, idx []int, accs []float64) error {
-	as := make([]*workload.AnalogMLP, len(idx))
-	for k, i := range idx {
-		a, err := tm.q.MapAnalog(studyOptions(rng, epsilons[i]))
-		if err != nil {
-			return err
-		}
-		as[k] = a
-	}
-	got, err := workload.LockstepAccuracy(as, tm.test)
-	if err != nil {
-		return err
-	}
-	for k, i := range idx {
-		accs[i] = got[k]
-	}
-	return nil
 }
 
 func runAccuracy(ctx context.Context) ([]*report.Table, error) {

@@ -11,9 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The Monte-Carlo studies, one unit each. A §VI-B noise trial
-// (noiseTrial), a §V defect draw (defectDraw) and the noise sweep's
-// lockstep group (noiseGroup) are the only places a study maps a model
+// The Monte-Carlo studies, one unit each. A §VI-B noise group
+// (noiseGroup: one trial, or noise-sweep points scored in lockstep) and a
+// §V defect draw (defectDraw) are the only places a study maps a model
 // and evaluates it; the seed-batched entry points and the defect sweep
 // run theirs over a grid of members × trials through one parallelEach
 // (runGrid), so a batch occupies the worker budget as one wave instead
@@ -32,8 +32,11 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 		return nil, err
 	}
 	sums, err := runGrid(ctx, len(seeds), trials, func(m, trial int) (draw, error) {
-		acc, err := noiseTrial(tms[m], stats.NewTrialRNG(seeds[m], uint32(trial)), epsPS)
-		return draw{acc: acc}, err
+		accs, err := noiseGroup(tms[m], stats.NewTrialRNG(seeds[m], uint32(trial)), []float64{epsPS})
+		if err != nil {
+			return draw{}, err
+		}
+		return draw{acc: accs[0]}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -165,16 +168,23 @@ func runGrid(ctx context.Context, members, trials int, unit func(m, t int) (draw
 	return out, nil
 }
 
-// noiseTrial is one §VI-B Monte-Carlo trial: tm's quantised classifier
-// mapped under studyOptions with X-subBuf error epsPS and noise drawn from
-// rng, and its test accuracy. The accuracy study and
-// BenchmarkAccuracyTrial run it; each noise-sweep point equals it.
-func noiseTrial(tm *trainedMLP, rng *stats.RNG, epsPS float64) (float64, error) {
-	a, err := tm.q.MapAnalog(studyOptions(rng, epsPS))
-	if err != nil {
-		return 0, err
+// noiseGroup maps tm's quantised classifier under studyOptions at each
+// X-subBuf error of epsPS, all with noise drawn from rng, and returns their
+// test accuracies, scored in lockstep (workload.LockstepAccuracy). The
+// ε values must share one draw signature (all zero or all non-zero); then
+// each accuracy is that of the point mapped and scored alone on its own
+// fresh copy of rng. One §VI-B Monte-Carlo trial is a one-point group: the
+// accuracy study, the noise sweep and BenchmarkAccuracyTrial all run it.
+func noiseGroup(tm *trainedMLP, rng *stats.RNG, epsPS []float64) ([]float64, error) {
+	as := make([]*workload.AnalogMLP, len(epsPS))
+	for k, eps := range epsPS {
+		a, err := tm.q.MapAnalog(studyOptions(rng, eps))
+		if err != nil {
+			return nil, err
+		}
+		as[k] = a
 	}
-	return a.Accuracy(tm.test)
+	return workload.LockstepAccuracy(as, tm.test)
 }
 
 // defectDraw is draw d of the §V defect study at one stuck-at rate: tc's

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/params"
@@ -10,7 +11,7 @@ import (
 )
 
 // BenchmarkAccuracyTrial measures one Monte-Carlo trial of the §VI-B
-// accuracy study: noiseTrial, the unit AnalogMLPAccuracyBatch runs,
+// accuracy study: a one-point noiseGroup, the unit AnalogMLPAccuracyBatch runs,
 // mapping the memoized quantised classifier onto functional sub-chips with
 // the study's options (design-point noise, 24-bit interface, 12 input
 // hops) and evaluating the held-out test split — the noisy wave and its
@@ -22,7 +23,7 @@ func BenchmarkAccuracyTrial(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := noiseTrial(tm, stats.NewTrialRNG(2020, uint32(i)), params.DefaultXSubBufSigma); err != nil {
+		if _, err := noiseGroup(tm, stats.NewTrialRNG(2020, uint32(i)), []float64{params.DefaultXSubBufSigma}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,12 +56,16 @@ func BenchmarkDefectTrial(b *testing.B) {
 
 // BenchmarkNoiseSweep measures the §VI-B noise ablation at the suite's
 // nine ε points: RunNoiseSweep with the classifier trained outside the
-// timed loop, so each iteration is the two draw-signature groups mapped
-// and scored in lockstep.
+// timed loop, so each iteration is the draw-signature groups' chunks
+// mapped and scored in lockstep. The worker pool takes the benchmark's
+// GOMAXPROCS, so -cpu 1 runs one chunk per group, as timely all -par 1
+// does, and -cpu N up to N chunks per group.
 func BenchmarkNoiseSweep(b *testing.B) {
 	if _, err := accuracyMLP(2020); err != nil {
 		b.Fatal(err)
 	}
+	defer setInnerPar(innerPool.Load().size)
+	setInnerPar(runtime.GOMAXPROCS(0))
 	eps := []float64{0, 5, 10, 20, 50, 100, 200, 400, 800}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -13,10 +13,12 @@ import (
 )
 
 // TestNoiseSweepMatchesPerPointTrials: the sweep draws each wave once per
-// draw-signature group, yet every point equals noiseTrial on its own
-// fresh stream — with ε=0 first, in the middle and last, with repeated
-// values, with only zeros and with a single point, at one and two
-// workers.
+// chunk of a draw-signature group, yet every point equals its classifier
+// mapped alone under studyOptions on its own fresh stream and scored by
+// Accuracy — with ε=0 first, in the middle and last, with repeated
+// values, with only zeros and with a single point, at one, two and three
+// workers (one chunk per group, two, and three of the six-point list's
+// non-zero group).
 func TestNoiseSweepMatchesPerPointTrials(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a classifier")
@@ -29,11 +31,15 @@ func TestNoiseSweepMatchesPerPointTrials(t *testing.T) {
 	}
 	want := map[float64]float64{}
 	for _, eps := range []float64{0, 5, 10, 800} {
-		if want[eps], err = noiseTrial(tm, stats.NewTrialRNG(seed+1, 0), eps); err != nil {
+		a, err := tm.q.MapAnalog(studyOptions(stats.NewTrialRNG(seed+1, 0), eps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[eps], err = a.Accuracy(tm.test); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, par := range []int{1, 2} {
+	for _, par := range []int{1, 2, 3} {
 		setInnerPar(par)
 		for _, eps := range [][]float64{
 			{0, 5, 800},

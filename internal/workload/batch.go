@@ -116,73 +116,34 @@ func (a *AnalogMLP) Accuracy(d *Dataset) (float64, error) {
 }
 
 // LockstepAccuracy scores every model of as on d, in as order, running
-// them in lockstep: each layer's wave of each image runs on every model
-// through one core.ComputeLockstep, which draws the wave's deviates once
-// for all of them. The models must be mapped from one QuantMLP with noise
-// that draws from one RNG and, layer by layer, the same number of
-// deviates a wave (options that differ only in the size of a non-zero
-// sigma, say). Each score is then the model's Accuracy on its own fresh
-// copy of that stream: a noisy model's Accuracy runs Predict image by
-// image, and a deterministic one draws nothing either way.
+// them in lockstep image by image. The models must be distinct, mapped
+// from one QuantMLP, with noise that draws from one RNG and, layer by
+// layer, the same number of deviates a wave (options that differ only in
+// the size of a non-zero sigma, say). Each score is then the model's
+// Accuracy on its own fresh copy of that stream: a noisy model's Accuracy
+// runs Predict image by image, and a deterministic one draws nothing
+// either way.
 func LockstepAccuracy(as []*AnalogMLP, d *Dataset) ([]float64, error) {
 	if len(as) == 0 {
 		return nil, nil
 	}
-	q := as[0].q
 	for _, a := range as[1:] {
-		if a.q != q {
+		if a.q != as[0].q {
 			return nil, fmt.Errorf("workload: lockstep models mapped from different QuantMLPs")
 		}
 	}
-	width := 0
-	for _, wl := range q.Weights {
-		width = max(width, len(wl))
-	}
-	layers := make([]*core.MappedLayer, len(as))
-	codes := make([][]uint8, len(as))
-	psums := make([][]int, len(as))
+	g := newLockstep(as)
 	preds := make([][]int, len(as))
-	bufs := make([][]uint8, len(as))
-	for k := range as {
+	for k := range preds {
 		preds[k] = make([]int, d.Len())
-		bufs[k] = make([]uint8, width)
 	}
-	var in []uint8
+	out := make([]int, len(as))
 	for i, x := range d.X {
-		in = in[:0]
-		for _, f := range x {
-			c := q.InQ.Quantize(f)
-			if c < 0 || c > 255 {
-				return nil, fmt.Errorf("analog: DTC code %d out of [0,256)", c)
-			}
-			in = append(in, uint8(c))
+		if err := g.predict(x, out); err != nil {
+			return nil, err
 		}
-		for k := range codes {
-			codes[k] = in
-		}
-		for l := range q.Weights {
-			for k, a := range as {
-				m := a.mapped[l]
-				layers[k] = m
-				if cap(a.psums) < m.D {
-					a.psums = make([]int, m.D)
-				}
-				psums[k] = a.psums[:m.D]
-			}
-			if err := core.ComputeLockstep(layers, codes, psums); err != nil {
-				return nil, err
-			}
-			for k, ps := range psums {
-				if l == len(q.Weights)-1 {
-					preds[k][i] = argmax(ps)
-					continue
-				}
-				next := bufs[k][:len(ps)]
-				for j, p := range ps {
-					next[j] = uint8(requantCode(int64(p), q.Shifts[l]))
-				}
-				codes[k] = next
-			}
+		for k, p := range out {
+			preds[k][i] = p
 		}
 	}
 	accs := make([]float64, len(as))
@@ -190,6 +151,74 @@ func LockstepAccuracy(as []*AnalogMLP, d *Dataset) ([]float64, error) {
 		accs[k] = score(p, d.Y)
 	}
 	return accs, nil
+}
+
+// lockstep is the one per-image executor of AnalogMLPs: it runs a group of
+// models mapped from one QuantMLP through each image together, every
+// layer's wave of every model through one core.ComputeLockstep, which
+// draws the wave's deviates once for all of them. Predict is a lockstep of
+// one model. Each model's scratch holds its codes and psums.
+type lockstep struct {
+	as     []*AnalogMLP
+	layers []*core.MappedLayer
+	inputs [][]int
+	psums  [][]int
+}
+
+func newLockstep(as []*AnalogMLP) *lockstep {
+	return &lockstep{
+		as:     as,
+		layers: make([]*core.MappedLayer, len(as)),
+		inputs: make([][]int, len(as)),
+		psums:  make([][]int, len(as)),
+	}
+}
+
+// predict classifies x on every model of the group, writing model k's
+// class to out[k]: the input codes are quantised once, and each layer's
+// psums are requantised into the next layer's codes, model by model.
+func (g *lockstep) predict(x []float64, out []int) error {
+	lead := g.as[0]
+	q := lead.q
+	if cap(lead.codes) < len(x) {
+		lead.codes = make([]int, len(x))
+	}
+	in := lead.codes[:len(x)]
+	for i, v := range x {
+		in[i] = q.InQ.Quantize(v)
+	}
+	for k := range g.inputs {
+		g.inputs[k] = in
+	}
+	for l := range lead.mapped {
+		for k, a := range g.as {
+			m := a.mapped[l]
+			if cap(a.psums) < m.D {
+				a.psums = make([]int, m.D)
+			}
+			g.layers[k], g.psums[k] = m, a.psums[:m.D]
+		}
+		if err := core.ComputeLockstep(g.layers, g.inputs, g.psums); err != nil {
+			return err
+		}
+		for k, ps := range g.psums {
+			if l == len(lead.mapped)-1 {
+				out[k] = argmax(ps)
+				continue
+			}
+			// Requantise into the model's code scratch.
+			a := g.as[k]
+			if cap(a.codes) < len(ps) {
+				a.codes = make([]int, len(ps))
+			}
+			next := a.codes[:len(ps)]
+			for i, p := range ps {
+				next[i] = requantCode(int64(p), q.Shifts[l])
+			}
+			g.inputs[k] = next
+		}
+	}
+	return nil
 }
 
 // score is the fraction of predictions that match their labels.

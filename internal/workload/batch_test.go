@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/analog"
@@ -100,6 +101,110 @@ func TestMLPBatchIdentityNoisy(t *testing.T) {
 	}
 	if accSeq != accBatch {
 		t.Fatalf("noisy fallback diverged: sequential %v, batched %v", accSeq, accBatch)
+	}
+}
+
+// TestLockstepAccuracyMatchesPredictLoop: models that share one noise
+// stream and differ only in the size of a non-zero sigma, scored in
+// lockstep, each score the accuracy of a Predict loop over the same
+// model mapped alone on its own clone of the stream, and the shared
+// stream ends where every clone does; a deterministic group scores what
+// Accuracy's batched path does. Models from different QuantMLPs are
+// refused, and an input code the DTC cannot convert fails with the DTC's
+// range error, as Predict does.
+func TestLockstepAccuracyMatchesPredictLoop(t *testing.T) {
+	m, train, test := trainedSetup(t, 23)
+	q, err := Quantize(m, train, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(rng *stats.RNG, eps float64) core.Options {
+		noise := analog.DefaultNoiseRNG(rng)
+		noise.XSubBufSigma = eps
+		return core.Options{Noise: noise, InterfaceBits: 24, InputHops: params.MaxCascadedXSubBufs}
+	}
+	epss := []float64{5, 40, 400}
+	shared := stats.NewTrialRNG(23, 0)
+	clones := make([]*stats.RNG, len(epss))
+	as := make([]*AnalogMLP, len(epss))
+	want := make([]float64, len(epss))
+	for k, eps := range epss {
+		clones[k] = shared.Clone()
+		if as[k], err = q.MapAnalog(opts(shared, eps)); err != nil {
+			t.Fatal(err)
+		}
+		alone, err := q.MapAnalog(opts(clones[k], eps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = predictLoop(t, alone.Predict, test.X, test.Y)
+	}
+	got, err := LockstepAccuracy(as, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range epss {
+		if got[k] != want[k] {
+			t.Errorf("eps=%v: lockstep accuracy %v, alone %v", epss[k], got[k], want[k])
+		}
+		if g, w := shared.Clone().Uint64(), clones[k].Uint64(); g != w {
+			t.Errorf("eps=%v: shared stream and its clone end in different states", epss[k])
+		}
+	}
+	if want[0] == want[2] {
+		t.Errorf("eps 5 and 400 scored alike (%v): the test cannot tell the models apart", want[0])
+	}
+
+	ideal := make([]*AnalogMLP, 2)
+	for k := range ideal {
+		if ideal[k], err = q.MapAnalog(core.IdealOptions(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batched, err := ideal[0].Accuracy(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LockstepAccuracy(ideal, test); err != nil || got[0] != batched || got[1] != batched {
+		t.Errorf("deterministic lockstep = %v, %v; want %v twice", got, err, batched)
+	}
+
+	m2, train2, _ := trainedSetup(t, 24)
+	q2, err := Quantize(m2, train2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := q2.MapAnalog(core.IdealOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LockstepAccuracy([]*AnalogMLP{ideal[0], other}, test); err == nil {
+		t.Error("models from different QuantMLPs scored in lockstep")
+	}
+
+	// A 12-bit input quantiser at 1/16 the step: some codes exceed 255.
+	wide := *q
+	wide.InQ.Bits, wide.InQ.Scale = 12, q.InQ.Scale/16
+	rng := stats.NewTrialRNG(23, 1)
+	var errs [2]error
+	for i := range errs {
+		a, err := wide.MapAnalog(opts(rng.Clone(), 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			_, errs[i] = LockstepAccuracy([]*AnalogMLP{a}, test)
+			continue
+		}
+		for _, x := range test.X {
+			if _, errs[i] = a.Predict(x); errs[i] != nil {
+				break
+			}
+		}
+	}
+	if errs[0] == nil || errs[1] == nil || errs[0].Error() != errs[1].Error() ||
+		!strings.HasPrefix(errs[0].Error(), "analog: DTC code ") {
+		t.Fatalf("out-of-range input codes: lockstep error %v, Predict loop error %v", errs[0], errs[1])
 	}
 }
 

@@ -168,9 +168,11 @@ type AnalogMLP struct {
 	mapped []*core.MappedLayer
 
 	// codes and psums are per-instance scratch reused across Predict calls
-	// (an AnalogMLP is driven by one goroutine at a time).
+	// (an AnalogMLP is driven by one goroutine at a time); solo is the
+	// one-model lockstep Predict runs.
 	codes []int
 	psums []int
+	solo  *lockstep
 }
 
 // MapAnalog programs every layer onto a fresh functional sub-chip with the
@@ -188,37 +190,18 @@ func (q *QuantMLP) MapAnalog(opt core.Options) (*AnalogMLP, error) {
 	return a, nil
 }
 
-// Predict classifies x through the analog pipeline. Layer traversal reuses
-// the instance scratch, so steady-state inference allocates nothing.
+// Predict classifies x through the analog pipeline: a lockstep of this one
+// model, so every wave is one Compute. Layer traversal reuses the instance
+// scratch, so steady-state inference allocates nothing.
 func (a *AnalogMLP) Predict(x []float64) (int, error) {
-	if cap(a.codes) < len(x) {
-		a.codes = make([]int, len(x))
+	if a.solo == nil {
+		a.solo = newLockstep([]*AnalogMLP{a})
 	}
-	codes := a.codes[:len(x)]
-	for i, v := range x {
-		codes[i] = a.q.InQ.Quantize(v)
+	var out [1]int
+	if err := a.solo.predict(x, out[:]); err != nil {
+		return 0, err
 	}
-	for l, m := range a.mapped {
-		if cap(a.psums) < m.D {
-			a.psums = make([]int, m.D)
-		}
-		psums := a.psums[:m.D]
-		if err := m.ForwardBatch(codes, 1, psums); err != nil {
-			return 0, err
-		}
-		if l == len(a.mapped)-1 {
-			return argmax(psums), nil
-		}
-		// Requantise into the code scratch.
-		if cap(a.codes) < len(psums) {
-			a.codes = make([]int, len(psums))
-		}
-		codes = a.codes[:len(psums)]
-		for i, p := range psums {
-			codes[i] = requantCode(int64(p), a.q.Shifts[l])
-		}
-	}
-	return 0, nil
+	return out[0], nil
 }
 
 // argmax is the index of the first largest psum.
