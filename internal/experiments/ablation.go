@@ -78,8 +78,9 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64) ([]DefectPoi
 	}
 	const draws = 5
 	accs := newMemo[float64](max(len(rates)*draws, 1)) // an empty sweep still needs a cap of 1
+	patches := tc.cnn.PatchCodes(tc.test)
 	sums, err := runGrid(ctx, len(rates), draws, func(ri, d int) (draw, error) {
-		return defectDraw(tc, seed, d, rates[ri], accs)
+		return defectDraw(tc, patches, seed, d, rates[ri], accs)
 	})
 	if err != nil {
 		return nil, err

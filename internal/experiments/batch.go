@@ -81,8 +81,12 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 			accs[m] = newMemo[float64](trials)
 		}
 	}
+	patches := make([][][]uint8, len(seeds))
+	for m, tc := range tcs {
+		patches[m] = tc.cnn.PatchCodes(tc.test)
+	}
 	sums, err := runGrid(ctx, len(seeds), trials, func(m, d int) (draw, error) {
-		return defectDraw(tcs[m], seeds[m], d, faultRate, accs[m])
+		return defectDraw(tcs[m], patches[m], seeds[m], d, faultRate, accs[m])
 	})
 	if err != nil {
 		return nil, err
@@ -190,9 +194,11 @@ func noiseGroup(tm *trainedMLP, rng *stats.RNG, epsPS []float64) ([]float64, err
 // defectDraw is draw d of the §V defect study at one stuck-at rate: tc's
 // CNN mapped at the 24-bit interface onto a sub-chip whose faults come
 // from the trial stream stats.NewTrialRNG(seed, d), evaluated through
-// defectAccuracy's memo accs. DefectSweep, AnalogCNNAccuracyBatch and
-// BenchmarkDefectTrial all run it.
-func defectDraw(tc *trainedCNN, seed uint64, d int, rate float64, accs memo[float64]) (draw, error) {
+// defectAccuracy's memo accs on tc's test split, whose patch codes
+// (CNN.PatchCodes) are patches. DefectSweep, AnalogCNNAccuracyBatch and
+// BenchmarkDefectTrial all run it; each computes the patch codes once per
+// call and drops them after, so the memoized model does not hold them.
+func defectDraw(tc *trainedCNN, patches [][]uint8, seed uint64, d int, rate float64, accs memo[float64]) (draw, error) {
 	a, err := tc.cnn.MapAnalog(core.Options{
 		Noise:         &analog.Noise{RNG: stats.NewTrialRNG(seed, uint32(d))},
 		InterfaceBits: 24,
@@ -201,7 +207,7 @@ func defectDraw(tc *trainedCNN, seed uint64, d int, rate float64, accs memo[floa
 		return draw{}, err
 	}
 	defer a.Release()
-	acc, err := defectAccuracy(accs, a, tc)
+	acc, err := defectAccuracy(accs, a, tc.test, patches)
 	return draw{acc: acc, faults: a.Faults()}, err
 }
 
@@ -213,11 +219,11 @@ func defectDraw(tc *trainedCNN, seed uint64, d int, rate float64, accs memo[floa
 // whose faults leave the read cells identical share the first such draw's
 // evaluation. accs is capped at the call's draw count, so it never
 // evicts. Fault injection and every RNG stream are untouched — the memo
-// only skips repeated test-set passes. Every pass reads the patch codes
-// tc computed once for its test set.
-func defectAccuracy(accs memo[float64], a *workload.AnalogCNN, tc *trainedCNN) (float64, error) {
+// only skips repeated test-set passes. Every pass reads test's patch
+// codes patches instead of redoing the im2col.
+func defectAccuracy(accs memo[float64], a *workload.AnalogCNN, test *workload.ImageDataset, patches [][]uint8) (float64, error) {
 	if accs.lru == nil || !a.BatchSafe() {
-		return a.Accuracy(tc.test, tc.patches)
+		return a.Accuracy(test, patches)
 	}
-	return accs.Do(a.Programmed(), func() (float64, error) { return a.Accuracy(tc.test, tc.patches) })
+	return accs.Do(a.Programmed(), func() (float64, error) { return a.Accuracy(test, patches) })
 }

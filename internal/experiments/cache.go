@@ -207,13 +207,10 @@ func accuracyMLP(seed uint64) (*trainedMLP, error) {
 	})
 }
 
-// trainedCNN bundles the defect-study CNN, its test split and the split's
-// patch codes (CNN.PatchCodes, ~155 KB), which every fault-map draw reads
-// instead of redoing the im2col.
+// trainedCNN bundles the defect-study CNN and its test split.
 type trainedCNN struct {
-	cnn     *workload.CNN
-	test    *workload.ImageDataset
-	patches [][]uint8
+	cnn  *workload.CNN
+	test *workload.ImageDataset
 }
 
 // defectCNN trains (once per seed) the synthetic-image CNN the stuck-at
@@ -228,6 +225,6 @@ func defectCNN(seed uint64) (*trainedCNN, error) {
 		if _, err := cnn.Train(rng, train, 32, 25, 0.05); err != nil {
 			return nil, err
 		}
-		return &trainedCNN{cnn: cnn, test: test, patches: cnn.PatchCodes(test)}, nil
+		return &trainedCNN{cnn: cnn, test: test}, nil
 	})
 }

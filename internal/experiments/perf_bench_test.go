@@ -42,11 +42,12 @@ func BenchmarkDefectTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	patches := tc.cnn.PatchCodes(tc.test)
 	for _, rate := range []float64{0.001, 0.01, 0.3} {
 		b.Run(fmt.Sprintf("rate=%g", rate), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := defectDraw(tc, 5, i, rate, memo[float64]{}); err != nil {
+				if _, err := defectDraw(tc, patches, 5, i, rate, memo[float64]{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,8 +77,8 @@ func BenchmarkNoiseSweep(b *testing.B) {
 }
 
 // BenchmarkDefectSweep measures the stuck-at fault ablation at its six
-// rates: DefectSweep with the CNN (and its test set's patch codes) built
-// outside the timed loop, so each iteration is the 30 fault-map draws and
+// rates: DefectSweep with the CNN trained outside the timed loop, so each
+// iteration is the test set's patch codes, the 30 fault-map draws and
 // their memoised evaluations.
 func BenchmarkDefectSweep(b *testing.B) {
 	if _, err := defectCNN(5); err != nil {

@@ -16,9 +16,10 @@ import (
 // chunk of a draw-signature group, yet every point equals its classifier
 // mapped alone under studyOptions on its own fresh stream and scored by
 // Accuracy — with ε=0 first, in the middle and last, with repeated
-// values, with only zeros and with a single point, at one, two and three
-// workers (one chunk per group, two, and three of the six-point list's
-// non-zero group).
+// values, with only zeros, with a single point and with the suite's
+// eight non-zero points plus a repeat, at pools of one, two and three
+// workers (capped at GOMAXPROCS), so a group runs as one chunk and as
+// several.
 func TestNoiseSweepMatchesPerPointTrials(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a classifier")
@@ -30,7 +31,7 @@ func TestNoiseSweepMatchesPerPointTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[float64]float64{}
-	for _, eps := range []float64{0, 5, 10, 800} {
+	for _, eps := range []float64{0, 5, 10, 20, 50, 100, 200, 400, 800} {
 		a, err := tm.q.MapAnalog(studyOptions(stats.NewTrialRNG(seed+1, 0), eps))
 		if err != nil {
 			t.Fatal(err)
@@ -48,6 +49,7 @@ func TestNoiseSweepMatchesPerPointTrials(t *testing.T) {
 			{10, 10, 0, 5, 0, 10},
 			{0, 0, 0},
 			{800},
+			{5, 10, 20, 50, 0, 100, 200, 400, 800, 10},
 		} {
 			pts, err := RunNoiseSweep(context.Background(), seed, eps)
 			if err != nil {
@@ -100,7 +102,7 @@ func TestDefectPatchesMatchPredictLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := a.Accuracy(tc.test, tc.patches); err != nil || got != want {
+	if got, err := a.Accuracy(tc.test, tc.cnn.PatchCodes(tc.test)); err != nil || got != want {
 		t.Fatalf("Accuracy with cached patches = %v, %v; Predict loop %v", got, err, want)
 	}
 
