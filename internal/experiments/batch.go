@@ -74,16 +74,15 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 		return nil, err
 	}
 	// One draw per seed can never repeat, so a single-trial call skips the
-	// memo and its per-draw Programmed key.
+	// memo and its per-draw Programmed key, and the patch codes, which its
+	// one draw would read only once.
 	accs := make([]memo[float64], len(seeds))
-	if trials > 1 {
-		for m := range accs {
-			accs[m] = newMemo[float64](trials)
-		}
-	}
 	patches := make([][][]uint8, len(seeds))
-	for m, tc := range tcs {
-		patches[m] = tc.cnn.PatchCodes(tc.test)
+	if trials > 1 {
+		for m, tc := range tcs {
+			accs[m] = newMemo[float64](trials)
+			patches[m] = tc.cnn.PatchCodes(tc.test)
+		}
 	}
 	sums, err := runGrid(ctx, len(seeds), trials, func(m, d int) (draw, error) {
 		return defectDraw(tcs[m], patches[m], seeds[m], d, faultRate, accs[m])
@@ -195,9 +194,11 @@ func noiseGroup(tm *trainedMLP, rng *stats.RNG, epsPS []float64) ([]float64, err
 // CNN mapped at the 24-bit interface onto a sub-chip whose faults come
 // from the trial stream stats.NewTrialRNG(seed, d), evaluated through
 // defectAccuracy's memo accs on tc's test split, whose patch codes
-// (CNN.PatchCodes) are patches. DefectSweep, AnalogCNNAccuracyBatch and
-// BenchmarkDefectTrial all run it; each computes the patch codes once per
-// call and drops them after, so the memoized model does not hold them.
+// (CNN.PatchCodes) are patches, or nil to im2col each image as it is
+// read. DefectSweep, AnalogCNNAccuracyBatch and BenchmarkDefectTrial all
+// run it; each computes the patch codes once per call when several draws
+// read them, and drops them after, so the memoized model does not hold
+// them.
 func defectDraw(tc *trainedCNN, patches [][]uint8, seed uint64, d int, rate float64, accs memo[float64]) (draw, error) {
 	a, err := tc.cnn.MapAnalog(core.Options{
 		Noise:         &analog.Noise{RNG: stats.NewTrialRNG(seed, uint32(d))},
