@@ -1,11 +1,11 @@
 // cnn_pipeline walks the §IV-F software-hardware interface end to end:
 // a declarative network spec goes through model.Spec.Compile (the NN
 // parser), the compiler lowers it to sub-chip commands (weight mapping +
-// input-path configuration), and the controller loads the command stream
-// onto functional sub-chips and runs inference through the analog datapath —
-// classifying synthetic oriented-grating images with a CNN. The same
-// workload recipe is then run through the public sim facade's functional
-// backend as a cross-check on the compiled program's accuracy.
+// input-path configuration), and the trained CNN is then programmed onto
+// functional sub-chips and classifies synthetic oriented-grating images
+// through the analog datapath — the same executor (workload.AnalogCNN)
+// every study and the sim functional backend run. The public sim facade's
+// functional backend then evaluates the same workload recipe.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/params"
 	"repro/internal/stats"
-	"repro/internal/tensor"
 	"repro/internal/workload"
 	"repro/sim"
 )
@@ -46,10 +45,7 @@ func main() {
 		net.Name, len(net.Layers), len(net.WeightedLayers()), net.TotalParams())
 
 	// Stage 2: the compiler generates the execution commands.
-	prog, err := compiler.Compile(net, params.DefaultTimely(8), true)
-	if err != nil {
-		log.Fatal(err)
-	}
+	prog := compiler.Compile(net, params.DefaultTimely(8))
 	fmt.Printf("compiled onto %d sub-chips, %d commands:\n", prog.SubChips, len(prog.Commands))
 	for _, c := range prog.Commands {
 		src := c.Source
@@ -71,40 +67,24 @@ func main() {
 	fmt.Printf("\ntrained reference accuracy (integer path): %.1f%%\n",
 		100*cnn.AccuracyInt(test))
 
-	// Stage 3: the controller writes the trained weights to the mapped
-	// addresses and configures the input paths.
-	w := compiler.Weights{
-		Conv: map[string]*tensor.Filter{"features": cnn.Filters},
-		FC: map[string][][]int{
-			"hidden": cnn.Head.Weights[0],
-			"logits": cnn.Head.Weights[1],
-		},
-	}
-	ctl := compiler.NewController(prog, core.IdealOptions(nil))
-	if err := ctl.LoadWeights(w); err != nil {
+	// Stage 3: write the trained weights onto functional sub-chips (one
+	// for the conv bank, one per head layer) and classify the test images
+	// through the analog datapath.
+	analog, err := cnn.MapAnalog(core.IdealOptions(nil), 0)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ctl.Calibrate(train.X[:16]...); err != nil {
+	acc, err := analog.Accuracy(test, nil)
+	analog.Release()
+	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("analog inference on mapped sub-chips:       %.1f%% accuracy (%d images)\n",
+		100*acc, test.Len())
 
-	hits := 0
-	for i, img := range test.X {
-		class, err := ctl.Classify(img)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if class == test.Y[i] {
-			hits++
-		}
-	}
-	fmt.Printf("analog inference via compiled program:      %.1f%% accuracy (%d images)\n",
-		100*float64(hits)/float64(test.Len()), test.Len())
-
-	// Cross-check: the sim facade's functional backend trains the identical
-	// recipe (same seed 5, memoized with the experiment suite) and maps it
-	// onto fault-free crossbars — the two execution paths must agree on the
-	// integer reference and land on comparable analog accuracy.
+	// The sim facade's functional backend trains the identical recipe
+	// (same seed 5, memoized with the experiment suite) and maps it onto
+	// fault-free crossbars through the same executor.
 	res, err := sim.Evaluate(context.Background(),
 		&sim.EvalRequest{Backend: "functional", Network: "cnn", Trials: 3})
 	if err != nil {

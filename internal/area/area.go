@@ -20,8 +20,9 @@ type Item struct {
 	Unit float64
 }
 
-// Total returns Count × Unit in µm².
-func (i Item) Total() float64 { return float64(i.Count) * i.Unit }
+// Total returns Count × Unit in µm², rounded so that the product cannot
+// fuse into a caller's sum once inlined.
+func (i Item) Total() float64 { return float64(float64(i.Count) * i.Unit) }
 
 // SubChipItems returns the Table II component inventory of one TIMELY
 // sub-chip. I-adders and their interconnect are excluded from area totals:
@@ -79,8 +80,8 @@ func TimelyDesignPoint(cfg params.TimelyConfig) DesignPoint {
 		float64(params.DTCsPerSubChip)*params.AreaDTC -
 		float64(params.TDCsPerSubChip)*params.AreaTDC
 	a := fixed +
-		float64(cfg.GridRows*cfg.B/cfg.Gamma)*params.AreaDTC +
-		float64(cfg.GridCols*cfg.B/cfg.Gamma)*params.AreaTDC
+		float64(float64(cfg.GridRows*cfg.B/cfg.Gamma)*params.AreaDTC) +
+		float64(float64(cfg.GridCols*cfg.B/cfg.Gamma)*params.AreaTDC)
 	tops := cfg.MACsPerSubChipCycle() / cfg.CycleTime() // MACs per ps = TOPS
 	return DesignPoint{
 		CycleNS:        cfg.CycleTime() / 1000,

@@ -1,8 +1,6 @@
-// Package compiler implements the software-hardware interface of §IV-F:
-// a compiler that lowers a network onto TIMELY sub-chips (weight-mapping
-// and input-datapath commands from the shared mapping.Plan), and a
-// controller that loads the command stream onto functional sub-chips and
-// executes inference.
+// Package compiler implements the compiler stage of the software-hardware
+// interface of §IV-F: it lowers a network onto TIMELY sub-chips as
+// weight-mapping and input-datapath commands from the shared mapping.Plan.
 //
 // The paper describes three stages — "the CNN/DNN is loaded into an NN
 // parser that automatically extracts model parameters"; "a compiler
@@ -10,8 +8,10 @@
 // controller loads the commands ... to (1) write pre-trained weights to the
 // mapped addresses, and (2) configure peripheral circuits for setting up
 // input paths". The parser is model.Spec.Compile, the declarative network
-// format every other entry point uses; Compile and Controller are the
-// other two.
+// format every other entry point uses, and Compile is the compiler. The
+// functional sub-chips are programmed and run by workload.AnalogCNN and
+// workload.AnalogMLP, the one functional executor every study and the sim
+// functional backend use.
 package compiler
 
 import (
@@ -81,9 +81,8 @@ type Program struct {
 // pipeline copy's commands: each weighted layer is written at its stage's
 // first sub-chip, its input path is wired to the previous stage, and pool
 // layers route the next stage's inputs (or, trailing, the final outputs).
-// It rejects layers whose single instance exceeds one sub-chip when strict
-// is true.
-func Compile(n *model.Network, cfg params.TimelyConfig, strict bool) (*Program, error) {
+// A layer that spans several sub-chips is written at the first of them.
+func Compile(n *model.Network, cfg params.TimelyConfig) *Program {
 	plan := mapping.Lower(n, cfg)
 	p := &Program{Network: n, SubChips: plan.Need}
 	stage, prev, sc := -1, "", 0 // last weighted stage, its layer and sub-chip
@@ -92,11 +91,6 @@ func Compile(n *model.Network, cfg params.TimelyConfig, strict bool) (*Program, 
 		switch {
 		case l.IsWeighted():
 			stage++
-			pl := plan.Placements[stage]
-			if strict && pl.SubChips > 1 {
-				return nil, fmt.Errorf("compiler: layer %s needs %d sub-chips (rows %d, cols %d); strict mode maps one layer per sub-chip",
-					l.Name, pl.SubChips, pl.Rows, l.D*pl.PhysColsPerWeight)
-			}
 			sc = plan.First[stage]
 			p.Commands = append(p.Commands,
 				Command{Op: OpWriteWeights, Layer: l.Name, SubChip: sc},
@@ -121,5 +115,5 @@ func Compile(n *model.Network, cfg params.TimelyConfig, strict bool) (*Program, 
 			Op: OpConfigPooling, Layer: prev, SubChip: sc, Arg: pool.Z,
 		})
 	}
-	return p, nil
+	return p
 }

@@ -33,11 +33,7 @@ func RunConv(opt Options, in *tensor.Int, w *tensor.Filter, stride, pad int, app
 		return nil, fmt.Errorf("core: input channels %d != filter channels %d", in.Shape.C, w.C)
 	}
 	s := NewSubChip(opt)
-	weights, err := flattenFilter(w)
-	if err != nil {
-		return nil, err
-	}
-	m, err := s.MapDense(weights)
+	m, err := s.MapDense(FlattenFilter(w))
 	if err != nil {
 		return nil, err
 	}
@@ -115,19 +111,8 @@ func RunFC(opt Options, in *tensor.Int, weights [][]int, applyReLU bool) ([]int,
 
 // FlattenFilter lays filter weights out in im2col row order — row index
 // (c·Z + i)·G + j for output channel d — the layout MapDense expects for
-// convolution weights. The §IV-F compiler uses it when lowering networks.
+// convolution weights.
 func FlattenFilter(w *tensor.Filter) [][]int {
-	out, err := flattenFilter(w)
-	if err != nil {
-		// flattenFilter cannot currently fail; keep the invariant explicit.
-		panic(err)
-	}
-	return out
-}
-
-// flattenFilter lays filter weights out in im2col row order: row index
-// (c·Z + i)·G + j for output channel d.
-func flattenFilter(w *tensor.Filter) ([][]int, error) {
 	rows := w.C * w.Z * w.G
 	out := make([][]int, w.D)
 	for d := 0; d < w.D; d++ {
@@ -140,7 +125,7 @@ func flattenFilter(w *tensor.Filter) ([][]int, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // IdealOptions returns an Options preset for bit-exact verification: no

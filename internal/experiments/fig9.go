@@ -61,7 +61,7 @@ func RunFig9(ctx context.Context) (*Fig9, error) {
 	tdcCount := t8.Ledger.Count(energy.TDCConv)
 	dtcCount := t8.Ledger.Count(energy.DTCConv)
 	timelyWithDACADC := f.TimelyTotalFJ - f.TimelyInterfaceFJ +
-		dtcCount*params.EnergyDAC + tdcCount*params.EnergyADC
+		float64(dtcCount*params.EnergyDAC) + float64(tdcCount*params.EnergyADC)
 	totalSaving := f.PrimeTotalFJ - f.TimelyTotalFJ
 	f.SavingTDI = (timelyWithDACADC - f.TimelyTotalFJ) / totalSaving
 	f.SavingALBO2IR = 1 - f.SavingTDI

@@ -215,38 +215,6 @@ func MaxPool2D(in *Int, k, s int) *Int {
 	return out
 }
 
-// AvgPool2D applies average pooling (integer division, rounding toward zero).
-func AvgPool2D(in *Int, k, s int) *Int {
-	e := ConvOut(in.Shape.H, k, s, 0)
-	f := ConvOut(in.Shape.W, k, s, 0)
-	out := NewInt(in.Shape.C, e, f)
-	n := int64(k * k)
-	for c := 0; c < in.Shape.C; c++ {
-		for y := 0; y < e; y++ {
-			for x := 0; x < f; x++ {
-				var sum int64
-				for i := 0; i < k; i++ {
-					for j := 0; j < k; j++ {
-						sum += int64(in.At(c, y*s+i, x*s+j))
-					}
-				}
-				out.Set(c, y, x, saturate32(sum/n))
-			}
-		}
-	}
-	return out
-}
-
-// ReLU clamps negative elements to zero in place and returns its argument.
-func ReLU(t *Int) *Int {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		}
-	}
-	return t
-}
-
 // RequantizeShift arithmetic-shifts every element right by sh bits (rounding
 // toward negative infinity) and saturates into [0, maxCode]. This is the
 // digital requantisation step between PIM layers.

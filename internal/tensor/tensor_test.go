@@ -115,27 +115,6 @@ func TestMaxPool(t *testing.T) {
 	}
 }
 
-func TestAvgPool(t *testing.T) {
-	in := NewInt(1, 2, 2)
-	copy(in.Data, []int32{1, 3, 5, 7})
-	out := AvgPool2D(in, 2, 2)
-	if out.Data[0] != 4 {
-		t.Errorf("avg pool = %d, want 4", out.Data[0])
-	}
-}
-
-func TestReLU(t *testing.T) {
-	in := NewInt(1, 1, 4)
-	copy(in.Data, []int32{-5, 0, 3, -1})
-	ReLU(in)
-	want := []int32{0, 0, 3, 0}
-	for i, w := range want {
-		if in.Data[i] != w {
-			t.Errorf("ReLU[%d] = %d, want %d", i, in.Data[i], w)
-		}
-	}
-}
-
 func TestRequantizeShift(t *testing.T) {
 	in := NewInt(1, 1, 3)
 	copy(in.Data, []int32{1024, -8, 70000})

@@ -211,7 +211,7 @@ func (m *Machine) Run(ctx context.Context, sink func(trace.Span)) (*Result, erro
 				continue // instance never issued (more instances than images)
 			}
 			if makespan > 0 {
-				utilSum += float64(busy[ui]) / float64(makespan) * 100
+				utilSum += float64(float64(busy[ui]) / float64(makespan) * 100)
 			}
 			// Images this instance served under the round-robin.
 			served := m.Images / s.Instances

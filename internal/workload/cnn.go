@@ -53,7 +53,11 @@ func SyntheticImages(rng *stats.RNG, n, size, classes int, noise float64) *Image
 		img := tensor.NewInt(1, size, size)
 		for y := 0; y < size; y++ {
 			for x := 0; x < size; x++ {
-				v := 128 + 100*math.Sin(freq*(dx*float64(x)+dy*float64(y))+phase)
+				// Every product is rounded on its own, so no GOARCH
+				// fuses it into a sum; phase is a product too, which
+				// the compiler would otherwise fuse here.
+				arg := float64(dx*float64(x)) + float64(dy*float64(y))
+				v := 128 + float64(100*math.Sin(float64(freq*arg)+float64(phase)))
 				v += rng.Gauss(0, noise*255)
 				if v < 0 {
 					v = 0

@@ -113,7 +113,8 @@ func NewMLP(rng *stats.RNG, sizes ...int) *MLP {
 // rows are computed four per pass over the input so each input value is
 // loaded once per block; every row still accumulates from its bias in
 // ascending input order, so the sums are bit-identical to a row-at-a-time
-// loop.
+// loop. Every product is rounded on its own (float64(...)), so no GOARCH
+// fuses it into a sum; step's updates are rounded the same way.
 func (m *MLP) forward(x []float64) [][]float64 {
 	if m.acts == nil {
 		m.acts = make([][]float64, len(m.Sizes))
@@ -131,10 +132,10 @@ func (m *MLP) forward(x []float64) [][]float64 {
 			r0, r1, r2, r3 := w[o][:len(cur)], w[o+1][:len(cur)], w[o+2][:len(cur)], w[o+3][:len(cur)]
 			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
 			for i, v := range cur {
-				s0 += r0[i] * v
-				s1 += r1[i] * v
-				s2 += r2[i] * v
-				s3 += r3[i] * v
+				s0 += float64(r0[i] * v)
+				s1 += float64(r1[i] * v)
+				s2 += float64(r2[i] * v)
+				s3 += float64(r3[i] * v)
 			}
 			next[o], next[o+1], next[o+2], next[o+3] = relu(s0, hidden), relu(s1, hidden), relu(s2, hidden), relu(s3, hidden)
 		}
@@ -142,7 +143,7 @@ func (m *MLP) forward(x []float64) [][]float64 {
 			row := w[o][:len(cur)]
 			s := b[o]
 			for i, v := range cur {
-				s += row[i] * v
+				s += float64(row[i] * v)
 			}
 			next[o] = relu(s, hidden)
 		}
@@ -287,22 +288,22 @@ func (m *MLP) step(x []float64, y int, lr float64) float64 {
 					pend = o
 					continue
 				}
-				lg0, lg1 := lr*delta[pend], lr*g
+				lg0, lg1 := float64(lr*delta[pend]), float64(lr*g)
 				b[pend] -= lg0
 				b[o] -= lg1
 				r0, r1 := w[pend][:len(in)], w[o][:len(in)]
 				for i, v := range in {
-					r0[i] -= lg0 * v
-					r1[i] -= lg1 * v
+					r0[i] -= float64(lg0 * v)
+					r1[i] -= float64(lg1 * v)
 				}
 				pend = -1
 			}
 			if pend >= 0 {
-				lg := lr * delta[pend]
+				lg := float64(lr * delta[pend])
 				b[pend] -= lg
 				row := w[pend][:len(in)]
 				for i, v := range in {
-					row[i] -= lg * v
+					row[i] -= float64(lg * v)
 				}
 			}
 			return loss
@@ -314,26 +315,26 @@ func (m *MLP) step(x []float64, y int, lr float64) float64 {
 		o := 0
 		for ; o+2 <= len(w); o += 2 {
 			g0, g1 := delta[o], delta[o+1]
-			lg0, lg1 := lr*g0, lr*g1
+			lg0, lg1 := float64(lr*g0), float64(lr*g1)
 			b[o] -= lg0
 			b[o+1] -= lg1
 			r0, r1 := w[o][:len(in)], w[o+1][:len(in)]
 			for i, v := range in {
 				a0, a1 := r0[i], r1[i]
-				prev[i] = prev[i] + g0*a0 + g1*a1
-				r0[i] = a0 - lg0*v
-				r1[i] = a1 - lg1*v
+				prev[i] = prev[i] + float64(g0*a0) + float64(g1*a1)
+				r0[i] = a0 - float64(lg0*v)
+				r1[i] = a1 - float64(lg1*v)
 			}
 		}
 		for ; o < len(w); o++ {
 			g := delta[o]
-			lg := lr * g
+			lg := float64(lr * g)
 			b[o] -= lg
 			row := w[o][:len(in)]
 			for i, v := range in {
 				ri := row[i]
-				prev[i] += g * ri
-				row[i] = ri - lg*v
+				prev[i] += float64(g * ri)
+				row[i] = ri - float64(lg*v)
 			}
 		}
 		// ReLU derivative of the hidden activation.
