@@ -99,15 +99,12 @@ func runEvaluate(args []string, stdout, stderr io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// The trace sink is not JSON-serializable, so it rides as an extra
-	// option on top of the request.
-	var extra []sim.Option
 	var traceLog *trace.Log
 	if *traceOut != "" {
 		traceLog = &trace.Log{Source: "timing", Network: *network}
-		extra = append(extra, sim.WithTraceSink(traceLog.Emit))
+		req.Trace = traceLog.Emit
 	}
-	res, err := sim.Evaluate(ctx, &req, extra...)
+	res, err := sim.Evaluate(ctx, &req)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/sim"
 )
 
@@ -140,6 +141,52 @@ func holdSlot(t *testing.T, srv *server) (release func()) {
 		t.Fatal(err)
 	}
 	return g.Release
+}
+
+// TestInvalidOptionsRejectedBeforeAdmission: a request whose options are
+// invalid is a 400 at once, even while the only compute slot is held and
+// no queue is configured. It never joins the coalescing queue or takes an
+// admission slot, and its body is the bytes the same error gets when
+// sim.Evaluate reports it.
+func TestInvalidOptionsRejectedBeforeAdmission(t *testing.T) {
+	cfg := quietConfig()
+	cfg.MaxConcurrent = 1
+	cfg.QueueDepth = -1 // no queue: anything that reached admission would shed
+	srv := newServer(cfg)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	release := holdSlot(t, srv)
+	defer release()
+
+	for _, body := range []string{
+		`{"backend":"timely","network":"CNN-1","bits":7}`,
+		`{"backend":"timely","network":"CNN-1","trials":3}`,
+		`{"backend":"functional","network":"mlp","fault_rate":0.01}`,
+		`{"backend":"functional","network":"mlp","noise_ps":-1}`,
+		`{"backend":"timing","network":"VGG-D","images":5000}`,
+	} {
+		var req sim.EvalRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		_, evalErr := sim.Evaluate(context.Background(), &req)
+		if evalErr == nil {
+			t.Fatalf("%s: sim.Evaluate accepted it", body)
+		}
+		want := httptest.NewRecorder()
+		serve.WriteError(want, nil, http.StatusBadRequest, "", 0, evalErr)
+
+		got := postEvalFull(t, ts, body)
+		if got.status != http.StatusBadRequest || got.body != want.Body.String() {
+			t.Errorf("%s: status %d body %q, want 400 %q", body, got.status, got.body, want.Body.String())
+		}
+	}
+	if got := srv.metrics.Admitted.Load(); got != 0 {
+		t.Errorf("Admitted = %d, want 0", got)
+	}
+	if batches, batched, coalesced := srv.evalQueue.Stats(); batches+batched+coalesced != 0 {
+		t.Errorf("queue stats = (%d, %d, %d), want none", batches, batched, coalesced)
+	}
 }
 
 // awaitQueue blocks until at least batched evaluate requests have entered

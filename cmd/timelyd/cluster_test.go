@@ -363,8 +363,9 @@ func TestClusterEntryCache(t *testing.T) {
 		t.Fatalf("register: status %d", resp.StatusCode)
 	}
 	byName := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"entry-cache-net","chips":%d}`, 1)[0]
-	// A 400 from the owner passes through and is never kept.
-	bad := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"CNN-1","chips":%d,"bits":7}`, 1)[0]
+	// A 400 only the owner can produce (an unknown name resolves on the
+	// evaluating replica) passes through and is never kept.
+	bad := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"never-registered","chips":%d}`, 1)[0]
 	for _, tc := range []struct {
 		body   string
 		status int

@@ -6,10 +6,10 @@
 // concurrent harness regenerating every table and figure of the paper's
 // evaluation with deterministic text, CSV and JSON output.
 //
-// The public API is the sim package: a Backend facade over the analytic
-// accelerators and the functional Monte-Carlo simulator, constructed via
-// sim.Open("timely"|"prime"|"isaac"|"functional", opts...) with
-// context-aware evaluation. Custom networks are first-class: any conv/fc/
+// The public API is the sim package: one context-aware call,
+// sim.Evaluate(ctx, &sim.EvalRequest{...}), over the analytic accelerators
+// ("timely", "prime", "isaac"), the functional Monte-Carlo simulator
+// ("functional") and the event-driven timing simulator ("timing"). Custom networks are first-class: any conv/fc/
 // pool topology spelled as a declarative sim.NetworkSpec (JSON) compiles
 // through the same spec pipeline as the built-in zoo and evaluates via
 // sim.Evaluate, timely evaluate -network @spec.json, or the service's

@@ -19,11 +19,10 @@ func main() {
 	ctx := context.Background()
 
 	// Design point: the paper's ε=10 ps per X-subBuf, 12-hop cascade.
-	b, err := sim.Open("functional", sim.WithSeed(7), sim.WithTrials(5))
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := b.Evaluate(ctx, "mlp")
+	seed := uint64(7)
+	res, err := sim.Evaluate(ctx, &sim.EvalRequest{
+		Backend: "functional", Network: "mlp", Seed: &seed, Trials: 5,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,12 +37,9 @@ func main() {
 	fmt.Println("noise sweep (per-X-subBuf error, 12-hop cascade):")
 	fmt.Println("  eps (ps)   accuracy   sqrt(12)*eps within 40 ps margin?")
 	for _, eps := range []float64{0, 10, 50, 100, 200, 400, 800} {
-		b, err := sim.Open("functional",
-			sim.WithSeed(7), sim.WithTrials(3), sim.WithNoise(eps))
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := b.Evaluate(ctx, "mlp")
+		res, err := sim.Evaluate(ctx, &sim.EvalRequest{
+			Backend: "functional", Network: "mlp", Seed: &seed, Trials: 3, NoisePS: &eps,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // design_space explores the two architecture trade-offs §V and §VI-D
 // discuss, entirely through the public sim facade: the DTC/TDC sharing
-// factor γ (throughput vs computational density, via the Designer view)
-// and the sub-chip count χ (area scaling barely moves energy and leaves
-// per-chip throughput untouched, via WithSubChips evaluations).
+// factor γ (throughput vs computational density, via sim.DesignPoint) and
+// the sub-chip count χ (area scaling barely moves energy and leaves
+// per-chip throughput untouched, via sub_chips evaluations).
 package main
 
 import (
@@ -19,11 +19,10 @@ func main() {
 	fmt.Println("gamma sweep: DTC/TDC sharing vs cycle time, area and peak density")
 	fmt.Println("  gamma  cycle(ns)  sub-chip mm^2  peak TOPS/sub-chip  TOPs/(s*mm^2)")
 	for _, gamma := range []int{1, 2, 4, 8, 16, 32} {
-		b, err := sim.Open("timely", sim.WithGamma(gamma))
+		d, err := sim.DesignPoint(&sim.EvalRequest{Backend: "timely", Gamma: gamma})
 		if err != nil {
 			log.Fatal(err)
 		}
-		d := b.(sim.Designer).Design()
 		fmt.Printf("  %5d  %9.0f  %13.2f  %18.2f  %13.2f\n",
 			d.Gamma, d.CycleNS, d.SubChipAreaMM2, d.PeakTOPSPerSubChip, d.DensityTOPsPerMM2)
 	}
@@ -31,11 +30,7 @@ func main() {
 	fmt.Println("\nsub-chip scaling (§VI-D): chi sweep on VGG-D energy")
 	fmt.Println("  chi   chip mm^2   energy/inference   imgs/s (1 chip)")
 	for _, chi := range []int{53, 106, 212} {
-		b, err := sim.Open("timely", sim.WithSubChips(chi))
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := b.Evaluate(ctx, "VGG-D")
+		r, err := sim.Evaluate(ctx, &sim.EvalRequest{Backend: "timely", Network: "VGG-D", SubChips: chi})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,7 @@
-// Quickstart for the public sim facade: open the three analytic backends
-// through the registry, evaluate an ImageNet-scale network on each, run the
+// Quickstart for the public sim facade: evaluate an ImageNet-scale network
+// on the three analytic backends, read TIMELY's design point, run the
 // functional Monte-Carlo accuracy study, and show the JSON request/result
-// shapes the timelyd service speaks.
+// shapes the timelyd service speaks. Every evaluation is one EvalRequest.
 package main
 
 import (
@@ -22,11 +22,7 @@ func main() {
 	fmt.Println("\nVGG-D, one chip:")
 	fmt.Println("  backend   energy/img      imgs/s    TOPs/W")
 	for _, name := range []string{"timely", "prime", "isaac"} {
-		b, err := sim.Open(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := b.Evaluate(ctx, "VGG-D")
+		res, err := sim.Evaluate(ctx, &sim.EvalRequest{Backend: name, Network: "VGG-D"})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,11 +31,10 @@ func main() {
 	}
 
 	// TIMELY also exposes its physical design point.
-	t, err := sim.Open("timely")
+	d, err := sim.DesignPoint(&sim.EvalRequest{Backend: "timely"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	d := t.(sim.Designer).Design()
 	fmt.Printf("\nTIMELY design point: chi=%d sub-chips, gamma=%d, %.0f ns cycle, %.1f mm^2/chip\n",
 		d.SubChipsPerChip, d.Gamma, d.CycleNS, d.ChipAreaMM2)
 
@@ -47,11 +42,7 @@ func main() {
 	// the synthetic workload: noise-aware float training, 8-bit
 	// quantisation, execution through the analog datapath with injected
 	// circuit noise.
-	f, err := sim.Open("functional", sim.WithTrials(3))
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := f.Evaluate(ctx, "mlp")
+	res, err := sim.Evaluate(ctx, &sim.EvalRequest{Backend: "functional", Network: "mlp", Trials: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,8 +50,8 @@ func main() {
 	fmt.Printf("\nfunctional mlp: float %.1f%%, int8 %.1f%%, analog %.1f%% (%d trials, loss %.2f pp)\n",
 		100*acc.Float, 100*acc.Int, 100*acc.Analog, acc.Trials, acc.LossPP)
 
-	// The same evaluation as one JSON request — the exact payload timelyd's
-	// POST /v1/evaluate accepts.
+	// A request is also the JSON payload timelyd's POST /v1/evaluate
+	// accepts.
 	req := &sim.EvalRequest{Backend: "timely", Network: "ResNet-50", Chips: 16}
 	out, err := sim.Evaluate(ctx, req)
 	if err != nil {

@@ -16,11 +16,7 @@ import (
 )
 
 func evaluate(ctx context.Context, backend string) *sim.EvalResult {
-	b, err := sim.Open(backend)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := b.Evaluate(ctx, "VGG-D")
+	res, err := sim.Evaluate(ctx, &sim.EvalRequest{Backend: backend, Network: "VGG-D"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func ChipArea(n int) float64 { return float64(n) * SubChipArea() }
 // DesignPoint is the physical sub-chip design at one configuration: cycle
 // time, interface-scaled area and peak compute. It is the single source of
 // the γ-trade-off arithmetic shared by the §V ablation and the public
-// sim.Designer view.
+// sim.DesignPoint.
 type DesignPoint struct {
 	// CycleNS is the pipeline cycle in ns (γ × 25 ns).
 	CycleNS float64

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/accel"
@@ -11,133 +10,75 @@ import (
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/params"
 )
 
-func init() {
-	mustRegister("timely", newTimely)
-	mustRegister("prime", newAnalytic("prime"))
-	mustRegister("isaac", newAnalytic("isaac"))
-}
-
-// analytic serves the architecture-level models over the Table III
-// benchmark zoo. Evaluations at the shared default design point are
-// memoized process-wide together with the experiment harness.
-type analytic struct {
-	name string
-	cfg  Config
-}
-
-// timelyBackend adds the Designer view only TIMELY has (PRIME and ISAAC
-// contribute published peaks, not a parameterised design).
-type timelyBackend struct {
-	analytic
-}
-
-func newTimely(cfg *Config) (Backend, error) {
-	if err := cfg.reject("timely", optNoise, optFaultRate, optSeed, optTrials, optImages, optTrace); err != nil {
-		return nil, err
-	}
-	return &timelyBackend{analytic{name: "timely", cfg: *cfg}}, nil
-}
-
-// newAnalytic builds the factory for the fixed-design baselines. Their
-// precision is part of the published design (PRIME is 8-bit, ISAAC
-// 16-bit), so only the deployment size is configurable.
-func newAnalytic(name string) Factory {
-	return func(cfg *Config) (Backend, error) {
-		if err := cfg.reject(name, optBits, optSubChips, optGamma,
-			optNoise, optFaultRate, optSeed, optTrials, optImages, optTrace); err != nil {
-			return nil, err
-		}
-		return &analytic{name: name, cfg: *cfg}, nil
-	}
-}
-
-// Name implements Backend.
-func (a *analytic) Name() string { return a.name }
-
-// Networks implements Backend: the Table III benchmark suite plus every
-// registered custom network.
-func (a *analytic) Networks() []string {
-	names := model.BenchmarkNames()
-	for _, info := range RegisteredNetworks() {
-		names = append(names, info.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// customDesign reports whether the configuration leaves the shared
-// memoized design point (χ or γ overridden).
-func (a *analytic) customDesign() bool {
-	return a.cfg.IsSet(optSubChips) || a.cfg.IsSet(optGamma)
-}
-
-// Evaluate implements Backend: it resolves a Table III benchmark or a
-// registered custom network by name.
-func (a *analytic) Evaluate(ctx context.Context, network string) (*EvalResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// evaluateAnalytic serves the architecture-level models ("timely",
+// "prime", "isaac") over the Table III benchmark zoo, registered custom
+// networks and inline specs.
+func evaluateAnalytic(ctx context.Context, c config, req *EvalRequest) (*EvalResult, error) {
 	start := time.Now()
-	if n, err := model.ByName(network); err == nil {
-		return a.finish(start, n, false)
-	}
-	if n, ok := registeredNetwork(network); ok {
-		return a.finish(start, n, true)
-	}
-	return nil, fmt.Errorf("%w: %q (backend %q evaluates the Table III suite and registered custom networks)",
-		ErrUnknownNetwork, network, a.name)
-}
-
-// EvaluateSpec implements SpecEvaluator: compile the inline spec through
-// the same path the zoo uses, then evaluate the network like any other.
-func (a *analytic) EvaluateSpec(ctx context.Context, spec *NetworkSpec) (*EvalResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if spec == nil {
-		return nil, fmt.Errorf("%w: nil spec", ErrInvalidSpec)
-	}
-	n, err := spec.Compile()
+	n, custom, err := lookupNetwork(ctx, c, req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
+		return nil, err
 	}
-	return a.finish(start, n, true)
+	out, err := analytic(c.backend, c, n, custom)
+	if err != nil {
+		return nil, err
+	}
+	out.ElapsedMS = elapsedMS(start)
+	return out, nil
 }
 
-// finish evaluates a compiled network and assembles the typed result.
-// Zoo benchmarks at the shared design point memoize under their Table III
-// name (the cache the experiment suite shares); custom networks memoize
-// under their canonical spec hash, which the result reports.
-func (a *analytic) finish(start time.Time, n *model.Network, custom bool) (*EvalResult, error) {
+// lookupNetwork resolves the network an analytic or timing request names:
+// its inline spec compiled through the same path the zoo uses, a Table III
+// benchmark, or a registered custom network. custom reports whether the
+// network is keyed by its spec hash rather than its zoo name.
+func lookupNetwork(ctx context.Context, c config, req *EvalRequest) (n *model.Network, custom bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	if req.Spec != nil {
+		n, err := req.Spec.Compile()
+		if err != nil {
+			return nil, false, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
+		}
+		return n, true, nil
+	}
+	if n, err := model.ByName(req.Network); err == nil {
+		return n, false, nil
+	}
+	if n, ok := registeredNetwork(req.Network); ok {
+		return n, true, nil
+	}
+	return nil, false, fmt.Errorf("%w: %q (backend %q evaluates the Table III suite and registered custom networks)",
+		ErrUnknownNetwork, req.Network, c.backend)
+}
+
+// analytic evaluates a compiled network on the named analytic model and
+// assembles the typed result. Zoo benchmarks at the shared design point
+// memoize under their Table III name (the cache the experiment suite
+// shares); custom networks memoize under their canonical spec hash, which
+// the result reports. A χ or γ override leaves the shared design point
+// and evaluates unmemoized.
+func analytic(name string, c config, n *model.Network, custom bool) (*EvalResult, error) {
 	var res *accel.Result
 	var err error
 	switch {
-	case a.customDesign():
-		t := accel.NewTimely(a.cfg.Bits, a.cfg.Chips)
-		if a.cfg.IsSet(optSubChips) {
-			t.Cfg.SubChips = a.cfg.SubChips
-		}
-		if a.cfg.IsSet(optGamma) {
-			t.Cfg.Gamma = a.cfg.Gamma
-		}
-		res, err = t.Evaluate(n)
+	case c.subChips != 0 || c.gamma != 0:
+		res, err = (&accel.Timely{Cfg: timelyConfig(c)}).Evaluate(n)
 	case custom:
-		res, err = experiments.EvalSpec(a.name, a.cfg.Bits, a.cfg.Chips, n)
+		res, err = experiments.EvalSpec(name, c.bits, c.chips, n)
 	default:
-		res, err = experiments.Eval(a.name, a.cfg.Bits, a.cfg.Chips, n.Name)
+		res, err = experiments.Eval(name, c.bits, c.chips, n.Name)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s/%s: %w", a.name, n.Name, err)
+		return nil, fmt.Errorf("sim: %s/%s: %w", name, n.Name, err)
 	}
 	fits := res.Fits
 	out := &EvalResult{
-		Backend:          a.name,
+		Backend:          name,
 		Network:          n.Name,
-		Chips:            a.cfg.Chips,
+		Chips:            c.chips,
 		EnergyMJPerImage: res.EnergyPerImageMJ(),
 		PowerWatts:       res.AveragePowerWatts(),
 		ImagesPerSec:     res.ImagesPerSec,
@@ -147,18 +88,18 @@ func (a *analytic) finish(start time.Time, n *model.Network, custom bool) (*Eval
 	if custom {
 		out.SpecHash = n.SpecHash()
 	}
-	if a.name == "timely" {
-		out.AreaMM2 = a.design().ChipAreaMM2 * float64(a.cfg.Chips)
+	if name == "timely" {
+		out.AreaMM2 = design(c).ChipAreaMM2 * float64(c.chips)
 	}
-	for _, c := range energy.Components() {
-		ops := res.Ledger.Count(c)
+	for _, comp := range energy.Components() {
+		ops := res.Ledger.Count(comp)
 		if ops == 0 {
 			continue
 		}
 		out.EnergyBreakdown = append(out.EnergyBreakdown, ComponentEnergy{
-			Component:   c.String(),
+			Component:   comp.String(),
 			Ops:         ops,
-			MilliJoules: res.Ledger.Energy(c) * 1e-12,
+			MilliJoules: res.Ledger.Energy(comp) * 1e-12,
 		})
 	}
 	for _, cl := range []energy.Class{energy.ClassInput, energy.ClassPsum, energy.ClassOutput} {
@@ -167,21 +108,14 @@ func (a *analytic) finish(start time.Time, n *model.Network, custom bool) (*Eval
 			MilliJoules: res.Ledger.MovementByClass(cl) * 1e-12,
 		})
 	}
-	out.ElapsedMS = elapsedMS(start)
 	return out, nil
 }
 
-// design resolves the configured TIMELY design point: Table II with the
-// interface banks resized to γ and the sub-chip count to χ, evaluated by
-// the same area arithmetic as the §V γ ablation.
-func (a *analytic) design() *Design {
-	cfg := params.DefaultTimely(a.cfg.Bits)
-	if a.cfg.IsSet(optGamma) {
-		cfg.Gamma = a.cfg.Gamma
-	}
-	if a.cfg.IsSet(optSubChips) {
-		cfg.SubChips = a.cfg.SubChips
-	}
+// design evaluates the request's TIMELY design point: Table II with the
+// interface banks resized to γ and the sub-chip count to χ, by the same
+// area arithmetic as the §V γ ablation.
+func design(c config) *Design {
+	cfg := timelyConfig(c)
 	d := area.TimelyDesignPoint(cfg)
 	return &Design{
 		Bits:               cfg.WeightBits,
@@ -194,6 +128,3 @@ func (a *analytic) design() *Design {
 		DensityTOPsPerMM2:  d.DensityTOPsMM2,
 	}
 }
-
-// Design implements Designer for the "timely" backend.
-func (t *timelyBackend) Design() *Design { return t.design() }

@@ -27,24 +27,20 @@ import (
 // what singleflight de-duplication and the result cache key on.
 //
 // Keys hashes the RAW request fields, not their resolved defaults: an
-// explicitly-set field and an unset one are different classes, because
-// backends reject options foreign to them only when explicitly set (an
+// explicitly-set field and an unset one are different classes (an
 // explicit bits on the functional backend is a 400; an unset one is not).
 // No component names a Monte-Carlo stream contract: every functional
 // evaluation draws from the one keyed Philox contract ("v3", echoed in
-// the result). Inline specs are compiled (and validated) here, so a
-// handler can reject a malformed spec before admission; the same
-// validation failures Evaluate would report are returned.
+// the result).
+//
+// Keys runs the validation step Evaluate runs and compiles inline specs,
+// so a handler can reject an invalid request before admission with the
+// error Evaluate would report. It does not consult the network registry:
+// a name is resolved, and an unknown one rejected, where the request is
+// evaluated.
 func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
-	if r.Backend == "" {
-		return "", "", fmt.Errorf("%w: request names no backend", ErrUnknownBackend)
-	}
-	if r.Spec == nil && r.Network == "" {
-		return "", "", fmt.Errorf("%w: request names no network and carries no spec", ErrUnknownNetwork)
-	}
-	if r.Spec != nil && r.Network != "" && r.Network != r.Spec.Name {
-		return "", "", fmt.Errorf("%w: request names network %q but the inline spec is %q",
-			ErrInvalidSpec, r.Network, r.Spec.Name)
+	if _, err := r.resolve(); err != nil {
+		return "", "", err
 	}
 	var b strings.Builder
 	// Client-controlled free-form strings are %q-escaped so a crafted
@@ -133,44 +129,29 @@ func EvaluateBatch(ctx context.Context, reqs []*EvalRequest) ([]*EvalResult, []e
 }
 
 // fuseFunctional attempts the fused functional path. It reports false when
-// the group does not qualify (wrong backend or network, single member, or
-// heterogeneous); a qualifying group runs as one evaluateSeeds call, and a
-// failure of that call is every member's error.
+// the group does not qualify (another backend, a single member, or
+// heterogeneous batch keys); a qualifying group runs as one evaluateSeeds
+// call, and a failure of that call is every member's error.
 func fuseFunctional(ctx context.Context, reqs []*EvalRequest, vals []*EvalResult, errs []error) ([]*EvalResult, bool) {
-	if len(reqs) < 2 || reqs[0].Backend != "functional" || reqs[0].Spec != nil {
+	if len(reqs) < 2 || reqs[0].Backend != "functional" {
 		return nil, false
 	}
-	network := reqs[0].Network
-	if network != "mlp" && network != "cnn" {
-		return nil, false
-	}
-	_, key0, err := reqs[0].Keys()
-	if err != nil {
-		return nil, false
-	}
-	for _, r := range reqs[1:] {
-		_, key, err := r.Keys()
-		if err != nil || key != key0 {
-			return nil, false
-		}
-	}
-	var f0 *functional
+	var c config
+	var key0 string
 	seeds := make([]uint64, len(reqs))
 	for i, r := range reqs {
-		b, err := Open(r.Backend, r.options()...)
-		if err != nil {
+		_, key, err := r.Keys()
+		if err != nil || i > 0 && key != key0 {
 			return nil, false
 		}
-		f, ok := b.(*functional)
-		if !ok {
+		key0 = key
+		// Equal batch keys resolve alike but for the seed.
+		if c, err = r.resolve(); err != nil {
 			return nil, false
 		}
-		if f0 == nil {
-			f0 = f
-		}
-		seeds[i] = f.seed(network)
+		seeds[i] = c.seed
 	}
-	rs, err := f0.evaluateSeeds(ctx, network, seeds)
+	rs, err := evaluateSeeds(ctx, c, reqs[0].Network, seeds)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err

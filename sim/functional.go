@@ -9,74 +9,21 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister("functional", newFunctional)
-}
-
-// Functional-backend Monte-Carlo defaults: the seeds align with the
-// experiment suite's accuracy and defect studies, so a default facade
-// evaluation shares their memoized trained classifiers.
-const (
-	defaultMLPSeed = 2020
-	defaultCNNSeed = 5
-)
-
-// functional serves the noise/fault Monte-Carlo simulator: synthetic
-// workloads trained in float, quantised onto TIMELY's 8-bit datapath and
-// executed through the functional analog pipeline.
-type functional struct {
-	cfg Config
-}
-
-func newFunctional(cfg *Config) (Backend, error) {
-	if err := cfg.reject("functional", optBits, optChips, optSubChips, optGamma, optImages, optTrace); err != nil {
-		return nil, err
-	}
-	return &functional{cfg: *cfg}, nil
-}
-
-// Name implements Backend.
-func (f *functional) Name() string { return "functional" }
-
-// Networks implements Backend: the two synthetic §VI-B workloads.
-func (f *functional) Networks() []string { return []string{"cnn", "mlp"} }
-
-// seed returns the Monte-Carlo base seed: the explicit one, or the
-// network's experiment-suite default.
-func (f *functional) seed(network string) uint64 {
-	switch {
-	case f.cfg.IsSet(optSeed):
-		return f.cfg.Seed
-	case network == "cnn":
-		return defaultCNNSeed
-	}
-	return defaultMLPSeed
-}
-
-// Evaluate implements Backend.
+// evaluateSeeds is the functional backend: it runs one Monte-Carlo
+// workload under c for every seed as one fused trial grid
+// (experiments.AnalogMLPAccuracyBatch / AnalogCNNAccuracyBatch), one
+// result per seed in order. It is the one functional path: a single
+// request is a group of one, and a fused service group (EvaluateBatch)
+// passes its members' seeds, so batched responses cannot drift from
+// unbatched ones. Every result reports the group's wall clock as
+// ElapsedMS.
 //
 // "mlp" is the §VI-B accuracy study: the noise-aware-trained synthetic
-// classifier under injected circuit noise (WithNoise sweeps ε; faults do
-// not apply). "cnn" is the stuck-at-fault study: the synthetic-image CNN
-// mapped onto faulty crossbars (WithFaultRate sweeps the defect level;
-// timing noise does not apply). Both are averaged over WithTrials
-// independent Monte-Carlo draws and are deterministic per seed.
-func (f *functional) Evaluate(ctx context.Context, network string) (*EvalResult, error) {
-	out, err := f.evaluateSeeds(ctx, network, []uint64{f.seed(network)})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// evaluateSeeds runs one workload under f's configuration for every seed
-// as one fused trial grid (experiments.AnalogMLPAccuracyBatch /
-// AnalogCNNAccuracyBatch), one result per seed in order. It is the one
-// functional path: a single request is a group of one, and a fused
-// service group (EvaluateBatch) passes its members' seeds, so batched
-// responses cannot drift from unbatched ones. Every result reports the
-// group's wall clock as ElapsedMS.
-func (f *functional) evaluateSeeds(ctx context.Context, network string, seeds []uint64) ([]*EvalResult, error) {
+// classifier under injected circuit noise (noise_ps sweeps ε). "cnn" is
+// the stuck-at-fault study: the synthetic-image CNN mapped onto faulty
+// crossbars (fault_rate sweeps the defect level). Both average over the
+// request's trials and are deterministic per seed.
+func evaluateSeeds(ctx context.Context, c config, network string, seeds []uint64) ([]*EvalResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -84,11 +31,7 @@ func (f *functional) evaluateSeeds(ctx context.Context, network string, seeds []
 	var acc []*AccuracyStats
 	switch network {
 	case "mlp":
-		if f.cfg.IsSet(optFaultRate) {
-			return nil, fmt.Errorf("%w: fault injection applies to the \"cnn\" workload, not %q",
-				ErrInvalidOption, network)
-		}
-		rs, err := experiments.AnalogMLPAccuracyBatch(ctx, seeds, f.cfg.Trials, f.cfg.NoisePS)
+		rs, err := experiments.AnalogMLPAccuracyBatch(ctx, seeds, c.trials, c.noisePS)
 		if err != nil {
 			return nil, err
 		}
@@ -96,11 +39,7 @@ func (f *functional) evaluateSeeds(ctx context.Context, network string, seeds []
 			acc = append(acc, mlpAccuracyStats(r))
 		}
 	case "cnn":
-		if f.cfg.IsSet(optNoise) {
-			return nil, fmt.Errorf("%w: timing noise applies to the \"mlp\" workload, not %q",
-				ErrInvalidOption, network)
-		}
-		rs, err := experiments.AnalogCNNAccuracyBatch(ctx, seeds, f.cfg.Trials, f.cfg.FaultRate)
+		rs, err := experiments.AnalogCNNAccuracyBatch(ctx, seeds, c.trials, c.faultRate)
 		if err != nil {
 			return nil, err
 		}

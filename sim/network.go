@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,16 +22,6 @@ type (
 	// SpecError is the typed validation failure Compile reports.
 	SpecError = model.SpecError
 )
-
-// SpecEvaluator is implemented by backends that can evaluate arbitrary
-// declarative network specs — the analytic backends. The functional
-// Monte-Carlo backend runs only its two trained synthetic workloads and
-// does not implement it.
-type SpecEvaluator interface {
-	// EvaluateSpec compiles and evaluates one custom network. Invalid
-	// specs fail with ErrInvalidSpec (wrapping the *SpecError detail).
-	EvaluateSpec(ctx context.Context, spec *NetworkSpec) (*EvalResult, error)
-}
 
 // NetworkInfo summarises a validated network spec: the compiled layer
 // count, derived totals, and the canonical content hash that keys the
@@ -74,8 +63,8 @@ var (
 var maxRegisteredNetworks = 1024
 
 // RegisterNetwork validates a custom network spec and registers it under
-// its name, making it evaluable by name through every analytic backend
-// (and through timelyd's /v1/evaluate). Registration is idempotent for an
+// its name, making it evaluable by name through the analytic and timing
+// backends (and through timelyd's /v1/evaluate). Registration is idempotent for an
 // identical spec; a name that is already taken by a different network — or
 // by a built-in Table III benchmark — fails with ErrDuplicateNetwork.
 // Invalid specs fail with ErrInvalidSpec wrapping the *SpecError detail,

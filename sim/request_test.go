@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -243,11 +245,10 @@ func TestInvalidRequestErrors(t *testing.T) {
 // evaluatePin evaluates a copy of req, with a trace sink attached when
 // trace is set.
 func evaluatePin(req EvalRequest, trace bool) (*EvalResult, error) {
-	var extra []Option
 	if trace {
-		extra = append(extra, WithTraceSink(func(TraceSpan) {}))
+		req.Trace = func(TraceSpan) {}
 	}
-	return Evaluate(context.Background(), &req, extra...)
+	return Evaluate(context.Background(), &req)
 }
 
 // validKeys pins the exact identity keys of representative valid
@@ -313,5 +314,101 @@ func TestValidRequestKeys(t *testing.T) {
 		if bk != tc.batch {
 			t.Errorf("batch key = %s\n want %s", bk, tc.batch)
 		}
+	}
+}
+
+// TestKeysRejectsWhatEvaluateRejects: Keys runs Evaluate's validation
+// step, so every invalid row fails Keys with Evaluate's exact error — all
+// but the unknown names, which only the evaluating process can resolve.
+func TestKeysRejectsWhatEvaluateRejects(t *testing.T) {
+	for _, tc := range invalidRequests {
+		req := tc.req
+		if tc.trace {
+			req.Trace = func(TraceSpan) {}
+		}
+		_, _, err := req.Keys()
+		// An unknown-network error other than the prelude's comes from
+		// the name lookup.
+		lookup := errors.Is(tc.sentinel, ErrUnknownNetwork) && (tc.req.Network != "" || tc.req.Spec != nil)
+		switch {
+		case lookup && err != nil:
+			t.Errorf("%s: Keys consulted the network registry: %v", tc.name, err)
+		case !lookup && err == nil:
+			t.Errorf("%s: Keys accepted a request Evaluate rejects with %q", tc.name, tc.err)
+		case !lookup && err.Error() != tc.err:
+			t.Errorf("%s: Keys err = %q\n want Evaluate's %q", tc.name, err, tc.err)
+		}
+	}
+}
+
+// TestKeysConverse: changing any one result-affecting field of a valid
+// request to another valid value changes its cache key, and changes its
+// batch key too unless the field is the seed value. Only Keys runs.
+func TestKeysConverse(t *testing.T) {
+	bases := []EvalRequest{
+		{Backend: "timely", Network: "VGG-D", Chips: 2},
+		{Backend: "prime", Network: "VGG-D"},
+		{Backend: "isaac", Spec: tinySpec("tiny-pin")},
+		{Backend: "functional", Network: "mlp", Seed: u64(7), Trials: 2},
+		{Backend: "functional", Network: "cnn", FaultRate: f64(0.01)},
+		{Backend: "timing", Network: "SqueezeNet", Images: 8},
+	}
+	other := tinySpec("tiny-pin")
+	other.Layers[0].Filters = 8
+	edits := []struct {
+		field string
+		apply func(*EvalRequest)
+	}{
+		{"backend timely", func(r *EvalRequest) { r.Backend = "timely" }},
+		{"backend prime", func(r *EvalRequest) { r.Backend = "prime" }},
+		{"backend isaac", func(r *EvalRequest) { r.Backend = "isaac" }},
+		{"backend timing", func(r *EvalRequest) { r.Backend = "timing" }},
+		{"backend functional", func(r *EvalRequest) { r.Backend = "functional" }},
+		{"network", func(r *EvalRequest) { r.Network, r.Spec = "ResNet-50", nil }},
+		{"network mlp", func(r *EvalRequest) { r.Network, r.Spec = "mlp", nil }},
+		{"network cnn", func(r *EvalRequest) { r.Network, r.Spec = "cnn", nil }},
+		{"spec", func(r *EvalRequest) { r.Network, r.Spec = "", other }},
+		{"bits", func(r *EvalRequest) { r.Bits = 16 }},
+		{"bits explicit", func(r *EvalRequest) { r.Bits = 8 }},
+		{"chips", func(r *EvalRequest) { r.Chips = 3 }},
+		{"sub_chips", func(r *EvalRequest) { r.SubChips = 53 }},
+		{"gamma", func(r *EvalRequest) { r.Gamma = 4 }},
+		{"noise_ps", func(r *EvalRequest) { r.NoisePS = f64(20) }},
+		{"noise_ps zero", func(r *EvalRequest) { r.NoisePS = f64(0) }},
+		{"fault_rate", func(r *EvalRequest) { r.FaultRate = f64(0.02) }},
+		{"fault_rate zero", func(r *EvalRequest) { r.FaultRate = f64(0) }},
+		{"seed", func(r *EvalRequest) { r.Seed = u64(8) }},
+		{"seed zero", func(r *EvalRequest) { r.Seed = u64(0) }},
+		{"trials", func(r *EvalRequest) { r.Trials = 3 }},
+		{"images", func(r *EvalRequest) { r.Images = 16 }},
+	}
+	tried := 0
+	for _, base := range bases {
+		ck0, bk0, err := base.Keys()
+		if err != nil {
+			t.Fatalf("base %+v: %v", base, err)
+		}
+		for _, e := range edits {
+			req := base
+			e.apply(&req)
+			if reflect.DeepEqual(req, base) {
+				continue // the edit leaves this base as it is
+			}
+			ck, bk, err := req.Keys()
+			if err != nil {
+				continue // the edit makes this base invalid
+			}
+			tried++
+			if ck == ck0 {
+				t.Errorf("%s on %+v: cache key unchanged: %s", e.field, base, ck)
+			}
+			seedValue := base.Seed != nil && strings.HasPrefix(e.field, "seed")
+			if (bk == bk0) != seedValue {
+				t.Errorf("%s on %+v: batch key %s, base %s", e.field, base, bk, bk0)
+			}
+		}
+	}
+	if tried < 40 {
+		t.Errorf("only %d valid one-field edits tried", tried)
 	}
 }

@@ -9,28 +9,27 @@ import (
 )
 
 // TestSamplerRegimesBothEvaluate: the cnn fault study gives the same result
-// whether it is set up through the option API or through the JSON request
-// form; the result echoes the one stream contract, v3, is plausible, and
-// its percentile summary is ordered.
+// whether its request is built in Go or decoded from the JSON wire form;
+// the result echoes the one stream contract, v3, is plausible, and its
+// percentile summary is ordered.
 func TestSamplerRegimesBothEvaluate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the synthetic CNN")
 	}
 	ctx := context.Background()
-	b, err := Open("functional", WithTrials(2), WithFaultRate(0.01))
+	viaGo, err := Evaluate(ctx, &EvalRequest{Backend: "functional", Network: "cnn", Trials: 2, FaultRate: f64(0.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOpts, err := b.Evaluate(ctx, "cnn")
+	var wire EvalRequest
+	if err := json.Unmarshal([]byte(`{"backend":"functional","network":"cnn","trials":2,"fault_rate":0.01}`), &wire); err != nil {
+		t.Fatal(err)
+	}
+	viaWire, err := Evaluate(ctx, &wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := 0.01
-	viaReq, err := Evaluate(ctx, &EvalRequest{Backend: "functional", Network: "cnn", Trials: 2, FaultRate: &rate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*EvalResult{viaOpts, viaReq} {
+	for _, r := range []*EvalResult{viaGo, viaWire} {
 		a := r.Accuracy
 		if a == nil || a.Sampler != "v3" {
 			t.Fatalf("result does not echo the v3 contract: %+v", a)
@@ -42,8 +41,8 @@ func TestSamplerRegimesBothEvaluate(t *testing.T) {
 			t.Errorf("percentile summary out of order: %+v", a)
 		}
 	}
-	if *viaOpts.Accuracy != *viaReq.Accuracy {
-		t.Errorf("option result differs from the request result: %+v vs %+v", viaOpts.Accuracy, viaReq.Accuracy)
+	if *viaGo.Accuracy != *viaWire.Accuracy {
+		t.Errorf("Go request result differs from the wire request result: %+v vs %+v", viaGo.Accuracy, viaWire.Accuracy)
 	}
 }
 

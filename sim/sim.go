@@ -1,18 +1,17 @@
 // Package sim is the public SDK facade of the TIMELY (ISCA 2020)
 // reproduction: one stable API over the three analytic accelerator models
-// (TIMELY, PRIME, ISAAC) and the functional noise/fault Monte-Carlo
-// simulator that live under internal/.
+// (TIMELY, PRIME, ISAAC), the functional noise/fault Monte-Carlo simulator
+// and the event-driven timing simulator that live under internal/.
 //
-// Backends are constructed through a string-keyed registry with functional
-// options:
+// An evaluation is one JSON-serializable request — the form the timelyd
+// evaluation service accepts over HTTP — and one call:
 //
-//	b, err := sim.Open("timely", sim.WithBits(8), sim.WithChips(16))
-//	res, err := b.Evaluate(ctx, "VGG-D")
+//	res, err := sim.Evaluate(ctx, &sim.EvalRequest{Backend: "timely", Network: "VGG-D", Chips: 16})
 //
-// or, in one step from a JSON-serializable request (the form the timelyd
-// evaluation service accepts over HTTP):
-//
-//	res, err := sim.Evaluate(ctx, &sim.EvalRequest{Backend: "timely", Network: "VGG-D"})
+// Evaluate, EvaluateBatch and EvalRequest.Keys validate a request through
+// one shared step, so an invalid request fails the same way everywhere,
+// with a typed error (ErrInvalidOption and friends), before any work runs.
+// DesignPoint reports the physical design a "timely" request configures.
 //
 // Every evaluation path honours ctx: cancellation and deadlines propagate
 // down into the experiment worker pools and the parallel Monte-Carlo inner
@@ -20,18 +19,19 @@
 // deterministic per configuration — a context that never fires does not
 // change a single output value at any concurrency level.
 //
-// The four built-in backends are "timely", "prime" and "isaac" (analytic
-// energy/throughput/area evaluation of the Table III benchmark networks)
-// and "functional" (Monte-Carlo accuracy of the synthetic "mlp" and "cnn"
+// The five backends are "timely", "prime" and "isaac" (analytic
+// energy/throughput/area evaluation of the Table III benchmark networks),
+// "functional" (Monte-Carlo accuracy of the synthetic "mlp" and "cnn"
 // workloads on the functional analog datapath, with injected circuit noise
-// and stuck-at faults). Evaluations of identical (backend, deployment,
-// network) triples are memoized process-wide and shared with the
-// experiment harness, so concurrent callers compute each heavy input
+// and stuck-at faults) and "timing" (the cycle-level event-driven
+// simulation of a TIMELY deployment). Evaluations of identical (backend,
+// deployment, network) triples are memoized process-wide and shared with
+// the experiment harness, so concurrent callers compute each heavy input
 // exactly once.
 //
-// The analytic backends are network-agnostic: beyond the zoo they
-// evaluate arbitrary conv/fc/pool networks described declaratively as a
-// NetworkSpec — inline on a request (EvalRequest.Spec), registered by
+// The analytic and timing backends are network-agnostic: beyond the zoo
+// they evaluate arbitrary conv/fc/pool networks described declaratively as
+// a NetworkSpec — inline on a request (EvalRequest.Spec), registered by
 // name (RegisterNetwork), or exported from a zoo benchmark as a template
 // (ZooSpec). Specs compile through the same validated shape-inference
 // path as the built-in zoo, and custom evaluations are memoized under a
@@ -48,17 +48,14 @@ import (
 // Sentinel errors wrapped by the facade, so callers (e.g. the timelyd
 // HTTP service) can map failure classes without string matching.
 var (
-	// ErrUnknownBackend reports an Open or Evaluate naming no registered
-	// backend.
+	// ErrUnknownBackend reports a request naming no known backend.
 	ErrUnknownBackend = errors.New("sim: unknown backend")
 	// ErrUnknownNetwork reports an Evaluate naming a network the backend
 	// cannot run.
 	ErrUnknownNetwork = errors.New("sim: unknown network")
-	// ErrInvalidOption reports an option that is out of range or does not
-	// apply to the opened backend.
+	// ErrInvalidOption reports a request field that is out of range or
+	// does not apply to the request's backend.
 	ErrInvalidOption = errors.New("sim: invalid option")
-	// ErrDuplicateBackend reports a Register under an already-taken name.
-	ErrDuplicateBackend = errors.New("sim: backend already registered")
 	// ErrInvalidSpec reports a custom network spec that fails validation;
 	// it wraps the *SpecError naming the offending layer and field.
 	ErrInvalidSpec = errors.New("sim: invalid network spec")
@@ -70,26 +67,7 @@ var (
 	ErrRegistryFull = errors.New("sim: custom network registry is full")
 )
 
-// Backend evaluates networks on one simulator configuration. A Backend is
-// immutable after Open and safe for concurrent use.
-type Backend interface {
-	// Name returns the registry key the backend was opened under.
-	Name() string
-	// Networks lists the model names Evaluate accepts, sorted.
-	Networks() []string
-	// Evaluate runs one network and returns its typed result. It honours
-	// ctx between work units and returns ctx's error once it fires.
-	Evaluate(ctx context.Context, network string) (*EvalResult, error)
-}
-
-// Designer is implemented by backends that expose their physical design
-// point (the "timely" backend): per-sub-chip cycle time, area and peak
-// throughput under the configured sharing factor γ and sub-chip count χ.
-type Designer interface {
-	Design() *Design
-}
-
-// Design is a backend's physical design point (Table II derived).
+// Design is a TIMELY physical design point (Table II derived).
 type Design struct {
 	// Bits is the operand precision the design is evaluated at.
 	Bits int `json:"bits"`
@@ -114,16 +92,16 @@ type Design struct {
 // "backend default"; pointer fields distinguish an explicit zero (e.g.
 // noise_ps: 0 is an ideal-timing run) from an absent one.
 type EvalRequest struct {
-	// Backend is the registry key ("timely", "prime", "isaac", "functional").
+	// Backend names the evaluator: "timely", "prime", "isaac",
+	// "functional" or "timing" (see Backends).
 	Backend string `json:"backend"`
 	// Network names the model: a Table III benchmark or a registered
 	// custom network for the analytic backends, "mlp" or "cnn" for the
 	// functional one. Ignored (but checked for agreement) when Spec is set.
 	Network string `json:"network"`
 	// Spec carries an inline custom network. When set, the evaluation
-	// compiles it and runs it on the named backend — the backend must
-	// implement SpecEvaluator (the analytic backends do). Network, if also
-	// set, must match the spec's name.
+	// compiles it and runs it on the named backend — any backend but
+	// "functional". Network, if also set, must match the spec's name.
 	Spec *NetworkSpec `json:"spec,omitempty"`
 	// Bits is TIMELY's operand precision (8 or 16).
 	Bits int `json:"bits,omitempty"`
@@ -142,41 +120,17 @@ type EvalRequest struct {
 	// Trials is the Monte-Carlo repeat count (functional).
 	Trials int `json:"trials,omitempty"`
 	// Images is the image count the event-driven simulation pushes through
-	// the pipeline (timing); see WithImages.
+	// the pipeline (timing). More images sharpen the steady-state
+	// measurement and the latency percentiles at proportional simulation
+	// cost; the backend widens the count as needed to cover at least three
+	// full rounds of every replicated instance.
 	Images int `json:"images,omitempty"`
-}
-
-// options converts the request's set fields to functional options.
-func (r *EvalRequest) options() []Option {
-	var opts []Option
-	if r.Bits != 0 {
-		opts = append(opts, WithBits(r.Bits))
-	}
-	if r.Chips != 0 {
-		opts = append(opts, WithChips(r.Chips))
-	}
-	if r.SubChips != 0 {
-		opts = append(opts, WithSubChips(r.SubChips))
-	}
-	if r.Gamma != 0 {
-		opts = append(opts, WithGamma(r.Gamma))
-	}
-	if r.NoisePS != nil {
-		opts = append(opts, WithNoise(*r.NoisePS))
-	}
-	if r.FaultRate != nil {
-		opts = append(opts, WithFaultRate(*r.FaultRate))
-	}
-	if r.Seed != nil {
-		opts = append(opts, WithSeed(*r.Seed))
-	}
-	if r.Trials != 0 {
-		opts = append(opts, WithTrials(r.Trials))
-	}
-	if r.Images != 0 {
-		opts = append(opts, WithImages(r.Images))
-	}
-	return opts
+	// Trace, when set, receives every command's realised unit occupancy as
+	// the timing backend's event-driven simulation completes it — the
+	// per-wave trace stream `timely evaluate -trace` serializes. The stream
+	// is deterministic: equal requests emit identical spans in identical
+	// order. It is not part of the wire form.
+	Trace func(TraceSpan) `json:"-"`
 }
 
 // ComponentEnergy is one hardware component's share of an analytic energy
@@ -263,36 +217,40 @@ type EvalResult struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// Evaluate opens req.Backend with the request's options and evaluates
-// req.Network — or, when req.Spec is set, compiles and evaluates the
-// inline custom network. It is the one-call form of the facade, and the
-// exact semantics of timelyd's POST /v1/evaluate. The variadic extra
-// options apply after the request's own — the hook callers use to attach
-// non-serializable options such as WithTraceSink to a JSON request.
-func Evaluate(ctx context.Context, req *EvalRequest, extra ...Option) (*EvalResult, error) {
-	if req.Backend == "" {
-		return nil, fmt.Errorf("%w: request names no backend", ErrUnknownBackend)
-	}
-	if req.Spec == nil && req.Network == "" {
-		return nil, fmt.Errorf("%w: request names no network and carries no spec", ErrUnknownNetwork)
-	}
-	if req.Spec != nil && req.Network != "" && req.Network != req.Spec.Name {
-		return nil, fmt.Errorf("%w: request names network %q but the inline spec is %q",
-			ErrInvalidSpec, req.Network, req.Spec.Name)
-	}
-	b, err := Open(req.Backend, append(req.options(), extra...)...)
+// Evaluate validates req and evaluates req.Network — or, when req.Spec is
+// set, compiles and evaluates the inline custom network — on req.Backend.
+// It is the exact semantics of timelyd's POST /v1/evaluate.
+func Evaluate(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
+	c, err := req.resolve()
 	if err != nil {
 		return nil, err
 	}
-	if req.Spec != nil {
-		se, ok := b.(SpecEvaluator)
-		if !ok {
-			return nil, fmt.Errorf("%w: the %q backend does not evaluate custom network specs",
-				ErrInvalidOption, req.Backend)
+	switch c.backend {
+	case "functional":
+		out, err := evaluateSeeds(ctx, c, req.Network, []uint64{c.seed})
+		if err != nil {
+			return nil, err
 		}
-		return se.EvaluateSpec(ctx, req.Spec)
+		return out[0], nil
+	case "timing":
+		return evaluateTiming(ctx, c, req)
 	}
-	return b.Evaluate(ctx, req.Network)
+	return evaluateAnalytic(ctx, c, req)
+}
+
+// DesignPoint returns the physical design point a "timely" request
+// configures: per-sub-chip cycle time, area and peak throughput under its
+// sharing factor γ and sub-chip count χ. The request's options are
+// validated as Evaluate validates them; its network is not consulted.
+func DesignPoint(req *EvalRequest) (*Design, error) {
+	c, err := req.configure()
+	if err != nil {
+		return nil, err
+	}
+	if c.backend != "timely" {
+		return nil, fmt.Errorf("%w: the %q backend has no parameterised design point", ErrInvalidOption, c.backend)
+	}
+	return design(c), nil
 }
 
 // elapsedMS is shared result-stamping for the backend implementations.

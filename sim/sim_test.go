@@ -4,133 +4,90 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestRegisterErrorPaths(t *testing.T) {
-	nop := func(*Config) (Backend, error) { return nil, nil }
-	if err := Register("timely", nop); !errors.Is(err, ErrDuplicateBackend) {
-		t.Errorf("duplicate register err = %v, want ErrDuplicateBackend", err)
-	}
-	if err := Register("", nop); err == nil {
-		t.Errorf("empty-name register accepted")
-	}
-	if err := Register("nilfactory", nil); err == nil {
-		t.Errorf("nil factory accepted")
-	}
-	// A fresh name registers once, then collides with itself.
-	if err := Register("sim-test-backend", nop); err != nil {
-		t.Fatalf("first register: %v", err)
-	}
-	if err := Register("sim-test-backend", nop); !errors.Is(err, ErrDuplicateBackend) {
-		t.Errorf("second register err = %v, want ErrDuplicateBackend", err)
-	}
-}
-
 func TestBackendsListsBuiltins(t *testing.T) {
-	names := Backends()
-	idx := map[string]bool{}
-	for _, n := range names {
-		idx[n] = true
+	want := []string{"functional", "isaac", "prime", "timely", "timing"}
+	if got := Backends(); !slices.Equal(got, want) {
+		t.Errorf("Backends() = %v, want %v", got, want)
 	}
-	for _, want := range []string{"functional", "isaac", "prime", "timely"} {
-		if !idx[want] {
-			t.Errorf("Backends() = %v, missing %q", names, want)
-		}
+	// The list is the caller's to keep.
+	Backends()[0] = "mutated"
+	if got := Backends(); !slices.Equal(got, want) {
+		t.Errorf("Backends() after a caller's write = %v", got)
 	}
 }
 
-func TestOpenUnknownBackend(t *testing.T) {
-	if _, err := Open("resistive-unicorn"); !errors.Is(err, ErrUnknownBackend) {
+func TestEvaluateUnknownBackend(t *testing.T) {
+	req := &EvalRequest{Backend: "resistive-unicorn", Network: "VGG-D"}
+	if _, err := Evaluate(context.Background(), req); !errors.Is(err, ErrUnknownBackend) {
 		t.Errorf("err = %v, want ErrUnknownBackend", err)
+	}
+	if _, err := DesignPoint(req); !errors.Is(err, ErrUnknownBackend) {
+		t.Errorf("DesignPoint err = %v, want ErrUnknownBackend", err)
 	}
 }
 
 func TestOptionRangeValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		opt  Option
+		req  EvalRequest
 	}{
-		{"bits 7", WithBits(7)},
-		{"bits 0", WithBits(0)},
-		{"chips 0", WithChips(0)},
-		{"subchips -1", WithSubChips(-1)},
-		{"gamma 0", WithGamma(0)},
-		{"noise -1", WithNoise(-1)},
-		{"fault 1.5", WithFaultRate(1.5)},
-		{"fault -0.1", WithFaultRate(-0.1)},
-		{"trials 0", WithTrials(0)},
+		{"bits 7", EvalRequest{Bits: 7}},
+		{"bits -1", EvalRequest{Bits: -1}},
+		{"chips -1", EvalRequest{Chips: -1}},
+		{"subchips -1", EvalRequest{SubChips: -1}},
+		{"gamma -1", EvalRequest{Gamma: -1}},
+		{"noise -1", EvalRequest{NoisePS: f64(-1)}},
+		{"fault 1.5", EvalRequest{FaultRate: f64(1.5)}},
+		{"fault -0.1", EvalRequest{FaultRate: f64(-0.1)}},
+		{"trials -1", EvalRequest{Trials: -1}},
 	}
 	for _, tc := range cases {
-		if _, err := Open("timely", tc.opt); !errors.Is(err, ErrInvalidOption) {
+		tc.req.Backend, tc.req.Network = "timely", "VGG-D"
+		if _, err := Evaluate(context.Background(), &tc.req); !errors.Is(err, ErrInvalidOption) {
 			t.Errorf("%s: err = %v, want ErrInvalidOption", tc.name, err)
+		}
+		if _, err := DesignPoint(&tc.req); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s: DesignPoint err = %v, want ErrInvalidOption", tc.name, err)
 		}
 	}
 }
 
 func TestInapplicableOptionCombinations(t *testing.T) {
-	cases := []struct {
-		backend string
-		opt     Option
-	}{
-		{"timely", WithNoise(10)},
-		{"timely", WithFaultRate(0.1)},
-		{"timely", WithSeed(1)},
-		{"timely", WithTrials(3)},
-		{"prime", WithBits(16)},
-		{"prime", WithGamma(4)},
-		{"isaac", WithSubChips(10)},
-		{"isaac", WithNoise(10)},
-		{"functional", WithBits(8)},
-		{"functional", WithChips(2)},
-		{"functional", WithSubChips(10)},
-		{"functional", WithGamma(4)},
+	cases := []EvalRequest{
+		{Backend: "timely", NoisePS: f64(10)},
+		{Backend: "timely", FaultRate: f64(0.1)},
+		{Backend: "timely", Seed: u64(1)},
+		{Backend: "timely", Trials: 3},
+		{Backend: "prime", Bits: 16},
+		{Backend: "prime", Gamma: 4},
+		{Backend: "isaac", SubChips: 10},
+		{Backend: "isaac", NoisePS: f64(10)},
+		{Backend: "functional", Network: "mlp", Bits: 8},
+		{Backend: "functional", Network: "mlp", Chips: 2},
+		{Backend: "functional", Network: "mlp", SubChips: 10},
+		{Backend: "functional", Network: "mlp", Gamma: 4},
+		// Workload-specific rejections.
+		{Backend: "functional", Network: "mlp", FaultRate: f64(0.01)},
+		{Backend: "functional", Network: "cnn", NoisePS: f64(10)},
 	}
-	for _, tc := range cases {
-		if _, err := Open(tc.backend, tc.opt); !errors.Is(err, ErrInvalidOption) {
-			t.Errorf("%s: err = %v, want ErrInvalidOption", tc.backend, err)
+	for _, req := range cases {
+		if req.Network == "" {
+			req.Network = "VGG-D"
 		}
-	}
-	// Workload-specific rejections surface at Evaluate.
-	ctx := context.Background()
-	b, err := Open("functional", WithFaultRate(0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Evaluate(ctx, "mlp"); !errors.Is(err, ErrInvalidOption) {
-		t.Errorf("mlp with fault rate: err = %v, want ErrInvalidOption", err)
-	}
-	b, err = Open("functional", WithNoise(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Evaluate(ctx, "cnn"); !errors.Is(err, ErrInvalidOption) {
-		t.Errorf("cnn with noise: err = %v, want ErrInvalidOption", err)
+		if _, err := Evaluate(context.Background(), &req); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%+v: err = %v, want ErrInvalidOption", req, err)
+		}
 	}
 }
 
 func TestAnalyticEvaluate(t *testing.T) {
 	for _, name := range []string{"timely", "prime", "isaac"} {
-		b, err := Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Name() != name {
-			t.Errorf("Name() = %q", b.Name())
-		}
-		// The inventory holds the 15-network Table III suite plus any
-		// custom networks other tests registered in this process.
-		nets := map[string]bool{}
-		for _, n := range b.Networks() {
-			nets[n] = true
-		}
-		for _, want := range []string{"VGG-D", "CNN-1", "MLP-L", "ResNet-152", "SqueezeNet"} {
-			if !nets[want] {
-				t.Errorf("%s: Networks() missing %q", name, want)
-			}
-		}
-		res, err := b.Evaluate(context.Background(), "VGG-D")
+		res, err := Evaluate(context.Background(), &EvalRequest{Backend: name, Network: "VGG-D"})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -150,22 +107,19 @@ func TestAnalyticEvaluate(t *testing.T) {
 		if name == "timely" && res.AreaMM2 <= 0 {
 			t.Errorf("timely: AreaMM2 = %v", res.AreaMM2)
 		}
-		if _, err := b.Evaluate(context.Background(), "NOPE-9"); !errors.Is(err, ErrUnknownNetwork) {
+		if _, err := Evaluate(context.Background(), &EvalRequest{Backend: name, Network: "NOPE-9"}); !errors.Is(err, ErrUnknownNetwork) {
 			t.Errorf("%s: unknown network err = %v", name, err)
 		}
 	}
 }
 
-func TestTimelyDesignerAndOverrides(t *testing.T) {
-	b, err := Open("timely", WithGamma(4), WithSubChips(106), WithChips(2))
+func TestTimelyDesignPointAndOverrides(t *testing.T) {
+	ctx := context.Background()
+	req := &EvalRequest{Backend: "timely", Network: "VGG-D", Gamma: 4, SubChips: 106, Chips: 2}
+	des, err := DesignPoint(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, ok := b.(Designer)
-	if !ok {
-		t.Fatal("timely backend does not implement Designer")
-	}
-	des := d.Design()
 	if des.Gamma != 4 || des.SubChipsPerChip != 106 {
 		t.Errorf("design = %+v, want gamma 4, chi 106", des)
 	}
@@ -175,29 +129,28 @@ func TestTimelyDesignerAndOverrides(t *testing.T) {
 	if des.SubChipAreaMM2 <= 0 || des.PeakTOPSPerSubChip <= 0 || des.DensityTOPsPerMM2 <= 0 {
 		t.Errorf("non-positive design point: %+v", des)
 	}
-	// Baselines expose no parameterised design.
-	p, err := Open("prime")
-	if err != nil {
-		t.Fatal(err)
+	// The network is not consulted.
+	if _, err := DesignPoint(&EvalRequest{Backend: "timely"}); err != nil {
+		t.Errorf("design point without a network: %v", err)
 	}
-	if _, ok := p.(Designer); ok {
-		t.Error("prime backend unexpectedly implements Designer")
+	// Baselines expose no parameterised design.
+	if _, err := DesignPoint(&EvalRequest{Backend: "prime"}); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("prime design point err = %v, want ErrInvalidOption", err)
 	}
 	// χ override flows into the evaluation (more sub-chips, more area).
-	small, err := Open("timely", WithSubChips(53))
+	rs, err := Evaluate(ctx, &EvalRequest{Backend: "timely", Network: "VGG-D", SubChips: 53})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := small.Evaluate(context.Background(), "VGG-D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.Evaluate(context.Background(), "VGG-D")
+	rb, err := Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rb.AreaMM2 <= rs.AreaMM2 {
 		t.Errorf("area did not grow with chi and chips: %v vs %v", rb.AreaMM2, rs.AreaMM2)
+	}
+	if want := des.ChipAreaMM2 * 2; rb.AreaMM2 != want {
+		t.Errorf("AreaMM2 = %v, want the design point's chip area × 2 = %v", rb.AreaMM2, want)
 	}
 }
 
@@ -235,16 +188,14 @@ func TestEvaluateRequestRoundTrip(t *testing.T) {
 func TestEvaluateHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range []string{"timely", "functional"} {
-		b, err := Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net := "VGG-D"
-		if name == "functional" {
-			net = "mlp"
-		}
-		if _, err := b.Evaluate(ctx, net); !errors.Is(err, context.Canceled) {
+	for _, req := range []EvalRequest{
+		{Backend: "timely", Network: "VGG-D"},
+		{Backend: "timely", Spec: tinySpec("tiny-cancel")},
+		{Backend: "timing", Network: "VGG-D"},
+		{Backend: "functional", Network: "mlp"},
+	} {
+		name := req.Backend
+		if _, err := Evaluate(ctx, &req); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
@@ -255,14 +206,8 @@ func TestFunctionalEvaluate(t *testing.T) {
 		t.Skip("trains the synthetic classifiers")
 	}
 	ctx := context.Background()
-	b, err := Open("functional", WithTrials(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Networks(); len(got) != 2 || got[0] != "cnn" || got[1] != "mlp" {
-		t.Errorf("Networks() = %v", got)
-	}
-	mlp, err := b.Evaluate(ctx, "mlp")
+	mlpReq := &EvalRequest{Backend: "functional", Network: "mlp", Trials: 2}
+	mlp, err := Evaluate(ctx, mlpReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +219,7 @@ func TestFunctionalEvaluate(t *testing.T) {
 		t.Errorf("mlp stats = %+v", acc)
 	}
 	// Determinism: same config, same result.
-	again, err := b.Evaluate(ctx, "mlp")
+	again, err := Evaluate(ctx, mlpReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,18 +227,14 @@ func TestFunctionalEvaluate(t *testing.T) {
 		t.Errorf("repeat evaluation differs: %+v vs %+v", again.Accuracy, acc)
 	}
 
-	cnnB, err := Open("functional", WithTrials(2), WithFaultRate(0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnn, err := cnnB.Evaluate(ctx, "cnn")
+	cnn, err := Evaluate(ctx, &EvalRequest{Backend: "functional", Network: "cnn", Trials: 2, FaultRate: f64(0.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cnn.Accuracy == nil || cnn.Accuracy.Analog <= 0.3 || cnn.Accuracy.Faults <= 0 {
 		t.Errorf("implausible cnn result: %+v", cnn.Accuracy)
 	}
-	if _, err := cnnB.Evaluate(ctx, "transformer"); !errors.Is(err, ErrUnknownNetwork) {
+	if _, err := Evaluate(ctx, &EvalRequest{Backend: "functional", Network: "transformer", Trials: 2, FaultRate: f64(0.01)}); !errors.Is(err, ErrUnknownNetwork) {
 		t.Errorf("unknown workload err = %v", err)
 	}
 }

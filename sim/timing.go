@@ -5,19 +5,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/model"
-	"repro/internal/params"
 	"repro/internal/timing"
 	"repro/internal/trace"
 )
 
-func init() {
-	mustRegister("timing", newTiming)
-}
-
 // TraceSpan is one unit-occupancy interval of the event-driven simulation —
 // the shared trace vocabulary (see internal/trace.Span) re-exported so
-// WithTraceSink callers need not import internal packages.
+// EvalRequest.Trace callers need not import internal packages.
 type TraceSpan = trace.Span
 
 // TimingLayer is one pipeline stage's cycle-level measurement.
@@ -81,87 +75,24 @@ type TimingStats struct {
 	Units []TimingUnitClass `json:"units"`
 }
 
-// timingBackend is the cycle-level event-driven simulator behind
-// sim.Open("timing"): the analytic TIMELY energy model composed with the
-// internal/timing command-set simulation, so one result carries both the
-// closed-form energy ledger and the measured cycle-level behaviour.
-type timingBackend struct {
-	// energy is the analytic TIMELY view of the same deployment; it keeps
-	// its backend name so the shared memoization caches stay keyed under
-	// "timely".
-	energy analytic
-	cfg    Config
-}
-
-func newTiming(cfg *Config) (Backend, error) {
-	if err := cfg.reject("timing", optNoise, optFaultRate, optSeed, optTrials); err != nil {
-		return nil, err
-	}
-	return &timingBackend{energy: analytic{name: "timely", cfg: *cfg}, cfg: *cfg}, nil
-}
-
-// Name implements Backend.
-func (t *timingBackend) Name() string { return "timing" }
-
-// Networks implements Backend: the same catalogue as the analytic
-// backends — the Table III suite plus registered custom networks.
-func (t *timingBackend) Networks() []string { return t.energy.Networks() }
-
-// timelyCfg resolves the deployment the simulation models.
-func (t *timingBackend) timelyCfg() params.TimelyConfig {
-	cfg := params.DefaultTimely(t.cfg.Bits)
-	cfg.Chips = t.cfg.Chips
-	if t.cfg.IsSet(optSubChips) {
-		cfg.SubChips = t.cfg.SubChips
-	}
-	if t.cfg.IsSet(optGamma) {
-		cfg.Gamma = t.cfg.Gamma
-	}
-	return cfg
-}
-
-// Evaluate implements Backend.
-func (t *timingBackend) Evaluate(ctx context.Context, network string) (*EvalResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// evaluateTiming is the "timing" backend: the analytic TIMELY energy
+// model composed with the internal/timing command-set simulation, so one
+// result carries both the closed-form energy ledger and the measured
+// cycle-level behaviour. The analytic view keeps the name "timely", so the
+// shared memoization caches stay keyed under it; the throughput-derived
+// fields then switch to the measured rate, and the Timing block carries
+// everything only the simulation can know.
+func evaluateTiming(ctx context.Context, c config, req *EvalRequest) (*EvalResult, error) {
 	start := time.Now()
-	if n, err := model.ByName(network); err == nil {
-		return t.finish(ctx, start, n, false)
-	}
-	if n, ok := registeredNetwork(network); ok {
-		return t.finish(ctx, start, n, true)
-	}
-	return nil, fmt.Errorf("%w: %q (backend %q evaluates the Table III suite and registered custom networks)",
-		ErrUnknownNetwork, network, "timing")
-}
-
-// EvaluateSpec implements SpecEvaluator.
-func (t *timingBackend) EvaluateSpec(ctx context.Context, spec *NetworkSpec) (*EvalResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if spec == nil {
-		return nil, fmt.Errorf("%w: nil spec", ErrInvalidSpec)
-	}
-	n, err := spec.Compile()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
-	}
-	return t.finish(ctx, start, n, true)
-}
-
-// finish runs the analytic evaluation for the energy ledger, then the
-// event-driven simulation for the measured timing, and merges them: the
-// throughput-derived fields switch to the measured rate, and the Timing
-// block carries everything only the simulation can know.
-func (t *timingBackend) finish(ctx context.Context, start time.Time, n *model.Network, custom bool) (*EvalResult, error) {
-	out, err := t.energy.finish(start, n, custom)
+	n, custom, err := lookupNetwork(ctx, c, req)
 	if err != nil {
 		return nil, err
 	}
-	res, err := timing.Simulate(ctx, n, t.timelyCfg(), timing.Options{Images: t.cfg.Images}, t.cfg.TraceSink)
+	out, err := analytic("timely", c, n, custom)
+	if err != nil {
+		return nil, err
+	}
+	res, err := timing.Simulate(ctx, n, timelyConfig(c), timing.Options{Images: c.images}, c.trace)
 	if err != nil {
 		return nil, fmt.Errorf("sim: timing/%s: %w", n.Name, err)
 	}

@@ -175,9 +175,9 @@ func TestTimingDeterministicAcrossParAndRepeats(t *testing.T) {
 	// The trace stream is part of the contract: identical spans, in order.
 	traceOnce := func() []TraceSpan {
 		var spans []TraceSpan
-		req := EvalRequest{Backend: "timing", Network: network, Images: images}
-		if _, err := Evaluate(context.Background(), &req,
-			WithTraceSink(func(s TraceSpan) { spans = append(spans, s) })); err != nil {
+		req := EvalRequest{Backend: "timing", Network: network, Images: images,
+			Trace: func(s TraceSpan) { spans = append(spans, s) }}
+		if _, err := Evaluate(context.Background(), &req); err != nil {
 			t.Fatal(err)
 		}
 		return spans
@@ -198,30 +198,32 @@ func TestTimingDeterministicAcrossParAndRepeats(t *testing.T) {
 }
 
 func TestTimingOptionApplicability(t *testing.T) {
+	ctx := context.Background()
 	// Monte-Carlo options have no meaning on the deterministic simulator.
-	for _, opt := range []Option{
-		WithNoise(10), WithFaultRate(0.01), WithSeed(7), WithTrials(3),
+	for _, req := range []EvalRequest{
+		{NoisePS: f64(10)}, {FaultRate: f64(0.01)}, {Seed: u64(7)}, {Trials: 3},
 	} {
-		if _, err := Open("timing", opt); !errors.Is(err, ErrInvalidOption) {
-			t.Errorf("timing accepted a Monte-Carlo option (err = %v)", err)
+		req.Backend, req.Network = "timing", "SqueezeNet"
+		if _, err := Evaluate(ctx, &req); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("timing accepted a Monte-Carlo option %+v (err = %v)", req, err)
 		}
 	}
 	// Simulation-only options are rejected by the closed-form backends.
 	sink := func(TraceSpan) {}
 	for _, backend := range []string{"timely", "prime", "isaac", "functional"} {
-		if _, err := Open(backend, WithImages(4)); !errors.Is(err, ErrInvalidOption) {
-			t.Errorf("%s accepted WithImages (err = %v)", backend, err)
+		req := EvalRequest{Backend: backend, Network: "mlp", Images: 4}
+		if _, err := Evaluate(ctx, &req); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s accepted images (err = %v)", backend, err)
 		}
-		if _, err := Open(backend, WithTraceSink(sink)); !errors.Is(err, ErrInvalidOption) {
-			t.Errorf("%s accepted WithTraceSink (err = %v)", backend, err)
+		req = EvalRequest{Backend: backend, Network: "mlp", Trace: sink}
+		if _, err := Evaluate(ctx, &req); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s accepted a trace sink (err = %v)", backend, err)
 		}
-	}
-	if _, err := Open("timing", WithTraceSink(nil)); !errors.Is(err, ErrInvalidOption) {
-		t.Errorf("nil trace sink accepted (err = %v)", err)
 	}
 	for _, images := range []int{-1, 5000} {
-		if _, err := Open("timing", WithImages(images)); !errors.Is(err, ErrInvalidOption) {
-			t.Errorf("WithImages(%d) accepted (err = %v)", images, err)
+		req := EvalRequest{Backend: "timing", Network: "SqueezeNet", Images: images}
+		if _, err := Evaluate(ctx, &req); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("images %d accepted (err = %v)", images, err)
 		}
 	}
 }
