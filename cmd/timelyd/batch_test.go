@@ -143,8 +143,8 @@ func holdSlot(t *testing.T, srv *server) (release func()) {
 	return g.Release
 }
 
-// TestInvalidOptionsRejectedBeforeAdmission: a request whose options are
-// invalid is a 400 at once, even while the only compute slot is held and
+// TestInvalidOptionsRejectedBeforeAdmission: a request whose options (or
+// functional workload) are invalid is a 400 at once, even while the only compute slot is held and
 // no queue is configured. It never joins the coalescing queue or takes an
 // admission slot, and its body is the bytes the same error gets when
 // sim.Evaluate reports it.
@@ -163,6 +163,7 @@ func TestInvalidOptionsRejectedBeforeAdmission(t *testing.T) {
 		`{"backend":"timely","network":"CNN-1","trials":3}`,
 		`{"backend":"functional","network":"mlp","fault_rate":0.01}`,
 		`{"backend":"functional","network":"mlp","noise_ps":-1}`,
+		`{"backend":"functional","network":"VGG-D"}`,
 		`{"backend":"timing","network":"VGG-D","images":5000}`,
 	} {
 		var req sim.EvalRequest

@@ -39,8 +39,14 @@ import (
 // a name is resolved, and an unknown one rejected, where the request is
 // evaluated.
 func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
-	if _, err := r.resolve(); err != nil {
-		return "", "", err
+	_, cacheKey, batchKey, err = r.keys()
+	return cacheKey, batchKey, err
+}
+
+// keys resolves the request and derives its identity keys (see Keys).
+func (r *EvalRequest) keys() (c config, cacheKey, batchKey string, err error) {
+	if c, err = r.resolve(); err != nil {
+		return config{}, "", "", err
 	}
 	var b strings.Builder
 	// Client-controlled free-form strings are %q-escaped so a crafted
@@ -49,7 +55,7 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	if r.Spec != nil {
 		n, cerr := r.Spec.Compile()
 		if cerr != nil {
-			return "", "", fmt.Errorf("%w: %w", ErrInvalidSpec, cerr)
+			return config{}, "", "", fmt.Errorf("%w: %w", ErrInvalidSpec, cerr)
 		}
 		fmt.Fprintf(&b, "|spec=%s/%q", n.SpecHash(), r.Spec.Name)
 	} else {
@@ -78,7 +84,7 @@ func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	} else {
 		cacheKey = batchKey + "#-"
 	}
-	return cacheKey, batchKey, nil
+	return c, cacheKey, batchKey, nil
 }
 
 // RegistryFree reports whether the request's answer cannot depend on the
@@ -140,16 +146,12 @@ func fuseFunctional(ctx context.Context, reqs []*EvalRequest, vals []*EvalResult
 	var key0 string
 	seeds := make([]uint64, len(reqs))
 	for i, r := range reqs {
-		_, key, err := r.Keys()
+		rc, _, key, err := r.keys()
 		if err != nil || i > 0 && key != key0 {
 			return nil, false
 		}
-		key0 = key
 		// Equal batch keys resolve alike but for the seed.
-		if c, err = r.resolve(); err != nil {
-			return nil, false
-		}
-		seeds[i] = c.seed
+		c, key0, seeds[i] = rc, key, rc.seed
 	}
 	rs, err := evaluateSeeds(ctx, c, reqs[0].Network, seeds)
 	if err != nil {

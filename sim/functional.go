@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/experiments"
@@ -38,7 +37,7 @@ func evaluateSeeds(ctx context.Context, c config, network string, seeds []uint64
 		for _, r := range rs {
 			acc = append(acc, mlpAccuracyStats(r))
 		}
-	case "cnn":
+	default: // "cnn": resolve admits no other workload
 		rs, err := experiments.AnalogCNNAccuracyBatch(ctx, seeds, c.trials, c.faultRate)
 		if err != nil {
 			return nil, err
@@ -46,9 +45,6 @@ func evaluateSeeds(ctx context.Context, c config, network string, seeds []uint64
 		for _, r := range rs {
 			acc = append(acc, cnnAccuracyStats(r))
 		}
-	default:
-		return nil, fmt.Errorf("%w: %q (the functional backend runs \"mlp\" or \"cnn\")",
-			ErrUnknownNetwork, network)
 	}
 	elapsed := elapsedMS(start)
 	out := make([]*EvalResult, len(acc))

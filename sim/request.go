@@ -88,7 +88,8 @@ func (r *EvalRequest) resolve() (config, error) {
 // configure validates the backend and the configuration fields — an unknown
 // backend, then out-of-range values and then fields foreign to the
 // backend, each in field order, then the functional workload rules (no
-// inline spec, fault rate only on "cnn", noise only on "mlp").
+// inline spec, only the fixed "mlp" and "cnn" workloads, fault rate only on
+// "cnn", noise only on "mlp").
 func (r *EvalRequest) configure() (config, error) {
 	fields, ok := backendFields[r.Backend]
 	if !ok {
@@ -106,6 +107,9 @@ func (r *EvalRequest) configure() (config, error) {
 		case r.Spec != nil:
 			return config{}, fmt.Errorf("%w: the %q backend does not evaluate custom network specs",
 				ErrInvalidOption, r.Backend)
+		case r.Network != "mlp" && r.Network != "cnn":
+			return config{}, fmt.Errorf("%w: %q (the functional backend runs \"mlp\" or \"cnn\")",
+				ErrUnknownNetwork, r.Network)
 		case r.Network == "mlp" && r.FaultRate != nil:
 			return config{}, fmt.Errorf("%w: fault injection applies to the \"cnn\" workload, not %q",
 				ErrInvalidOption, r.Network)

@@ -243,12 +243,12 @@ func Evaluate(ctx context.Context, req *EvalRequest) (*EvalResult, error) {
 // sharing factor γ and sub-chip count χ. The request's options are
 // validated as Evaluate validates them; its network is not consulted.
 func DesignPoint(req *EvalRequest) (*Design, error) {
+	if _, ok := backendFields[req.Backend]; ok && req.Backend != "timely" {
+		return nil, fmt.Errorf("%w: the %q backend has no parameterised design point", ErrInvalidOption, req.Backend)
+	}
 	c, err := req.configure()
 	if err != nil {
 		return nil, err
-	}
-	if c.backend != "timely" {
-		return nil, fmt.Errorf("%w: the %q backend has no parameterised design point", ErrInvalidOption, c.backend)
 	}
 	return design(c), nil
 }
