@@ -36,8 +36,8 @@ import (
 // Keys runs the validation step Evaluate runs and compiles inline specs,
 // so a handler can reject an invalid request before admission with the
 // error Evaluate would report. It does not consult the network registry:
-// a name is resolved, and an unknown one rejected, where the request is
-// evaluated.
+// on the analytic and timing backends a name is resolved, and an unknown
+// one rejected, where the request is evaluated.
 func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	_, cacheKey, batchKey, err = r.keys()
 	return cacheKey, batchKey, err
