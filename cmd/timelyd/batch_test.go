@@ -11,8 +11,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -400,22 +402,98 @@ func TestEvalGroupTakesPublishedBody(t *testing.T) {
 	published := []byte("published\n")
 	srv.evalCache.Put(jobs[0].cacheKey, published)
 
-	bodies, errs := srv.runEvalGroup(context.Background(), func() []*evalJob { return jobs[:1] })
-	if errs[0] != nil || string(bodies[0]) != string(published) {
-		t.Fatalf("cached job: body %q err %v, want the published body", bodies[0], errs[0])
+	results, errs := srv.runEvalGroup(context.Background(), func() []*evalJob { return jobs[:1] })
+	if errs[0] != nil || string(results[0].body) != string(published) {
+		t.Fatalf("cached job: body %q err %v, want the published body", results[0].body, errs[0])
 	}
 	if got := srv.metrics.Admitted.Load(); got != 0 {
 		t.Errorf("Admitted = %d for a group answered from the cache, want 0", got)
 	}
 
-	bodies, errs = srv.runEvalGroup(context.Background(), func() []*evalJob { return jobs })
-	if errs[0] != nil || string(bodies[0]) != string(published) {
-		t.Errorf("mixed group, cached job: body %q err %v", bodies[0], errs[0])
+	results, errs = srv.runEvalGroup(context.Background(), func() []*evalJob { return jobs })
+	if errs[0] != nil || string(results[0].body) != string(published) {
+		t.Errorf("mixed group, cached job: body %q err %v", results[0].body, errs[0])
 	}
-	if errs[1] != nil || !json.Valid(bodies[1]) {
-		t.Errorf("mixed group, computed job: body %q err %v", bodies[1], errs[1])
+	if errs[1] != nil || !json.Valid(results[1].body) {
+		t.Errorf("mixed group, computed job: body %q err %v", results[1].body, errs[1])
 	}
 	if got := srv.metrics.Admitted.Load(); got != 1 {
 		t.Errorf("Admitted = %d after the mixed group, want 1", got)
+	}
+}
+
+// lockedBuffer is a log sink safe for the server's concurrent writers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// TestEvaluateAccessLogQueueWait: an evaluate request whose group waited
+// for the compute slot logs that wait, and so does a request coalesced
+// onto it. The first request holds the single slot for the injected
+// 300ms; the second (another batch key) and the third (identical to the
+// second) queue behind it.
+func TestEvaluateAccessLogQueueWait(t *testing.T) {
+	var logs lockedBuffer
+	cfg := chaosConfig(t, "route=/v1/evaluate,latency=300ms")
+	cfg.MaxConcurrent = 1
+	cfg.Logger = log.New(&logs, "", 0)
+	ts := httptest.NewServer(newServer(cfg))
+
+	bodies := []string{
+		`{"backend":"timely","network":"CNN-1","chips":1}`,
+		`{"backend":"timely","network":"CNN-1","chips":2}`,
+		`{"backend":"timely","network":"CNN-1","chips":2}`,
+	}
+	results := make([]evalResponse, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = postEvalFull(t, ts, body)
+		}()
+		time.Sleep(100 * time.Millisecond)
+	}
+	wg.Wait()
+	ts.Close() // waits for every handler, so every access line is written
+	for i, want := range []string{"miss", "miss", "coalesced"} {
+		if r := results[i]; r.status != http.StatusOK || r.cacheStatus != want {
+			t.Fatalf("request %d: status %d Cache-Status %q, want 200 %s", i, r.status, r.cacheStatus, want)
+		}
+	}
+
+	var waits []float64
+	for _, line := range strings.Split(strings.TrimSpace(logs.buf.String()), "\n") {
+		if !strings.Contains(line, "path=/v1/evaluate") {
+			continue
+		}
+		if !strings.Contains(line, "class=evaluate") {
+			t.Errorf("access line without class=evaluate: %s", line)
+		}
+		_, after, ok := strings.Cut(line, "wait_ms=")
+		if !ok {
+			t.Fatalf("access line without wait_ms: %s", line)
+		}
+		ms, err := strconv.ParseFloat(strings.Fields(after)[0], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits = append(waits, ms)
+	}
+	if len(waits) != len(bodies) {
+		t.Fatalf("%d evaluate access lines, want %d:\n%s", len(waits), len(bodies), logs.buf.String())
+	}
+	// The holder finishes first; the queued group's two waiters follow.
+	for _, ms := range waits[1:] {
+		if ms <= 0 {
+			t.Errorf("queued request logged wait_ms=%.1f, want > 0 (all waits %v)", ms, waits)
+		}
 	}
 }

@@ -104,7 +104,7 @@ type server struct {
 	// (singleflight on the cache key, cross-request batching on the batch
 	// key). See handleEvaluate.
 	evalCache *batchq.Cache[[]byte]
-	evalQueue *batchq.Queue[*evalJob, []byte]
+	evalQueue *batchq.Queue[*evalJob, evalResult]
 	// bodyKeys memoizes the keys of registry-free evaluate bodies by the
 	// SHA-256 digest of their raw bytes, so a repeated body is answered
 	// from evalCache without being decoded or keyed again.
@@ -128,6 +128,14 @@ type evalKeys struct {
 type evalJob struct {
 	req      *sim.EvalRequest
 	cacheKey string
+}
+
+// evalResult is what the group executor hands each waiter of a job: the
+// finished response body and how long the group waited for its admission
+// slot, which the waiter's access-log line reports as wait_ms.
+type evalResult struct {
+	body []byte
+	wait time.Duration
 }
 
 // newServer wires the handler chain:
@@ -516,8 +524,11 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, outcome, err := s.evalQueue.Do(r.Context(), batchKey, cacheKey,
+	res, outcome, err := s.evalQueue.Do(r.Context(), batchKey, cacheKey,
 		&evalJob{req: &req, cacheKey: cacheKey})
+	if info := serve.RequestInfo(r.Context()); info != nil {
+		info.QueueWait = res.wait
+	}
 	if err != nil {
 		s.writeEvalError(w, r, err)
 		return
@@ -526,7 +537,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if outcome == batchq.Coalesced {
 		status = "coalesced"
 	}
-	s.writeEvalBody(w, body, status)
+	s.writeEvalBody(w, res.body, status)
 }
 
 // markEvalClass books the request under the evaluate deadline class in
@@ -603,28 +614,31 @@ func (s *server) writeEvalError(w http.ResponseWriter, r *http.Request, err erro
 
 // runEvalGroup is the batchq executor: it runs ONE group of evaluate
 // requests under a single admission slot and returns each member's
-// finished response body. It acquires the slot with the evaluate deadline
-// class first and seals the group only then, so every request that
-// queued behind the slot meanwhile joins this group; on shed every member
-// fails with the same wrapped admission error. Members whose body the
-// result cache already holds take it without computing, and the slot is
-// booked as an admission only when something computes. Chaos latency is
-// applied inside the slot (matching where Chaos.Wrap ran when the handler
-// held the slot itself), the fused evaluation runs under the class budget
-// minus queue wait, and each successful body is published to the result
-// cache.
-func (s *server) runEvalGroup(ctx context.Context, seal func() []*evalJob) ([][]byte, []error) {
+// finished response body with the group's slot wait. It acquires the slot
+// with the evaluate deadline class first and seals the group only then, so
+// every request that queued behind the slot meanwhile joins this group; on
+// shed every member fails with the same wrapped admission error. Members
+// whose body the result cache already holds take it without computing,
+// and the slot is booked as an admission only when something computes.
+// Chaos latency is applied inside the slot (matching where Chaos.Wrap ran
+// when the handler held the slot itself), the fused evaluation runs under
+// the class budget minus queue wait, and each successful body is published
+// to the result cache.
+func (s *server) runEvalGroup(ctx context.Context, seal func() []*evalJob) ([]evalResult, []error) {
 	g, err := s.limiter.Acquire(ctx, s.evalClass.Timeout)
 	jobs := seal()
-	bodies := make([][]byte, len(jobs))
+	results := make([]evalResult, len(jobs))
 	errs := make([]error, len(jobs))
 	if err != nil {
 		for i := range errs {
 			errs[i] = &shedError{err: err}
 		}
-		return bodies, errs
+		return results, errs
 	}
 	defer g.Release()
+	for i := range results {
+		results[i].wait = g.Wait
+	}
 	// A request can miss the result cache and reach the queue just after
 	// the group computing its key published the body and left, too late
 	// to coalesce. Its job takes the published body: computing again
@@ -632,13 +646,13 @@ func (s *server) runEvalGroup(ctx context.Context, seal func() []*evalJob) ([][]
 	var todo []int // indexes of the jobs still to compute
 	for i, j := range jobs {
 		if body, ok := s.evalCache.Peek(j.cacheKey); ok {
-			bodies[i] = body
+			results[i].body = body
 			continue
 		}
 		todo = append(todo, i)
 	}
 	if len(todo) == 0 {
-		return bodies, errs
+		return results, errs
 	}
 	s.metrics.Admitted.Add(1)
 	s.metrics.QueueWaitNanos.Add(int64(g.Wait))
@@ -664,10 +678,10 @@ func (s *server) runEvalGroup(ctx context.Context, seal func() []*evalJob) ([][]
 			continue
 		}
 		body = append(body, '\n')
-		bodies[i] = body
+		results[i].body = body
 		s.evalCache.Put(jobs[i].cacheKey, body)
 	}
-	return bodies, errs
+	return results, errs
 }
 
 // handleRegisterNetwork validates the posted network spec and registers it

@@ -90,15 +90,7 @@ type DTC struct {
 	Bits int
 	// TDel is the unit delay in ps (50 ps in TIMELY).
 	TDel float64
-	// INL is the peak integral nonlinearity in LSB (0 = ideal). Real
-	// delay-line DTCs bow mid-scale ([40]'s pre-distortion literature);
-	// the model uses the standard parabolic bow peaking at half scale.
-	INL float64
 }
-
-// inlBow returns the parabolic INL deviation (in LSB) at normalised code
-// position c ∈ [0,1] for peak inl.
-func inlBow(inl, c float64) float64 { return float64(inl * 4 * c * (1 - c)) }
 
 // NewDTC returns the Table II DTC.
 func NewDTC() DTC { return DTC{Bits: params.DTCBits, TDel: params.TDel} }
@@ -113,11 +105,7 @@ func (d DTC) Convert(code int, e float64) (float64, error) {
 	if code < 0 || code >= d.Levels() {
 		return 0, fmt.Errorf("analog: DTC code %d out of [0,%d)", code, d.Levels())
 	}
-	t := float64(float64(code) * d.TDel)
-	if d.INL != 0 {
-		t += float64(inlBow(d.INL, float64(code)/float64(d.Levels()-1)) * d.TDel)
-	}
-	t += e
+	t := float64(float64(code)*d.TDel) + e
 	if t < 0 {
 		t = 0
 	}
@@ -129,9 +117,6 @@ func (d DTC) Convert(code int, e float64) (float64, error) {
 type TDC struct {
 	Bits int
 	TDel float64
-	// INL is the peak integral nonlinearity in LSB (parabolic bow; 0 =
-	// ideal). A positive TDC bow makes mid-scale edges read early.
-	INL float64
 }
 
 // NewTDC returns the Table II TDC.
@@ -143,12 +128,7 @@ func (t TDC) Levels() int { return 1 << t.Bits }
 // Convert quantises delay plus the sampling jitter e (ps) to the nearest
 // code with saturation.
 func (t TDC) Convert(delay, e float64) int {
-	delay += e
-	pos := delay / t.TDel
-	if t.INL != 0 {
-		pos -= inlBow(t.INL, pos/float64(t.Levels()-1))
-	}
-	code := RoundCode(pos)
+	code := RoundCode((delay + e) / t.TDel)
 	if code < 0 {
 		return 0
 	}
@@ -222,14 +202,11 @@ func (IAdder) Sum(charges ...float64) float64 {
 // a constant current Ic tops the capacitor past Vth, and the output time is
 // T̃ − Tx. All device constants cancel into FullScale: the dot-product value
 // Σ xᵢ·gᵢ that maps to the full 255·TDel output range (the per-layer Rmin
-// choice of §IV-C). The MSB/LSB capacitor ratio (Cc vs Cc/2) appears as
-// CapRatio.
+// choice of §IV-C). Every column uses the unit capacitor Cc: the sub-ranged
+// nibble columns are recombined by the digital shift-and-add.
 type ChargingUnit struct {
 	// FullScale is the dot value mapped to full range (must be > 0).
 	FullScale float64
-	// CapRatio scales the output time (1 for the Cc MSB column, 0.5 for the
-	// Cc/2 LSB column, which doubles its time gain).
-	CapRatio float64
 	// TDel is the unit delay defining full range ((2^Bits−1)·TDel).
 	TDel float64
 	// Bits is the downstream TDC resolution defining the output range
@@ -241,7 +218,7 @@ type ChargingUnit struct {
 // NewChargingUnit returns a charging unit with the given full-scale dot
 // value and a unit capacitor at the Table II 8-bit resolution.
 func NewChargingUnit(fullScale float64) ChargingUnit {
-	return ChargingUnit{FullScale: fullScale, CapRatio: 1, TDel: params.TDel, Bits: params.DTCBits}
+	return ChargingUnit{FullScale: fullScale, TDel: params.TDel, Bits: params.DTCBits}
 }
 
 // MaxCode is the largest TDC code the unit can produce (full range).
@@ -261,13 +238,7 @@ func (c ChargingUnit) Output(dot, e float64) float64 {
 		panic("analog: ChargingUnit with non-positive FullScale")
 	}
 	full := float64(c.MaxCode()) * c.TDel
-	t := full * dot / c.FullScale
-	// Dividing by a unit capacitor ratio is an exact identity; skip it so
-	// the hot psum path pays one division, not two.
-	if ratio := c.CapRatio; ratio != 0 && ratio != 1 {
-		t /= ratio
-	}
-	t += e
+	t := full*dot/c.FullScale + e
 	if t < 0 {
 		return 0
 	}

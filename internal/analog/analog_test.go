@@ -171,15 +171,6 @@ func TestChargingUnitSaturates(t *testing.T) {
 	}
 }
 
-func TestChargingUnitCapRatio(t *testing.T) {
-	// The LSB column's Cc/2 capacitor doubles its time gain (§IV-C).
-	msb := ChargingUnit{FullScale: 1000, CapRatio: 1, TDel: params.TDel}
-	lsb := ChargingUnit{FullScale: 1000, CapRatio: 0.5, TDel: params.TDel}
-	if got, want := lsb.Output(100, 0), 2*msb.Output(100, 0); got != want {
-		t.Errorf("Cc/2 output = %v, want %v (2x the Cc output)", got, want)
-	}
-}
-
 func TestChargingUnitPanicsOnZeroFullScale(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -217,70 +208,6 @@ func TestAnalogChainExactProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDTCINLBow(t *testing.T) {
-	ideal := NewDTC()
-	bowed := DTC{Bits: 8, TDel: params.TDel, INL: 0.5}
-	// Endpoints are exact; mid-scale deviates by the peak INL.
-	for _, code := range []int{0, 255} {
-		ti, _ := ideal.Convert(code, 0)
-		tb, _ := bowed.Convert(code, 0)
-		if math.Abs(ti-tb) > 1e-9 {
-			t.Errorf("endpoint code %d moved by INL: %v vs %v", code, tb, ti)
-		}
-	}
-	tiMid, _ := ideal.Convert(128, 0)
-	tbMid, _ := bowed.Convert(128, 0)
-	dev := (tbMid - tiMid) / params.TDel
-	if math.Abs(dev-0.5) > 0.01 {
-		t.Errorf("mid-scale INL deviation = %.3f LSB, want ≈0.5", dev)
-	}
-}
-
-func TestDTCINLPreservesMonotonicity(t *testing.T) {
-	d := DTC{Bits: 8, TDel: params.TDel, INL: 0.9}
-	prev := -1.0
-	for code := 0; code < 256; code++ {
-		tm, err := d.Convert(code, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tm <= prev {
-			t.Fatalf("sub-LSB INL broke monotonicity at code %d", code)
-		}
-		prev = tm
-	}
-}
-
-func TestTDCINLShiftsMidScale(t *testing.T) {
-	ideal := NewTDC()
-	bowed := TDC{Bits: 8, TDel: params.TDel, INL: 1.0}
-	mid := 128 * params.TDel
-	ci, cb := ideal.Convert(mid, 0), bowed.Convert(mid, 0)
-	if cb >= ci {
-		t.Errorf("positive TDC bow should read mid-scale early: %d vs %d", cb, ci)
-	}
-	// Endpoints unaffected.
-	if bowed.Convert(0, 0) != 0 || bowed.Convert(255*params.TDel, 0) != 255 {
-		t.Errorf("TDC INL moved the endpoints")
-	}
-}
-
-func TestMatchedINLCancels(t *testing.T) {
-	// A TDC bowed like the DTC re-linearises the chain (the pre-distortion
-	// trick of the DTC linearisation literature).
-	d := DTC{Bits: 8, TDel: params.TDel, INL: 0.8}
-	c := TDC{Bits: 8, TDel: params.TDel, INL: 0.8}
-	for code := 0; code < 256; code += 5 {
-		tm, err := d.Convert(code, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Convert(tm, 0); got != code {
-			t.Errorf("matched-INL round trip %d -> %d", code, got)
-		}
 	}
 }
 

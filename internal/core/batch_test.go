@@ -207,58 +207,6 @@ func TestLazyCrossbarMaterialisation(t *testing.T) {
 	}
 }
 
-// TestForwardBatchNonIntegralCrossbars: device variation or IR drop makes
-// conductances non-integral, so BatchDeterministic must refuse the integer
-// path even though the noise draws nothing, and ForwardBatch must still
-// equal per-wave Compute. Stuck-at faults only pin levels: a faulted
-// sub-chip stays on the integer path and must agree just the same.
-func TestForwardBatchNonIntegralCrossbars(t *testing.T) {
-	const d, rows, nvec = 5, 300, 9 // two grid rows
-	for _, tc := range []struct {
-		name  string
-		setup func(*SubChip)
-		det   bool
-	}{
-		{"variation", func(s *SubChip) {
-			if err := s.ApplyDeviceVariation(0.05); err != nil {
-				t.Fatal(err)
-			}
-		}, false},
-		{"ir-drop", func(s *SubChip) { s.ApplyIRDrop(0.3) }, false},
-		{"faults", func(s *SubChip) {
-			if _, err := s.InjectFaults(0.05); err != nil {
-				t.Fatal(err)
-			}
-		}, true},
-	} {
-		s := NewSubChip(Options{Noise: &analog.Noise{RNG: stats.NewTrialRNG(31, 0)}, InterfaceBits: 24})
-		tc.setup(s)
-		m, err := s.MapDense(randomDense(stats.NewRNG(37), d, rows, s.cfg.WeightBits))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.BatchDeterministic(); got != tc.det {
-			t.Fatalf("%s: BatchDeterministic = %v, want %v", tc.name, got, tc.det)
-		}
-		in := randomBatch(stats.NewRNG(41), nvec, rows)
-		got := make([]int, nvec*d)
-		if err := m.ForwardBatch(in, nvec, got); err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < nvec; v++ {
-			want, err := m.Compute(in[v*rows : (v+1)*rows])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for di, w := range want {
-				if got[v*d+di] != w {
-					t.Fatalf("%s wave %d psum[%d]: batch %d != compute %d", tc.name, v, di, got[v*d+di], w)
-				}
-			}
-		}
-	}
-}
-
 // TestQuantiserExhaustive proves the integer quantiser of the deterministic
 // path equal to the float charging + TDC expression it replaces: for the
 // 8-bit and 24-bit interfaces and every ScaleShift MapDense can choose, every

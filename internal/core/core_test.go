@@ -317,72 +317,6 @@ func TestNoiseErrorGrowsWithSigma(t *testing.T) {
 	}
 }
 
-// TestDeviceVariationShiftsPsums: programmed conductance variation perturbs
-// results but preserves zero-input behaviour.
-func TestDeviceVariationShiftsPsums(t *testing.T) {
-	noise := &analog.Noise{RNG: stats.NewTrialRNG(55, 0)}
-	s := NewSubChip(Options{Noise: noise, InterfaceBits: 24})
-	m, err := s.MapDense([][]int{{10, -20, 30, 40}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyDeviceVariation(0.05); err != nil {
-		t.Fatal(err)
-	}
-	zero, err := m.Compute([]int{0, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero[0] != 0 {
-		t.Errorf("zero input gave psum %d", zero[0])
-	}
-	got, err := m.Compute([]int{100, 100, 100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 100 * (10 - 20 + 30 + 40)
-	if got[0] == want {
-		t.Logf("variation left psum unchanged (possible but unlikely)")
-	}
-	if math.Abs(float64(got[0]-want)) > 0.2*math.Abs(float64(want))+float64(int64(4)<<m.ScaleShift) {
-		t.Errorf("5%% variation moved psum %d -> %d: too far", want, got[0])
-	}
-}
-
-// TestIRDropShrinksPsums: wire-resistance attenuation must reduce psum
-// magnitudes monotonically with the coefficient.
-func TestIRDropShrinksPsums(t *testing.T) {
-	rows := 300 // spans two grid rows so row position matters
-	weights := [][]int{make([]int, rows)}
-	inputs := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		weights[0][i] = 100
-		inputs[i] = 200
-	}
-	psumAt := func(alpha float64) int {
-		s := NewSubChip(Options{InterfaceBits: 24})
-		s.ApplyIRDrop(alpha)
-		m, err := s.MapDense(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.Compute(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got[0]
-	}
-	ideal := psumAt(0)
-	if want := 300 * 100 * 200; ideal != want {
-		t.Fatalf("ideal psum = %d, want %d", ideal, want)
-	}
-	mild := psumAt(0.1)
-	harsh := psumAt(0.5)
-	if !(harsh < mild && mild < ideal) {
-		t.Errorf("IR drop not monotone: ideal %d, mild %d, harsh %d", ideal, mild, harsh)
-	}
-}
-
 // Test16BitWeightsExact: the 16-bit configuration (4 nibble columns per
 // weight arm) must stay bit-exact in ideal-interface mode.
 func Test16BitWeightsExact(t *testing.T) {

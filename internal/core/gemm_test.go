@@ -88,9 +88,8 @@ func TestLosslessProductMatchesQuantiser(t *testing.T) {
 // TestLosslessCacheFollowsWrites: the cached effective weights must never
 // outlive a write to a crossbar the layer reads. After a first ForwardBatch
 // builds the cache, each write below changes the layer's psums, and the
-// next ForwardBatch must match a fresh per-wave Compute — through a
-// rebuilt matrix while the crossbars stay integral, through the per-wave
-// path while variation or IR drop makes them non-integral.
+// next ForwardBatch must match a fresh per-wave Compute through a rebuilt
+// matrix: writes by Program in either grid row, and two fault passes.
 func TestLosslessCacheFollowsWrites(t *testing.T) {
 	const d, rows, nvec = 6, 300, 5 // two grid rows
 	m := faultedLayer(t, 24, d, rows, 0, 3)
@@ -121,17 +120,13 @@ func TestLosslessCacheFollowsWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"SetIRDrop", func() { s.Crossbar(0, 0).SetIRDrop(0.3) }},
-		{"SetIRDrop-off", func() {
-			s.Crossbar(0, 0).SetIRDrop(0)
+		{"Program-top", func() {
 			if err := s.Crossbar(0, 0).Program(0, 1, s.Crossbar(0, 0).Level(0, 1)^5); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"ApplyVariation", func() { s.Crossbar(1, 0).ApplyVariation(0.05, stats.NewTrialRNG(7, 0)) }},
-		{"ApplyVariation-off", func() {
-			s.Crossbar(1, 0).ApplyVariation(0, nil)
-			if err := s.Crossbar(1, 0).Program(3, 2, s.Crossbar(1, 0).Level(3, 2)^9); err != nil {
+		{"InjectFaults-again", func() {
+			if _, err := s.InjectFaults(0.1); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -141,8 +136,8 @@ func TestLosslessCacheFollowsWrites(t *testing.T) {
 		if fmt.Sprint(got) == fmt.Sprint(prev) {
 			t.Fatalf("%s: the write left every psum unchanged; the check proves nothing", step.name)
 		}
-		if m.BatchDeterministic() && m.effectiveWeights() == nil {
-			t.Fatalf("%s: integral 24-bit layer left the product path", step.name)
+		if m.effectiveWeights() == nil {
+			t.Fatalf("%s: 24-bit layer left the product path", step.name)
 		}
 		prev = got
 	}

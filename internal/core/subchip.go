@@ -16,20 +16,21 @@
 //
 // Hot-path organisation: crossbars are materialised lazily (a mapped layer
 // touches a handful of the 16×12 grid) and every wave reuses a per-sub-chip
-// scratch arena instead of allocating. With randomness, device variation or
-// IR drop configured, ForwardBatch runs strictly ordered per-wave Compute
-// calls through the float flat-conductance kernels of package reram, so RNG
-// draw sequences (and therefore artifact bytes) are identical to repeated
-// Compute calls; each such wave draws all its Gaussian deviates in one bulk
-// fill before it runs, because their number depends on the sigmas and the
-// layer's shape alone; ComputeLockstep shares one such fill among layers
-// that draw the same count from one stream. Noise-free on integral
-// crossbars, the datapath is exact integer arithmetic — 8-bit DTC codes
+// scratch arena instead of allocating. Every cell conductance is its
+// integer level, so the noise-free and noisy paths differ in one respect
+// only: whether a wave draws. With randomness configured, ForwardBatch runs
+// strictly ordered per-wave Compute calls through the float kernels of
+// package reram, so RNG draw sequences (and therefore artifact bytes) are
+// identical to repeated Compute calls; each such wave draws all its
+// Gaussian deviates in one bulk fill before it runs, because their number
+// depends on the sigmas and the layer's shape alone; ComputeLockstep shares
+// one such fill among layers that draw the same count from one stream.
+// Noise-free, the datapath is exact integer arithmetic — 8-bit DTC codes
 // times integer cell levels, summed exactly, quantised by a shift — and
 // ForwardBatch pushes whole input blocks through the integer matrix–matrix
-// kernel instead, bit-identical to the float path. Where that quantiser is the identity (the 24-bit
-// interface) a layer is one integer product with its cached effective
-// weights. Sub-chips are not safe for concurrent use.
+// kernel instead, bit-identical to the float path. Where that quantiser is
+// the identity (the 24-bit interface) a layer is one integer product with
+// its cached effective weights. Sub-chips are not safe for concurrent use.
 package core
 
 import (
@@ -73,15 +74,12 @@ type pendingInject struct {
 	rng  *stats.RNG
 }
 
-// Substream lanes of the noise RNG's trial stream (see stats.Substream):
-// lane 0 — the main stream — carries the strictly-ordered noise draws of
-// the compute path; stuck-at fault injection and device variation each own
-// a lane whose index keys (pass, grid slot), so per-crossbar draws are
-// independent of slot iteration and materialisation order.
-const (
-	laneFaults    = 1
-	laneVariation = 2
-)
+// laneFaults is the substream lane of the noise RNG's trial stream (see
+// stats.Substream) that stuck-at fault injection draws from. Lane 0 — the
+// main stream — carries the strictly-ordered noise draws of the compute
+// path; the fault lane's index keys (pass, grid slot), so per-crossbar
+// draws are independent of slot iteration and materialisation order.
+const laneFaults = 1
 
 // arena is the per-sub-chip scratch reused across waves: DTC time ladders,
 // pre-scaled inputs, per-crossbar column dots, a noisy wave's drawn
@@ -121,14 +119,12 @@ type SubChip struct {
 	// grid holds GridRows × GridCols crossbar slots, row-major; slots stay
 	// nil until first touched (most layers use a small corner of the grid).
 	grid []*reram.Crossbar
-	// irDrop is applied to every crossbar at materialisation.
-	irDrop float64
 	// pending holds deferred fault injections per slot (nil when none).
 	pending [][]pendingInject
-	// faultPasses / variationPasses count the completed InjectFaults /
-	// ApplyDeviceVariation passes, so repeated passes key fresh substreams
-	// instead of replaying the previous pass's draws.
-	faultPasses, variationPasses int
+	// faultPasses counts the completed InjectFaults passes, so repeated
+	// passes key fresh substreams instead of replaying the previous pass's
+	// draws.
+	faultPasses int
 
 	dtc  analog.DTC
 	tdc  analog.TDC
@@ -161,16 +157,12 @@ func NewSubChip(opt Options) *SubChip {
 }
 
 // xbar returns the crossbar in grid slot i, materialising it on first touch
-// (IR-drop configuration applied, deferred fault injections replayed from
-// their RNG snapshots).
+// (deferred fault injections replayed from their RNG snapshots).
 func (s *SubChip) xbar(i int) *reram.Crossbar {
 	if x := s.grid[i]; x != nil {
 		return x
 	}
 	x := reram.New(s.cfg.B, s.cfg.CellBits)
-	if s.irDrop != 0 {
-		x.SetIRDrop(s.irDrop)
-	}
 	if s.pending != nil {
 		for _, p := range s.pending[i] {
 			if _, err := x.InjectStuckFaults(p.rate, p.rng); err != nil {
@@ -189,41 +181,9 @@ func (s *SubChip) Crossbar(row, col int) *reram.Crossbar {
 	return s.xbar(row*s.cfg.GridCols + col)
 }
 
-// ApplyDeviceVariation draws per-cell conductance errors on every crossbar,
-// each grid slot from its own keyed substream (laneVariation,
-// pass·slots+slot) of the noise RNG. Without a noise RNG it does nothing;
-// a noise RNG that is not a counter-based trial stream is an error.
-func (s *SubChip) ApplyDeviceVariation(sigma float64) error {
-	if s.noise == nil || s.noise.RNG == nil {
-		return nil
-	}
-	rng := s.noise.RNG
-	if !rng.Philox() {
-		return errSerialRNG
-	}
-	pass := s.variationPasses
-	s.variationPasses++
-	for i := range s.grid {
-		s.xbar(i).ApplyVariation(sigma, rng.Substream(laneVariation, uint32(pass*len(s.grid)+i)))
-	}
-	return nil
-}
-
-// errSerialRNG rejects per-slot draws on a noise RNG without substream
-// coordinates (a stats.NewRNG generator).
-var errSerialRNG = errors.New("core: fault and variation draws need a counter-based noise RNG (stats.NewTrialRNG)")
-
-// ApplyIRDrop configures wire-resistance attenuation on every crossbar
-// (see reram.SetIRDrop). Apply before MapDense so the per-layer scale is
-// chosen against the attenuated conductances seen at compute time.
-func (s *SubChip) ApplyIRDrop(alpha float64) {
-	s.irDrop = alpha
-	for _, x := range s.grid {
-		if x != nil {
-			x.SetIRDrop(alpha)
-		}
-	}
-}
+// errSerialRNG rejects per-slot fault draws on a noise RNG without
+// substream coordinates (a stats.NewRNG generator).
+var errSerialRNG = errors.New("core: fault draws need a counter-based noise RNG (stats.NewTrialRNG)")
 
 // InjectFaults pins a fraction of every crossbar's cells as stuck-at faults
 // (half SA0, half SA1) and returns the total number of stuck cells. Call
@@ -408,7 +368,6 @@ func (m *MappedLayer) globalCol(d, arm, nib int) int {
 func (m *MappedLayer) chargingUnit() analog.ChargingUnit {
 	return analog.ChargingUnit{
 		FullScale: float64(int(1)<<m.sc.ifBits-1) * float64(int64(1)<<m.ScaleShift),
-		CapRatio:  1,
 		TDel:      params.TDel,
 		Bits:      m.sc.ifBits,
 	}
@@ -755,27 +714,12 @@ func (s *SubChip) noiseRNG() *stats.RNG {
 
 // BatchDeterministic reports whether this mapped layer's batched forward
 // path is bit-identical regardless of batch composition: a deterministic
-// noise configuration (every sigma zero, no RNG consumed), zero-INL
-// interfaces (always true for SubChip-built converters; checked so a
-// future nonlinearity knob cannot silently change results) and integral
-// crossbars (no device variation, no IR drop), so every dot is an exact
-// integer. When false, waves run through the per-wave Compute path: they
-// may draw from a shared RNG stream, so reordering inputs across layers or
-// batches would change the draws — callers must keep per-input order.
-func (m *MappedLayer) BatchDeterministic() bool {
-	s := m.sc
-	if !s.noise.Deterministic() || s.tdc.INL != 0 || s.dtc.INL != 0 {
-		return false
-	}
-	for gr := 0; gr < m.gridRowsUsed; gr++ {
-		for gc := 0; gc < m.gridColsUsed; gc++ {
-			if !s.Crossbar(gr, gc).Integral() {
-				return false
-			}
-		}
-	}
-	return true
-}
+// noise configuration (every sigma zero, no RNG consumed), so every dot is
+// an exact integer. When false, waves run through the per-wave Compute
+// path: they draw from a shared RNG stream, so reordering inputs across
+// layers or batches would change the draws — callers must keep per-input
+// order.
+func (m *MappedLayer) BatchDeterministic() bool { return m.sc.noise.Deterministic() }
 
 // batchBlock bounds the scratch footprint of the deterministic batched
 // path: waves are processed in blocks of this many input vectors.
@@ -806,22 +750,22 @@ func (q *quantiser) code(total int64) int {
 }
 
 // forwardBatchDet is the deterministic ForwardBatch fast path, exact
-// integer arithmetic end to end: with integral crossbars and no noise an
-// 8-bit DTC code times an integer level is an integer, the X-subBuf copies
-// and P-subBuf mirrors are identities, and the I-adder sum of the column
-// totals is exact in any order. A lossless layer (effectiveWeights) folds
-// the whole datapath into one integer product with its effective weights;
-// any other layer runs the blocked integer kernel (reram.DotLevelsBatch)
-// for every crossbar's column sums, adds the grid rows in int64 and maps
-// each total to the code the float charging + TDC stage would produce.
+// integer arithmetic end to end: without noise an 8-bit DTC code times an
+// integer level is an integer, the X-subBuf copies and P-subBuf mirrors
+// are identities, and the I-adder sum of the column totals is exact in
+// any order. A lossless layer (effectiveWeights) folds the whole datapath
+// into one integer product with its effective weights; any other layer
+// runs the blocked integer kernel (reram.DotLevelsBatch) for every
+// crossbar's column sums, adds the grid rows in int64 and maps each total
+// to the code the float charging + TDC stage would produce.
 // Either way the psums are bit-identical to per-wave execution.
 func (m *MappedLayer) forwardBatchDet(codes []uint8, nvec int, out []int) {
 	rows, d := m.Rows, m.D
 	weff := m.effectiveWeights()
 	for base := 0; base < nvec; base += batchBlock {
 		n := min(nvec-base, batchBlock)
-		// Without noise or INL a DTC delay is the code itself in TDel
-		// units, whichever grid column it reaches.
+		// Without noise a DTC delay is the code itself in TDel units,
+		// whichever grid column it reaches.
 		c := codes[base*rows : (base+n)*rows]
 		o := out[base*d : (base+n)*d]
 		if weff != nil {
@@ -936,8 +880,7 @@ func (m *MappedLayer) gemm(codes []uint8, n int, weff []int, out []int) {
 // The matrix (or the verdict that the layer is lossy) is cached and
 // rebuilt whenever a crossbar the layer reads has been written since:
 // the cache is keyed by the sum of their write generations, which only
-// grow, so any Program, fault injection, variation or IR-drop change
-// moves it.
+// grow, so any Program or fault injection moves it.
 func (m *MappedLayer) effectiveWeights() []int {
 	if m.ScaleShift != 0 {
 		return nil

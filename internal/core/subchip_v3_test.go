@@ -84,11 +84,8 @@ func TestV3InjectFaultsLeavesMainStreamUntouched(t *testing.T) {
 	if _, err := sc.InjectFaults(0.1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.ApplyDeviceVariation(0.1); err != nil {
-		t.Fatal(err)
-	}
 	if sc.noise.RNG.Uint64() != ref.Uint64() {
-		t.Fatal("v3 fault/variation passes advanced the main noise stream")
+		t.Fatal("v3 fault pass advanced the main noise stream")
 	}
 }
 
@@ -166,15 +163,11 @@ func TestV3EagerLazyFaultTotals(t *testing.T) {
 	}
 }
 
-// TestSerialNoiseRNGRejected: per-slot fault and variation draws need
-// substream coordinates, so a NewRNG noise generator is an error, not a
-// panic.
+// TestSerialNoiseRNGRejected: per-slot fault draws need substream
+// coordinates, so a NewRNG noise generator is an error, not a panic.
 func TestSerialNoiseRNGRejected(t *testing.T) {
 	sc := NewSubChip(Options{Noise: &analog.Noise{RNG: stats.NewRNG(1)}, InterfaceBits: 24})
 	if _, err := sc.InjectFaults(0.1); err == nil {
 		t.Error("InjectFaults on a NewRNG noise generator succeeded")
-	}
-	if err := sc.ApplyDeviceVariation(0.1); err == nil {
-		t.Error("ApplyDeviceVariation on a NewRNG noise generator succeeded")
 	}
 }

@@ -97,8 +97,7 @@ func refCompute(m *MappedLayer, inputs []int) ([]int, error) {
 }
 
 // noisyPair maps the same random layer twice, each on a sub-chip with its
-// own ledger and an identically seeded trial RNG, every sigma non-zero and
-// both converters bowed by INL.
+// own ledger and an identically seeded trial RNG, every sigma non-zero.
 func noisyPair(t *testing.T, ifBits, hops, d, rows int) (bulk, ref *MappedLayer, lb, lr *energy.Ledger) {
 	t.Helper()
 	mk := func() (*MappedLayer, *energy.Ledger) {
@@ -116,10 +115,7 @@ func noisyPair(t *testing.T, ifBits, hops, d, rows int) (bulk, ref *MappedLayer,
 			InterfaceBits: ifBits,
 			InputHops:     hops,
 		}
-		m := mapRandom(t, opt, 13, d, rows)
-		m.sc.dtc.INL = 0.4
-		m.sc.tdc.INL = 0.3
-		return m, led
+		return mapRandom(t, opt, 13, d, rows), led
 	}
 	bulk, lb = mk()
 	ref, lr = mk()
@@ -128,9 +124,9 @@ func noisyPair(t *testing.T, ifBits, hops, d, rows int) (bulk, ref *MappedLayer,
 
 // TestComputeMatchesDrawPerBlock: the bulk-drawn wave executor yields the
 // psums, the ledger totals and the RNG position of the draw-per-block
-// reference, with all five sigmas set, an input-hop cascade, INL on both
-// converters, a layer spanning two grid rows and two grid columns, at the
-// 8- and 24-bit interfaces, over several successive waves.
+// reference, with all five sigmas set, an input-hop cascade, a layer
+// spanning two grid rows and two grid columns, at the 8- and 24-bit
+// interfaces, over several successive waves.
 func TestComputeMatchesDrawPerBlock(t *testing.T) {
 	const d, rows, waves = 70, 270, 4
 	for _, ifBits := range []int{8, 24} {

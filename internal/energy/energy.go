@@ -265,18 +265,3 @@ func (l *Ledger) InterfaceEnergy() float64 {
 	}
 	return s
 }
-
-// Merge adds other's counts into l. Unit tables must agree for meaningful
-// results; Merge keeps l's units.
-func (l *Ledger) Merge(other *Ledger) {
-	for c := 0; c < int(numComponents); c++ {
-		for cl := 0; cl < int(numClasses); cl++ {
-			l.counts[c][cl] += other.counts[c][cl]
-		}
-	}
-}
-
-// Reset clears all counts, keeping the unit table.
-func (l *Ledger) Reset() {
-	l.counts = [numComponents][numClasses]float64{}
-}

@@ -70,27 +70,6 @@ func TestInterfaceEnergy(t *testing.T) {
 	}
 }
 
-func TestMergeAndReset(t *testing.T) {
-	a, b := testLedger(), testLedger()
-	a.Add(L1Read, ClassInput, 1)
-	b.Add(L1Read, ClassInput, 2)
-	b.Add(DTCConv, ClassInput, 3)
-	a.Merge(b)
-	if got := a.Count(L1Read); got != 3 {
-		t.Errorf("merged count = %v, want 3", got)
-	}
-	if got := a.Count(DTCConv); got != 3 {
-		t.Errorf("merged DTC count = %v, want 3", got)
-	}
-	a.Reset()
-	if a.Total() != 0 {
-		t.Errorf("Reset left energy behind")
-	}
-	if a.Unit(L1Read) != 20 {
-		t.Errorf("Reset dropped unit table")
-	}
-}
-
 func TestLevelOf(t *testing.T) {
 	cases := map[Component]Level{
 		XSubBufOp:   LevelALB,

@@ -107,16 +107,18 @@ func benchmarks() []*model.Network {
 // as a running experiment computes it exactly once. bits selects TIMELY's
 // operand precision and is ignored by the fixed-precision baselines
 // (PRIME is 8-bit, ISAAC 16-bit by design).
-func Eval(backend string, bits, chips int, network string) (*accel.Result, error) {
-	switch backend {
-	case "timely":
-		return evalTimely(bits, chips, network)
-	case "prime":
-		return evalPrime(chips, network)
-	case "isaac":
-		return evalIsaac(chips, network)
+func Eval(backend string, bits, chips int, name string) (*accel.Result, error) {
+	acc, prefix, err := analyticModel(backend, bits, chips)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("experiments: unknown analytic backend %q", backend)
+	return evalCache.Do(prefix+"/"+name, func() (*accel.Result, error) {
+		n, err := network(name)
+		if err != nil {
+			return nil, err
+		}
+		return acc.Evaluate(n)
+	})
 }
 
 // EvalSpec returns the memoized analytic evaluation of a custom compiled
@@ -126,58 +128,28 @@ func Eval(backend string, bits, chips int, network string) (*accel.Result, error
 // network share one cache entry, and a custom network can never collide
 // with a Table III benchmark's entry.
 func EvalSpec(backend string, bits, chips int, n *model.Network) (*accel.Result, error) {
-	var acc accel.Accelerator
-	key := fmt.Sprintf("%s/%d/spec:%s", backend, chips, n.SpecHash())
-	switch backend {
-	case "timely":
-		key = fmt.Sprintf("timely/%d/%d/spec:%s", bits, chips, n.SpecHash())
-		acc = accel.NewTimely(bits, chips)
-	case "prime":
-		acc = accel.NewPrime(chips)
-	case "isaac":
-		acc = accel.NewIsaac(chips)
-	default:
-		return nil, fmt.Errorf("experiments: unknown analytic backend %q", backend)
+	acc, prefix, err := analyticModel(backend, bits, chips)
+	if err != nil {
+		return nil, err
 	}
-	return evalCache.Do(key, func() (*accel.Result, error) {
+	return evalCache.Do(prefix+"/spec:"+n.SpecHash(), func() (*accel.Result, error) {
 		return acc.Evaluate(n)
 	})
 }
 
-// evalTimely returns the memoized TIMELY evaluation of one benchmark.
-func evalTimely(bits, chips int, name string) (*accel.Result, error) {
-	key := fmt.Sprintf("timely/%d/%d/%s", bits, chips, name)
-	return evalCache.Do(key, func() (*accel.Result, error) {
-		n, err := network(name)
-		if err != nil {
-			return nil, err
-		}
-		return accel.NewTimely(bits, chips).Evaluate(n)
-	})
-}
-
-// evalPrime returns the memoized PRIME evaluation of one benchmark.
-func evalPrime(chips int, name string) (*accel.Result, error) {
-	key := fmt.Sprintf("prime/%d/%s", chips, name)
-	return evalCache.Do(key, func() (*accel.Result, error) {
-		n, err := network(name)
-		if err != nil {
-			return nil, err
-		}
-		return accel.NewPrime(chips).Evaluate(n)
-	})
-}
-
-// evalIsaac returns the memoized ISAAC evaluation of one benchmark.
-func evalIsaac(chips int, name string) (*accel.Result, error) {
-	key := fmt.Sprintf("isaac/%d/%s", chips, name)
-	return evalCache.Do(key, func() (*accel.Result, error) {
-		n, err := network(name)
-		if err != nil {
-			return nil, err
-		}
-		return accel.NewIsaac(chips).Evaluate(n)
-	})
+// analyticModel returns the analytic accelerator a backend names at the
+// given deployment, and the memo-key prefix of its evaluations: TIMELY's
+// carries the operand precision, the fixed-precision baselines' do not.
+func analyticModel(backend string, bits, chips int) (accel.Accelerator, string, error) {
+	switch backend {
+	case "timely":
+		return accel.NewTimely(bits, chips), fmt.Sprintf("timely/%d/%d", bits, chips), nil
+	case "prime":
+		return accel.NewPrime(chips), fmt.Sprintf("prime/%d", chips), nil
+	case "isaac":
+		return accel.NewIsaac(chips), fmt.Sprintf("isaac/%d", chips), nil
+	}
+	return nil, "", fmt.Errorf("experiments: unknown analytic backend %q", backend)
 }
 
 // trainedMLP bundles the §VI-B synthetic classifier: the float model, its

@@ -27,7 +27,7 @@ func RunFig11(ctx context.Context) (Fig11Result, error) {
 	if err != nil {
 		return Fig11Result{}, err
 	}
-	base, err := evalPrime(1, "VGG-D")
+	base, err := Eval("prime", 0, 1, "VGG-D")
 	if err != nil {
 		return Fig11Result{}, err
 	}

@@ -55,7 +55,7 @@ func Fig4a() []Fig4Access {
 
 // Fig4b returns PRIME's VGG-D energy breakdown (Fig. 4(b)).
 func Fig4b() (Fig4Breakdown, error) {
-	r, err := evalPrime(1, "VGG-D")
+	r, err := Eval("prime", 0, 1, "VGG-D")
 	if err != nil {
 		return Fig4Breakdown{}, err
 	}
@@ -75,7 +75,7 @@ func Fig4b() (Fig4Breakdown, error) {
 
 // Fig4c returns ISAAC's VGG-D energy breakdown (Fig. 4(c)).
 func Fig4c() (Fig4Breakdown, error) {
-	r, err := evalIsaac(1, "VGG-D")
+	r, err := Eval("isaac", 0, 1, "VGG-D")
 	if err != nil {
 		return Fig4Breakdown{}, err
 	}

@@ -27,19 +27,19 @@ func Fig8a(ctx context.Context) ([]Fig8aRow, Fig8aRow, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, Fig8aRow{}, err
 		}
-		t8, err := evalTimely(8, 1, n.Name)
+		t8, err := Eval("timely", 8, 1, n.Name)
 		if err != nil {
 			return nil, Fig8aRow{}, fmt.Errorf("timely-8 %s: %w", n.Name, err)
 		}
-		pr, err := evalPrime(1, n.Name)
+		pr, err := Eval("prime", 0, 1, n.Name)
 		if err != nil {
 			return nil, Fig8aRow{}, fmt.Errorf("prime %s: %w", n.Name, err)
 		}
-		t16, err := evalTimely(16, 1, n.Name)
+		t16, err := Eval("timely", 16, 1, n.Name)
 		if err != nil {
 			return nil, Fig8aRow{}, fmt.Errorf("timely-16 %s: %w", n.Name, err)
 		}
-		is, err := evalIsaac(1, n.Name)
+		is, err := Eval("isaac", 0, 1, n.Name)
 		if err != nil {
 			return nil, Fig8aRow{}, fmt.Errorf("isaac %s: %w", n.Name, err)
 		}
@@ -91,15 +91,15 @@ func Fig8b(ctx context.Context) ([]Fig8bRow, error) {
 			return nil, err
 		}
 		for _, chips := range []int{16, 32, 64} {
-			t8, err := evalTimely(8, chips, name)
+			t8, err := Eval("timely", 8, chips, name)
 			if err != nil {
 				return nil, err
 			}
-			pr, err := evalPrime(chips, name)
+			pr, err := Eval("prime", 0, chips, name)
 			if err != nil {
 				return nil, err
 			}
-			is, err := evalIsaac(chips, name)
+			is, err := Eval("isaac", 0, chips, name)
 			if err != nil {
 				return nil, err
 			}

@@ -30,11 +30,11 @@ func RunFig9(ctx context.Context) (*Fig9, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pr, err := evalPrime(1, "VGG-D")
+	pr, err := Eval("prime", 0, 1, "VGG-D")
 	if err != nil {
 		return nil, err
 	}
-	t8, err := evalTimely(8, 1, "VGG-D")
+	t8, err := Eval("timely", 8, 1, "VGG-D")
 	if err != nil {
 		return nil, err
 	}

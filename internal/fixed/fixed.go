@@ -46,11 +46,6 @@ func (q Quantizer) Quantize(x float64) int {
 	return c
 }
 
-// Dequantize converts a code back to its real value.
-func (q Quantizer) Dequantize(code int) float64 {
-	return float64(code-q.Zero) * q.Scale
-}
-
 // NewSymmetric returns a signed symmetric quantiser: zero point at mid-range,
 // scale chosen so ±maxAbs spans the code range. Used for weights.
 func NewSymmetric(bits int, maxAbs float64) (Quantizer, error) {
@@ -148,17 +143,4 @@ func ClampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// SatAddInt32 adds two int32 values, saturating at the type bounds. Used by
-// the reference fixed-point accumulators.
-func SatAddInt32(a, b int32) int32 {
-	s := int64(a) + int64(b)
-	if s > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	if s < math.MinInt32 {
-		return math.MinInt32
-	}
-	return int32(s)
 }

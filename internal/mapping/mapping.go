@@ -98,22 +98,6 @@ func place(l model.Layer, cfg params.TimelyConfig, cpw int) Placement {
 	return p
 }
 
-// CrossbarsUsed estimates the crossbars one instance actually occupies
-// (weights + O2IR copies), for utilisation accounting.
-func (p Placement) CrossbarsUsed(cfg params.TimelyConfig) int {
-	rowsUsed := p.Rows + (p.VerticalCopies-1)*p.CopyRowStride
-	colsUsed := p.VerticalCopies * p.Layer.D * p.PhysColsPerWeight
-	perInstanceRows := ceilDiv(minInt(rowsUsed, cfg.RowCapacity()), cfg.B)
-	perInstanceCols := ceilDiv(minInt(colsUsed, cfg.ColCapacity()), cfg.B)
-	n := perInstanceRows * perInstanceCols
-	if p.SubChips > 1 {
-		// Split layers occupy full grids on all but the last chunk; keep the
-		// conservative whole-sub-chip estimate.
-		n = p.SubChips * cfg.CrossbarsPerSubChip()
-	}
-	return n
-}
-
 // Plan is TIMELY's layer-by-layer mapping of one network onto a deployment
 // (§IV-E): every weighted layer gets an O2IR placement on consecutive
 // sub-chips, and whole copies of that pipeline fill the chips. The analytic

@@ -188,21 +188,6 @@ func TestCrossesChip(t *testing.T) {
 	}
 }
 
-func TestCrossbarsUsed(t *testing.T) {
-	l := convLayer(3, 224, 224, 64, 3, 1, 1)
-	p := PlaceO2IR(l, cfg8())
-	used := p.CrossbarsUsed(cfg8())
-	if used < 1 || used > cfg8().CrossbarsPerSubChip() {
-		t.Errorf("crossbars used = %d, want within one sub-chip", used)
-	}
-	// A split layer occupies whole sub-chips.
-	deep := convLayer(512, 14, 14, 512, 3, 1, 1)
-	pd := PlaceO2IR(deep, cfg8())
-	if got := pd.CrossbarsUsed(cfg8()); got != 2*cfg8().CrossbarsPerSubChip() {
-		t.Errorf("split crossbars used = %d, want 2 grids", got)
-	}
-}
-
 func TestPlaceBaselinePrimeStyle(t *testing.T) {
 	// PRIME: 256×256 mats, 8-bit weights on 4-bit cells (2 cols), 1 pass.
 	l := convLayer(64, 224, 224, 64, 3, 1, 1)

@@ -230,9 +230,6 @@ func (c TimelyConfig) RowCapacity() int { return c.GridRows * c.B }
 // ColCapacity is the bit-cell column capacity of one sub-chip.
 func (c TimelyConfig) ColCapacity() int { return c.GridCols * c.B }
 
-// WeightColCapacity is the number of whole weights one sub-chip holds per row.
-func (c TimelyConfig) WeightColCapacity() int { return c.ColCapacity() / c.ColumnsPerWeight() }
-
 // CycleTime returns the pipeline-cycle time in ps (γ serialized conversions).
 func (c TimelyConfig) CycleTime() float64 { return float64(c.Gamma) * DTCConversionTime }
 

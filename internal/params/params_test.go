@@ -97,9 +97,6 @@ func TestTimelyConfigDerived(t *testing.T) {
 	if got := c8.ColCapacity(); got != 3072 {
 		t.Errorf("ColCapacity = %d, want 3072", got)
 	}
-	if got := c8.WeightColCapacity(); got != 1536 {
-		t.Errorf("WeightColCapacity = %d, want 1536", got)
-	}
 }
 
 func TestPeakMACRateOrderOfMagnitude(t *testing.T) {

@@ -102,8 +102,3 @@ func Throughput(cyclesPerImage, cycleTimePS float64) float64 {
 	}
 	return 1e12 / (cyclesPerImage * cycleTimePS)
 }
-
-// IntraPipelineLatency returns the fill latency (ps) of TIMELY's five-stage
-// intra-sub-chip pipeline for the first result (§IV-E: read, DTC, analog
-// compute, TDC, write — the first datum is written back at the fifth cycle).
-func IntraPipelineLatency(cycleTimePS float64) float64 { return 5 * cycleTimePS }

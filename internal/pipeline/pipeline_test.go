@@ -84,13 +84,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestIntraPipelineLatency(t *testing.T) {
-	// §IV-E: first datum written back at the fifth cycle.
-	if got := IntraPipelineLatency(200_000); got != 1_000_000 {
-		t.Errorf("fill latency = %v ps, want 1e6 (5 cycles)", got)
-	}
-}
-
 // Property: Balance never exceeds the unit budget and never starves a stage.
 func TestBalanceBudgetProperty(t *testing.T) {
 	f := func(works [5]uint8, mins [5]uint8, extra uint8) bool {

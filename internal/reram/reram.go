@@ -6,21 +6,20 @@
 // Conductances are kept in *level units*: a cell programmed to level g
 // (0..2^CellBits−1) contributes g per unit input time. The physical scale
 // (Gmax = 1/Rmin) cancels into the charging unit's full scale, mirroring how
-// Eq. 2 cancels Rmin. Device variation multiplies the level by (1+δ) with
-// Gaussian δ.
+// Eq. 2 cancels Rmin. A cell's conductance is exactly its level; stuck-at
+// faults (faults.go) pin levels rather than perturb them.
 //
 // Two kernel families read two lazily built caches. The float kernels
-// (ColumnDot, DotColumns, SubRangedDot) serve the noisy datapath, where
-// variation and IR drop make conductances non-integral: they read a flat
-// effective-conductance matrix, the branchy per-cell path (level,
-// variation, IR drop) evaluated once per cell into a contiguous []float64.
-// The noise-free datapath is exact integer arithmetic, so its batched
-// kernel DotLevelsBatch reads the programmed levels instead, packed several
-// columns to a machine word. Any state mutation (Program, ApplyVariation,
-// SetIRDrop, fault injection) invalidates both caches — each is rebuilt only
-// for the row prefix a kernel actually touches — and advances the write
-// Generation, which lets readers outside the package keep caches of their
-// own. Crossbars are not safe for concurrent use.
+// (ColumnDot, DotColumns, SubRangedDot) serve the noisy datapath, whose
+// input times carry drawn errors: they read a flat matrix of the levels as
+// float64, contiguous and row-major. The noise-free datapath is exact
+// integer arithmetic, so its batched kernel DotLevelsBatch reads the
+// programmed levels instead, packed several columns to a machine word. Any
+// state mutation (Program, fault injection or clearing) invalidates both
+// caches — each is rebuilt only for the row prefix a kernel actually
+// touches — and advances the write Generation, which lets readers outside
+// the package keep caches of their own. Crossbars are not safe for
+// concurrent use.
 package reram
 
 import (
@@ -28,7 +27,6 @@ import (
 	"math/bits"
 
 	"repro/internal/fixed"
-	"repro/internal/stats"
 )
 
 // Crossbar is one B×B ReRAM array.
@@ -39,14 +37,10 @@ type Crossbar struct {
 	CellBits int
 	// levels holds the programmed level of each cell, row-major.
 	levels []uint8
-	// variation holds per-cell relative conductance errors (nil when ideal).
-	variation []float64
 	// faults holds per-cell stuck-at states (nil when fault-free).
 	faults []int8
-	// irDrop is the wire-resistance attenuation coefficient (0 = ideal).
-	irDrop float64
 
-	// flat caches the effective conductances of the first flatRows rows
+	// flat caches the levels of the first flatRows rows as float64
 	// (row-major, stride B). flatRows == 0 means the cache is stale.
 	flat     []float64
 	flatRows int
@@ -77,7 +71,7 @@ func New(b, cellBits int) *Crossbar {
 // MaxLevel returns the highest programmable level.
 func (x *Crossbar) MaxLevel() uint8 { return uint8(int(1)<<x.CellBits - 1) }
 
-// invalidate drops the cached conductance matrix and packed levels and
+// invalidate drops the cached float and packed levels and
 // advances the write generation.
 func (x *Crossbar) invalidate() {
 	x.flatRows, x.packedRows = 0, 0
@@ -85,10 +79,9 @@ func (x *Crossbar) invalidate() {
 }
 
 // Generation returns the crossbar's write generation: a counter that every
-// state mutation (Program, ApplyVariation, SetIRDrop, fault injection or
-// clearing) advances and nothing else touches. A cache derived from the
-// array's levels or conductances is current while the generation it was
-// built at still holds.
+// state mutation (Program, fault injection or clearing) advances and
+// nothing else touches. A cache derived from the array's levels is current
+// while the generation it was built at still holds.
 func (x *Crossbar) Generation() uint64 { return x.gen }
 
 // Program writes one cell. It returns an error if the coordinates are out
@@ -112,46 +105,7 @@ func (x *Crossbar) Program(row, col int, level uint8) error {
 // Level reads back a programmed level.
 func (x *Crossbar) Level(row, col int) uint8 { return x.levels[row*x.B+col] }
 
-// ApplyVariation draws an independent Gaussian relative conductance error
-// with the given sigma for every cell (the ReRAM device-variation model the
-// accuracy study injects alongside circuit noise).
-func (x *Crossbar) ApplyVariation(sigma float64, rng *stats.RNG) {
-	x.invalidate()
-	if sigma == 0 {
-		x.variation = nil
-		return
-	}
-	x.variation = make([]float64, len(x.levels))
-	for i := range x.variation {
-		x.variation[i] = rng.Gauss(0, sigma)
-	}
-}
-
-// SetIRDrop configures wire-resistance (IR-drop) attenuation: the effective
-// conductance of the cell at (row, col) scales by 1/(1 + α·(row+col)/2B),
-// the standard first-order model where cells far from the drivers and the
-// sensing column see a degraded voltage. α = 0 disables the effect. TIMELY
-// bounds α by keeping arrays at 256×256 and re-driving signals through ALBs
-// (§V: the buffers "increase the driving ability of loads").
-func (x *Crossbar) SetIRDrop(alpha float64) {
-	x.irDrop = alpha
-	x.invalidate()
-}
-
-// cond returns the effective conductance of a cell in level units. It is
-// the scalar reference the flat cache is built from.
-func (x *Crossbar) cond(row, col int) float64 {
-	g := float64(x.levels[row*x.B+col])
-	if x.variation != nil {
-		g *= 1 + x.variation[row*x.B+col]
-	}
-	if x.irDrop != 0 {
-		g /= 1 + x.irDrop*float64(row+col)/float64(2*x.B)
-	}
-	return g
-}
-
-// ensureFlat returns the cached conductance matrix with at least the first
+// ensureFlat returns the cached float level matrix with at least the first
 // rows rows valid, rebuilding the stale prefix lazily. Kernels that touch
 // only a short row prefix (a partially filled array) pay only for that
 // prefix.
@@ -166,11 +120,8 @@ func (x *Crossbar) ensureFlat(rows int) []float64 {
 			x.flatRows = 0
 		}
 		x.flat = x.flat[:need]
-		for r := x.flatRows; r < rows; r++ {
-			base := r * x.B
-			for c := 0; c < x.B; c++ {
-				x.flat[base+c] = x.cond(r, c)
-			}
+		for i := x.flatRows * x.B; i < need; i++ {
+			x.flat[i] = float64(x.levels[i])
 		}
 		x.flatRows = rows
 	}
@@ -201,7 +152,7 @@ func (x *Crossbar) ColumnDot(times []float64, col int, tdel float64) float64 {
 
 // DotColumns computes the dot products of the ncols adjacent columns
 // starting at col0 against pre-scaled inputs (scaled[i] = times[i]/tdel),
-// overwriting out[0:ncols]. One row-major pass over the cached conductance
+// overwriting out[0:ncols]. One row-major pass over the cached float level
 // matrix serves every column; each column accumulates its terms in ascending
 // row order, so the results are bit-identical to per-column ColumnDot calls.
 // The kernel allocates nothing.
@@ -264,13 +215,6 @@ func (x *Crossbar) DotColumns(scaled []float64, col0, ncols int, out []float64) 
 	}
 }
 
-// Integral reports whether every cell's effective conductance is exactly
-// its programmed integer level: no device variation and no IR drop.
-// Stuck-at faults keep a crossbar integral (they pin levels). On an
-// integral crossbar every dot against integer DTC codes is an exact
-// integer, which DotLevelsBatch computes without floating point.
-func (x *Crossbar) Integral() bool { return x.variation == nil && x.irDrop == 0 }
-
 // laneWidth returns the bit width of one packed column lane for a dot over
 // rows rows of 8-bit codes: wide enough for the largest possible column sum
 // rows·255·MaxLevel, so no lane can carry into its neighbour.
@@ -318,16 +262,16 @@ func (x *Crossbar) ensurePacked(rows, width int) []uint64 {
 // datapath: it computes, for nvec vectors of 8-bit DTC codes, the exact
 // column sums Σᵢ code[i]·level[i][col] over the programmed levels of
 // columns 0 … ncols−1. Vector v occupies codes[v*istride : v*istride+rows]
-// and its sums land in out[v*ostride : v*ostride+ncols]. The kernel reads
-// levels, not conductances: it equals the float kernels only on an
-// Integral crossbar.
+// and its sums land in out[v*ostride : v*ostride+ncols]. Against the same
+// codes it equals the float kernels exactly: every float term is an
+// integer well below 2^53.
 //
 // Adjacent columns share one uint64 (SWAR): each word holds 64/w lanes of
 // w = bits.Len(rows·255·MaxLevel) bits, so a single multiply-add
 // accumulates code·level into several columns at once and no lane can
 // overflow into the next — the conv bank's 9 rows get four 16-bit lanes,
 // a full 256-row array of 4-bit cells three 20-bit lanes. The packed rows
-// are cached per crossbar and invalidated with the conductance cache. The
+// are cached per crossbar and invalidated with the float cache. The
 // kernel allocates nothing once its scratch has grown.
 func (x *Crossbar) DotLevelsBatch(codes []uint8, nvec, istride, rows, ncols int, out []int64, ostride int) {
 	if ncols < 0 || ncols > x.B {
@@ -416,7 +360,7 @@ func (x *Crossbar) ProgramWeightColumns(col0 int, codes []int, weightBits int) (
 // shift-and-add of Fig. 6(a) ⑤ applied to exact column dots; the functional
 // TIMELY pipeline in package core routes the same quantities through
 // charging units and TDCs instead. The nibble-column dots come from one
-// DotColumns pass over the cached conductance matrix.
+// DotColumns pass over the cached float level matrix.
 func (x *Crossbar) SubRangedDot(times []float64, col0, weightBits int, tdel float64) float64 {
 	ncols := (weightBits + x.CellBits - 1) / x.CellBits
 	if len(times) > x.B {

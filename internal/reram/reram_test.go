@@ -1,12 +1,10 @@
 package reram
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/params"
-	"repro/internal/stats"
 )
 
 func mustProgram(t *testing.T, x *Crossbar, row, col int, level uint8) {
@@ -203,75 +201,5 @@ func TestSignedSchemesAgreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIRDropAttenuatesFarCells(t *testing.T) {
-	x := New(256, 4)
-	mustProgram(t, x, 0, 0, 15)
-	mustProgram(t, x, 255, 0, 15)
-	times := make([]float64, 256)
-	times[0] = 100 * params.TDel
-	nearOnly := x.ColumnDot(times, 0, params.TDel)
-	times[0] = 0
-	times[255] = 100 * params.TDel
-	farIdeal := x.ColumnDot(times, 0, params.TDel)
-	if nearOnly != farIdeal {
-		t.Fatalf("ideal array position-dependent: %v vs %v", nearOnly, farIdeal)
-	}
-	x.SetIRDrop(0.2)
-	farDropped := x.ColumnDot(times, 0, params.TDel)
-	if farDropped >= farIdeal {
-		t.Errorf("IR drop did not attenuate the far cell: %v vs %v", farDropped, farIdeal)
-	}
-	times[0], times[255] = 100*params.TDel, 0
-	nearDropped := x.ColumnDot(times, 0, params.TDel)
-	if nearDropped <= farDropped {
-		t.Errorf("near cell (%v) not favoured over far cell (%v) under IR drop",
-			nearDropped, farDropped)
-	}
-	x.SetIRDrop(0)
-	if got := x.ColumnDot(times, 0, params.TDel); got != nearOnly {
-		t.Errorf("disabling IR drop did not restore ideal dot")
-	}
-}
-
-func TestIRDropBounded(t *testing.T) {
-	// Even at the far corner with a strong coefficient, attenuation stays a
-	// bounded fraction (the first-order model never inverts or zeroes).
-	x := New(256, 4)
-	mustProgram(t, x, 255, 255, 15)
-	times := make([]float64, 256)
-	times[255] = 255 * params.TDel
-	x.SetIRDrop(0.5)
-	dropped := x.ColumnDot(times, 255, params.TDel)
-	ideal := 255.0 * 15
-	if dropped < ideal*0.5 || dropped >= ideal {
-		t.Errorf("far-corner attenuation = %.3f of ideal, want in [0.5, 1)", dropped/ideal)
-	}
-}
-
-func TestVariationBiasIsSmall(t *testing.T) {
-	x := New(64, 4)
-	codes := make([]int, 64)
-	inputs := make([]int, 64)
-	for i := range codes {
-		codes[i] = 0x88
-		inputs[i] = 128
-	}
-	if _, err := x.ProgramWeightColumns(0, codes, 8); err != nil {
-		t.Fatal(err)
-	}
-	ideal := x.SubRangedDot(timesFor(inputs), 0, 8, params.TDel)
-	x.ApplyVariation(0.01, stats.NewRNG(5))
-	noisy := x.SubRangedDot(timesFor(inputs), 0, 8, params.TDel)
-	rel := math.Abs(noisy-ideal) / ideal
-	// 64 independent 1% errors average out: relative error well under 1%.
-	if rel > 0.01 {
-		t.Errorf("variation shifted dot by %.3f%%, want <1%%", rel*100)
-	}
-	x.ApplyVariation(0, nil)
-	if got := x.SubRangedDot(timesFor(inputs), 0, 8, params.TDel); got != ideal {
-		t.Errorf("clearing variation did not restore ideal dot")
 	}
 }

@@ -19,7 +19,7 @@ import "fmt"
 //
 //	word 0,1  block counter (low/high) — advances by 1 per 128-bit block
 //	word 2    stream id: 0 for the main stream, lane<<24|index for
-//	          Substream-derived streams (fault/variation draws per slot)
+//	          Substream-derived streams (fault draws per slot)
 //	word 3    trial index
 //
 // The 64-bit study seed is the Philox key. Distinct (seed, trial, stream)

@@ -578,7 +578,7 @@ func BenchmarkNormPhilox(b *testing.B) {
 }
 
 // BenchmarkSubstream measures keying one (lane, index) substream off a
-// trial generator — the per-slot setup cost the v3 fault/variation passes
+// trial generator — the per-slot setup cost the v3 fault passes
 // pay instead of sharing one serial stream.
 func BenchmarkSubstream(b *testing.B) {
 	r := NewTrialRNG(1, 0)

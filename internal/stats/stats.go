@@ -242,17 +242,6 @@ func PercentilesInto(xs []float64, ps []float64, out []float64) {
 	}
 }
 
-// MaxAbs returns the maximum absolute value in xs (0 for empty input).
-func MaxAbs(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // RMS returns the root-mean-square of xs.
 func RMS(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -263,28 +252,4 @@ func RMS(xs []float64) float64 {
 		s += float64(x * x)
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range clamp to the first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		return nil
-	}
-	bins := make([]int, nbins)
-	if hi <= lo {
-		return bins
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins
 }

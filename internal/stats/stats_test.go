@@ -133,21 +133,10 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.6, 0.9, -1, 2}
-	bins := Histogram(xs, 0, 1, 2)
-	if bins[0] != 3 || bins[1] != 3 {
-		t.Errorf("Histogram = %v, want [3 3] (out-of-range clamps)", bins)
-	}
-}
-
 func TestRMSAndMaxAbs(t *testing.T) {
 	xs := []float64{3, -4}
 	if got := RMS(xs); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
 		t.Errorf("RMS = %v", got)
-	}
-	if got := MaxAbs(xs); got != 4 {
-		t.Errorf("MaxAbs = %v, want 4", got)
 	}
 }
 

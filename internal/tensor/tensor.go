@@ -52,13 +52,6 @@ func (t *Int) Clone() *Int {
 	return cp
 }
 
-// Fill sets every element to v.
-func (t *Int) Fill(v int32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Filter is a 4-D filter bank: D output channels over CHW kernels.
 type Filter struct {
 	D, C, Z, G int // output channels, input channels, kernel height, width
@@ -240,34 +233,29 @@ func Im2ColDims(in *Int, z, g, stride, pad int) (rows, e, f int) {
 	return in.Shape.C * z * g, e, f
 }
 
-// Im2ColInto unrolls convolution receptive fields into dst, a caller-provided
-// flat buffer of at least rows·E·F elements holding one patch (receptive
-// field) per output position: dst[(y*F+x)*rows + r], with patch element
-// r = (c·Z+i)·G + j — the row layout weights take inside crossbars and the
-// input-vector layout the batched forward kernels consume. Out-of-bounds
-// taps are written as zero (zero padding). It returns (rows, e, f) and
-// panics if dst is too small; it allocates nothing.
-func Im2ColInto(in *Int, z, g, stride, pad int, dst []int32) (rows, e, f int) {
-	return im2colFill(in, z, g, stride, pad, dst)
-}
-
-// Im2ColIntoInts is Im2ColInto writing widened codes into an []int buffer —
-// the input type the functional executor consumes — saving callers a
-// separate widening copy.
+// Im2ColIntoInts unrolls convolution receptive fields into dst, a
+// caller-provided flat buffer of at least rows·E·F elements holding one
+// patch (receptive field) per output position: dst[(y*F+x)*rows + r], with
+// patch element r = (c·Z+i)·G + j — the row layout weights take inside
+// crossbars and the input-vector layout the batched forward kernels
+// consume. Out-of-bounds taps are written as zero (zero padding). It
+// returns (rows, e, f) and panics if dst is too small; it allocates
+// nothing. The codes are widened to int, the input type the functional
+// executor consumes.
 func Im2ColIntoInts(in *Int, z, g, stride, pad int, dst []int) (rows, e, f int) {
 	return im2colFill(in, z, g, stride, pad, dst)
 }
 
-// Im2ColIntoCodes is Im2ColInto writing 8-bit codes — the DTC input the
+// Im2ColIntoCodes is Im2ColIntoInts writing 8-bit codes — the DTC input the
 // functional executor's ForwardCodes consumes — for an input whose every
 // element is in [0, 255]; other values wrap, so callers check first.
 func Im2ColIntoCodes(in *Int, z, g, stride, pad int, dst []uint8) (rows, e, f int) {
 	return im2colFill(in, z, g, stride, pad, dst)
 }
 
-// im2colFill is the shared patch-major unrolling behind the Im2ColInto
-// variants.
-func im2colFill[T int32 | int | uint8](in *Int, z, g, stride, pad int, dst []T) (rows, e, f int) {
+// im2colFill is the shared patch-major unrolling behind Im2ColIntoInts and
+// Im2ColIntoCodes.
+func im2colFill[T int | uint8](in *Int, z, g, stride, pad int, dst []T) (rows, e, f int) {
 	rows, e, f = Im2ColDims(in, z, g, stride, pad)
 	if len(dst) < rows*e*f {
 		panic(fmt.Sprintf("tensor: im2col buffer %d shorter than %d", len(dst), rows*e*f))

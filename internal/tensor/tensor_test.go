@@ -60,7 +60,9 @@ func TestConv2DPaperExample(t *testing.T) {
 
 func TestConv2DBiasAndPadding(t *testing.T) {
 	in := NewInt(1, 2, 2)
-	in.Fill(1)
+	for i := range in.Data {
+		in.Data[i] = 1
+	}
 	w := NewFilter(1, 1, 3, 3)
 	for i := 0; i < 9; i++ {
 		w.Data[i] = 1
@@ -143,8 +145,8 @@ func TestIm2ColMatchesConv(t *testing.T) {
 	stride, pad := 1, 1
 	ref := Conv2D(in, w, nil, stride, pad)
 	rows, e, f := Im2ColDims(in, 3, 3, stride, pad)
-	patches := make([]int32, rows*e*f)
-	Im2ColInto(in, 3, 3, stride, pad, patches)
+	patches := make([]int, rows*e*f)
+	Im2ColIntoInts(in, 3, 3, stride, pad, patches)
 	if e != ref.Shape.H || f != ref.Shape.W {
 		t.Fatalf("im2col dims %dx%d, conv dims %dx%d", e, f, ref.Shape.H, ref.Shape.W)
 	}
@@ -288,7 +290,9 @@ func TestMaxPoolIdempotentProperty(t *testing.T) {
 	// Property: pooling a constant tensor returns the constant.
 	f := func(v int32, seed uint64) bool {
 		in := NewInt(1, 4, 4)
-		in.Fill(v % 1000)
+		for i := range in.Data {
+			in.Data[i] = v % 1000
+		}
 		out := MaxPool2D(in, 2, 2)
 		for _, x := range out.Data {
 			if x != v%1000 {

@@ -77,11 +77,6 @@ type Span struct {
 	EndPS   int64 `json:"end_ps"`
 }
 
-// Sink receives occupancy spans as a simulation emits them.
-type Sink interface {
-	Emit(Span)
-}
-
 // Span converts one closed-form intra-pipeline occupancy event into the
 // shared Span vocabulary, placing it on the real-time axis with the given
 // pipeline-cycle time. Items map to waves (one item = one wave of one
@@ -111,7 +106,7 @@ type Log struct {
 	Spans []Span `json:"spans"`
 }
 
-// Emit implements Sink.
+// Emit appends one span; a simulation emits into the log through it.
 func (l *Log) Emit(s Span) { l.Spans = append(l.Spans, s) }
 
 // WriteJSON serializes the log as one indented JSON document.
@@ -147,27 +142,4 @@ func (p IntraPipeline) Simulate(visit func(Event)) {
 			}
 		}
 	}
-}
-
-// OccupancyAt returns which item (1-based; 0 = empty) occupies each stage
-// during the given cycle.
-func (p IntraPipeline) OccupancyAt(cycle int64) [NumStages]int64 {
-	var occ [NumStages]int64
-	for s := Stage(0); s < NumStages; s++ {
-		item := cycle - int64(s)
-		if item >= 1 && item <= p.Items {
-			occ[s] = item
-		}
-	}
-	return occ
-}
-
-// Utilization returns the fraction of stage-cycles doing useful work over
-// the makespan.
-func (p IntraPipeline) Utilization() float64 {
-	if p.Items <= 0 {
-		return 0
-	}
-	busy := float64(p.Items) * float64(NumStages)
-	return busy / (float64(p.Makespan()) * float64(NumStages))
 }
