@@ -397,7 +397,7 @@ func TestEvalGroupTakesPublishedBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs[i] = &evalJob{req: req, cacheKey: cacheKey}
+		jobs[i] = &evalJob{req: req, evalKeys: evalKeys{cacheKey: cacheKey}}
 	}
 	published := []byte("published\n")
 	srv.evalCache.Put(jobs[0].cacheKey, published)

@@ -8,6 +8,7 @@ package main
 // locally until its breaker re-closes.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,11 +117,15 @@ func clusterPost(t *testing.T, addr, body string, hdr map[string]string) (int, h
 	return resp.StatusCode, resp.Header, string(raw)
 }
 
-// batchKeyOf derives the routing key exactly as handleEvaluate does.
-func batchKeyOf(t *testing.T, body string) string {
+// batchKeyOf derives the routing key exactly as handleEvaluate does on
+// entry replica e: a name e's registry holds keys as its spec.
+func batchKeyOf(t *testing.T, e *replica, body string) string {
 	t.Helper()
 	var req sim.EvalRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.srv.networks.Resolve(&req); err != nil {
 		t.Fatal(err)
 	}
 	_, batchKey, err := req.Keys()
@@ -139,14 +144,15 @@ func bodyOwnedBy(t *testing.T, reps []*replica, owner int) string {
 
 // bodiesOwnedBy hunts for n distinct evaluate bodies whose batch keys the
 // given replica owns, filling format's one %d verb with a chip count
-// (varying the chip count varies the key).
+// (varying the chip count varies the key). Names resolve as on entry
+// replica 0.
 func bodiesOwnedBy(t *testing.T, reps []*replica, owner int, format string, n int) []string {
 	t.Helper()
 	clu := reps[0].srv.cfg.Cluster
 	var out []string
 	for chips := 1; chips <= 512 && len(out) < n; chips++ {
 		body := fmt.Sprintf(format, chips)
-		if clu.Owner(batchKeyOf(t, body)) == reps[owner].addr {
+		if clu.Owner(batchKeyOf(t, reps[0], body)) == reps[owner].addr {
 			out = append(out, body)
 		}
 	}
@@ -320,10 +326,10 @@ func TestClusterShedPassThrough(t *testing.T) {
 }
 
 // TestClusterEntryCache pins the entry replica's hot cache: the owner's
-// answer to a registry-free request is kept where the request entered and
-// replayed byte for byte (elapsed_ms included) without another hop — even
-// once the owner is gone. Answers that depend on the process's network
-// registry, and answers other than 200, are never kept.
+// answer is kept where the request entered and replayed byte for byte
+// (elapsed_ms included) without another hop — even once the owner is gone.
+// A registered name resolves on the entry, so its answer is kept the same
+// way; an unknown name is answered at the entry and never kept.
 func TestClusterEntryCache(t *testing.T) {
 	const ownerIdx = 2
 	reps := startCluster(t, 3, clusterOptions{})
@@ -350,9 +356,7 @@ func TestClusterEntryCache(t *testing.T) {
 		t.Errorf("cache_hits_peer_owned = %d, want 1", got)
 	}
 
-	// A registered name may bind to another spec on another process, so
-	// its answer is forwarded every time (the in-process fleet shares one
-	// registry, so the owner knows the name).
+	// A registered name is forwarded once, as its spec, and then kept.
 	resp, err := http.Post("http://"+entry.addr+"/v1/networks", "application/json",
 		strings.NewReader(tinySpecJSON("entry-cache-net")))
 	if err != nil {
@@ -363,24 +367,25 @@ func TestClusterEntryCache(t *testing.T) {
 		t.Fatalf("register: status %d", resp.StatusCode)
 	}
 	byName := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"entry-cache-net","chips":%d}`, 1)[0]
-	// A 400 only the owner can produce (an unknown name resolves on the
-	// evaluating replica) passes through and is never kept.
-	bad := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"never-registered","chips":%d}`, 1)[0]
-	for _, tc := range []struct {
-		body   string
-		status int
-	}{{byName, http.StatusOK}, {bad, http.StatusBadRequest}} {
-		for i := 0; i < 2; i++ {
-			before, _, _ := clu.Counters()
-			status, hdr, got := clusterPost(t, entry.addr, tc.body, nil)
-			if status != tc.status || hdr.Get(cluster.ServedByHeader) != reps[1].addr {
-				t.Errorf("%s #%d: status %d served by %q, want %d from the owner (%s)",
-					tc.body, i, status, hdr.Get(cluster.ServedByHeader), tc.status, got)
-			}
-			if after, _, _ := clu.Counters(); after != before+1 {
-				t.Errorf("%s #%d was not forwarded", tc.body, i)
-			}
+	before, _, _ := clu.Counters()
+	for i, want := range []string{reps[1].addr, entry.addr} {
+		status, hdr, got := clusterPost(t, entry.addr, byName, nil)
+		if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != want {
+			t.Errorf("by name #%d: status %d served by %q, want 200 from %s (%s)",
+				i, status, hdr.Get(cluster.ServedByHeader), want, got)
 		}
+	}
+	// An unknown name is a 400 from the entry itself, every time.
+	for i := 0; i < 2; i++ {
+		status, hdr, got := clusterPost(t, entry.addr, `{"backend":"timely","network":"never-registered"}`, nil)
+		if status != http.StatusBadRequest || !strings.Contains(got, "unknown network") ||
+			hdr.Get(cluster.ServedByHeader) != "" {
+			t.Errorf("unknown name #%d: status %d served by %q (%s), want the entry's 400",
+				i, status, hdr.Get(cluster.ServedByHeader), got)
+		}
+	}
+	if after, _, _ := clu.Counters(); after != before+1 {
+		t.Errorf("forwarded %d -> %d: want the by-name forward only", before, after)
 	}
 
 	// Concurrent first sightings of one body all get the owner's bytes,
@@ -425,6 +430,68 @@ func TestClusterEntryCache(t *testing.T) {
 	}
 	if got := metricz(t, entry.addr)["cache_hits_peer_owned"]; got != peerHits+1 {
 		t.Errorf("cache_hits_peer_owned = %d, want %d", got, peerHits+1)
+	}
+}
+
+// TestClusterRegistryIsReplicaLocal: a name registered on replica A
+// resolves on A, so through A it answers for keys every replica owns —
+// each owner evaluates the spec A forwards, with no registry of its own —
+// while through B, which holds no such name, it is a 400 B answers itself.
+func TestClusterRegistryIsReplicaLocal(t *testing.T) {
+	reps := startCluster(t, 3, clusterOptions{})
+	a, b := reps[0], reps[1]
+	spec := tinySpecJSON("local-net")
+	resp, err := http.Post("http://"+a.addr+"/v1/networks", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register on A: status %d", resp.StatusCode)
+	}
+	// The oracle: by-name evaluation through the package default registry.
+	var oracleSpec sim.NetworkSpec
+	if err := json.Unmarshal([]byte(spec), &oracleSpec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RegisterNetwork(&oracleSpec); err != nil {
+		t.Fatal(err)
+	}
+
+	format := `{"backend":"timely","network":"local-net","chips":%d}`
+	for owner := range reps {
+		body := bodiesOwnedBy(t, reps, owner, format, 1)[0]
+		status, hdr, got := clusterPost(t, a.addr, body, nil)
+		if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != reps[owner].addr {
+			t.Fatalf("owner %d via A: status %d served by %q (%s)", owner, status, hdr.Get(cluster.ServedByHeader), got)
+		}
+		var req sim.EvalRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Evaluate(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if normElapsed(got) != normElapsed(string(want)+"\n") {
+			t.Errorf("owner %d via A: body differs from sim.Evaluate by name:\n%s\nvs\n%s", owner, got, want)
+		}
+		if _, hdr, _ := clusterPost(t, a.addr, body, nil); hdr.Get("Cache-Status") != "hit" {
+			t.Errorf("owner %d via A: repeat Cache-Status %q, want hit", owner, hdr.Get("Cache-Status"))
+		}
+
+		before, _, _ := b.srv.cfg.Cluster.Counters()
+		status, _, got = clusterPost(t, b.addr, body, nil)
+		if status != http.StatusBadRequest || !strings.Contains(got, "unknown network") {
+			t.Errorf("owner %d via B: status %d (%s), want 400 unknown network", owner, status, got)
+		}
+		if after, _, _ := b.srv.cfg.Cluster.Counters(); after != before {
+			t.Errorf("owner %d via B: forwarded %d -> %d, want no forward", owner, before, after)
+		}
 	}
 }
 

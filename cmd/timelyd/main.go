@@ -13,9 +13,10 @@
 //	GET  /v1/experiments/{id}   regenerate one paper artifact
 //
 // /v1/evaluate accepts either a network name — a Table III benchmark or a
-// previously registered custom network — or an inline declarative spec
-// under "spec" (sim.NetworkSpec: name, input dims, conv/fc/pool layers),
-// which is compiled, validated and evaluated in one call. POST bodies must
+// custom network previously registered on this replica (registrations are
+// replica-local) — or an inline declarative spec under "spec"
+// (sim.NetworkSpec: name, input dims, conv/fc/pool layers), which is
+// compiled, validated and evaluated in one call. POST bodies must
 // be application/json (415 otherwise), at most 1 MiB (413 otherwise), and
 // exactly one JSON value (400 on trailing content). A body repeated byte
 // for byte whose answer is still cached is answered without being decoded
@@ -57,9 +58,9 @@
 // singleflight pay off fleet-wide. A request owned by a healthy peer is
 // proxied there (one hop at most — the X-Timely-Hop header bounds
 // forwarding, so routing cannot loop) and the owner's response passes
-// back verbatim, shed statuses and Retry-After included; the entry
-// replica keeps a copy of a 200 that cannot depend on its network
-// registry and answers repeats of that body itself. Per-peer
+// back verbatim, shed statuses and Retry-After included; a registered
+// name travels as its spec. The entry replica keeps a copy of a 200 and
+// answers repeats of that body itself. Per-peer
 // circuit breakers — fed by forward failures and background /readyz
 // probes every -probe-interval — open after repeated failures, after
 // which owned-elsewhere requests are computed locally (failover) until

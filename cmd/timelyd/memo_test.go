@@ -17,7 +17,7 @@ import (
 	"repro/internal/cluster"
 )
 
-// memoBody is a registry-free evaluate body (an inline spec).
+// memoBody is an evaluate body carrying an inline spec.
 func memoBody(name string) string {
 	return fmt.Sprintf(`{"backend":"timely","spec":%s}`, tinySpecJSON(name))
 }
@@ -111,26 +111,22 @@ func TestEvaluateMemoKeepsBodyContract(t *testing.T) {
 	}
 }
 
-// TestEvaluateMemoEvictedResult: with room for one result, a memo hit
-// whose answer was evicted computes again, and every request still
-// consults the result cache exactly once.
+// TestEvaluateMemoEvictedResult: with room for one result and two memo
+// entries, a memo hit whose answer was evicted computes again, and every
+// request still consults the result cache exactly once.
 func TestEvaluateMemoEvictedResult(t *testing.T) {
 	srv := newServer(quietConfig())
 	srv.evalCache = batchq.NewCache[[]byte](1)
-	srv.bodyKeys = batchq.NewCache[evalKeys](1)
+	srv.bodyKeys = batchq.NewCache[evalKeys](2)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if status, raw := post(t, ts, "/v1/networks", "application/json", tinySpecJSON("memo-evict")); status != http.StatusOK {
-		t.Fatalf("register: status %d (%s)", status, raw)
-	}
 	body := memoBody("memo-evicted")
-	// A registered name is never memoized, so its result evicts body's
-	// result while body's memo entry stays.
-	byName := `{"backend":"timely","network":"memo-evict"}`
+	// other's result evicts body's result while both memo entries stay.
+	other := memoBody("memo-evictor")
 
 	first := postEvalFull(t, ts, body)
-	if r := postEvalFull(t, ts, byName); r.status != http.StatusOK || r.cacheStatus != "miss" {
-		t.Fatalf("by name: status %d cache %q (%s)", r.status, r.cacheStatus, r.body)
+	if r := postEvalFull(t, ts, other); r.status != http.StatusOK || r.cacheStatus != "miss" {
+		t.Fatalf("other: status %d cache %q (%s)", r.status, r.cacheStatus, r.body)
 	}
 	again := postEvalFull(t, ts, body)
 	if again.status != http.StatusOK || again.cacheStatus != "miss" {
@@ -140,9 +136,9 @@ func TestEvaluateMemoEvictedResult(t *testing.T) {
 		t.Errorf("recomputed body differs:\n%v\nvs\n%v", got, want)
 	}
 	m := serverMetricz(t, srv)
-	if m["cache_misses"] != 3 || m["cache_hits"] != 0 || m["decode_skipped"] != 0 {
-		t.Errorf("after eviction: cache_misses %d cache_hits %d decode_skipped %d, want 3 0 0",
-			m["cache_misses"], m["cache_hits"], m["decode_skipped"])
+	if m["cache_misses"] != 3 || m["cache_hits"] != 0 || m["decode_skipped"] != 0 || srv.bodyKeys.Len() != 2 {
+		t.Errorf("after eviction: cache_misses %d cache_hits %d decode_skipped %d memo %d, want 3 0 0 2",
+			m["cache_misses"], m["cache_hits"], m["decode_skipped"], srv.bodyKeys.Len())
 	}
 	if r := postEvalFull(t, ts, body); r.cacheStatus != "hit" || r.body != again.body {
 		t.Errorf("repeat after recompute: cache %q, bytes equal %t", r.cacheStatus, r.body == again.body)
@@ -154,13 +150,12 @@ func TestEvaluateMemoEvictedResult(t *testing.T) {
 	}
 }
 
-// TestClusterMemo: through a non-owner entry, a repeated registry-free
-// body is answered through the memo, while a registered-name body stays
-// out of it and is forwarded every time.
+// TestClusterMemo: through a non-owner entry, a repeated body is answered
+// through the memo without a hop — a body naming a network registered on
+// the entry exactly like one naming a zoo network.
 func TestClusterMemo(t *testing.T) {
 	reps := startCluster(t, 3, clusterOptions{})
 	entry := reps[0]
-	clu := entry.srv.cfg.Cluster
 	resp, err := http.Post("http://"+entry.addr+"/v1/networks", "application/json",
 		strings.NewReader(tinySpecJSON("memo-cluster-net")))
 	if err != nil {
@@ -172,33 +167,22 @@ func TestClusterMemo(t *testing.T) {
 	}
 
 	byName := bodiesOwnedBy(t, reps, 1, `{"backend":"timely","network":"memo-cluster-net","chips":%d}`, 1)[0]
-	for i := 0; i < 2; i++ {
-		before, _, _ := clu.Counters()
-		status, hdr, got := clusterPost(t, entry.addr, byName, nil)
-		if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != reps[1].addr {
-			t.Errorf("by name #%d: status %d served by %q, want 200 from the owner (%s)",
-				i, status, hdr.Get(cluster.ServedByHeader), got)
+	for _, body := range []string{byName, bodyOwnedBy(t, reps, 2)} {
+		_, _, first := clusterPost(t, entry.addr, body, nil)
+		status, hdr, second := clusterPost(t, entry.addr, body, nil)
+		if status != http.StatusOK || second != first || hdr.Get("Cache-Status") != "hit" ||
+			hdr.Get(cluster.ServedByHeader) != entry.addr {
+			t.Errorf("%s repeat: status %d cache %q served by %q, bytes equal %t", body,
+				status, hdr.Get("Cache-Status"), hdr.Get(cluster.ServedByHeader), second == first)
 		}
-		if after, _, _ := clu.Counters(); after != before+1 {
-			t.Errorf("by name #%d was not forwarded", i)
-		}
-	}
-	if n := entry.srv.bodyKeys.Len(); n != 0 {
-		t.Errorf("entry memo holds %d entries after registered-name bodies only", n)
-	}
-
-	free := bodyOwnedBy(t, reps, 2)
-	_, _, first := clusterPost(t, entry.addr, free, nil)
-	status, hdr, second := clusterPost(t, entry.addr, free, nil)
-	if status != http.StatusOK || second != first || hdr.Get("Cache-Status") != "hit" ||
-		hdr.Get(cluster.ServedByHeader) != entry.addr {
-		t.Errorf("registry-free repeat: status %d cache %q served by %q, bytes equal %t",
-			status, hdr.Get("Cache-Status"), hdr.Get(cluster.ServedByHeader), second == first)
 	}
 	m := metricz(t, entry.addr)
-	if m["decode_skipped"] != 1 || m["cache_hits_peer_owned"] != 1 {
-		t.Errorf("entry decode_skipped %d cache_hits_peer_owned %d, want 1 1",
-			m["decode_skipped"], m["cache_hits_peer_owned"])
+	if m["decode_skipped"] != 2 || m["cache_hits_peer_owned"] != 2 || m["forwarded"] != 2 {
+		t.Errorf("entry decode_skipped %d cache_hits_peer_owned %d forwarded %d, want 2 2 2",
+			m["decode_skipped"], m["cache_hits_peer_owned"], m["forwarded"])
+	}
+	if n := entry.srv.bodyKeys.Len(); n != 2 {
+		t.Errorf("entry memo holds %d entries, want 2", n)
 	}
 }
 

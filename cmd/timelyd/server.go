@@ -105,10 +105,13 @@ type server struct {
 	// key). See handleEvaluate.
 	evalCache *batchq.Cache[[]byte]
 	evalQueue *batchq.Queue[*evalJob, evalResult]
-	// bodyKeys memoizes the keys of registry-free evaluate bodies by the
-	// SHA-256 digest of their raw bytes, so a repeated body is answered
-	// from evalCache without being decoded or keyed again.
+	// bodyKeys memoizes the keys of evaluate bodies by the SHA-256 digest
+	// of their raw bytes, so a repeated body is answered from evalCache
+	// without being decoded or keyed again.
 	bodyKeys *batchq.Cache[evalKeys]
+	// networks is this replica's custom-network registry (POST
+	// /v1/networks); evaluate requests resolve names against it.
+	networks sim.Registry
 	// peerOwnedHits counts cache hits on keys another replica owns
 	// (/metricz cache_hits_peer_owned).
 	peerOwnedHits atomic.Int64
@@ -123,11 +126,12 @@ type evalKeys struct {
 	cacheKey, batchKey string
 }
 
-// evalJob is the unit the batching queue carries: the decoded request plus
-// its cache key, so the group executor can publish the finished body.
+// evalJob is the unit the batching queue carries: a decoded request with
+// its name resolved, its keys and the body a forward sends.
 type evalJob struct {
-	req      *sim.EvalRequest
-	cacheKey string
+	req *sim.EvalRequest
+	evalKeys
+	body []byte
 }
 
 // evalResult is what the group executor hands each waiter of a job: the
@@ -438,28 +442,24 @@ func (s *server) decodeStrict(w http.ResponseWriter, raw []byte, v any) bool {
 // batching layer:
 //
 //  0. check the media type and read the bounded body (415/413 on every
-//     request), then look the body's SHA-256 digest up in the body memo:
-//     a body seen before, whose answer is still in the result cache, is
-//     answered from there without decoding or keying it again. A memo
-//     miss, or a memo hit whose answer was evicted, goes on below,
-//  1. decode the body strictly and derive the request's identity keys (a
-//     malformed request is a 400 here, before it ever touches admission);
-//     a registry-free request (sim.RegistryFree) enters the body memo,
+//     request), then look the body's SHA-256 digest up in the body memo,
+//  1. on a memo miss, decode the body strictly (decodeEval), resolve a
+//     name this replica's registry holds into its inline spec, and key
+//     the resolved request; the keys enter the memo. A malformed request
+//     or an unknown name is a 400 here, before admission or a hop,
 //  2. consult the result cache — a hit answers without a compute slot or
-//     a hop, even when a peer owns the key: an entry replica keeps the
-//     owner's answer to a registry-free request and replays it. In
-//     cluster mode a request naming a registered network consults the
-//     cache only after routing, so a peer-owned one is forwarded every
-//     time,
+//     a hop, even when a peer owns the key, and a memo hit answered here
+//     is never decoded (a memo hit whose answer was evicted is decoded
+//     now),
 //  3. in cluster mode, route on the batch key: a request owned by a
-//     healthy peer is proxied there with the raw body and an incremented
-//     hop header, and the owner's response — status, Retry-After,
-//     Cache-Status, body — streams back verbatim; a registry-free 200 is
-//     also kept in this replica's cache. Requests at the hop bound, owned
-//     by this replica, or owned by a peer whose breaker is open compute
-//     locally (the latter trades cache locality for availability); a
-//     forward that fails at transport level falls through to local
-//     compute the same way,
+//     healthy peer is proxied there with an incremented hop header and
+//     the job's body, and the owner's response — status, Retry-After,
+//     Cache-Status, body — streams back verbatim; a 200 is also kept in
+//     this replica's cache. Requests at the hop bound, owned by this
+//     replica, or owned by a peer whose breaker is open compute locally
+//     (the latter trades cache locality for availability); a forward
+//     that fails at transport level falls through to local compute the
+//     same way,
 //  4. join the coalescing queue: byte-identical in-flight requests share
 //     one computation (Cache-Status: coalesced), compatible requests that
 //     differ only in seed and wait for the same compute slot batch into
@@ -476,40 +476,34 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	sum := sha256.Sum256(raw)
 	digest := string(sum[:])
-	looked := false // the result cache was consulted through the memo
-	if k, ok := s.bodyKeys.Get(digest); ok {
-		s.markEvalClass(r)
-		if s.serveCached(w, k.cacheKey, k.batchKey) {
-			s.decodeSkipped.Add(1)
+	k, memo := s.bodyKeys.Get(digest)
+	var job *evalJob // nil until the body is decoded
+	if !memo {
+		if job, ok = s.decodeEval(w, r, raw); !ok {
 			return
 		}
-		looked = true
-	}
-	var req sim.EvalRequest
-	if !s.decodeStrict(w, raw, &req) {
-		return
+		k = job.evalKeys
+		s.bodyKeys.Put(digest, k)
 	}
 	s.markEvalClass(r)
-	cacheKey, batchKey, err := req.Keys()
-	if err != nil {
-		s.writeComputeError(w, r, err)
+	if s.serveCached(w, k) {
+		if memo {
+			s.decodeSkipped.Add(1)
+		}
 		return
 	}
-	registryFree := req.RegistryFree()
-	if registryFree {
-		s.bodyKeys.Put(digest, evalKeys{cacheKey: cacheKey, batchKey: batchKey})
+	if job == nil {
+		// The memo holds only bodies that decoded and keyed.
+		if job, ok = s.decodeEval(w, r, raw); !ok {
+			return
+		}
 	}
-	c := s.cfg.Cluster
-	replayable := c == nil || registryFree
-	if replayable && !looked && s.serveCached(w, cacheKey, batchKey) {
-		return
-	}
-	if c != nil {
-		if owner, forward := c.Route(batchKey, cluster.Hops(r)); forward {
-			body, err := c.Forward(w, r, owner, raw)
+	if c := s.cfg.Cluster; c != nil {
+		if owner, forward := c.Route(k.batchKey, cluster.Hops(r)); forward {
+			body, err := c.Forward(w, r, owner, job.body)
 			if err == nil {
-				if replayable && body != nil {
-					s.evalCache.Put(cacheKey, body)
+				if body != nil {
+					s.evalCache.Put(k.cacheKey, body)
 				}
 				serve.MarkOutcome(r.Context(), "forwarded")
 				return
@@ -520,12 +514,8 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			// an answer while the owner is down.
 		}
 		w.Header().Set(cluster.ServedByHeader, c.Self())
-		if !replayable && s.serveCached(w, cacheKey, batchKey) {
-			return
-		}
 	}
-	res, outcome, err := s.evalQueue.Do(r.Context(), batchKey, cacheKey,
-		&evalJob{req: &req, cacheKey: cacheKey})
+	res, outcome, err := s.evalQueue.Do(r.Context(), k.batchKey, k.cacheKey, job)
 	if info := serve.RequestInfo(r.Context()); info != nil {
 		info.QueueWait = res.wait
 	}
@@ -540,6 +530,32 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.writeEvalBody(w, res.body, status)
 }
 
+// decodeEval decodes an evaluate body strictly, resolves a registered
+// name into its inline spec and keys the resolved request, writing the
+// error response itself. The job's body is raw, or the resolved request
+// when a name was resolved, so an owner needs no registry of its own.
+func (s *server) decodeEval(w http.ResponseWriter, r *http.Request, raw []byte) (*evalJob, bool) {
+	job := &evalJob{req: new(sim.EvalRequest), body: raw}
+	if !s.decodeStrict(w, raw, job.req) {
+		return nil, false
+	}
+	s.markEvalClass(r)
+	named := job.req.Spec == nil
+	err := s.networks.Resolve(job.req)
+	if err == nil {
+		job.cacheKey, job.batchKey, err = job.req.Keys()
+	}
+	if err != nil {
+		s.writeComputeError(w, r, err)
+		return nil, false
+	}
+	if named && job.req.Spec != nil {
+		// A request that keyed has only finite floats, so it marshals.
+		job.body, _ = json.Marshal(job.req)
+	}
+	return job, true
+}
+
 // markEvalClass books the request under the evaluate deadline class in
 // the access log.
 func (s *server) markEvalClass(r *http.Request) {
@@ -552,14 +568,14 @@ func (s *server) markEvalClass(r *http.Request) {
 // reports whether it did. In cluster mode the answer names this replica
 // as its server, and a hit on a key another replica owns is counted in
 // cache_hits_peer_owned.
-func (s *server) serveCached(w http.ResponseWriter, cacheKey, batchKey string) bool {
-	body, ok := s.evalCache.Get(cacheKey)
+func (s *server) serveCached(w http.ResponseWriter, k evalKeys) bool {
+	body, ok := s.evalCache.Get(k.cacheKey)
 	if !ok {
 		return false
 	}
 	if c := s.cfg.Cluster; c != nil {
 		w.Header().Set(cluster.ServedByHeader, c.Self())
-		if c.Owner(batchKey) != c.Self() {
+		if c.Owner(k.batchKey) != c.Self() {
 			s.peerOwnedHits.Add(1)
 		}
 	}
@@ -685,7 +701,8 @@ func (s *server) runEvalGroup(ctx context.Context, seal func() []*evalJob) ([]ev
 }
 
 // handleRegisterNetwork validates the posted network spec and registers it
-// process-wide, so later /v1/evaluate requests can reference it by name.
+// in this replica's registry, so later /v1/evaluate requests entering here
+// can reference it by name.
 // The response summarises the compiled network (layer count, MACs, params)
 // and its canonical spec hash. Registration is idempotent for an identical
 // spec; a name conflict is 409, an invalid spec 400. Validation is pure
@@ -695,7 +712,7 @@ func (s *server) handleRegisterNetwork(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &spec) {
 		return
 	}
-	info, err := sim.RegisterNetwork(&spec)
+	info, err := s.networks.Register(&spec)
 	if err != nil {
 		s.writeError(w, errorStatus(err), err)
 		return
@@ -704,11 +721,11 @@ func (s *server) handleRegisterNetwork(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleNetworkIndex lists the evaluable networks: the built-in Table III
-// zoo and every registered custom network.
+// zoo and every custom network registered on this replica.
 func (s *server) handleNetworkIndex(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"zoo":    sim.ZooNetworks(),
-		"custom": sim.RegisteredNetworks(),
+		"custom": s.networks.Networks(),
 	})
 }
 

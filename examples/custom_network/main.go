@@ -1,6 +1,6 @@
 // Custom networks through the declarative spec pipeline: define a network
 // that is not in the Table III zoo as pure data, evaluate it inline on
-// every analytic backend, register it process-wide so it resolves by name,
+// every analytic backend, register it so sim.Evaluate resolves it by name,
 // and export a zoo benchmark's spec as a starting template.
 package main
 

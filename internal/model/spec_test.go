@@ -394,13 +394,22 @@ func FuzzSpecCompile(f *testing.F) {
 		if n.TotalMACs() < 0 || n.TotalParams() < 0 {
 			t.Fatalf("negative totals: MACs %d params %d", n.TotalMACs(), n.TotalParams())
 		}
-		// A compiled network must survive its own round trip.
-		again, err := n.Spec().Compile()
+		// A compiled network must survive its own round trip through JSON,
+		// the form a registered network's canonical spec travels in.
+		wire, err := json.Marshal(n.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Spec
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatalf("decoding exported spec %s: %v", wire, err)
+		}
+		again, err := back.Compile()
 		if err != nil {
 			t.Fatalf("re-compiling exported spec: %v", err)
 		}
-		if !reflect.DeepEqual(again.Layers, n.Layers) {
-			t.Fatalf("round trip changed the layer table")
+		if again.Name != n.Name || !reflect.DeepEqual(again.Layers, n.Layers) {
+			t.Fatalf("round trip changed the network")
 		}
 	})
 }

@@ -17,7 +17,7 @@ import (
 // networks and inline specs.
 func evaluateAnalytic(ctx context.Context, c config, req *EvalRequest) (*EvalResult, error) {
 	start := time.Now()
-	n, custom, err := lookupNetwork(ctx, c, req)
+	n, custom, err := lookupNetwork(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -30,28 +30,26 @@ func evaluateAnalytic(ctx context.Context, c config, req *EvalRequest) (*EvalRes
 }
 
 // lookupNetwork resolves the network an analytic or timing request names:
-// its inline spec compiled through the same path the zoo uses, a Table III
-// benchmark, or a registered custom network. custom reports whether the
-// network is keyed by its spec hash rather than its zoo name.
-func lookupNetwork(ctx context.Context, c config, req *EvalRequest) (n *model.Network, custom bool, err error) {
+// a Table III benchmark, or a custom network — inline, or registered in
+// the package default registry — compiled through the same path the zoo
+// uses. custom reports whether the network is keyed by its spec hash
+// rather than its zoo name.
+func lookupNetwork(ctx context.Context, req *EvalRequest) (n *model.Network, custom bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	if req.Spec != nil {
-		n, err := req.Spec.Compile()
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
-		}
-		return n, true, nil
+	r := *req
+	if err := defaultRegistry.Resolve(&r); err != nil {
+		return nil, false, err
 	}
-	if n, err := model.ByName(req.Network); err == nil {
-		return n, false, nil
+	if r.Spec == nil { // Resolve leaves only zoo names unresolved
+		n, err = model.ByName(r.Network)
+		return n, false, err
 	}
-	if n, ok := registeredNetwork(req.Network); ok {
-		return n, true, nil
+	if n, err = r.Spec.Compile(); err != nil {
+		return nil, false, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}
-	return nil, false, fmt.Errorf("%w: %q (backend %q evaluates the Table III suite and registered custom networks)",
-		ErrUnknownNetwork, req.Network, c.backend)
+	return n, true, nil
 }
 
 // analytic evaluates a compiled network on the named analytic model and

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/model"
 )
 
 // Serving-side batch support: request identity keys for timelyd's
@@ -15,29 +13,26 @@ import (
 // into one shared trial grid.
 
 // Keys derives the request's two identity keys for the serving-side
-// batching layer.
+// batching layer. Both hash the resolved request, not its raw fields: the
+// backend, the network identity (a name as written, an inline spec by its
+// canonical spec hash and name) and every configuration value with its
+// default filled in. So two spellings of one evaluation — "bits": 8 and an
+// omitted bits, the workload's default seed and an omitted one — share
+// both keys.
 //
-// The batch key names the request's batching equivalence class: backend,
-// network identity (inline specs by their canonical spec hash, so
-// differently-spelled but identical specs group together), every raw
-// configuration field, and whether — but not to what value — the
-// Monte-Carlo seed was set. Requests sharing a batch key may execute as
-// one group evaluation (EvaluateBatch). The cache key extends the batch
-// key with the seed value itself: it names the exact computation, and is
-// what singleflight de-duplication and the result cache key on.
-//
-// Keys hashes the RAW request fields, not their resolved defaults: an
-// explicitly-set field and an unset one are different classes (an
-// explicit bits on the functional backend is a 400; an unset one is not).
-// No component names a Monte-Carlo stream contract: every functional
-// evaluation draws from the one keyed Philox contract ("v3", echoed in
-// the result).
+// The batch key names the request's batching equivalence class: all of
+// the above but the Monte-Carlo seed. Requests sharing a batch key may
+// execute as one group evaluation (EvaluateBatch). The cache key extends
+// the batch key with the seed: it names the exact computation, and is what
+// singleflight de-duplication and the result cache key on. No component
+// names a Monte-Carlo stream contract: every functional evaluation draws
+// from the one keyed Philox contract ("v3", echoed in the result).
 //
 // Keys runs the validation step Evaluate runs and compiles inline specs,
 // so a handler can reject an invalid request before admission with the
-// error Evaluate would report. It does not consult the network registry:
-// on the analytic and timing backends a name is resolved, and an unknown
-// one rejected, where the request is evaluated.
+// error Evaluate would report. It never consults a network registry: a
+// name keys as written, so a replica resolves a registered name into its
+// spec (Registry.Resolve) before keying the request.
 func (r *EvalRequest) Keys() (cacheKey, batchKey string, err error) {
 	_, cacheKey, batchKey, err = r.keys()
 	return cacheKey, batchKey, err
@@ -51,7 +46,7 @@ func (r *EvalRequest) keys() (c config, cacheKey, batchKey string, err error) {
 	var b strings.Builder
 	// Client-controlled free-form strings are %q-escaped so a crafted
 	// network name cannot forge another request's key.
-	fmt.Fprintf(&b, "b=%q", r.Backend)
+	fmt.Fprintf(&b, "b=%q", c.backend)
 	if r.Spec != nil {
 		n, cerr := r.Spec.Compile()
 		if cerr != nil {
@@ -61,51 +56,10 @@ func (r *EvalRequest) keys() (c config, cacheKey, batchKey string, err error) {
 	} else {
 		fmt.Fprintf(&b, "|net=%q", r.Network)
 	}
-	fmt.Fprintf(&b, "|bits=%d|chips=%d|sub=%d|gamma=%d", r.Bits, r.Chips, r.SubChips, r.Gamma)
-	if r.NoisePS != nil {
-		fmt.Fprintf(&b, "|noise=%v", *r.NoisePS)
-	} else {
-		b.WriteString("|noise=-")
-	}
-	if r.FaultRate != nil {
-		fmt.Fprintf(&b, "|fault=%v", *r.FaultRate)
-	} else {
-		b.WriteString("|fault=-")
-	}
-	fmt.Fprintf(&b, "|trials=%d|images=%d", r.Trials, r.Images)
-	if r.Seed != nil {
-		b.WriteString("|seed=set")
-	} else {
-		b.WriteString("|seed=-")
-	}
+	fmt.Fprintf(&b, "|bits=%d|chips=%d|sub=%d|gamma=%d|noise=%v|fault=%v|trials=%d|images=%d",
+		c.bits, c.chips, c.subChips, c.gamma, c.noisePS, c.faultRate, c.trials, c.images)
 	batchKey = b.String()
-	if r.Seed != nil {
-		cacheKey = batchKey + "#" + strconv.FormatUint(*r.Seed, 10)
-	} else {
-		cacheKey = batchKey + "#-"
-	}
-	return c, cacheKey, batchKey, nil
-}
-
-// RegistryFree reports whether the request's answer cannot depend on the
-// network registry of the process that evaluates it: an inline spec, a
-// Table III zoo name on an analytic or timing backend, or "mlp"/"cnn" on
-// the functional backend. Every replica computes the same bytes for such a
-// request (elapsed_ms aside), so one replica may keep and replay another's
-// answer under the request's cache key. A registered name is not
-// registry-free: its key names the raw name, which two processes may bind
-// to different specs.
-func (r *EvalRequest) RegistryFree() bool {
-	if r.Spec != nil {
-		return true
-	}
-	switch r.Backend {
-	case "timely", "prime", "isaac", "timing":
-		return model.IsBenchmark(r.Network)
-	case "functional":
-		return r.Network == "mlp" || r.Network == "cnn"
-	}
-	return false
+	return c, batchKey + "#" + strconv.FormatUint(c.seed, 10), batchKey, nil
 }
 
 // EvaluateBatch evaluates a group of requests together, returning one

@@ -33,15 +33,15 @@ func TestKeysBatchAndCache(t *testing.T) {
 	if cache1 == cache2 {
 		t.Errorf("distinct seeds shared a cache key: %s", cache1)
 	}
-	// A set seed is a different class from an unset one (set-ness is part of
-	// the batch key), and the unset request still has a usable cache key.
-	if batchA == batch1 {
-		t.Errorf("seed-set and seed-unset requests shared a batch key")
+	// An unset seed is the workload's default seed: it groups with set
+	// seeds, and keys the computation by that default.
+	if batchA != batch1 {
+		t.Errorf("seed-set and seed-unset requests split the batch key")
 	}
 	if cacheA == cache1 {
-		t.Errorf("seed-set and seed-unset requests shared a cache key")
+		t.Errorf("seed-unset request shared seed 1's cache key")
 	}
-	// Any other raw-field difference splits the batch key.
+	// Any other resolved-field difference splits the batch key.
 	r3 := base()
 	r3.Trials = 3
 	_, batch3, _ := r3.Keys()
@@ -118,34 +118,6 @@ func TestKeysEscapesClientStrings(t *testing.T) {
 	}
 	if !strings.Contains(bf, `\"`) {
 		t.Errorf("client string not escaped in key: %s", bf)
-	}
-}
-
-// TestRegistryFree pins which requests may be replayed by a replica
-// other than the one that computed them: those whose answer reads nothing
-// from the process's network registry.
-func TestRegistryFree(t *testing.T) {
-	spec := &NetworkSpec{Name: "tiny", Input: NetworkDims{C: 1, H: 4, W: 4},
-		Layers: []NetworkLayer{{Name: "out", Kind: "fc", Units: 2}}}
-	for _, tc := range []struct {
-		req  EvalRequest
-		want bool
-	}{
-		{EvalRequest{Backend: "timely", Spec: spec}, true},
-		{EvalRequest{Backend: "timely", Network: "VGG-D"}, true},
-		{EvalRequest{Backend: "prime", Network: "SqueezeNet"}, true},
-		{EvalRequest{Backend: "isaac", Network: "MLP-L"}, true},
-		{EvalRequest{Backend: "timing", Network: "CNN-1", Images: 4}, true},
-		{EvalRequest{Backend: "functional", Network: "mlp"}, true},
-		{EvalRequest{Backend: "functional", Network: "cnn", Seed: uintp(3)}, true},
-		{EvalRequest{Backend: "timely", Network: "my-registered-net"}, false},
-		{EvalRequest{Backend: "timing", Network: "my-registered-net"}, false},
-		{EvalRequest{Backend: "functional", Network: "VGG-D"}, false},
-		{EvalRequest{Backend: "sim-test-backend", Network: "VGG-D"}, false},
-	} {
-		if got := tc.req.RegistryFree(); got != tc.want {
-			t.Errorf("%+v: RegistryFree = %t, want %t", tc.req, got, tc.want)
-		}
 	}
 }
 

@@ -82,8 +82,9 @@ var keyNetworks = append(ZooNetworks(),
 // field of the first (backend, network, bits, chips, sub_chips or gamma).
 // Equal cache keys must mean byte-identical json.MarshalIndent bodies
 // (elapsed_ms zeroed), or equal errors. Different keys with equal bodies
-// are allowed: Keys hashes raw fields, so "bits": 8 and an omitted bits
-// are two keys for one result (the first seed).
+// are allowed: Keys hashes χ and γ as set, so an explicit Table II gamma
+// and an omitted one are two keys for one result. The defaulted fields
+// share a key (TestKeysEquivalence).
 func FuzzEvalKeys(f *testing.F) {
 	// backend, network, bits, chips, sub_chips, gamma, field, value
 	f.Add(uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(2), uint8(1))

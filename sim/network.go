@@ -44,33 +44,45 @@ func infoOf(n *model.Network) *NetworkInfo {
 	}
 }
 
-// registeredNet is one custom registry entry: the compiled network plus
+// Registry is a namespace of custom networks registered by name: the
+// names by-name evaluation resolves against. Each timelyd replica owns one,
+// so a name resolves on the replica a request enters; RegisterNetwork and
+// by-name Evaluate use a package default instance. The zero value is an
+// empty registry, safe for concurrent use.
+type Registry struct {
+	mu   sync.RWMutex
+	nets map[string]*registeredNet
+}
+
+// registeredNet is one registry entry: the network's canonical spec plus
 // its summary. Both are immutable after registration.
 type registeredNet struct {
-	net  *model.Network
+	spec *NetworkSpec
 	info *NetworkInfo
 }
 
-var (
-	netMu      sync.RWMutex
-	customNets = map[string]*registeredNet{}
-)
+// defaultRegistry backs RegisterNetwork and by-name Evaluate.
+var defaultRegistry Registry
 
-// maxRegisteredNetworks caps the process-wide custom registry so an
-// unauthenticated client looping POST /v1/networks with unique names
-// cannot grow the process without bound (a variable, not a constant, so
-// tests can lower it).
-var maxRegisteredNetworks = 1024
+// maxRegisteredNetworks caps a registry so an unauthenticated client
+// looping POST /v1/networks with unique names cannot grow the process
+// without bound.
+const maxRegisteredNetworks = 1024
 
-// RegisterNetwork validates a custom network spec and registers it under
-// its name, making it evaluable by name through the analytic and timing
-// backends (and through timelyd's /v1/evaluate). Registration is idempotent for an
-// identical spec; a name that is already taken by a different network — or
-// by a built-in Table III benchmark — fails with ErrDuplicateNetwork.
-// Invalid specs fail with ErrInvalidSpec wrapping the *SpecError detail,
-// and the registry is capped (ErrRegistryFull once 1024 networks are
-// registered) so it cannot grow a long-running service without bound.
+// RegisterNetwork registers spec (see Registry.Register) in the package
+// default registry, which by-name Evaluate reads.
 func RegisterNetwork(spec *NetworkSpec) (*NetworkInfo, error) {
+	return defaultRegistry.Register(spec)
+}
+
+// Register validates a custom network spec and registers it under its
+// name. Registration is idempotent for an identical spec; a name that is
+// already taken by a different network — or by a built-in Table III
+// benchmark — fails with ErrDuplicateNetwork. Invalid specs fail with
+// ErrInvalidSpec wrapping the *SpecError detail, and the registry is
+// capped (ErrRegistryFull once 1024 networks are registered) so it cannot
+// grow a long-running service without bound.
+func (g *Registry) Register(spec *NetworkSpec) (*NetworkInfo, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("%w: nil spec", ErrInvalidSpec)
 	}
@@ -82,20 +94,59 @@ func RegisterNetwork(spec *NetworkSpec) (*NetworkInfo, error) {
 		return nil, fmt.Errorf("%w: %q is a built-in Table III benchmark", ErrDuplicateNetwork, n.Name)
 	}
 	info := infoOf(n)
-	netMu.Lock()
-	defer netMu.Unlock()
-	if prev, ok := customNets[n.Name]; ok {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if prev, ok := g.nets[n.Name]; ok {
 		if prev.info.Hash == info.Hash {
 			return prev.info, nil
 		}
 		return nil, fmt.Errorf("%w: %q is already registered with a different layer table", ErrDuplicateNetwork, n.Name)
 	}
-	if len(customNets) >= maxRegisteredNetworks {
+	if len(g.nets) >= maxRegisteredNetworks {
 		return nil, fmt.Errorf("%w: %d networks registered, the limit is %d",
-			ErrRegistryFull, len(customNets), maxRegisteredNetworks)
+			ErrRegistryFull, len(g.nets), maxRegisteredNetworks)
 	}
-	customNets[n.Name] = &registeredNet{net: n, info: info}
+	if g.nets == nil {
+		g.nets = map[string]*registeredNet{}
+	}
+	g.nets[n.Name] = &registeredNet{spec: n.Spec(), info: info}
 	return info, nil
+}
+
+// Resolve turns a request naming a registered network into one carrying
+// the network's canonical spec inline: Network is kept and Spec is filled
+// (shared, so not to be mutated). A request that carries a spec, names a
+// zoo benchmark or targets the functional backend is left as it is. An
+// unknown name fails with the request's validation error if it has one,
+// as Keys reports it, else with ErrUnknownNetwork.
+func (g *Registry) Resolve(req *EvalRequest) error {
+	if req.Spec != nil || req.Backend == "functional" || model.IsBenchmark(req.Network) {
+		return nil
+	}
+	g.mu.RLock()
+	e, ok := g.nets[req.Network]
+	g.mu.RUnlock()
+	if ok {
+		req.Spec = e.spec
+		return nil
+	}
+	if _, err := req.resolve(); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: %q (backend %q evaluates the Table III suite and registered custom networks)",
+		ErrUnknownNetwork, req.Network, req.Backend)
+}
+
+// Networks lists the registered networks, sorted by name.
+func (g *Registry) Networks() []*NetworkInfo {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := make([]*NetworkInfo, 0, len(g.nets))
+	for _, e := range g.nets {
+		out = append(out, e.info)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // ZooNetworks lists the built-in Table III benchmark names in the paper's
@@ -112,29 +163,4 @@ func ZooSpec(name string) (*NetworkSpec, error) {
 		return nil, fmt.Errorf("%w: %q is not a Table III benchmark", ErrUnknownNetwork, name)
 	}
 	return n.Spec(), nil
-}
-
-// registeredNetwork resolves a custom-registry name. The returned network
-// is shared and must not be mutated.
-func registeredNetwork(name string) (*model.Network, bool) {
-	netMu.RLock()
-	defer netMu.RUnlock()
-	e, ok := customNets[name]
-	if !ok {
-		return nil, false
-	}
-	return e.net, true
-}
-
-// RegisteredNetworks lists the custom networks registered in this process,
-// sorted by name.
-func RegisteredNetworks() []*NetworkInfo {
-	netMu.RLock()
-	defer netMu.RUnlock()
-	out := make([]*NetworkInfo, 0, len(customNets))
-	for _, e := range customNets {
-		out = append(out, e.info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -4,8 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sort"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -197,42 +198,79 @@ func TestRegisterNetwork(t *testing.T) {
 		}
 	}
 
-	// RegisteredNetworks reports it, sorted.
+	// The default registry lists it.
 	listed := false
-	regs := RegisteredNetworks()
-	for _, i := range regs {
+	for _, i := range defaultRegistry.Networks() {
 		if i.Name == "tiny-registered" && i.Hash == info.Hash {
 			listed = true
 		}
 	}
 	if !listed {
-		t.Errorf("RegisteredNetworks() missing tiny-registered")
+		t.Errorf("default registry does not list tiny-registered")
 	}
-	if !sort.SliceIsSorted(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name }) {
-		t.Errorf("RegisteredNetworks() not sorted")
+}
+
+// TestRegistryNetworks: a registry lists what it holds, sorted by name, and
+// nothing another registry holds.
+func TestRegistryNetworks(t *testing.T) {
+	var a, b Registry
+	for _, name := range []string{"tiny-b", "tiny-a", "tiny-c"} {
+		if _, err := a.Register(tinySpec(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for _, i := range a.Networks() {
+		names = append(names, i.Name)
+	}
+	if got := strings.Join(names, ","); got != "tiny-a,tiny-b,tiny-c" {
+		t.Errorf("Networks() = %s, want tiny-a,tiny-b,tiny-c", got)
+	}
+	if n := len(b.Networks()); n != 0 {
+		t.Errorf("a fresh registry lists %d networks", n)
+	}
+}
+
+// TestRegistryConcurrent: registrations, resolutions and listings from
+// several goroutines at once (run under -race).
+func TestRegistryConcurrent(t *testing.T) {
+	var g Registry
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("tiny-conc-%d", i%4)
+			if _, err := g.Register(tinySpec(name)); err != nil {
+				t.Error(err)
+				return
+			}
+			req := EvalRequest{Backend: "timely", Network: name}
+			if err := g.Resolve(&req); err != nil || req.Spec == nil {
+				t.Errorf("%s: Resolve = %v", name, err)
+			}
+			g.Networks()
+		}(i)
+	}
+	wg.Wait()
+	if n := len(g.Networks()); n != 4 {
+		t.Errorf("%d networks registered, want 4", n)
 	}
 }
 
 // TestRegistryCap proves registration stops at the capacity limit with the
-// typed sentinel (the cap is lowered for the test; registrations from
-// other tests in this process count toward it, which is fine — the limit
-// only needs to bind).
+// typed sentinel, and that an existing entry still re-registers there.
 func TestRegistryCap(t *testing.T) {
-	netMu.RLock()
-	have := len(customNets)
-	netMu.RUnlock()
-	old := maxRegisteredNetworks
-	maxRegisteredNetworks = have + 1
-	defer func() { maxRegisteredNetworks = old }()
-
-	if _, err := RegisterNetwork(tinySpec("tiny-cap-1")); err != nil {
-		t.Fatalf("register under the cap: %v", err)
+	var g Registry
+	for i := 0; i < maxRegisteredNetworks; i++ {
+		if _, err := g.Register(tinySpec(fmt.Sprintf("tiny-cap-%d", i))); err != nil {
+			t.Fatalf("register %d under the cap: %v", i, err)
+		}
 	}
-	if _, err := RegisterNetwork(tinySpec("tiny-cap-2")); !errors.Is(err, ErrRegistryFull) {
+	if _, err := g.Register(tinySpec("tiny-cap-over")); !errors.Is(err, ErrRegistryFull) {
 		t.Errorf("register at the cap err = %v, want ErrRegistryFull", err)
 	}
-	// Idempotent re-registration of an existing entry still works at cap.
-	if _, err := RegisterNetwork(tinySpec("tiny-cap-1")); err != nil {
+	if _, err := g.Register(tinySpec("tiny-cap-0")); err != nil {
 		t.Errorf("idempotent re-register at cap: %v", err)
 	}
 }
@@ -327,5 +365,60 @@ func TestZooSpecExport(t *testing.T) {
 	}
 	if _, err := ZooSpec("GPT-7"); !errors.Is(err, ErrUnknownNetwork) {
 		t.Errorf("unknown zoo spec err = %v, want ErrUnknownNetwork", err)
+	}
+}
+
+// TestResolveMatchesByName: a request resolved through a registry and sent
+// over the wire evaluates to the bytes by-name evaluation gives (elapsed_ms
+// aside), on every backend that takes a custom network, and keys like the
+// same spec sent inline.
+func TestResolveMatchesByName(t *testing.T) {
+	spec := tinySpec("tiny-resolve")
+	if _, err := RegisterNetwork(spec); err != nil {
+		t.Fatal(err)
+	}
+	var g Registry
+	if _, err := g.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	body := func(req *EvalRequest) string {
+		res, err := Evaluate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.ElapsedMS = 0
+		b, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, backend := range []string{"timely", "prime", "isaac", "timing"} {
+		req := EvalRequest{Backend: backend, Network: "tiny-resolve"}
+		if err := g.Resolve(&req); err != nil || req.Spec == nil {
+			t.Fatalf("%s: Resolve = %v, spec %v", backend, err, req.Spec)
+		}
+		wire, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent EvalRequest
+		if err := json.Unmarshal(wire, &sent); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := body(&sent), body(&EvalRequest{Backend: backend, Network: "tiny-resolve"}); got != want {
+			t.Errorf("%s: resolved body differs from by-name:\n%s\nvs\n%s", backend, got, want)
+		}
+		ck, _, err := sent.Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline, _, err := (&EvalRequest{Backend: backend, Spec: spec}).Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck != inline {
+			t.Errorf("%s: resolved key %s, inline %s", backend, ck, inline)
+		}
 	}
 }

@@ -69,8 +69,8 @@ type config struct {
 // validation step behind Evaluate, EvaluateBatch and Keys, and it reports
 // the first failing rule in this order: the request shape (a backend, a
 // network or spec, and agreement between the two), an unknown backend,
-// then the options (see configure). It never consults the network registry:
-// names resolve when the request is evaluated.
+// then the options (see configure). It never consults a network registry
+// (see Registry.Resolve).
 func (r *EvalRequest) resolve() (config, error) {
 	if r.Backend == "" {
 		return config{}, fmt.Errorf("%w: request names no backend", ErrUnknownBackend)

@@ -259,46 +259,46 @@ var validKeys = []struct {
 	cacheKey, batch string
 }{
 	{EvalRequest{Backend: "timely", Network: "VGG-D"},
-		`b="timely"|net="VGG-D"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="timely"|net="VGG-D"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="timely"|net="VGG-D"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="timely"|net="VGG-D"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "timely", Network: "VGG-D", Bits: 16, Chips: 4, SubChips: 53, Gamma: 4},
-		`b="timely"|net="VGG-D"|bits=16|chips=4|sub=53|gamma=4|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="timely"|net="VGG-D"|bits=16|chips=4|sub=53|gamma=4|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="timely"|net="VGG-D"|bits=16|chips=4|sub=53|gamma=4|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="timely"|net="VGG-D"|bits=16|chips=4|sub=53|gamma=4|noise=10|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "prime", Network: "CNN-1", Chips: 2},
-		`b="prime"|net="CNN-1"|bits=0|chips=2|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="prime"|net="CNN-1"|bits=0|chips=2|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="prime"|net="CNN-1"|bits=8|chips=2|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="prime"|net="CNN-1"|bits=8|chips=2|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "isaac", Network: "MLP-L"},
-		`b="isaac"|net="MLP-L"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="isaac"|net="MLP-L"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="isaac"|net="MLP-L"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="isaac"|net="MLP-L"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "timing", Network: "SqueezeNet", Images: 8, Gamma: 4},
-		`b="timing"|net="SqueezeNet"|bits=0|chips=0|sub=0|gamma=4|noise=-|fault=-|trials=0|images=8|seed=-#-`,
-		`b="timing"|net="SqueezeNet"|bits=0|chips=0|sub=0|gamma=4|noise=-|fault=-|trials=0|images=8|seed=-`},
+		`b="timing"|net="SqueezeNet"|bits=8|chips=1|sub=0|gamma=4|noise=10|fault=0|trials=5|images=8#2020`,
+		`b="timing"|net="SqueezeNet"|bits=8|chips=1|sub=0|gamma=4|noise=10|fault=0|trials=5|images=8`},
 	{EvalRequest{Backend: "functional", Network: "mlp"},
-		`b="functional"|net="mlp"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="functional"|net="mlp"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="functional"|net="mlp"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="functional"|net="mlp"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "functional", Network: "mlp", NoisePS: f64(0), Seed: u64(7), Trials: 3},
-		`b="functional"|net="mlp"|bits=0|chips=0|sub=0|gamma=0|noise=0|fault=-|trials=3|images=0|seed=set#7`,
-		`b="functional"|net="mlp"|bits=0|chips=0|sub=0|gamma=0|noise=0|fault=-|trials=3|images=0|seed=set`},
+		`b="functional"|net="mlp"|bits=8|chips=1|sub=0|gamma=0|noise=0|fault=0|trials=3|images=0#7`,
+		`b="functional"|net="mlp"|bits=8|chips=1|sub=0|gamma=0|noise=0|fault=0|trials=3|images=0`},
 	{EvalRequest{Backend: "functional", Network: "mlp", NoisePS: f64(12.5), Seed: u64(0)},
-		`b="functional"|net="mlp"|bits=0|chips=0|sub=0|gamma=0|noise=12.5|fault=-|trials=0|images=0|seed=set#0`,
-		`b="functional"|net="mlp"|bits=0|chips=0|sub=0|gamma=0|noise=12.5|fault=-|trials=0|images=0|seed=set`},
+		`b="functional"|net="mlp"|bits=8|chips=1|sub=0|gamma=0|noise=12.5|fault=0|trials=5|images=0#0`,
+		`b="functional"|net="mlp"|bits=8|chips=1|sub=0|gamma=0|noise=12.5|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "functional", Network: "cnn", FaultRate: f64(0.01), Seed: u64(18446744073709551615)},
-		`b="functional"|net="cnn"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=0.01|trials=0|images=0|seed=set#18446744073709551615`,
-		`b="functional"|net="cnn"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=0.01|trials=0|images=0|seed=set`},
+		`b="functional"|net="cnn"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0.01|trials=5|images=0#18446744073709551615`,
+		`b="functional"|net="cnn"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0.01|trials=5|images=0`},
 	{EvalRequest{Backend: "timely", Spec: tinySpec("tiny-pin")},
-		`b="timely"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="timely"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="timely"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="timely"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "timing", Network: "tiny-pin", Spec: tinySpec("tiny-pin"), Chips: 2},
-		`b="timing"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=0|chips=2|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="timing"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=0|chips=2|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
-	// A name no process has registered still keys: names resolve on the
-	// evaluating replica, never in Keys.
+		`b="timing"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=8|chips=2|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="timing"|spec=dc6bed940e2495bfc5f0944a63959e08eabf09ab064e0d6eb4a204c324f81027/"tiny-pin"|bits=8|chips=2|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
+	// A name no registry holds still keys: a name is resolved before it is
+	// keyed (Registry.Resolve), never in Keys.
 	{EvalRequest{Backend: "isaac", Network: "never-registered"},
-		`b="isaac"|net="never-registered"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="isaac"|net="never-registered"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="isaac"|net="never-registered"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="isaac"|net="never-registered"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
 	{EvalRequest{Backend: "timely", Network: `a"|net=b`},
-		`b="timely"|net="a\"|net=b"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-#-`,
-		`b="timely"|net="a\"|net=b"|bits=0|chips=0|sub=0|gamma=0|noise=-|fault=-|trials=0|images=0|seed=-`},
+		`b="timely"|net="a\"|net=b"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0#2020`,
+		`b="timely"|net="a\"|net=b"|bits=8|chips=1|sub=0|gamma=0|noise=10|fault=0|trials=5|images=0`},
 }
 
 func TestValidRequestKeys(t *testing.T) {
@@ -319,15 +319,25 @@ func TestValidRequestKeys(t *testing.T) {
 
 // TestKeysRejectsWhatEvaluateRejects: Keys runs Evaluate's validation
 // step, so every invalid row fails Keys with Evaluate's exact error — all
-// but the unknown names on the analytic and timing backends, which only the
-// evaluating process can resolve. The functional workloads are a fixed set.
+// but the unknown names on the analytic and timing backends, which only a
+// registry can resolve. The functional workloads are a fixed set. Resolving
+// through an empty registry first, as a serving replica does, fails every
+// row with Evaluate's exact error.
 func TestKeysRejectsWhatEvaluateRejects(t *testing.T) {
 	for _, tc := range invalidRequests {
 		req := tc.req
 		if tc.trace {
 			req.Trace = func(TraceSpan) {}
 		}
-		_, _, err := req.Keys()
+		entry := req
+		err := new(Registry).Resolve(&entry)
+		if err == nil {
+			_, _, err = entry.Keys()
+		}
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("%s: Resolve then Keys err = %v\n want Evaluate's %q", tc.name, err, tc.err)
+		}
+		_, _, err = req.Keys()
 		// An unknown-network error other than the prelude's comes from
 		// the name lookup.
 		lookup := errors.Is(tc.sentinel, ErrUnknownNetwork) && (tc.req.Network != "" || tc.req.Spec != nil) &&
@@ -345,7 +355,7 @@ func TestKeysRejectsWhatEvaluateRejects(t *testing.T) {
 
 // TestKeysConverse: changing any one result-affecting field of a valid
 // request to another valid value changes its cache key, and changes its
-// batch key too unless the field is the seed value. Only Keys runs.
+// batch key too unless the field is the seed. Only Keys runs.
 func TestKeysConverse(t *testing.T) {
 	bases := []EvalRequest{
 		{Backend: "timely", Network: "VGG-D", Chips: 2},
@@ -371,7 +381,6 @@ func TestKeysConverse(t *testing.T) {
 		{"network cnn", func(r *EvalRequest) { r.Network, r.Spec = "cnn", nil }},
 		{"spec", func(r *EvalRequest) { r.Network, r.Spec = "", other }},
 		{"bits", func(r *EvalRequest) { r.Bits = 16 }},
-		{"bits explicit", func(r *EvalRequest) { r.Bits = 8 }},
 		{"chips", func(r *EvalRequest) { r.Chips = 3 }},
 		{"sub_chips", func(r *EvalRequest) { r.SubChips = 53 }},
 		{"gamma", func(r *EvalRequest) { r.Gamma = 4 }},
@@ -404,13 +413,55 @@ func TestKeysConverse(t *testing.T) {
 			if ck == ck0 {
 				t.Errorf("%s on %+v: cache key unchanged: %s", e.field, base, ck)
 			}
-			seedValue := base.Seed != nil && strings.HasPrefix(e.field, "seed")
-			if (bk == bk0) != seedValue {
+			if (bk == bk0) != strings.HasPrefix(e.field, "seed") {
 				t.Errorf("%s on %+v: batch key %s, base %s", e.field, base, bk, bk0)
 			}
 		}
 	}
 	if tried < 40 {
 		t.Errorf("only %d valid one-field edits tried", tried)
+	}
+}
+
+// TestKeysEquivalence: spellings of one evaluation that differ only in
+// writing out a default share both keys, since Keys hashes the resolved
+// request. Only Keys runs.
+func TestKeysEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b EvalRequest
+	}{
+		{"bits 8", EvalRequest{Backend: "timely", Network: "VGG-D"},
+			EvalRequest{Backend: "timely", Network: "VGG-D", Bits: 8}},
+		{"bits 8 on timing", EvalRequest{Backend: "timing", Network: "CNN-1", Images: 4},
+			EvalRequest{Backend: "timing", Network: "CNN-1", Images: 4, Bits: 8}},
+		{"chips 1", EvalRequest{Backend: "prime", Network: "VGG-D"},
+			EvalRequest{Backend: "prime", Network: "VGG-D", Chips: 1}},
+		{"chips 1 on a spec", EvalRequest{Backend: "isaac", Spec: tinySpec("tiny-pin")},
+			EvalRequest{Backend: "isaac", Spec: tinySpec("tiny-pin"), Chips: 1}},
+		{"bits 8 and chips 1", EvalRequest{Backend: "timely", Network: "VGG-D"},
+			EvalRequest{Backend: "timely", Network: "VGG-D", Bits: 8, Chips: 1}},
+		{"trials 5", EvalRequest{Backend: "functional", Network: "cnn"},
+			EvalRequest{Backend: "functional", Network: "cnn", Trials: 5}},
+		{"default noise_ps", EvalRequest{Backend: "functional", Network: "mlp"},
+			EvalRequest{Backend: "functional", Network: "mlp", NoisePS: f64(10)}},
+		{"seed 2020 on mlp", EvalRequest{Backend: "functional", Network: "mlp", Trials: 2},
+			EvalRequest{Backend: "functional", Network: "mlp", Trials: 2, Seed: u64(2020)}},
+		{"seed 5 on cnn", EvalRequest{Backend: "functional", Network: "cnn", FaultRate: f64(0.01)},
+			EvalRequest{Backend: "functional", Network: "cnn", FaultRate: f64(0.01), Seed: u64(5)}},
+		{"fault_rate 0 on cnn", EvalRequest{Backend: "functional", Network: "cnn"},
+			EvalRequest{Backend: "functional", Network: "cnn", FaultRate: f64(0)}},
+	} {
+		cka, bka, err := tc.a.Keys()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ckb, bkb, err := tc.b.Keys()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if cka != ckb || bka != bkb {
+			t.Errorf("%s: keys differ:\n%s\n%s", tc.name, cka, ckb)
+		}
 	}
 }

@@ -32,10 +32,11 @@
 // The analytic and timing backends are network-agnostic: beyond the zoo
 // they evaluate arbitrary conv/fc/pool networks described declaratively as
 // a NetworkSpec — inline on a request (EvalRequest.Spec), registered by
-// name (RegisterNetwork), or exported from a zoo benchmark as a template
-// (ZooSpec). Specs compile through the same validated shape-inference
-// path as the built-in zoo, and custom evaluations are memoized under a
-// canonical spec hash.
+// name (RegisterNetwork, or a Registry a service owns, which resolves a
+// name into its inline spec), or exported from a zoo benchmark as a
+// template (ZooSpec). Specs compile through the same validated
+// shape-inference path as the built-in zoo, and custom evaluations are
+// memoized under a canonical spec hash.
 package sim
 
 import (
@@ -62,8 +63,8 @@ var (
 	// ErrDuplicateNetwork reports a RegisterNetwork under a name already
 	// taken by a different network (custom or built-in).
 	ErrDuplicateNetwork = errors.New("sim: network already registered")
-	// ErrRegistryFull reports a RegisterNetwork rejected because the
-	// process-wide custom-network registry reached its capacity.
+	// ErrRegistryFull reports a registration rejected because the
+	// custom-network registry reached its capacity.
 	ErrRegistryFull = errors.New("sim: custom network registry is full")
 )
 

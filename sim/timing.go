@@ -84,7 +84,7 @@ type TimingStats struct {
 // everything only the simulation can know.
 func evaluateTiming(ctx context.Context, c config, req *EvalRequest) (*EvalResult, error) {
 	start := time.Now()
-	n, custom, err := lookupNetwork(ctx, c, req)
+	n, custom, err := lookupNetwork(ctx, req)
 	if err != nil {
 		return nil, err
 	}
